@@ -69,6 +69,53 @@ def _configure_logging(args) -> None:
     log.propagate = False
 
 
+class _OperatorError(Exception):
+    """An unusable flag value, path, or input file.  :func:`main` logs
+    the one-line message and exits 2; exit 1 stays reserved for a
+    failed verdict or a quarantined cell."""
+
+
+def _probe_path(path: str, label: str, mode: str = "w") -> None:
+    """Fail before the run, not after: a long run whose deliverable
+    cannot be written should not execute at all."""
+    try:
+        open(path, mode).close()
+    except OSError as exc:
+        raise _OperatorError(f"invalid {label} path: {exc}")
+
+
+def _write_verified(path: str, text: str, what: str) -> None:
+    """Atomically write a final artifact and read it back."""
+    from . import storage
+    from .errors import StorageError
+
+    try:
+        storage.atomic_write_text(path, text, verify=True)
+    except StorageError as exc:
+        raise _OperatorError(f"cannot write {what}: {exc}")
+
+
+def _load(loader, path: str, what: str):
+    """``loader(path)``; a missing or mangled file is an operator
+    error, reported in one line instead of a traceback."""
+    try:
+        return loader(path)
+    except (OSError, ValueError) as exc:
+        raise _OperatorError(f"cannot load {what} {path}: {exc}")
+
+
+def _parse_specs(specs, flag: str, shape: str, parse) -> tuple:
+    """Parse every value of a repeatable ``flag`` with ``parse``; a
+    malformed one is an operator error naming the expected ``shape``."""
+    entries = []
+    for spec in specs or []:
+        try:
+            entries.append(parse(spec))
+        except ValueError:
+            raise _OperatorError(f"bad {flag} {spec!r}; expected {shape}")
+    return tuple(entries)
+
+
 def _build_graph(args) -> Graph:
     from . import generators
 
@@ -279,10 +326,6 @@ def cmd_bench(args) -> int:
         from .congest.algorithm import set_kernels_enabled
 
         set_kernels_enabled(False)
-    if args.no_batch_delivery:
-        from .congest.algorithm import set_batch_delivery_enabled
-
-        set_batch_delivery_enabled(False)
     if args.faults:
         names = (args.suite or []) + ["E11", "E15"]
     else:
@@ -291,38 +334,26 @@ def cmd_bench(args) -> int:
     # by explicit --suite NAME.
     unknown = [n for n in names if n not in SUITES]
     if unknown:
-        raise SystemExit(
+        raise _OperatorError(
             f"unknown suite(s) {unknown}; available: {suite_names()}"
         )
     if args.journal and len(names) > 1:
-        raise SystemExit(
+        raise _OperatorError(
             "--journal names one file and cannot span multiple suites; "
             "restrict the run with --suite NAME"
         )
     if args.trace_detail and not args.trace:
-        log.error("--trace-detail requires --trace PATH")
-        return 2
+        raise _OperatorError("--trace-detail requires --trace PATH")
     if args.timeline and not args.telemetry:
-        log.error("--timeline requires --telemetry PATH")
-        return 2
-    # Fail before the sweep, not after: a multi-minute run whose
-    # deliverable cannot be written should not execute at all.
+        raise _OperatorError("--timeline requires --telemetry PATH")
     for label, path in (
         ("trace", args.trace), ("telemetry", args.telemetry),
     ):
         if path:
-            try:
-                open(path, "w").close()
-            except OSError as exc:
-                log.error("invalid %s path: %s", label, exc)
-                return 2
+            _probe_path(path, label)
     if args.journal:
         # Probe without truncating: the journal may hold a resumable run.
-        try:
-            open(args.journal, "a").close()
-        except OSError as exc:
-            log.error("invalid journal path: %s", exc)
-            return 2
+        _probe_path(args.journal, "journal", mode="a")
 
     from .runner.progress import PROGRESS_SCHEMA_VERSION, ProgressLog
 
@@ -331,8 +362,7 @@ def cmd_bench(args) -> int:
         try:
             plog = ProgressLog(args.progress)
         except OSError as exc:
-            log.error("invalid progress path: %s", exc)
-            return 2
+            raise _OperatorError(f"invalid progress path: {exc}")
         plog.emit(
             "bench_started",
             schema=PROGRESS_SCHEMA_VERSION,
@@ -340,7 +370,7 @@ def cmd_bench(args) -> int:
             jobs=args.jobs,
         )
 
-    from .errors import JournalError, StorageError
+    from .errors import JournalError
 
     runs = []
     total_start = time.perf_counter()
@@ -401,36 +431,22 @@ def cmd_bench(args) -> int:
             stats["corrupt"], "" if args.cache else " (cache disabled)",
         )
         if args.out:
-            from . import storage
-
             os.makedirs(args.out, exist_ok=True)
-            try:
-                storage.atomic_write_text(
-                    os.path.join(args.out, f"{name}.txt"),
-                    rendered + "\n",
-                    verify=True,
-                )
-            except StorageError as exc:
-                log.error("cannot write --out table: %s", exc)
-                return 2
+            _write_verified(
+                os.path.join(args.out, f"{name}.txt"),
+                rendered + "\n",
+                "--out table",
+            )
     total_wall = time.perf_counter() - total_start
     if plog is not None:
         plog.emit("bench_finished", wall_seconds=round(total_wall, 3))
         plog.close()
 
     if args.trace:
-        from . import storage
-
         lines = [line for run in runs for line in run.trace_lines()]
-        try:
-            storage.atomic_write_text(
-                args.trace,
-                "\n".join(lines) + ("\n" if lines else ""),
-                verify=True,
-            )
-        except StorageError as exc:
-            log.error("cannot write trace: %s", exc)
-            return 2
+        _write_verified(
+            args.trace, "\n".join(lines) + ("\n" if lines else ""), "trace"
+        )
         log.info("trace: %d round records -> %s", len(lines), args.trace)
     if args.telemetry:
         from .obs import TelemetryRegistry, build_snapshot, write_snapshot
@@ -465,17 +481,11 @@ def cmd_bench(args) -> int:
             "jobs": args.jobs,
             "cache_enabled": args.cache,
         }
-        from . import storage
-
-        try:
-            storage.atomic_write_text(
-                args.stats_json,
-                json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                verify=True,
-            )
-        except StorageError as exc:
-            log.error("cannot write stats: %s", exc)
-            return 2
+        _write_verified(
+            args.stats_json,
+            json.dumps(payload, indent=2, sort_keys=True) + "\n",
+            "stats",
+        )
         log.info("stats -> %s", args.stats_json)
     return 1 if any(run.quarantined for run in runs) else 0
 
@@ -556,72 +566,30 @@ def cmd_faults(args) -> int:
         validate_matching,
     )
 
-    def parse_schedule(specs, flag):
-        entries = []
-        for spec in specs or []:
-            try:
-                vertex, round_number = spec.split(":", 1)
-                entries.append((int(vertex), int(round_number)))
-            except ValueError:
-                raise SystemExit(
-                    f"bad {flag} {spec!r}; expected VERTEX:ROUND"
-                )
-        return tuple(entries)
+    def vertex_round(spec):
+        vertex, round_number = spec.split(":", 1)
+        return int(vertex), int(round_number)
 
-    def parse_edge_rounds(specs, flag):
-        """``U-V:ROUND`` -> (u, v, round)."""
-        entries = []
-        for spec in specs or []:
-            try:
-                edge, round_number = spec.split(":", 1)
-                u, v = edge.split("-", 1)
-                entries.append((int(u), int(v), int(round_number)))
-            except ValueError:
-                raise SystemExit(
-                    f"bad {flag} {spec!r}; expected U-V:ROUND"
-                )
-        return tuple(entries)
+    def edge_round(spec):
+        edge, round_number = spec.split(":", 1)
+        u, v = edge.split("-", 1)
+        return int(u), int(v), int(round_number)
 
-    def parse_edge_windows(specs):
-        """``U-V:START-END`` -> EdgeWindow."""
-        entries = []
-        for spec in specs or []:
-            try:
-                edge, window = spec.split(":", 1)
-                u, v = edge.split("-", 1)
-                start, end = window.split("-", 1)
-                entries.append(
-                    EdgeWindow(int(u), int(v), int(start), int(end))
-                )
-            except ValueError:
-                raise SystemExit(
-                    f"bad --edge-up {spec!r}; expected U-V:START-END"
-                )
-        return tuple(entries)
+    def edge_window(spec):
+        edge, window = spec.split(":", 1)
+        u, v = edge.split("-", 1)
+        start, end = window.split("-", 1)
+        return EdgeWindow(int(u), int(v), int(start), int(end))
 
-    def parse_partitions(specs):
-        """``START-END:V1,V2,...`` -> PartitionWindow isolating one
-        block; every unlisted vertex lands in the implicit rest
-        block."""
-        entries = []
-        for spec in specs or []:
-            try:
-                window, block = spec.split(":", 1)
-                start, end = window.split("-", 1)
-                vertices = tuple(
-                    int(v) for v in block.split(",") if v.strip()
-                )
-                if not vertices:
-                    raise ValueError("empty block")
-                entries.append(
-                    PartitionWindow((vertices,), int(start), int(end))
-                )
-            except ValueError:
-                raise SystemExit(
-                    f"bad --partition {spec!r}; "
-                    "expected START-END:V1,V2,..."
-                )
-        return tuple(entries)
+    def partition(spec):
+        """One isolated block; every unlisted vertex lands in the
+        implicit rest block."""
+        window, block = spec.split(":", 1)
+        start, end = window.split("-", 1)
+        vertices = tuple(int(v) for v in block.split(",") if v.strip())
+        if not vertices:
+            raise ValueError("empty block")
+        return PartitionWindow((vertices,), int(start), int(end))
 
     from .errors import FaultError
 
@@ -631,17 +599,26 @@ def cmd_faults(args) -> int:
             drop=args.drop,
             duplicate=args.duplicate,
             corrupt=args.corrupt,
-            crashes=parse_schedule(args.crash, "--crash"),
-            rejoins=parse_schedule(args.rejoin, "--rejoin"),
+            crashes=_parse_specs(
+                args.crash, "--crash", "VERTEX:ROUND", vertex_round
+            ),
+            rejoins=_parse_specs(
+                args.rejoin, "--rejoin", "VERTEX:ROUND", vertex_round
+            ),
             checkpoint_interval=args.checkpoint_interval,
-            edge_arrivals=parse_edge_rounds(
-                args.edge_arrive, "--edge-arrive"
+            edge_arrivals=_parse_specs(
+                args.edge_arrive, "--edge-arrive", "U-V:ROUND", edge_round
             ),
-            edge_departures=parse_edge_rounds(
-                args.edge_depart, "--edge-depart"
+            edge_departures=_parse_specs(
+                args.edge_depart, "--edge-depart", "U-V:ROUND", edge_round
             ),
-            edge_up_windows=parse_edge_windows(args.edge_up),
-            partitions=parse_partitions(args.partition),
+            edge_up_windows=_parse_specs(
+                args.edge_up, "--edge-up", "U-V:START-END", edge_window
+            ),
+            partitions=_parse_specs(
+                args.partition, "--partition", "START-END:V1,V2,...",
+                partition,
+            ),
             delay=args.delay,
             max_delay=args.max_delay,
         )
@@ -791,13 +768,7 @@ def cmd_obs_report(args) -> int:
         render_report,
     )
 
-    try:
-        snapshot = load_snapshot(args.snapshot)
-    except (OSError, ValueError) as exc:
-        # A missing or mangled snapshot is an operator error, not a
-        # bug: report it cleanly instead of dumping a traceback.
-        log.error("cannot load snapshot %s: %s", args.snapshot, exc)
-        return 2
+    snapshot = _load(load_snapshot, args.snapshot, "snapshot")
     telemetry = snapshot.get("telemetry", {})
     if args.format == "prom":
         sys.stdout.write(prometheus_text(telemetry))
@@ -813,12 +784,8 @@ def cmd_obs_diff(args) -> int:
     """Compare two telemetry snapshots against a perf budget."""
     from .obs import diff_snapshots, load_snapshot
 
-    try:
-        old = load_snapshot(args.old)
-        new = load_snapshot(args.new)
-    except (OSError, ValueError) as exc:
-        log.error("cannot load snapshot: %s", exc)
-        return 2
+    old = _load(load_snapshot, args.old, "snapshot")
+    new = _load(load_snapshot, args.new, "snapshot")
     diff = diff_snapshots(old, new, budget=args.budget,
                           min_seconds=args.min_seconds)
     if args.json:
@@ -843,11 +810,7 @@ def cmd_obs_export(args) -> int:
         write_chrome_trace,
     )
 
-    try:
-        snapshot = load_snapshot(args.snapshot)
-    except (OSError, ValueError) as exc:
-        log.error("cannot load snapshot %s: %s", args.snapshot, exc)
-        return 2
+    snapshot = _load(load_snapshot, args.snapshot, "snapshot")
     timeline = timeline_from_snapshot(snapshot)
     if not timeline:
         log.error(
@@ -882,12 +845,8 @@ def cmd_trace_diff(args) -> int:
     from .obs import diff_traces, load_trace_jsonl
     from .obs.trace import DEFAULT_IGNORE
 
-    try:
-        records_a = load_trace_jsonl(args.a)
-        records_b = load_trace_jsonl(args.b)
-    except (OSError, ValueError) as exc:
-        log.error("cannot load trace: %s", exc)
-        return 2
+    records_a = _load(load_trace_jsonl, args.a, "trace")
+    records_b = _load(load_trace_jsonl, args.b, "trace")
     ignore = tuple(args.ignore) if args.ignore else DEFAULT_IGNORE
     divergence = diff_traces(records_a, records_b, ignore=ignore)
     if args.json:
@@ -912,11 +871,7 @@ def cmd_trace_explain(args) -> int:
     """Per-vertex causal provenance from a schema-5 detail trace."""
     from .obs import explain_vertex, load_trace_jsonl
 
-    try:
-        records = load_trace_jsonl(args.trace_file)
-    except (OSError, ValueError) as exc:
-        log.error("cannot load trace: %s", exc)
-        return 2
+    records = _load(load_trace_jsonl, args.trace_file, "trace")
     try:
         report = explain_vertex(
             records, args.vertex, args.round,
@@ -1114,11 +1069,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "run every CONGEST cell on the scalar "
                             "per-vertex path (results are bit-identical"
                             "; see docs/kernels.md)")
-    bench.add_argument("--no-batch-delivery", action="store_true",
-                       help="keep kernels but deliver their messages "
-                            "through the scalar per-context outboxes "
-                            "instead of columnar send plans (results "
-                            "are bit-identical; see docs/kernels.md)")
     bench.set_defaults(handler=cmd_bench)
 
     faults = sub.add_parser(
@@ -1346,19 +1296,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _configure_logging(args)
+    try:
+        return _dispatch(args)
+    except _OperatorError as exc:
+        log.error("%s", exc)
+        return 2
+
+
+def _dispatch(args) -> int:
     # `bench` manages tracing itself (per-cell sessions merged across
     # worker processes); the session wrapper below is for the
     # single-simulation commands.
     if getattr(args, "trace", None) and args.command != "bench":
         from .congest import TraceSession
 
-        try:
-            # Fail before the run, not after: a long simulation whose
-            # trace cannot be written should not execute at all.
-            open(args.trace, "w").close()
-        except OSError as exc:
-            log.error("invalid trace path: %s", exc)
-            return 2
+        _probe_path(args.trace, "trace")
         detail = getattr(args, "trace_detail", False)
         with TraceSession(detail=detail) as session:
             code = args.handler(args)

@@ -151,9 +151,9 @@ class VertexAlgorithm:
 # ---------------------------------------------------------------------------
 #
 # An algorithm class *declares a vectorizable step* by registering a
-# :class:`RoundKernel` subclass against itself.  The fast engine then
-# batches that algorithm's per-round work into NumPy columns (one entry
-# per vertex) whenever the run qualifies — see
+# :class:`~repro.congest.kernels.KernelBase` subclass against itself.
+# The fast engine then batches that algorithm's per-round work into
+# NumPy columns (one entry per vertex) whenever the run qualifies — see
 # :func:`repro.congest.kernels.maybe_build_kernel` for the activation
 # rules — and falls back to the ordinary scalar ``step`` loop
 # otherwise.  Kernels are a pure performance feature: outputs, metrics,
@@ -167,7 +167,7 @@ class VertexAlgorithm:
 #: overrides it, e.g. for CI smoke runs through spawned workers.
 KERNEL_THRESHOLD = 64
 
-#: Algorithm class -> RoundKernel subclass.
+#: Algorithm class -> KernelBase subclass.
 _KERNEL_REGISTRY: Dict[type, type] = {}
 
 _kernels_enabled = os.environ.get("REPRO_NO_KERNELS", "").lower() not in (
@@ -178,9 +178,8 @@ _kernels_enabled = os.environ.get("REPRO_NO_KERNELS", "").lower() not in (
 
 
 def register_kernel(algorithm_cls: type):
-    """Class decorator registering a :class:`RoundKernel` for
-    ``algorithm_cls`` — the declaration that the algorithm's step is
-    vectorizable."""
+    """Class decorator registering a kernel class for ``algorithm_cls``
+    — the declaration that the algorithm's step is vectorizable."""
 
     def decorate(kernel_cls: type) -> type:
         kernel_cls.algorithm_cls = algorithm_cls
@@ -224,90 +223,3 @@ def kernel_threshold() -> int:
         except ValueError:
             pass
     return KERNEL_THRESHOLD
-
-
-_batch_delivery_enabled = os.environ.get(
-    "REPRO_NO_BATCH_DELIVERY", ""
-).lower() not in ("1", "true", "yes")
-
-
-def batch_delivery_enabled() -> bool:
-    """Whether kernels that emit send plans may deliver them batched."""
-    return _batch_delivery_enabled
-
-
-def set_batch_delivery_enabled(flag: bool) -> None:
-    """Enable or disable batched delivery process-wide.
-
-    Mirrored into the ``REPRO_NO_BATCH_DELIVERY`` environment variable
-    so spawned benchmark workers inherit the choice (the CLI's
-    ``repro bench --no-batch-delivery`` escape hatch relies on this).
-    Only affects kernels whose class sets ``emits_send_plans``; scalar
-    runs and non-plan kernels are untouched.
-    """
-    global _batch_delivery_enabled
-    _batch_delivery_enabled = bool(flag)
-    if flag:
-        os.environ.pop("REPRO_NO_BATCH_DELIVERY", None)
-    else:
-        os.environ["REPRO_NO_BATCH_DELIVERY"] = "1"
-
-
-class RoundKernel:
-    """Contract for a columnar (vectorized) round executor.
-
-    One kernel instance drives *all* vertices of its algorithm class in
-    a simulation; the engine calls it instead of the per-vertex
-    ``initialize``/``step`` loop.  Implementations must preserve the
-    scalar path bit-for-bit: same outbox contents (same payload values,
-    one shared payload object per broadcast, neighbors in canonical
-    order), same ``halt`` outputs, same per-vertex RNG word
-    consumption.  See ``docs/kernels.md`` for the full contract and
-    :mod:`repro.congest.kernels` for the shared runtime.
-    """
-
-    #: Set by :func:`register_kernel`.
-    algorithm_cls: Optional[type] = None
-
-    #: Capability flag: ``True`` iff the kernel routes every send
-    #: through the :class:`repro.congest.kernels.KernelBase` emission
-    #: helpers (``_emit_broadcast``/``_emit_send``) rather than writing
-    #: per-context outboxes directly.  Only such kernels qualify for
-    #: the engine's batched delivery path; see "Batched delivery" in
-    #: ``docs/kernels.md``.
-    emits_send_plans: bool = False
-
-    @classmethod
-    def supports(cls, engine) -> bool:
-        """May this kernel drive ``engine``'s population?  Called after
-        the generic activation checks; refuse anything the columnar
-        encoding cannot represent (non-integer vertex labels,
-        non-uniform parameters, ...)."""
-        raise NotImplementedError
-
-    def __init__(self, engine, resume: bool = False) -> None:
-        raise NotImplementedError
-
-    def initialize(self, live: Sequence[int]) -> None:
-        """Vectorized twin of the per-vertex ``initialize`` pass."""
-        raise NotImplementedError
-
-    def step_round(self, due: Sequence[int], round_number: int) -> None:
-        """Vectorized twin of one round's per-vertex ``step`` loop.
-
-        ``due`` holds the engine indices of live, scheduled vertices
-        (crashed vertices already filtered).  The kernel must consume
-        their pending inboxes, queue outbound messages on the contexts,
-        and set ``_halted``/``_output`` for vertices that halt.
-        """
-        raise NotImplementedError
-
-    def sync(self) -> None:
-        """Write columnar state back into the scalar objects.
-
-        Called at observation points (checkpoint capture, end of run)
-        so that pickled algorithm/context objects — including
-        materialized per-vertex ``random.Random`` states — are exactly
-        what the scalar path would have produced.  Must be idempotent.
-        """
-        raise NotImplementedError

@@ -215,8 +215,8 @@ class FastEngine:
         # initialization and continues mid-simulation.
         self._initialized = False
         # Batched delivery (see repro.congest.kernels.SendPlan): a
-        # kernel that emits send plans parks the current round's plan
-        # in _send_plan for _collect to charge vectorized; the charged
+        # kernel parks the current round's sends as a plan in
+        # _send_plan for _collect to charge vectorized; the charged
         # plan then waits in _lazy_plan, standing in for the pending
         # inbox dictionaries until the next round consumes it — or
         # until checkpoint capture / crash filtering materializes it.
@@ -891,9 +891,9 @@ class FastEngine:
         ``n`` vertices.  The collected traffic is buffered in
         ``_inflight`` and recorded against the round that delivers it.
 
-        A kernel running batched delivery leaves its sends in
-        ``_send_plan`` instead of the outboxes; those rounds divert to
-        :meth:`_collect_batched` and never touch per-message objects.
+        A kernel leaves its sends in ``_send_plan`` instead of the
+        outboxes; those rounds divert to :meth:`_collect_batched` and
+        never touch per-message objects.
         """
         plan = self._send_plan
         if plan is not None:

@@ -562,12 +562,6 @@ class FaultInjector:
             return False
         return True
 
-    def live_edges(self, edges, send_round: int) -> List[Tuple[Any, Any]]:
-        """Filter an edge iterable down to this round's adjacency view."""
-        return [
-            (u, v) for u, v in edges if self.topology_live(u, v, send_round)
-        ]
-
     # -- partition schedule ---------------------------------------------
     def partitioned(self, u: Any, v: Any, send_round: int) -> bool:
         """Are ``u`` and ``v`` in different isolated blocks this round?"""

@@ -1,18 +1,19 @@
 """Shared runtime for columnar round kernels (fast engine only).
 
-A registered :class:`~repro.congest.algorithm.RoundKernel` replaces the
-fast engine's per-vertex ``initialize``/``step`` loop with NumPy
-columns — one entry per vertex, with CSR adjacency for neighborhood
-reductions.  Everything else (message collection, fault channel,
-metrics, traces, scheduling) stays on the engine's scalar path, which
-is what keeps kernelized runs bit-identical: kernels write real
-per-context outboxes, so the single accounting path in
-``FastEngine._collect`` charges identical bits either way.  Random
-draws also stay on the per-vertex scalar generators (``ctx.rng``):
-the registered protocols consume O(log n) words per vertex, far too
-few to amortize columnar stream adoption (see the measurements in
-``docs/kernels.md``); :class:`~repro.rng.MTColumn` remains available
-for draw-heavy kernels.
+A registered :class:`KernelBase` subclass replaces the fast engine's
+per-vertex ``initialize``/``step`` loop with NumPy columns — one entry
+per vertex, with CSR adjacency for neighborhood reductions.  A kernel
+sends only through :meth:`KernelBase._emit_broadcast` /
+:meth:`KernelBase._emit_send`, which collect the round's sends into
+one :class:`SendPlan`; ``FastEngine._collect`` charges the plan
+vectorized (:meth:`SendPlan.account`) with exactly the bits, errors,
+and per-edge counts the scalar drain of the same sends would produce.
+Everything else (fault channel, metrics, traces, scheduling) stays on
+the engine's scalar path.  Random draws also stay on the per-vertex
+scalar generators (``ctx.rng``): the registered protocols consume
+O(log n) words per vertex, far too few to amortize columnar stream
+adoption (see the measurements in ``docs/kernels.md``);
+:class:`~repro.rng.MTColumn` remains available for draw-heavy kernels.
 
 Activation (:func:`maybe_build_kernel`) is deliberately conservative.
 A kernel engages only when
@@ -43,13 +44,7 @@ from typing import List, Optional, Sequence
 
 from .. import rng as _rng
 from ..errors import MessageTooLargeError, ProtocolError
-from .algorithm import (
-    RoundKernel,
-    batch_delivery_enabled,
-    kernel_class_for,
-    kernel_threshold,
-    kernels_enabled,
-)
+from .algorithm import kernel_class_for, kernel_threshold, kernels_enabled
 from .message import message_bits
 
 #: Private sentinel distinguishing "no shared payload" from a shared
@@ -57,7 +52,7 @@ from .message import message_bits
 _NO_PAYLOAD = object()
 
 
-def maybe_build_kernel(engine, resume: bool = False) -> Optional[RoundKernel]:
+def maybe_build_kernel(engine, resume: bool = False) -> Optional[KernelBase]:
     """Build the columnar kernel for ``engine``, or ``None`` to run
     scalar.  See the module docstring for the activation rules."""
     algorithms = engine._algorithms
@@ -150,7 +145,7 @@ def seg_max(vals, indptr, empty):
     return out
 
 
-# -- batched delivery --------------------------------------------------------
+# -- send plans --------------------------------------------------------------
 
 def int_bit_lengths(vals):
     """Vectorized ``int.bit_length() or 1`` for an integer column.
@@ -432,17 +427,33 @@ class SendPlan:
                             lst.append(payload)
 
 
-class KernelBase(RoundKernel):
-    """Plumbing shared by every concrete kernel.
+class KernelBase:
+    """A columnar (vectorized) round executor and its shared plumbing.
+
+    One kernel instance drives *all* vertices of its algorithm class in
+    a simulation; the engine calls it instead of the per-vertex
+    ``initialize``/``step`` loop.  Implementations must preserve the
+    scalar path bit-for-bit: the same sends (same payload values, one
+    shared payload object per broadcast, neighbors in canonical order),
+    the same ``halt`` outputs, the same per-vertex RNG word
+    consumption.  See ``docs/kernels.md`` for the full contract.
 
     Subclasses implement ``_load_columns`` (scalar objects -> columns,
     run at construction so a restored checkpoint resumes mid-protocol),
     ``_write_columns`` (columns -> scalar objects, run at ``sync``),
-    ``_initialize_rows`` and ``_step_rows``.
+    ``_initialize_rows`` and ``_step_rows``, and send only through
+    ``_emit_broadcast`` / ``_emit_send``.
     """
+
+    #: Set by :func:`~repro.congest.algorithm.register_kernel`.
+    algorithm_cls: Optional[type] = None
 
     @classmethod
     def supports(cls, engine) -> bool:
+        """May this kernel drive ``engine``'s population?  Called after
+        the generic activation checks; refuse anything the columnar
+        encoding cannot represent (non-integer vertex labels,
+        non-uniform parameters, ...)."""
         # Columnar tie-breaks compare dense indices instead of vertex
         # labels, which is only faithful when canonical order is label
         # order — true exactly for the int-labelled graphs the
@@ -492,18 +503,14 @@ class KernelBase(RoundKernel):
         # available as the restored inbox dictionaries; replay those
         # once, then trust the columns.
         self._use_dicts = bool(resume)
-        # Sends emitted through _emit_broadcast/_emit_send either
-        # accumulate into a SendPlan (batched delivery) or write the
-        # classic per-context outboxes; sampled once per kernel build,
-        # like the kernel flag itself.
+        # Segments emitted through _emit_broadcast/_emit_send this
+        # round, handed to the engine as one SendPlan.
         self._plan_segments: List[tuple] = []
-        self._batched = bool(
-            type(self).emits_send_plans and batch_delivery_enabled()
-        )
         self._load_columns()
 
     # -- engine-facing entry points ------------------------------------
     def initialize(self, live: Sequence[int]) -> None:
+        """Vectorized twin of the per-vertex ``initialize`` pass."""
         np = self.np
         rows = np.fromiter(live, np.intp, count=len(live))
         self._state_dirty = True
@@ -511,6 +518,14 @@ class KernelBase(RoundKernel):
         self._flush_plan()
 
     def step_round(self, due: Sequence[int], round_number: int) -> None:
+        """Vectorized twin of one round's per-vertex ``step`` loop.
+
+        ``due`` holds the engine indices of live, scheduled vertices
+        (crashed vertices already filtered).  Consumes their pending
+        inboxes, parks the round's sends on the engine as a
+        :class:`SendPlan`, and sets ``_halted``/``_output`` for
+        vertices that halt.
+        """
         np = self.np
         engine = self.engine
         rows = np.fromiter(due, np.intp, count=len(due))
@@ -538,6 +553,13 @@ class KernelBase(RoundKernel):
             self.engine._send_plan = SendPlan(self, segments)
 
     def sync(self) -> None:
+        """Write columnar state back into the scalar objects.
+
+        Called at observation points (checkpoint capture, end of run)
+        so that pickled algorithm/context objects — including
+        materialized per-vertex ``random.Random`` states — are exactly
+        what the scalar path would have produced.  Idempotent.
+        """
         np = self.np
         for i in np.nonzero(self._rn_dirty)[0].tolist():
             self.contexts[i].round_number = int(self.last_step[i])
@@ -562,48 +584,18 @@ class KernelBase(RoundKernel):
         its neighbors, as the scalar path does) or ``shared`` (one
         object for every row).  ``size`` optionally declares the
         ``message_bits`` of the payloads — a uniform int or a per-row
-        ``int64`` column — skipping measurement on the batched path.
+        ``int64`` column — so accounting skips measuring them.
         """
         if rows.shape[0] == 0:
             return
-        if self._batched:
-            self._plan_segments.append(
-                ("b", rows, None, payloads, shared, size)
-            )
-            return
-        contexts = self.contexts
-        if callable(payloads):
-            payloads = payloads()
-        row_list = rows.tolist()
-        for k, i in enumerate(row_list):
-            ctx = contexts[i]
-            payload = shared if payloads is None else payloads[k]
-            queued = [(u, payload) for u in ctx.neighbors]
-            outbox = ctx._outbox
-            if outbox:
-                outbox.extend(queued)
-            else:
-                ctx._outbox = queued
+        self._plan_segments.append(("b", rows, None, payloads, shared, size))
 
     def _emit_send(self, rows, targets, payload, size=None) -> None:
         """Queue one ``payload`` from each of ``rows`` to the aligned
         dense index in ``targets`` (a unicast column)."""
         if rows.shape[0] == 0:
             return
-        if self._batched:
-            self._plan_segments.append(
-                ("u", rows, targets, None, payload, size)
-            )
-            return
-        contexts = self.contexts
-        verts = self.verts
-        for i, t in zip(rows.tolist(), targets.tolist()):
-            ctx = contexts[i]
-            outbox = ctx._outbox
-            if outbox:
-                outbox.append((verts[t], payload))
-            else:
-                ctx._outbox = [(verts[t], payload)]
+        self._plan_segments.append(("u", rows, targets, None, payload, size))
 
     # -- subclass responsibilities -------------------------------------
     def _load_columns(self) -> None:

@@ -207,14 +207,6 @@ class CongestMetrics:
         return merged
 
     @classmethod
-    def merge_sequential(cls, items: Iterable["CongestMetrics"]) -> "CongestMetrics":
-        """Fold executions run back to back (generalizes :meth:`merge`)."""
-        merged = cls()
-        for m in items:
-            merged = merged.merge(m)
-        return merged
-
-    @classmethod
     def merge_parallel(cls, items: Iterable["CongestMetrics"]) -> "CongestMetrics":
         """Compose executions that run *in parallel* on disjoint networks.
 

@@ -189,10 +189,6 @@ class CongestSimulator:
 
     # -- delegation ------------------------------------------------------
     @property
-    def engine_name(self) -> str:
-        return self._engine.name
-
-    @property
     def graph(self) -> Graph:
         return self._engine.graph
 

@@ -180,8 +180,7 @@ def expander_decomposition(
             # Cheeger certificate lambda_2 / 2 and the Fiedler sweep vector
             # come from the same normalized Laplacian, so large clusters
             # that fail certification hand their vector straight to
-            # sweep_cut instead of solving again (see _certify for the
-            # equivalent single-purpose check).
+            # sweep_cut instead of solving again.
             certificate = None
             fiedler = None
             if small_enough:
@@ -227,19 +226,6 @@ def expander_decomposition(
     _telemetry.count("decompose.clusters", result.k)
     _telemetry.count("decompose.cut_edges", len(result.cut_edges))
     return result
-
-
-def _certify(sub: Graph, phi: float) -> Optional[float]:
-    """Certified conductance lower bound if >= phi, else None."""
-    if sub.n <= 1:
-        return 1.0
-    if sub.n == 2:
-        return 1.0 if sub.m == 1 else None
-    if sub.n <= min(12, EXACT_CONDUCTANCE_LIMIT):
-        value, _ = exact_conductance(sub)
-        return value if value >= phi else None
-    lower = conductance_lower_bound(sub)
-    return lower if lower >= phi else None
 
 
 def verify_expander_decomposition(

@@ -92,8 +92,6 @@ class MPXKernel(KernelBase):
     ``log`` is not guaranteed ULP-identical to libm's.
     """
 
-    emits_send_plans = True
-
     #: Sentinel below any reachable adoption key.
     _KEY_MIN = -(2**62)
 
@@ -157,19 +155,16 @@ class MPXKernel(KernelBase):
             d = dist.tolist()
             return [(verts[r[k]], s[k], d[k]) for k in range(len(r))]
 
-        if self._batched:
-            # (label, scaled, dist) int triples: 2 bits of tuple
-            # framing plus three (bit_length + 3)-bit fields, computed
-            # columnar so the hot path builds no payload objects.
-            sizes = (
-                11
-                + int_bit_lengths(self.labels[root])
-                + int_bit_lengths(scaled)
-                + int_bit_lengths(dist)
-            )
-            self._emit_broadcast(rows, payloads, size=sizes)
-        else:
-            self._emit_broadcast(rows, payloads())
+        # (label, scaled, dist) int triples: 2 bits of tuple framing
+        # plus three (bit_length + 3)-bit fields, computed columnar so
+        # the hot path builds no payload objects.
+        sizes = (
+            11
+            + int_bit_lengths(self.labels[root])
+            + int_bit_lengths(scaled)
+            + int_bit_lengths(dist)
+        )
+        self._emit_broadcast(rows, payloads, size=sizes)
 
     def _initialize_rows(self, rows) -> None:
         # One scalar draw per vertex (the only draw of the protocol);

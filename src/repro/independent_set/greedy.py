@@ -124,8 +124,6 @@ class LubyKernel(KernelBase):
     ``supports`` gate admits.
     """
 
-    emits_send_plans = True
-
     @classmethod
     def _supports_population(cls, engine) -> bool:
         first = engine._algorithms[0].max_phases

@@ -174,8 +174,6 @@ class ProposalMatchingKernel(KernelBase):
     (a stale stamp never matches the current phase).
     """
 
-    emits_send_plans = True
-
     @classmethod
     def _supports_population(cls, engine) -> bool:
         first = engine._algorithms[0].max_phases

@@ -37,26 +37,6 @@ def _quick_no(host: Graph, pattern: Graph) -> bool:
     return False
 
 
-def _components_within(graph: Graph, allowed: Set) -> List[Set]:
-    """Connected components of graph restricted to ``allowed``."""
-    seen: Set = set()
-    comps: List[Set] = []
-    for start in allowed:
-        if start in seen:
-            continue
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            u = frontier.pop()
-            for w in graph.neighbors(u):
-                if w in allowed and w not in comp:
-                    comp.add(w)
-                    frontier.append(w)
-        seen |= comp
-        comps.append(comp)
-    return comps
-
-
 class _MinorSearch:
     """Backtracking search for a minor model of ``pattern`` in ``host``."""
 

@@ -48,9 +48,6 @@ class _Interval:
     def empty(self) -> bool:
         return self.low is None and self.high is None
 
-    def copy(self) -> "_Interval":
-        return _Interval(self.low, self.high)
-
 
 class _ConflictPair:
     """A pair of intervals whose back edges must go to opposite sides."""

@@ -336,10 +336,6 @@ class DiskFaultInjector:
         mutated[bit // 8] ^= 1 << (bit % 8)
         return bytes(mutated)
 
-    def dump_stats(self) -> None:
-        if self._stats_path:
-            _dump_stats(self._stats_path)
-
 
 # ---------------------------------------------------------------------------
 # active injector (explicit context or environment mirror)

@@ -10,7 +10,7 @@ them to the same contract every other fault class honors:
   end-states;
 * the columnar kernels silently fall back to the scalar path for any
   plan carrying an adversity (so kernels-on equals kernels-off under
-  every plan, with or without batched delivery);
+  every plan);
 * a checkpoint captured with delayed messages still in flight
   serializes them and resumes bit-identically on either engine;
 * the semantics themselves are observable: a departed edge splits a
@@ -33,10 +33,7 @@ from repro.congest import (
     resume_simulation,
     use_engine,
 )
-from repro.congest.algorithm import (
-    set_batch_delivery_enabled,
-    set_kernels_enabled,
-)
+from repro.congest.algorithm import set_kernels_enabled
 from repro.generators import gnp_random_graph, path_graph
 from repro.independent_set.greedy import LubyMIS
 from repro.resilience import STALLED, Verdict
@@ -167,23 +164,19 @@ def _kernels_restored(monkeypatch):
     monkeypatch.setenv("REPRO_KERNEL_THRESHOLD", "1")
     yield
     set_kernels_enabled(True)
-    set_batch_delivery_enabled(True)
 
 
 @pytest.mark.parametrize("kind", sorted(_BITE))
-@pytest.mark.parametrize("batched", [True, False])
-def test_kernels_fall_back_under_adversity(kind, batched):
+def test_kernels_fall_back_under_adversity(kind):
     graph = _graph(3)
     plan = _plan(kind, graph)
 
     def run(enabled):
         set_kernels_enabled(enabled)
-        set_batch_delivery_enabled(batched)
         try:
             return _run(graph, lambda v: LubyMIS(20), 3, plan, "fast")
         finally:
             set_kernels_enabled(True)
-            set_batch_delivery_enabled(True)
 
     pair_on = run(True)
     pair_off = run(False)

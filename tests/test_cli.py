@@ -140,10 +140,18 @@ class TestFaultsCommand:
         assert "invalid fault plan" in err
         assert "conflicting churn schedule" in err
 
-    def test_bad_schedule_spec_is_a_clean_error(self):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["faults", "--n", "30", "--crash", "nonsense"])
-        assert "--crash" in str(excinfo.value)
+    def test_bad_schedule_spec_is_a_clean_error(self, capsys):
+        # Exit 1 means a failed verdict; a malformed flag value is an
+        # operator error and exits 2 instead.
+        for flag, spec, shape in [
+            ("--crash", "nonsense", "VERTEX:ROUND"),
+            ("--crash", "5-4", "VERTEX:ROUND"),
+            ("--partition", "2-6:", "START-END:V1,V2,..."),
+        ]:
+            assert main(["faults", "--n", "30", flag, spec]) == 2
+            err = capsys.readouterr().err
+            assert f"bad {flag} {spec!r}; expected {shape}" in err
+            assert "Traceback" not in err
 
     def test_bad_checkpoint_interval_is_a_clean_error(self, capsys):
         assert main(["faults", "--n", "30", "--crash", "3:2",
@@ -165,11 +173,15 @@ class TestBenchJournal:
         assert "2 cell(s) replayed, 0 computed" in second.err
         assert second.out == first.out  # byte-identical table
 
-    def test_journal_rejects_multiple_suites(self, tmp_path):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["bench", "--suite", "E10", "--suite", "CHAOS",
-                  "--journal", str(tmp_path / "wal.jsonl")])
-        assert "one file" in str(excinfo.value)
+    def test_journal_rejects_multiple_suites(self, tmp_path, capsys):
+        # Exit 1 means a quarantined cell; this is an operator error.
+        assert main(["bench", "--suite", "E10", "--suite", "CHAOS",
+                     "--journal", str(tmp_path / "wal.jsonl")]) == 2
+        assert "one file" in capsys.readouterr().err
+
+    def test_unknown_suite_exits_2(self, capsys):
+        assert main(["bench", "--suite", "NOPE"]) == 2
+        assert "unknown suite(s) ['NOPE']" in capsys.readouterr().err
 
     def test_corrupt_journal_header_resume_exits_2(self, capsys, tmp_path):
         journal = tmp_path / "wal.jsonl"

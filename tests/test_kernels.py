@@ -5,15 +5,14 @@ kernel may only change how fast a round executes, never anything
 observable.  Every test here runs the same simulation twice — kernels
 forced on and forced off — and pins outputs, metrics, per-round
 message counts, structured traces, telemetry, and the per-vertex RNG
-streams to be exactly equal.  The differential matrix additionally
-runs the kernelized side with batched (columnar send-plan) delivery
-both on and off, so the batching layer is held to the same bit-parity
-bar, including its error paths (oversized messages, strict capacity
-violations).  A second group covers the activation rules (thresholds,
-fault plans, missing NumPy, the ``REPRO_NO_KERNELS`` and
-``REPRO_NO_BATCH_DELIVERY`` escape hatches) and checkpoint round-trips
-across kernel and batch modes, and a third unit-tests the
-:mod:`repro.rng` columnar MT19937 machinery the kernels are built on.
+streams to be exactly equal.  The kernelized side delivers through
+columnar send plans, so the batched accounting is held to the same
+bit-parity bar, including its error paths (oversized messages, strict
+capacity violations).  A second group covers the activation rules
+(thresholds, fault plans, missing NumPy, the ``REPRO_NO_KERNELS``
+escape hatch) and checkpoint round-trips across kernel modes, and a
+third unit-tests the :mod:`repro.rng` columnar MT19937 machinery the
+kernels are built on.
 """
 
 from __future__ import annotations
@@ -26,11 +25,9 @@ from repro import rng as rng_mod
 from repro.congest import algorithm as algorithm_mod
 from repro.congest.algorithm import (
     VertexAlgorithm,
-    batch_delivery_enabled,
     kernel_class_for,
     kernels_enabled,
     register_kernel,
-    set_batch_delivery_enabled,
     set_kernels_enabled,
 )
 from repro.congest.checkpoint import resume_simulation
@@ -93,24 +90,20 @@ def _plan(kind, graph):
 @pytest.fixture(autouse=True)
 def _kernels_restored(monkeypatch):
     """Force threshold 1 (the graphs here are small) and always leave
-    the process with kernels and batched delivery re-enabled."""
+    the process with kernels re-enabled."""
     monkeypatch.setenv("REPRO_KERNEL_THRESHOLD", "1")
     yield
     set_kernels_enabled(True)
-    set_batch_delivery_enabled(True)
 
 
-def run_once(graph, factory, seed, enabled, plan=None, rounds=60,
-             batched=True):
+def run_once(graph, factory, seed, enabled, plan=None, rounds=60):
     set_kernels_enabled(enabled)
-    set_batch_delivery_enabled(batched)
     recorder = TraceRecorder("kernel-diff")
     sim = CongestSimulator(
         graph, factory, seed=seed, faults=plan, trace=recorder
     )
     result = sim.run(max_rounds=rounds)
     set_kernels_enabled(True)
-    set_batch_delivery_enabled(True)
     return result, recorder, sim
 
 
@@ -143,14 +136,16 @@ def assert_identical(pair_on, pair_off):
 @pytest.mark.parametrize("family", sorted(GENERATORS))
 @pytest.mark.parametrize("seed", [3, 17, 92])
 @pytest.mark.parametrize("plan_kind", ["none", "crash", "drop"])
-@pytest.mark.parametrize("batched", [True, False])
-def test_kernel_matches_scalar(algo, family, seed, plan_kind, batched):
+# Kernels deliver only through send plans; the leading ``True`` of each
+# case id names that delivery mode.
+@pytest.mark.parametrize("send_plans", [True])
+def test_kernel_matches_scalar(algo, family, seed, plan_kind, send_plans):
     graph = GENERATORS[family](seed)
     factory, rounds = ALGORITHMS[algo]
     plan = _plan(plan_kind, graph)
-    pair_on = run_once(
-        graph, factory, seed, True, plan, rounds, batched=batched
-    )
+    with telemetry_scope() as registry:
+        pair_on = run_once(graph, factory, seed, True, plan, rounds)
+        delivered = registry.to_dict()["counters"]
     pair_off = run_once(graph, factory, seed, False, plan, rounds)
     # Message-fault plans force a (silent) scalar fallback; lossless
     # and crash-only plans must actually engage the kernel, otherwise
@@ -160,7 +155,8 @@ def test_kernel_matches_scalar(algo, family, seed, plan_kind, batched):
         assert kernel is None
     else:
         assert kernel is not None
-        assert kernel._batched == batched
+        assert ("congest.delivery.batched" in delivered) == send_plans
+        assert "congest.delivery.scalar" not in delivered
     assert pair_off[2]._engine._kernel is None
     assert_identical(pair_on, pair_off)
 
@@ -273,25 +269,6 @@ def test_missing_numpy_degrades_silently(monkeypatch):
     assert_identical(pair, baseline)
 
 
-def test_env_variable_disables_batch_delivery():
-    """The batch-delivery escape hatch mirrors the kernels one: the
-    setter flips the process flag and the env var together, and a
-    kernel built while disabled emits through scalar outboxes."""
-    import os
-
-    graph = grid_graph(8, 8)
-    set_batch_delivery_enabled(False)
-    assert not batch_delivery_enabled()
-    assert os.environ.get("REPRO_NO_BATCH_DELIVERY") == "1"
-    sim = CongestSimulator(graph, ALGORITHMS["luby"][0], seed=1)
-    assert sim._engine._kernel is not None
-    assert not sim._engine._kernel._batched
-    set_batch_delivery_enabled(True)
-    assert "REPRO_NO_BATCH_DELIVERY" not in os.environ
-    sim = CongestSimulator(graph, ALGORITHMS["luby"][0], seed=1)
-    assert sim._engine._kernel._batched
-
-
 def test_reference_engine_never_kernelizes():
     graph = grid_graph(8, 8)
     sim = CongestSimulator(
@@ -342,8 +319,6 @@ class _Oversize(VertexAlgorithm):
 
 @register_kernel(_Oversize)
 class _OversizeKernel(KernelBase):
-    emits_send_plans = True
-
     def _load_columns(self):
         pass
 
@@ -377,8 +352,6 @@ class _DoubleSend(VertexAlgorithm):
 
 @register_kernel(_DoubleSend)
 class _DoubleSendKernel(KernelBase):
-    emits_send_plans = True
-
     def _load_columns(self):
         pass
 
@@ -406,20 +379,16 @@ class _DoubleSendKernel(KernelBase):
             self._halt(i, True)
 
 
-def _capture_error(graph, factory, exc_type, *, kernels, batched,
-                   strict=False):
+def _capture_error(graph, factory, exc_type, *, kernels, strict=False):
     set_kernels_enabled(kernels)
-    set_batch_delivery_enabled(batched)
     try:
         sim = CongestSimulator(graph, factory, seed=2, strict=strict)
         if kernels:
             assert sim._engine._kernel is not None
-            assert sim._engine._kernel._batched == batched
         with pytest.raises(exc_type) as info:
             sim.run(max_rounds=6)
     finally:
         set_kernels_enabled(True)
-        set_batch_delivery_enabled(True)
     return info.value, sim._engine._round
 
 
@@ -434,15 +403,13 @@ def _capture_error(graph, factory, exc_type, *, kernels, batched,
 def test_error_parity_batched_vs_scalar(factory, exc_type, strict):
     """Budget and strict-capacity violations raise the same exception
     type, text, and round number whether accounting runs columnar
-    (batched send plan), through kernel outbox fallback, or fully
-    scalar."""
+    (kernel send plan) or fully scalar."""
     graph = grid_graph(6, 7)
     outcomes = [
         _capture_error(
-            graph, factory, exc_type,
-            kernels=kernels, batched=batched, strict=strict,
+            graph, factory, exc_type, kernels=kernels, strict=strict
         )
-        for kernels, batched in [(True, True), (True, False), (False, True)]
+        for kernels in (True, False)
     ]
     texts = {str(err) for err, _round in outcomes}
     rounds = {r for _err, r in outcomes}
@@ -452,47 +419,42 @@ def test_error_parity_batched_vs_scalar(factory, exc_type, strict):
 
 
 # ----------------------------------------------------------------------
-# Checkpoint round-trips across kernel and batch-delivery modes
+# Checkpoint round-trips across kernel modes
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("algo", sorted(ALGORITHMS))
 @pytest.mark.parametrize(
-    "capture_on,resume_on,capture_batched,resume_batched",
+    "capture_on,resume_on,every",
     [
-        (True, False, True, True),
-        (False, True, True, True),
-        (True, True, True, True),
-        (True, True, True, False),
-        (True, True, False, True),
+        (True, False, 2),
+        (False, True, 2),
+        (True, True, 2),
+        # Resuming after round 3 makes the replayed round an even one:
+        # a Luby resolution round, read from the restored IN messages.
+        (True, True, 3),
     ],
 )
-def test_checkpoint_crosses_kernel_modes(
-    algo, capture_on, resume_on, capture_batched, resume_batched
-):
-    """A checkpoint captured in any mode resumes bit-identically in
-    any other — the envelope stays engine-, kernel-, and
-    batch-delivery-neutral.  Capturing with batching on exercises the
-    materialize-before-capture path (a lazy plan may be parked at the
-    checkpoint boundary)."""
+def test_checkpoint_crosses_kernel_modes(algo, capture_on, resume_on, every):
+    """A checkpoint captured in either mode resumes bit-identically in
+    either — the envelope stays engine- and kernel-neutral.  Capturing
+    with kernels on exercises the materialize-before-capture path (a
+    lazy send plan may be parked at the checkpoint boundary)."""
     graph = GENERATORS["gnp"](9)
     factory, rounds = ALGORITHMS[algo]
     base, base_rec, _ = run_once(graph, factory, 21, True, rounds=rounds)
 
     set_kernels_enabled(capture_on)
-    set_batch_delivery_enabled(capture_batched)
     checkpoints = []
     sim = CongestSimulator(graph, factory, seed=21)
     sim.run(
-        max_rounds=rounds, checkpoint_every=2,
+        max_rounds=rounds, checkpoint_every=every,
         on_checkpoint=checkpoints.append,
     )
     assert checkpoints
     set_kernels_enabled(resume_on)
-    set_batch_delivery_enabled(resume_batched)
     resumed = resume_simulation(graph, factory, checkpoints[0])
     result = resumed.run(max_rounds=rounds)
     set_kernels_enabled(True)
-    set_batch_delivery_enabled(True)
 
     assert result.outputs == base.outputs
     assert result.halted == base.halted

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.congest import use_engine
 from repro.errors import SolverError
 from repro.generators import (
     delaunay_planar_graph,
@@ -12,6 +13,7 @@ from repro.generators import (
     star_graph,
 )
 from repro.matching import (
+    distributed_maximal_matching,
     distributed_mcm_minor_free,
     distributed_mcm_planar,
     distributed_mwm,
@@ -21,6 +23,27 @@ from repro.matching import (
     max_cardinality_matching,
     max_weight_matching,
 )
+
+
+class TestProposalMatching:
+    def test_maximal_halts_and_engines_agree(self):
+        """The CONGEST entry point the fault and adversity suites call:
+        a valid maximal matching that halts, equal on both engines (the
+        fast side runs the columnar kernel at this n)."""
+        g = delaunay_planar_graph(80, seed=2)
+        runs = {}
+        for engine in ("reference", "fast"):
+            with use_engine(engine):
+                runs[engine] = distributed_maximal_matching(g, seed=5)
+        matching, result = runs["fast"]
+        ref_matching, ref_result = runs["reference"]
+        assert matching == ref_matching
+        assert result.outputs == ref_result.outputs
+        assert result.metrics.summary() == ref_result.metrics.summary()
+        assert result.halted and ref_result.halted
+        assert is_matching(g, matching)
+        matched = {v for edge in matching for v in edge}
+        assert all(u in matched or v in matched for u, v in g.edges())
 
 
 class TestDistributedMCM:

@@ -1,9 +1,9 @@
 """Exactness contract of the batched MT19937 stream.
 
-:class:`repro.routing._mt_stream.MTStream` claims to be a word-for-word
-clone of ``random.Random``: same raw 32-bit words, same ``random()``
-floats, same ``_randbelow`` rejection consumption, and a ``commit``
-that lets scalar draws continue the stream seamlessly.  These tests pin
+:class:`repro.rng.MTStream` claims to be a word-for-word clone of
+``random.Random``: same raw 32-bit words, same ``random()`` floats,
+same ``_randbelow`` rejection consumption, and a ``commit`` that lets
+scalar draws continue the stream seamlessly.  These tests pin
 each of those claims directly against CPython's generator, then run
 whole walk exchanges with vectorization forced on and forced off and
 assert the executions are identical — the guarantee that makes
@@ -18,7 +18,7 @@ import pytest
 
 from repro.generators import k_tree
 from repro.routing import walk_exchange
-from repro.routing._mt_stream import HAVE_NUMPY, MTStream
+from repro.rng import HAVE_NUMPY, MTStream
 
 # The package re-exports the walk_exchange *function* under the same
 # name as its defining module; go through importlib for the module.
@@ -101,14 +101,6 @@ def test_walk_exchange_invariant_under_threshold(monkeypatch):
     assert vectorized.undelivered == scalar.undelivered
     assert vectorized.unanswered == scalar.unanswered
     assert vectorized.metrics.summary() == scalar.metrics.summary()
-
-
-def test_module_is_a_shim_for_repro_rng():
-    """The stream moved to :mod:`repro.rng`; the old path re-exports."""
-    from repro import rng
-
-    assert MTStream is rng.MTStream
-    assert HAVE_NUMPY == rng.HAVE_NUMPY
 
 
 # ----------------------------------------------------------------------

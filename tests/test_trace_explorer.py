@@ -17,10 +17,7 @@ import pytest
 
 from repro.cli import main
 from repro.congest import CongestSimulator, FaultPlan, TraceRecorder, VertexAlgorithm
-from repro.congest.algorithm import (
-    set_batch_delivery_enabled,
-    set_kernels_enabled,
-)
+from repro.congest.algorithm import set_kernels_enabled
 from repro.congest.trace import BASE_SCHEMA_VERSION, TRACE_SCHEMA_VERSION, RoundTrace
 from repro.generators import gnp_random_graph
 from repro.obs import (
@@ -205,21 +202,14 @@ class TestExecutionModePairsAreSilent:
         monkeypatch.setenv("REPRO_KERNEL_THRESHOLD", "1")
         yield
         set_kernels_enabled(True)
-        set_batch_delivery_enabled(True)
 
-    def _run(self, kernels, batched, detail=False):
+    def _run(self, kernels):
         set_kernels_enabled(kernels)
-        set_batch_delivery_enabled(batched)
-        return _trace_run(seed=4, detail=detail, n=30)
+        return _trace_run(seed=4, n=30)
 
     def test_kernels_on_off_identical(self):
-        a = self._run(kernels=True, batched=True)
-        b = self._run(kernels=False, batched=True)
-        assert diff_traces(a, b) is None
-
-    def test_batch_delivery_on_off_identical(self):
-        a = self._run(kernels=True, batched=True)
-        b = self._run(kernels=True, batched=False)
+        a = self._run(kernels=True)
+        b = self._run(kernels=False)
         assert diff_traces(a, b) is None
 
     def test_detail_mode_engines_agree(self):
@@ -473,6 +463,21 @@ class TestTraceCli:
         assert report["identical"] is False
         assert report["divergence"]["round"] == 1
         assert report["divergence"]["field"]
+
+    def test_diff_names_the_histogram_bucket(self, tmp_path, capsys):
+        a = self._dump(tmp_path, "a.jsonl")
+        records = load_trace_jsonl(a)
+        # Same totals, one message moved to a new size bucket.
+        hist = records[0]["message_bits_histogram"]
+        size = max(int(k) for k in hist)
+        hist[str(size)] -= 1
+        hist[str(size + 1)] = 1
+        b = str(tmp_path / "b.jsonl")
+        _write_jsonl(b, records)
+        assert main(["trace", "diff", a, b, "--json"]) == 1
+        divergence = json.loads(capsys.readouterr().out)["divergence"]
+        assert divergence["field"] == f"message_bits_histogram[{size}]"
+        assert divergence["round"] == records[0]["round"]
 
     def test_diff_missing_file_exits_two(self, tmp_path, capsys):
         a = self._dump(tmp_path, "a.jsonl")
