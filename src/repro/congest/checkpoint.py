@@ -6,22 +6,26 @@ next round begins.  It holds everything the next round depends on:
 
 * per-vertex algorithm objects and contexts (including each vertex's
   private RNG stream, exactly as advanced so far);
-* in-flight traffic awaiting delivery, with its accounting tuple;
+* in-flight traffic awaiting delivery, with its accounting tuple, the
+  delay queue of withheld payloads, and any buffered detail-trace
+  events;
 * queued inboxes, the runnable set, and scheduled wakeups;
 * the :class:`~repro.congest.metrics.CongestMetrics` accumulated so far
   and the rounds recorded by an attached trace recorder;
 * the full fault state: the plan itself (fault decisions are a pure
-  keyed hash of the plan, so nothing else about the channel needs
-  saving), the remaining crash schedule, unfired rejoins, and the local
-  per-vertex snapshots the crash-recovery model keeps.
+  keyed hash of the plan, so beyond the delay queue nothing about the
+  channel needs saving), the remaining crash schedule, unfired
+  rejoins, and the local per-vertex snapshots the crash-recovery model
+  keeps.
 
 The invariant — pinned by ``tests/test_checkpoint.py`` on both engines,
 fault-free and under every fault class — is that *resuming from a
 checkpoint is bit-identical to never having stopped*: outputs, metrics,
-and traces all match the uninterrupted run.  Checkpoints are
-engine-neutral (state is keyed by vertex, not by engine-internal
-index), so a checkpoint captured on the fast engine resumes on the
-reference engine and vice versa.
+and traces all match the uninterrupted run.  Both engines capture and
+restore through the one implementation here
+(:func:`capture_engine_state` / :func:`restore_engine_state`), and the
+state is keyed by vertex, not by rank, so a checkpoint captured on the
+fast engine resumes on the reference engine and vice versa.
 
 Wire format: a schema-versioned JSON envelope whose ``state`` field is
 a pickled (protocol-pinned) blob of the live vertex objects, base64
@@ -38,6 +42,7 @@ from __future__ import annotations
 import base64
 import json
 import os
+import pickle
 from dataclasses import dataclass
 from hashlib import blake2b
 from typing import Any, Dict, List, Optional
@@ -45,6 +50,9 @@ from typing import Any, Dict, List, Optional
 from .. import storage
 from ..errors import CheckpointError, StorageError
 from ..graph import Graph, canonical_vertex_order
+from .faults import pad_fault_counts
+from .metrics import CongestMetrics
+from .trace import RoundTrace
 
 #: Version stamped on every serialized checkpoint.  History:
 #:
@@ -283,6 +291,190 @@ def verify_restore_target(engine, checkpoint: SimulationCheckpoint,
         raise CheckpointError(
             "checkpoint was captured under a different fault plan"
         )
+
+
+def capture_engine_state(engine) -> SimulationCheckpoint:
+    """Freeze ``engine`` at the current round boundary.
+
+    Shared by both engines.  The state blob is keyed by vertex (never
+    by rank), normalized so it only holds logical state: inboxes,
+    wakeups, and runnable flags of halted vertices are dead weight and
+    are excluded.  In-flight traffic, withheld (delayed) payloads and
+    buffered detail events are serialized, so a checkpoint taken with
+    messages on the wire resumes bit-identically.
+    """
+    contexts = engine._contexts
+    verts = engine._verts
+    n = engine._n
+    per_edge, messages, bits, bits_hist, fcounts = engine._inflight
+    crash_rounds = engine._crash_rounds
+    state = {
+        "contexts": dict(zip(verts, contexts)),
+        "algorithms": dict(zip(verts, engine._algorithms)),
+        "pending": {
+            verts[i]: box
+            for i, box in enumerate(engine._pending)
+            if box and not contexts[i]._halted
+        },
+        "runnable": {
+            verts[i] for i in engine._runnable if not contexts[i]._halted
+        },
+        "wakeups": {
+            verts[i]: w
+            for i, w in enumerate(engine._wake_round)
+            if w is not None and not contexts[i]._halted
+        },
+        "inflight": {
+            "per_edge": [
+                (verts[key // n], verts[key % n], count)
+                for key, count in per_edge.items()
+            ],
+            "messages": messages,
+            "bits": bits,
+            "bits_hist": dict(bits_hist),
+            "fcounts": tuple(fcounts),
+        },
+        # Withheld payloads flattened in release order; detail-mode
+        # entries carry a trailing sequence number.
+        "delayed": [
+            (release,) + tuple(entry)
+            for release in sorted(engine._delay_queue)
+            for entry in engine._delay_queue[release]
+        ],
+        # Detail events buffered for the next executed round (empty
+        # unless the trace recorder asked for detail).
+        "inflight_events": [dict(e) for e in engine._inflight_events],
+        "crashed": {verts[i] for i in engine._crashed_ids},
+        "crash_rounds": (
+            None
+            if crash_rounds is None
+            else {
+                verts[i]: cr
+                for i, cr in enumerate(crash_rounds)
+                if cr is not None
+            }
+        ),
+        "rejoin_queue": [(r, verts[i]) for r, i in engine._rejoin_queue],
+        "snapshots": {
+            verts[i]: blob for i, blob in engine._snapshots.items()
+        },
+        "snapshot_rounds": {
+            verts[i]: r for i, r in engine._snapshot_rounds.items()
+        },
+        "initialized": engine._initialized,
+    }
+    if engine._registry is not None:
+        engine._registry.count("congest.checkpoints_captured")
+    return SimulationCheckpoint(
+        round=engine._round,
+        n=n,
+        engine=engine.name,
+        graph=graph_fingerprint(engine.graph),
+        strict=engine.strict,
+        capacity=engine.capacity,
+        budget_n=engine.budget.n,
+        budget_words=engine.budget.words,
+        fault_plan=(
+            engine.faults.plan.to_dict() if engine.faults is not None else None
+        ),
+        metrics=engine.metrics.to_dict(include_per_round=True),
+        state=pickle.dumps(state, protocol=PICKLE_PROTOCOL),
+        trace_rounds=(
+            [r.to_dict() for r in engine.trace.rounds]
+            if engine.trace is not None
+            else None
+        ),
+    )
+
+
+def restore_engine_state(engine, checkpoint: SimulationCheckpoint) -> None:
+    """Replace ``engine``'s state with a captured checkpoint.
+
+    Shared by both engines; accepts checkpoints captured by either.
+    The engine must have been constructed over the same graph and
+    configuration the checkpoint came from (see
+    :func:`verify_restore_target`); construction-time vertex state is
+    discarded, and ``run()`` then continues from the checkpointed round.
+    """
+    n = engine._n
+    verify_restore_target(engine, checkpoint, n)
+    try:
+        state = pickle.loads(checkpoint.state)
+    except Exception as exc:
+        raise CheckpointError(
+            f"cannot unpickle checkpoint state: {exc}"
+        ) from exc
+    index = engine._index
+    verts = engine._verts
+    try:
+        contexts = state["contexts"]
+        algorithms = state["algorithms"]
+        engine._contexts = [contexts[v] for v in verts]
+        engine._algorithms = [algorithms[v] for v in verts]
+        engine._pending = [None] * n
+        engine._pending_ids = set()
+        for v, box in state["pending"].items():
+            engine._pending[index[v]] = box
+            engine._pending_ids.add(index[v])
+        engine._runnable = {index[v] for v in state["runnable"]}
+        engine._wake_round = [None] * n
+        for v, w in state["wakeups"].items():
+            engine._wake_round[index[v]] = w
+        inflight = state["inflight"]
+        engine._inflight = (
+            {
+                index[u] * n + index[w]: count
+                for u, w, count in inflight["per_edge"]
+            },
+            inflight["messages"],
+            inflight["bits"],
+            dict(inflight["bits_hist"]),
+            pad_fault_counts(inflight["fcounts"]),
+        )
+        engine._delay_queue = {}
+        for entry in state.get("delayed", ()):
+            # entry = (release, send_round, sender, receiver,
+            # payload[, seq]); older checkpoints lack the trailing
+            # detail-mode sequence number.
+            engine._delay_queue.setdefault(entry[0], []).append(
+                tuple(entry[1:])
+            )
+        engine._inflight_events = [
+            dict(e) for e in state.get("inflight_events", ())
+        ]
+        engine._crashed_ids = {index[v] for v in state["crashed"]}
+        crash_rounds = state["crash_rounds"]
+        if crash_rounds is None:
+            engine._crash_rounds = None
+        else:
+            engine._crash_rounds = [None] * n
+            for v, cr in crash_rounds.items():
+                engine._crash_rounds[index[v]] = cr
+        engine._rejoin_queue = [
+            (r, index[v]) for r, v in state["rejoin_queue"]
+        ]
+        engine._snapshot_targets = {i for _, i in engine._rejoin_queue}
+        engine._snapshots = {
+            index[v]: blob for v, blob in state["snapshots"].items()
+        }
+        engine._snapshot_rounds = {
+            index[v]: r for v, r in state["snapshot_rounds"].items()
+        }
+    except KeyError as exc:
+        raise CheckpointError(
+            f"checkpoint state is missing {exc}"
+        ) from exc
+    engine._round = checkpoint.round
+    engine.metrics = CongestMetrics.from_dict(checkpoint.metrics)
+    if engine.trace is not None and checkpoint.trace_rounds is not None:
+        engine.trace.rounds = [
+            RoundTrace.from_dict(d) for d in checkpoint.trace_rounds
+        ]
+    # A pre-initialization checkpoint (captured before run()) leaves
+    # this False, so the resumed run still initializes normally.
+    engine._initialized = bool(state.get("initialized", True))
+    if engine._registry is not None:
+        engine._registry.count("congest.checkpoints_restored")
 
 
 def resume_simulation(

@@ -8,10 +8,9 @@ vertex crash rounds, and — the network-level adversity layer — topology
 churn (edge arrivals / departures / up-windows), partition windows
 that split the vertex set into isolated blocks for a stretch of
 rounds, and a bounded deterministic per-message delay.  The plan
-compiles into a :class:`FaultInjector` that both engines
-(:class:`~repro.congest.engine.FastEngine` and
-:class:`~repro.congest.reference.ReferenceEngine`) consult at delivery
-time.
+compiles into a :class:`FaultInjector` that the channel both engines
+share (:meth:`repro.congest.channel.EngineCore._transmit`) consults
+once per message at delivery time.
 
 Determinism contract
 --------------------
@@ -19,8 +18,9 @@ Every fault decision is a pure function of
 ``(plan seed, send round, sender, receiver, per-edge sequence number)``
 via a keyed hash — *not* a sequentially drawn RNG stream.  Iteration
 order therefore cannot influence any decision, which is what makes
-faulted runs bit-identical across the two engines (pinned by
-``tests/test_faults.py``) and across repeated executions.  Schedules
+faulted runs bit-identical across the two engines and across repeated
+executions (``tests/test_faults.py`` pins both, and pins the channel's
+per-class semantics directly).  Schedules
 (links, churn, partitions, crashes) are pure functions of the round
 number alone; the per-message delay draws from the same keyed hash
 under a disjoint sequence-number domain, so delay decisions never

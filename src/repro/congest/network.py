@@ -9,18 +9,20 @@ execution.  This keeps long random-walk phases (tens of thousands of
 rounds with a handful of live tokens) affordable without distorting
 any reported complexity metric.
 
-Two engines implement these semantics:
+Two engines implement these semantics over one shared core
+(:class:`repro.congest.channel.EngineCore`: state layout, message
+channel, crash recovery, checkpoints, round bookkeeping):
 
 * ``"fast"`` (the default) — :class:`repro.congest.engine.FastEngine`,
-  with interned integer vertex IDs, a wakeup min-heap, and active-set
-  message delivery;
+  with a wakeup min-heap, active-set message delivery, and columnar
+  kernels;
 * ``"reference"`` — :class:`repro.congest.reference.ReferenceEngine`,
-  the original dict-based implementation kept as the obviously-correct
-  slow path.
+  a deliberately naive spec that scans every vertex every round.
 
-The two are held equivalent (identical outputs, metrics, and traces on
-seeded runs) by the differential harness in
-``tests/test_engine_equivalence.py``.
+The two are held equivalent (identical outputs, metrics, traces and
+RNG end-states on seeded runs) by the differential harness in
+``tests/test_engine_equivalence.py`` and the random-protocol fuzzer in
+``tests/test_engine_fuzz.py``.
 """
 
 from __future__ import annotations

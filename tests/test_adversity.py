@@ -96,14 +96,9 @@ _BITE = {
 def _rng_states(sim):
     """Per-vertex RNG end-states keyed by vertex (engine-neutral)."""
     engine = sim._engine
-    contexts = engine._contexts
-    if isinstance(contexts, dict):  # reference engine
-        items = contexts.items()
-    else:  # fast engine: canonical order list
-        items = zip(engine._verts, contexts)
     return {
         v: (None if ctx._rng is None else ctx._rng.getstate())
-        for v, ctx in items
+        for v, ctx in zip(engine._verts, engine._contexts)
     }
 
 

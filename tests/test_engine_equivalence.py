@@ -1,12 +1,15 @@
 """Differential harness: fast engine vs. reference engine.
 
 Every algorithm family that runs on the CONGEST simulator is executed
-twice — once on the interned fast-path engine, once on the kept-as-
-reference dict-based engine — over seeded random graphs, and the two
-executions must agree *exactly*: same per-vertex outputs, same
-``CongestMetrics.summary()``, same per-round message series, and same
-structured traces.  This is the contract that lets the fast engine
-evolve aggressively without re-verifying every algorithm on top of it.
+twice — once on the fast engine, once on the naive reference engine —
+over seeded random graphs, and the two executions must agree
+*exactly*: same per-vertex outputs, same ``CongestMetrics.summary()``,
+same per-round message series, and same structured traces.  This is
+the contract that lets the fast engine evolve aggressively without
+re-verifying every algorithm on top of it.  Both engines share one
+message channel (``repro.congest.channel``), so this harness pins
+what they schedule and charge separately; the channel's own semantics
+are pinned in ``tests/test_faults.py``.
 """
 
 import pytest

@@ -1,13 +1,16 @@
 """Deterministic fault injection: plan semantics + engine equivalence.
 
-Two things are pinned here.  First, the :class:`FaultPlan` /
+Three things are pinned here.  First, the :class:`FaultPlan` /
 :class:`FaultInjector` contract itself: validation, serialization,
 and the keyed-hash determinism that makes every fault decision a pure
-function of (seed, send round, edge, sequence number).  Second — the
-load-bearing guarantee — *faulted* runs stay bit-identical between the
-fast and reference engines for the same algorithm families the
-fault-free differential harness covers, and an *empty* plan changes
-nothing at all.
+function of (seed, send round, edge, sequence number).  Second,
+*faulted* runs stay bit-identical between the fast and reference
+engines for the same algorithm families the fault-free differential
+harness covers, and an *empty* plan changes nothing at all.  Third —
+because both engines share one channel, so the second point cannot
+catch a channel bug — two-vertex probes pin the channel itself to
+``docs/faults.md``: the exact delivery log and counters for every
+fault class and for messages that meet several faults at once.
 """
 
 import pytest
@@ -489,3 +492,244 @@ def test_empty_plan_changes_nothing(engine):
         empty.metrics
     )
     assert not empty.metrics.faulted
+
+
+# ----------------------------------------------------------------------
+# Channel semantics, pinned without the differential harness
+# ----------------------------------------------------------------------
+#
+# Both engines carry messages through one shared channel, so comparing
+# them cannot catch a channel bug.  These probes pin the channel to what
+# docs/faults.md promises instead: every expectation below comes from
+# the documented semantics and the injector's public API
+# (``corrupted_payload``, ``delay_rounds``), never from engine code.
+
+#: Vertex 0 sends one payload per round in rounds 0..PROBE_SENDS-1.
+PROBE_SENDS = 4
+#: Both probe vertices halt at this round.
+PROBE_HORIZON = 10
+
+PROBE_COUNTERS = (
+    "messages_dropped",
+    "messages_duplicated",
+    "messages_corrupted",
+    "messages_delayed",
+    "messages_lost_topology",
+    "messages_partitioned",
+)
+
+
+def _probe_payload(send_round):
+    return 100 + send_round
+
+
+class ChannelProbe(VertexAlgorithm):
+    """Two-vertex probe: 0 sends a distinct payload each round, 1 logs."""
+
+    def __init__(self, vertex):
+        self.vertex = vertex
+        self.log = []
+
+    def initialize(self, ctx):
+        if self.vertex == 0:
+            ctx.send(1, _probe_payload(0))
+
+    def step(self, ctx, inbox):
+        r = ctx.round_number
+        for sender, payloads in inbox.items():
+            self.log.append((r, sender, tuple(payloads)))
+        if r >= PROBE_HORIZON:
+            ctx.halt(self.log)
+        elif self.vertex == 0 and r < PROBE_SENDS:
+            ctx.send(1, _probe_payload(r))
+
+
+def _probe(engine, plan, detail=False):
+    recorder = TraceRecorder(detail=detail)
+    sim = CongestSimulator(
+        path_graph(2), ChannelProbe, seed=0, engine=engine, faults=plan,
+        trace=recorder,
+    )
+    result = sim.run(max_rounds=PROBE_HORIZON + 5)
+    counters = {
+        name: getattr(result.metrics, name)
+        for name in PROBE_COUNTERS
+        if getattr(result.metrics, name)
+    }
+    # The sender pays once per send whatever the channel does.
+    assert result.metrics.total_messages == PROBE_SENDS
+    return result.outputs[1], counters, recorder
+
+
+def _expected_log(plan, sends, copies=1, corrupt=False, delayed=False):
+    """Vertex 1's log when the sends in ``sends`` get through.
+
+    A send from round ``s`` arrives at ``s + 1``, or at
+    ``s + 1 + delay_rounds(s, 0, 1, 0)`` when delayed; payloads landing
+    in the same round appear in send order.
+    """
+    injector = plan.compile()
+    arrivals = {}
+    for s in sends:
+        payload = (
+            injector.corrupted_payload(s, 0, 1, 0)
+            if corrupt
+            else _probe_payload(s)
+        )
+        late = injector.delay_rounds(s, 0, 1, 0) if delayed else 0
+        arrivals.setdefault(s + 1 + late, []).extend([payload] * copies)
+    return [(r, 0, tuple(p)) for r, p in sorted(arrivals.items())]
+
+
+ALL_SENDS = range(PROBE_SENDS)
+#: The window rounds 1..2 that the link / partition cases silence.
+WINDOW = (1, 2)
+OUTSIDE_WINDOW = (0, 3)
+
+CHANNEL_CASES = {
+    "clean": (FaultPlan(seed=3), {}, {}),
+    "drop": (
+        FaultPlan(seed=3, drop=1.0),
+        None,
+        {"messages_dropped": 4},
+    ),
+    "duplicate": (
+        FaultPlan(seed=3, duplicate=1.0),
+        {"copies": 2},
+        {"messages_duplicated": 4},
+    ),
+    "corrupt": (
+        FaultPlan(seed=3, corrupt=1.0),
+        {"corrupt": True},
+        {"messages_corrupted": 4},
+    ),
+    "delay1": (
+        FaultPlan(seed=3, delay=1.0, max_delay=1),
+        {"delayed": True},
+        {"messages_delayed": 4},
+    ),
+    "delay3": (
+        FaultPlan(seed=3, delay=1.0, max_delay=3),
+        {"delayed": True},
+        {"messages_delayed": 4},
+    ),
+    "link": (
+        FaultPlan(seed=3, link_failures=(LinkFailure(0, 1, *WINDOW),)),
+        {"sends": OUTSIDE_WINDOW},
+        {"messages_dropped": 2},
+    ),
+    "partition": (
+        FaultPlan(seed=3, partitions=(PartitionWindow(((0,),), *WINDOW),)),
+        {"sends": OUTSIDE_WINDOW},
+        {"messages_partitioned": 2},
+    ),
+    "departure": (
+        FaultPlan(seed=3, edge_departures=((0, 1, 2),)),
+        {"sends": (0, 1)},
+        {"messages_lost_topology": 2},
+    ),
+    # Precedence (docs/faults.md, "The channel pipeline"): the first
+    # loss wins, so a transmission lands in exactly one loss counter.
+    "partition_on_down_link": (
+        FaultPlan(
+            seed=3,
+            partitions=(PartitionWindow(((0,),), *WINDOW),),
+            link_failures=(LinkFailure(0, 1, *WINDOW),),
+        ),
+        {"sends": OUTSIDE_WINDOW},
+        {"messages_partitioned": 2},
+    ),
+    "departed_partitioned_down_link": (
+        FaultPlan(
+            seed=3,
+            edge_departures=((0, 1, 2),),
+            partitions=(PartitionWindow(((0,),), 1, 3),),
+            link_failures=(LinkFailure(0, 1, 0, 3),),
+        ),
+        None,
+        {
+            "messages_dropped": 1,
+            "messages_partitioned": 1,
+            "messages_lost_topology": 2,
+        },
+    ),
+    "down_link_never_duplicates": (
+        FaultPlan(
+            seed=3, duplicate=1.0, link_failures=(LinkFailure(0, 1, *WINDOW),)
+        ),
+        {"sends": OUTSIDE_WINDOW, "copies": 2},
+        {"messages_dropped": 2, "messages_duplicated": 2},
+    ),
+    "dropped_never_delayed": (
+        FaultPlan(seed=3, drop=1.0, delay=1.0),
+        None,
+        {"messages_dropped": 4},
+    ),
+    "partitioned_never_delayed": (
+        FaultPlan(
+            seed=3, delay=1.0, partitions=(PartitionWindow(((0,),), *WINDOW),)
+        ),
+        {"sends": OUTSIDE_WINDOW, "delayed": True},
+        {"messages_partitioned": 2, "messages_delayed": 2},
+    ),
+    "duplicate_delayed_together": (
+        FaultPlan(seed=3, duplicate=1.0, delay=1.0, max_delay=3),
+        {"copies": 2, "delayed": True},
+        {"messages_duplicated": 4, "messages_delayed": 4},
+    ),
+    "corrupt_delayed": (
+        FaultPlan(seed=3, corrupt=1.0, delay=1.0, max_delay=2),
+        {"corrupt": True, "delayed": True},
+        {"messages_corrupted": 4, "messages_delayed": 4},
+    ),
+}
+
+
+@pytest.mark.parametrize("engine", ["fast", "reference"])
+@pytest.mark.parametrize("name", sorted(CHANNEL_CASES))
+def test_channel_probe_exact_log_and_counters(engine, name):
+    plan, shape, counters = CHANNEL_CASES[name]
+    expected = (
+        []
+        if shape is None
+        else _expected_log(plan, **{"sends": ALL_SENDS, **shape})
+    )
+    log, got_counters, _ = _probe(engine, plan)
+    assert log == expected
+    assert got_counters == counters
+
+
+def test_channel_probe_delay_draws_reorder():
+    """The max_delay=3 probe is not vacuous: its sends draw different
+    delays, so some land out of step with the clean schedule."""
+    injector = CHANNEL_CASES["delay3"][0].compile()
+    draws = [injector.delay_rounds(s, 0, 1, 0) for s in ALL_SENDS]
+    assert all(1 <= d <= 3 for d in draws)
+    assert len(set(draws)) > 1
+
+
+@pytest.mark.parametrize("engine", ["fast", "reference"])
+@pytest.mark.parametrize("name", sorted(CHANNEL_CASES))
+def test_channel_probe_detail_events(engine, name):
+    """One outcome event per transmission, attributed to the round after
+    its send; every delayed send gets a ``release`` event carrying its
+    sequence number in the round it reaches the receiver."""
+    plan, shape, counters = CHANNEL_CASES[name]
+    _, _, recorder = _probe(engine, plan, detail=True)
+    outcomes = {}
+    releases = {}
+    for record in recorder.rounds:
+        for event in record.events:
+            assert (event["s"], event["r"], event["q"]) == ("0", "1", 0)
+            if event["o"] == "release":
+                releases[event["sr"]] = record.round
+            else:
+                assert record.round - 1 not in outcomes
+                outcomes[record.round - 1] = event["o"]
+    assert sorted(outcomes) == list(ALL_SENDS)
+    injector = plan.compile()
+    delayed = sorted(s for s, o in outcomes.items() if o == "delay")
+    assert len(delayed) == counters.get("messages_delayed", 0)
+    assert releases == {
+        s: s + 1 + injector.delay_rounds(s, 0, 1, 0) for s in delayed
+    }
