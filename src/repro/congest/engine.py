@@ -19,6 +19,12 @@ scheduling and accounting:
 * **Columnar kernels** — registered algorithms batch whole rounds and
   hand over a :class:`~repro.congest.kernels.SendPlan` charged as
   arrays.
+* **Dense rounds** — in a kernel run where no vertex can sit a round
+  out (default scheduling hints, no crash, rejoin or delay schedule)
+  the due set is always the live set, so the live ranks stay one
+  ascending index array that the kernel steps whole and that shrinks
+  only by the kernel's halts; the wakeup heap, due-set sort,
+  rescheduling pass and outbox scan are skipped.
 
 The differential harness in ``tests/test_engine_equivalence.py`` and
 the fuzzer in ``tests/test_engine_fuzz.py`` pin outputs, metrics, and
@@ -101,6 +107,9 @@ class FastEngine(EngineCore):
         # one and this run qualifies (see repro.congest.kernels);
         # None means the ordinary scalar step loop.
         self._kernel = maybe_build_kernel(self)
+        # Whether run() takes dense rounds; fixed for the engine's life
+        # (restore_checkpoint decides again).
+        self._dense = self._dense_rounds_apply()
 
     def run(
         self,
@@ -117,9 +126,6 @@ class FastEngine(EngineCore):
         continues from the checkpointed round; ``max_rounds`` stays an
         absolute bound on the round counter.
         """
-        contexts = self._contexts
-        algorithms = self._algorithms
-        crash_rounds = self._crash_rounds
         kernel = self._kernel
         if not self._initialized:
             self._initialized = True
@@ -128,13 +134,102 @@ class FastEngine(EngineCore):
                 kernel.initialize(cohort)
             else:
                 for i in cohort:
-                    algorithms[i].initialize(contexts[i])
+                    self._algorithms[i].initialize(self._contexts[i])
             self._drain(range(self._n))
             self._runnable = {
-                i for i in range(self._n) if not contexts[i]._halted
+                i for i in range(self._n) if not self._contexts[i]._halted
             }
             self._live = len(self._runnable)
+        if self._dense:
+            self._run_dense(max_rounds, checkpoint_every, on_checkpoint)
+        else:
+            self._run_scheduled(max_rounds, checkpoint_every, on_checkpoint)
+        if kernel is not None:
+            # Materialize columnar state (algorithm attributes, round
+            # numbers, advanced RNG streams) back into the scalar
+            # objects callers observe.
+            kernel.sync()
+        return self._result()
 
+    def _dense_rounds_apply(self) -> bool:
+        """Is every live vertex due in every round of this run?
+
+        True for a kernel run in which no vertex can sit a round out
+        or come back: all vertices keep the default scheduling hints
+        (never idle) and there is no crash schedule, rejoin or delayed
+        message.  The per-vertex scheduler's due set is then always
+        exactly the live set, and :meth:`_run_dense` takes over.
+        """
+        return (
+            self._kernel is not None
+            and self._crash_rounds is None
+            and not self._rejoin_queue
+            and not self._delay_queue
+            and all(self._default_hints)
+        )
+
+    def _run_dense(
+        self,
+        max_rounds: int,
+        checkpoint_every: Optional[int],
+        on_checkpoint: Optional[Callable[..., None]],
+    ) -> None:
+        """The round loop when :meth:`_dense_rounds_apply` holds.
+
+        The live ranks are one ascending index array that the kernel
+        steps whole and that shrinks only by the ranks it halted, so
+        no round sorts a due set, reschedules vertex by vertex, looks
+        for a fast-forward target or scans outboxes.  Rounds open,
+        drain and close exactly as in :meth:`_run_scheduled`.
+        """
+        kernel = self._kernel
+        np = kernel.np
+        live = np.array(
+            [i for i, ctx in enumerate(self._contexts) if not ctx._halted],
+            dtype=np.intp,
+        )
+        while self._round < max_rounds and live.shape[0]:
+            self._round += 1
+            delivered = self._open_round()
+            halted = kernel.step_round(live, self._round)
+            # Every receiver of the parked plan was live and has just
+            # consumed it.
+            self._lazy_plan = None
+            # Kernels send only through the send plan; no outbox holds
+            # a message to scan for.
+            self._drain(())
+            stepped = live
+            if halted:
+                live = live[np.isin(live, halted, invert=True)]
+                self._runnable.difference_update(halted)
+                self._live = len(live)
+            if self._registry is not None:
+                self._registry.count("congest.kernel.rounds")
+            self._close_round(
+                delivered,
+                stepped,
+                crashed=0,
+                idle=0,
+                halted=self._n - self._live,
+                skipped=0,
+                rejoined=0,
+                checkpoint_every=checkpoint_every,
+                on_checkpoint=on_checkpoint,
+            )
+
+    def _run_scheduled(
+        self,
+        max_rounds: int,
+        checkpoint_every: Optional[int],
+        on_checkpoint: Optional[Callable[..., None]],
+    ) -> None:
+        """The round loop of the per-vertex scheduler: due set from the
+        runnable set, pending mail and the wakeup heap; fast-forward
+        over quiescent stretches; crash filtering; rescheduling."""
+        contexts = self._contexts
+        algorithms = self._algorithms
+        crash_rounds = self._crash_rounds
+        kernel = self._kernel
         due_vertices = self._due_vertices
         reschedule = self._reschedule
         record_skipped = self.metrics.record_skipped
@@ -250,13 +345,6 @@ class FastEngine(EngineCore):
                 on_checkpoint=on_checkpoint,
             )
 
-        if kernel is not None:
-            # Materialize columnar state (algorithm attributes, round
-            # numbers, advanced RNG streams) back into the scalar
-            # objects callers observe.
-            kernel.sync()
-        return self._result()
-
     def _process_rejoins(self, round_number: int) -> List[int]:
         """Shared revival, plus this scheduler's hint and live count."""
         revived = super()._process_rejoins(round_number)
@@ -300,6 +388,7 @@ class FastEngine(EngineCore):
         # makes its first round replay the restored inbox dictionaries
         # (the previous round's sends are not in any column yet).
         self._kernel = maybe_build_kernel(self, resume=True)
+        self._dense = self._dense_rounds_apply()
 
     # ------------------------------------------------------------------
     def _due_vertices(self, round_number: int) -> List[int]:
@@ -517,20 +606,23 @@ class FastEngine(EngineCore):
 
         The plan's vectorized accounting reproduces the scalar path
         bit-for-bit (same per-edge counts, bits, histogram, errors);
-        receivers are marked due via ``_pending_ids`` but their inbox
-        dictionaries stay unbuilt — the plan itself is parked in
-        ``_lazy_plan`` and reconstructed only if checkpoint capture or
-        crash filtering needs object-level messages.  Kernelized plans
-        ride a lossless channel by construction (message-faulting plans
-        disable kernels), so the fault channel is skipped; crash-only
-        injectors still get their zeroed per-round fault counters.
+        the per-vertex scheduler marks receivers due via
+        ``_pending_ids`` (dense rounds step every live vertex anyway),
+        but their inbox dictionaries stay unbuilt — the plan itself is
+        parked in ``_lazy_plan`` and reconstructed only if checkpoint
+        capture or crash filtering needs object-level messages.
+        Kernelized plans ride a lossless channel by construction
+        (message-faulting plans disable kernels), so the fault channel
+        is skipped; crash-only injectors still get their zeroed
+        per-round fault counters.
         """
-        per_edge, messages, bits, bits_hist, max_bits, receivers = (
+        per_edge, messages, bits, bits_hist, max_bits, edge_keys = (
             plan.account(self)
         )
         if max_bits > self.metrics.max_message_bits:
             self.metrics.max_message_bits = max_bits
-        self._pending_ids.update(receivers)
+        if not self._dense:
+            self._pending_ids.update(plan.receivers(edge_keys))
         self._lazy_plan = plan
         if self._registry is not None:
             self._registry.count("congest.delivery.batched")

@@ -8,8 +8,11 @@ sends only through :meth:`KernelBase._emit_broadcast` /
 one :class:`SendPlan`; ``FastEngine._collect`` charges the plan
 vectorized (:meth:`SendPlan.account`) with exactly the bits, errors,
 and per-edge counts the scalar drain of the same sends would produce.
-Everything else (fault channel, metrics, traces, scheduling) stays on
-the engine's scalar path.  Random draws also stay on the per-vertex
+The fault channel, metrics and traces stay on the engine's scalar path.
+So does scheduling, except in dense rounds (``FastEngine._run_dense``):
+when every live vertex is due every round, the engine hands
+:meth:`KernelBase.step_round` the live indices as one array and drops
+the indices it returns as halted.  Random draws stay on the per-vertex
 scalar generators (``ctx.rng``): the registered protocols consume
 O(log n) words per vertex, far too few to amortize columnar stream
 adoption (see the measurements in ``docs/kernels.md``);
@@ -213,7 +216,9 @@ class SendPlan:
         """Vectorized twin of the scalar ``_collect`` accounting.
 
         Returns ``(per_edge, messages, bits, bits_hist, max_bits,
-        receivers)`` without touching any pending inbox; raises
+        edge_keys)`` without touching any pending inbox, where
+        ``edge_keys`` holds the distinct ``sender * n + receiver`` keys
+        charged (see :meth:`receivers`); raises
         ``MessageTooLargeError`` / ``ProtocolError`` for the same first
         offending message, with the same text, as the scalar path.
         """
@@ -325,7 +330,7 @@ class SendPlan:
             messages += total
             flat_base += total
         if not key_arrays:
-            return {}, 0, 0, {}, 0, []
+            return {}, 0, 0, {}, 0, np.zeros(0, np.int64)
         all_keys = (
             key_arrays[0]
             if len(key_arrays) == 1
@@ -372,8 +377,13 @@ class SendPlan:
                 f"in one round (capacity {capacity})"
             )
         per_edge = dict(zip(uniq_keys.tolist(), counts.tolist()))
-        receivers = np.unique(uniq_keys % n).tolist()
-        return per_edge, messages, bits, bits_hist, max_bits, receivers
+        return per_edge, messages, bits, bits_hist, max_bits, uniq_keys
+
+    def receivers(self, edge_keys) -> List[int]:
+        """The dense indices that receive mail, from :meth:`account`'s
+        ``edge_keys``, ascending."""
+        kernel = self.kernel
+        return kernel.np.unique(edge_keys % kernel.n).tolist()
 
     def materialize(self, engine) -> None:
         """Build the per-receiver inbox dictionaries this plan deferred.
@@ -506,6 +516,8 @@ class KernelBase:
         # Segments emitted through _emit_broadcast/_emit_send this
         # round, handed to the engine as one SendPlan.
         self._plan_segments: List[tuple] = []
+        # Indices halted (_halt) since the current step_round began.
+        self._halts: List[int] = []
         self._load_columns()
 
     # -- engine-facing entry points ------------------------------------
@@ -517,34 +529,38 @@ class KernelBase:
         self._initialize_rows(rows)
         self._flush_plan()
 
-    def step_round(self, due: Sequence[int], round_number: int) -> None:
+    def step_round(self, due: Sequence[int], round_number: int) -> List[int]:
         """Vectorized twin of one round's per-vertex ``step`` loop.
 
         ``due`` holds the engine indices of live, scheduled vertices
-        (crashed vertices already filtered).  Consumes their pending
+        (crashed vertices already filtered), ascending: a list, or the
+        ``intp`` array dense rounds keep.  Consumes their pending
         inboxes, parks the round's sends on the engine as a
-        :class:`SendPlan`, and sets ``_halted``/``_output`` for
-        vertices that halt.
+        :class:`SendPlan`, sets ``_halted``/``_output`` for vertices
+        that halt, and returns those vertices' indices.
         """
         np = self.np
         engine = self.engine
-        rows = np.fromiter(due, np.intp, count=len(due))
+        rows = np.asarray(due, dtype=np.intp)
         self.last_step[rows] = round_number
         self._rn_dirty[rows] = True
         self._state_dirty = True
         boxes = None
         if self._use_dicts:
-            boxes = [engine._pending[i] or {} for i in due]
+            boxes = [engine._pending[i] or {} for i in rows.tolist()]
         # Consume the pending inboxes exactly like the scalar loop.
         pids = engine._pending_ids
         if pids:
             pending = engine._pending
-            for i in pids.intersection(due):
+            consumed = pids.intersection(rows.tolist())
+            for i in consumed:
                 pending[i] = None
-            pids.difference_update(due)
+            pids.difference_update(consumed)
+        self._halts = []
         self._step_rows(rows, round_number, boxes)
         self._use_dicts = False
         self._flush_plan()
+        return self._halts
 
     def _flush_plan(self) -> None:
         segments = self._plan_segments
@@ -573,6 +589,7 @@ class KernelBase:
         ctx = self.contexts[i]
         ctx._halted = True
         ctx._output = output
+        self._halts.append(i)
 
     def _emit_broadcast(self, rows, payloads=None, shared=_NO_PAYLOAD,
                         size=None) -> None:

@@ -88,7 +88,11 @@ class LubyMIS(VertexAlgorithm):
                 return
             best = True
             for neighbor, payloads in inbox.items():
-                for tag, value in payloads:
+                for message in payloads:
+                    # A corrupted message (not a tuple) is lost.
+                    if type(message) is not tuple:
+                        continue
+                    tag, value = message
                     if tag == "PRI" and (value, neighbor) > self.priority:
                         best = False
             if best:
@@ -98,7 +102,10 @@ class LubyMIS(VertexAlgorithm):
             # Resolution round: losers of an IN neighbor leave.
             if self.state == "undecided":
                 for _neighbor, payloads in inbox.items():
-                    if any(tag == "IN" for tag, _v in payloads):
+                    if any(
+                        type(message) is tuple and message[0] == "IN"
+                        for message in payloads
+                    ):
                         self.state = "out"
                         break
             if self.state != "undecided":

@@ -41,7 +41,11 @@ class MaxDegreeLeaderElection(VertexAlgorithm):
     def step(self, ctx: VertexContext, inbox: Dict[Any, List[Any]]) -> None:
         improved = False
         for payloads in inbox.values():
-            for degree, vertex in payloads:
+            for message in payloads:
+                # A corrupted message (not a tuple) is lost.
+                if type(message) is not tuple:
+                    continue
+                degree, vertex = message
                 candidate = (degree, vertex)
                 if self.best is None or candidate > self.best:
                     self.best = candidate

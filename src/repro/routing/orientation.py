@@ -62,7 +62,11 @@ class PeelingOrientation(VertexAlgorithm):
 
     def step(self, ctx: VertexContext, inbox: Dict[Any, List[Any]]) -> None:
         for neighbor, payloads in inbox.items():
-            for tag, rnd in payloads:
+            for message in payloads:
+                # A corrupted message (not a tuple) is lost.
+                if type(message) is not tuple:
+                    continue
+                tag, rnd = message
                 if tag == "PEEL":
                     self.neighbor_rounds[neighbor] = rnd
                     self.live -= 1

@@ -178,7 +178,12 @@ class WalkExchange(VertexAlgorithm):
         """Take delivery of tokens that moved in forward round t-1."""
         arrival_round = t - 1
         for sender, payloads in inbox.items():
-            for tag, origin, seq, payload in payloads:
+            for token in payloads:
+                # A corrupted token (not a tuple) is lost; its origin
+                # then detects the failure as an undelivered request.
+                if type(token) is not tuple:
+                    continue
+                tag, origin, seq, payload = token
                 if tag != "F":
                     continue
                 key = (origin, seq)
@@ -281,7 +286,11 @@ class WalkExchange(VertexAlgorithm):
         responding = self.responding
         vertex = ctx.vertex
         for sender, payloads in inbox.items():
-            for tag, origin, seq, payload in payloads:
+            for token in payloads:
+                # A corrupted response token is lost like a forward one.
+                if type(token) is not tuple:
+                    continue
+                tag, origin, seq, payload = token
                 if tag != "R":
                     continue
                 key = (origin, seq)

@@ -124,6 +124,21 @@ class TestFaultsCommand:
         assert "crashes=1 rejoins=1" in out
         assert "verdict:" in out
 
+    @pytest.mark.parametrize("algorithm", ["framework", "maxis"])
+    def test_corrupt_plan_is_graded(self, capsys, algorithm):
+        # A corrupted payload is lost, never unpacked: the run ends in
+        # the verdict of the protocol's own checks, not a TypeError.
+        code = main([
+            "faults", "--algorithm", algorithm, "--n", "60",
+            "--seed", "1", "--corrupt", "0.05",
+        ])
+        assert code in (0, 1)
+        out = capsys.readouterr().out
+        assert "corrupt=0.05" in out
+        verdict = [l for l in out.splitlines() if l.startswith("verdict:")]
+        assert len(verdict) == 1
+        assert "TypeError" not in verdict[0]
+
     def test_rejoin_without_crash_is_a_clean_error(self, capsys):
         # Structurally invalid plans are operator errors: exit 2 with
         # a one-line message on stderr, never a traceback.

@@ -34,10 +34,13 @@ from repro.decomposition.mpx import mpx_ldd
 from repro.errors import CrashedVertexError, FaultError
 from repro.generators import (
     gnp_random_graph,
+    grid_graph,
     path_graph,
 )
 from tests.conftest import delaunay_or_skip as delaunay_planar_graph
+from repro.independent_set.greedy import luby_mis
 from repro.routing.leader import elect_leader
+from repro.routing.walk_exchange import walk_exchange
 
 SEEDS = (11, 29, 47)
 
@@ -371,6 +374,51 @@ def test_faulted_mpx_equivalent(seed):
         fast.metrics
     )
     assert ref.metrics.faulted
+
+
+#: Every message arrives as a ``CorruptedPayload``.
+CORRUPT_ALL = FaultPlan(seed=5, corrupt=1.0)
+
+
+def test_corrupted_walk_tokens_are_lost():
+    """A corrupted token is lost, not fatal: the exchange returns on
+    both engines and every request but the leader's own (absorbed
+    locally) ends undelivered — the Section 2.3 failure detection."""
+    g = grid_graph(4, 4)
+    leader = 5
+    requests = {v: [("H", v)] for v in g.vertices()}
+
+    def runner(s):
+        with use_faults(CORRUPT_ALL):
+            return walk_exchange(g, leader, requests, phi=0.3, seed=s)
+
+    ref, fast = _run_both(runner, 3)
+    assert ref.undelivered == fast.undelivered
+    assert ref.responses == fast.responses
+    assert _metrics_fingerprint(ref.metrics) == _metrics_fingerprint(
+        fast.metrics
+    )
+    assert sorted(fast.undelivered) == sorted(
+        (v, 0) for v in g.vertices() if v != leader
+    )
+    assert not fast.success
+    assert fast.metrics.faulted
+
+
+def test_corrupted_luby_messages_are_lost():
+    g = gnp_random_graph(60, 0.08, seed=4)
+
+    def runner(s):
+        with use_faults(CORRUPT_ALL):
+            return luby_mis(g, seed=s)
+
+    (ref_mis, ref), (fast_mis, fast) = _run_both(runner, 3)
+    assert ref_mis == fast_mis
+    assert ref.outputs == fast.outputs
+    assert _metrics_fingerprint(ref.metrics) == _metrics_fingerprint(
+        fast.metrics
+    )
+    assert fast.metrics.faulted
 
 
 @pytest.mark.parametrize("seed", SEEDS[:2])

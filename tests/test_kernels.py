@@ -17,6 +17,7 @@ kernels are built on.
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -31,6 +32,7 @@ from repro.congest.algorithm import (
     set_kernels_enabled,
 )
 from repro.congest.checkpoint import resume_simulation
+from repro.congest.engine import FastEngine
 from repro.congest.faults import FaultPlan
 from repro.congest.kernels import KernelBase
 from repro.congest.network import CongestSimulator
@@ -60,16 +62,70 @@ pytestmark = pytest.mark.skipif(
 # The differential matrix: algorithm x generator x seed x fault plan
 # ----------------------------------------------------------------------
 
+class _Countdown(VertexAlgorithm):
+    """Isolated vertices halt in ``initialize``; the rest broadcast the
+    rounds they have left and halt at round ``vertex % 4 + 1``, so
+    halts land in initialization and in several different rounds."""
+
+    def initialize(self, ctx):
+        if not ctx.neighbors:
+            ctx.halt("isolated")
+            return
+        ctx.broadcast(ctx.vertex % 4 + 1)
+
+    def step(self, ctx, inbox):
+        left = ctx.vertex % 4 + 1 - ctx.round_number
+        if left <= 0:
+            ctx.halt(ctx.round_number)
+            return
+        ctx.broadcast(left)
+
+
+@register_kernel(_Countdown)
+class _CountdownKernel(KernelBase):
+    def _load_columns(self):
+        self.deadline = self.np.array(self.verts, dtype=self.np.int64) % 4 + 1
+
+    def _write_columns(self):
+        pass
+
+    def _initialize_rows(self, rows):
+        degree = self.indptr[rows + 1] - self.indptr[rows]
+        for i in rows[degree == 0].tolist():
+            self._halt(i, "isolated")
+        senders = rows[degree > 0]
+        self._emit_broadcast(senders, self.deadline[senders].tolist())
+
+    def _step_rows(self, rows, round_number, boxes):
+        left = self.deadline[rows] - round_number
+        for i in rows[left <= 0].tolist():
+            self._halt(i, round_number)
+        self._emit_broadcast(rows[left > 0], left[left > 0].tolist())
+
+
 ALGORITHMS = {
     "luby": (lambda v: LubyMIS(20), 44),
     "mpx": (lambda v: MPXClustering(0.4, 12.0, 16), 18),
     "matching": (lambda v: ProposalMatching(16), 54),
+    "countdown": (lambda v: _Countdown(), 8),
 }
+
+
+def _with_isolated(graph, extra=4):
+    """``graph`` plus ``extra`` isolated vertices with the next labels."""
+    graph = graph.copy()
+    for v in range(graph.n, graph.n + extra):
+        graph.add_vertex(v)
+    return graph
+
 
 GENERATORS = {
     "gnp": lambda seed: gnp_random_graph(40, 0.12, seed=seed),
     "grid": lambda seed: grid_graph(6, 7),
     "ktree": lambda seed: k_tree(40, 3, seed=seed),
+    "isolated": lambda seed: _with_isolated(
+        gnp_random_graph(40, 0.12, seed=seed)
+    ),
 }
 
 
@@ -201,6 +257,81 @@ def test_telemetry_identical_and_kernel_counters_stripped():
     )
     # Both engagement styles record collect-phase spans identically.
     assert captures[True][0]["spans"]["congest.collect"] > 0
+
+
+# ----------------------------------------------------------------------
+# Dense rounds: a kernel run whose due set is always its live set
+# ----------------------------------------------------------------------
+
+def _refuse(self, *args):
+    raise AssertionError("the per-vertex scheduler ran in a dense run")
+
+
+@pytest.mark.parametrize("algo", sorted(ALGORITHMS))
+def test_dense_rounds_bypass_the_per_vertex_scheduler(algo, monkeypatch):
+    """Kernel runs with default hints and no crash schedule never
+    compute a due set or reschedule vertex by vertex."""
+    graph = GENERATORS["gnp"](3)
+    factory, rounds = ALGORITHMS[algo]
+    monkeypatch.setattr(FastEngine, "_due_vertices", _refuse)
+    monkeypatch.setattr(FastEngine, "_reschedule", _refuse)
+    pair_on = run_once(graph, factory, 3, True, rounds=rounds)
+    assert pair_on[2]._engine._kernel is not None
+    monkeypatch.undo()
+    pair_off = run_once(graph, factory, 3, False, rounds=rounds)
+    assert_identical(pair_on, pair_off)
+
+
+@pytest.mark.parametrize("algo", sorted(ALGORITHMS))
+def test_crash_plan_keeps_the_per_vertex_scheduler(algo, monkeypatch):
+    """A crash schedule can take a live vertex out of a round, so
+    crash-only kernel runs stay on the per-vertex scheduler."""
+    graph = GENERATORS["gnp"](3)
+    factory, rounds = ALGORITHMS[algo]
+    plan = _plan("crash", graph)
+    scheduled = []
+    due_vertices = FastEngine._due_vertices
+
+    def counting(self, round_number):
+        scheduled.append(round_number)
+        return due_vertices(self, round_number)
+
+    monkeypatch.setattr(FastEngine, "_due_vertices", counting)
+    pair_on = run_once(graph, factory, 3, True, plan, rounds)
+    assert pair_on[2]._engine._kernel is not None
+    assert scheduled
+    pair_off = run_once(graph, factory, 3, False, plan, rounds)
+    assert_identical(pair_on, pair_off)
+
+
+def _full_run(graph, factory, seed, enabled, rounds):
+    with telemetry_scope() as registry:
+        pair = run_once(graph, factory, seed, enabled, rounds=rounds)
+        return pair, registry.comparable_dict()
+
+
+@pytest.mark.parametrize("algo", sorted(ALGORITHMS))
+@pytest.mark.parametrize("case", ["cut-off", "isolated"])
+def test_kernel_edge_runs_match_scalar(algo, case):
+    """Kernels on equal kernels off, down to per-round metrics and
+    comparable telemetry, on a run that ``max_rounds`` cuts off before
+    every vertex halts and on a graph whose isolated vertices halt in
+    initialization or the first rounds."""
+    factory, rounds = ALGORITHMS[algo]
+    if case == "cut-off":
+        graph, rounds = GENERATORS["gnp"](5), 3
+    else:
+        graph = GENERATORS["isolated"](5)
+    pair_on, telemetry_on = _full_run(graph, factory, 5, True, rounds)
+    pair_off, telemetry_off = _full_run(graph, factory, 5, False, rounds)
+    assert pair_on[2]._engine._kernel is not None
+    assert_identical(pair_on, pair_off)
+    assert pair_on[0].metrics.to_dict(
+        include_per_round=True
+    ) == pair_off[0].metrics.to_dict(include_per_round=True)
+    assert telemetry_on == telemetry_off
+    if case == "cut-off":
+        assert not pair_on[0].halted
 
 
 # ----------------------------------------------------------------------
@@ -463,6 +594,57 @@ def test_checkpoint_crosses_kernel_modes(algo, capture_on, resume_on, every):
         == base.metrics.messages_per_round
     )
     assert result.metrics.summary() == base.metrics.summary()
+
+
+def _fingerprint(result, recorder, sim):
+    return (
+        result.outputs,
+        result.halted,
+        result.metrics.to_dict(include_per_round=True),
+        [r.to_dict() for r in recorder.rounds],
+        rng_states(sim),
+    )
+
+
+@pytest.mark.parametrize("algo", sorted(ALGORITHMS))
+@pytest.mark.parametrize("every", [1, 2])
+def test_dense_run_checkpoints_resume_on_both_engines(algo, every):
+    """Every checkpoint a kernel run captures holds the scheduling
+    state a scalar run's holds, and resumes on the fast and the
+    reference engine to exactly the run that never stopped; capturing
+    leaves that run itself unchanged."""
+    graph = GENERATORS["isolated"](9)
+    factory, rounds = ALGORITHMS[algo]
+    expected = _fingerprint(*run_once(graph, factory, 21, True, rounds=rounds))
+
+    def capture(enabled):
+        set_kernels_enabled(enabled)
+        checkpoints = []
+        recorder = TraceRecorder("capture")
+        sim = CongestSimulator(graph, factory, seed=21, trace=recorder)
+        result = sim.run(
+            max_rounds=rounds, checkpoint_every=every,
+            on_checkpoint=checkpoints.append,
+        )
+        set_kernels_enabled(True)
+        return _fingerprint(result, recorder, sim), checkpoints
+
+    captured, checkpoints = capture(True)
+    assert captured == expected
+    _, scalar_checkpoints = capture(False)
+    assert len(checkpoints) == len(scalar_checkpoints) >= 2
+    for checkpoint, scalar in zip(checkpoints, scalar_checkpoints):
+        state = pickle.loads(checkpoint.state)
+        scalar_state = pickle.loads(scalar.state)
+        for key in ("pending", "runnable", "wakeups"):
+            assert state[key] == scalar_state[key], key
+        for engine in ("fast", "reference"):
+            recorder = TraceRecorder("resumed")
+            resumed = resume_simulation(
+                graph, factory, checkpoint, engine=engine, trace=recorder
+            )
+            result = resumed.run(max_rounds=rounds)
+            assert _fingerprint(result, recorder, resumed) == expected
 
 
 def test_checkpoint_fixture_workload_unaffected():
