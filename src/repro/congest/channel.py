@@ -34,9 +34,9 @@ from ..graph import Graph, canonical_vertex_order
 from ..rng import ensure_rng
 from .algorithm import VertexAlgorithm, VertexContext
 from .checkpoint import (
-    PICKLE_PROTOCOL,
     SimulationCheckpoint,
     capture_engine_state,
+    dump_state,
     restore_engine_state,
 )
 from .faults import CORRUPT, DROP, DUPLICATE, NO_FAULTS, FaultInjector
@@ -408,9 +408,8 @@ class EngineCore:
             if i in self._snapshot_targets and not self._contexts[i]._halted:
                 last = last_rounds.get(i)
                 if last is None or round_number - last >= interval:
-                    self._snapshots[i] = pickle.dumps(
-                        (self._algorithms[i], self._contexts[i]),
-                        protocol=PICKLE_PROTOCOL,
+                    self._snapshots[i] = dump_state(
+                        (self._algorithms[i], self._contexts[i])
                     )
                     last_rounds[i] = round_number
 

@@ -29,20 +29,29 @@ fast engine resumes on the reference engine and vice versa.
 
 Wire format: a schema-versioned JSON envelope whose ``state`` field is
 a pickled (protocol-pinned) blob of the live vertex objects, base64
-encoded.  The blob must be one pickle so that object identity between
+encoded, and whose ``checksum`` field is verified before that blob is
+decoded.  The blob must be one pickle so that object identity between
 an algorithm and its context (wrappers like
-:class:`repro.resilience.transport.ReliableAlgorithm` hold both) is
-preserved across the round trip.  Checkpointing therefore requires the
-vertex algorithms to be picklable — true for every algorithm in this
-library.
+:class:`repro.resilience.transport.ReliableAlgorithm` hold both, and a
+walker caches bound methods of its context's generator) is preserved
+across the round trip.  Checkpointing therefore requires the vertex
+algorithms to be picklable — true for every algorithm in this library.
+The blob is written by :func:`dump_state`, which pickles every exact
+``random.Random`` as its packed MT19937 words
+(:func:`repro.rng.reduce_random`) instead of 625 Python ints; the
+crash-recovery snapshots of :mod:`repro.congest.channel` go through
+the same serializer.
 """
 
 from __future__ import annotations
 
 import base64
+import copyreg
+import io
 import json
 import os
 import pickle
+import random
 from dataclasses import dataclass
 from hashlib import blake2b
 from typing import Any, Dict, List, Optional
@@ -50,6 +59,7 @@ from typing import Any, Dict, List, Optional
 from .. import storage
 from ..errors import CheckpointError, StorageError
 from ..graph import Graph, canonical_vertex_order
+from ..rng import reduce_random
 from .faults import pad_fault_counts
 from .metrics import CongestMetrics
 from .trace import RoundTrace
@@ -57,12 +67,19 @@ from .trace import RoundTrace
 #: Version stamped on every serialized checkpoint.  History:
 #:
 #: * 1 — initial layout (round, engine-neutral state blob, metrics,
-#:   optional trace prefix, fault plan + crash-recovery state).
+#:   optional trace prefix, fault plan + crash-recovery state); the
+#:   optional ``checksum`` covers the whole envelope's canonical JSON.
+#: * 2 — packed RNG states: the state blob pickles every exact
+#:   ``random.Random`` as packed MT19937 words
+#:   (:func:`repro.rng.rebuild_random`).  The ``checksum`` is mandatory
+#:   and covers the metadata's canonical JSON followed by the base64
+#:   ``state`` text, so the state is never re-encoded to verify it.
 #:
 #: ``from_dict`` accepts any version up to the current one and fills
 #: absent newer fields with defaults, so pinned old fixtures keep
-#: loading (see ``tests/data/checkpoint_v1.json``).
-CHECKPOINT_SCHEMA_VERSION = 1
+#: loading (see ``tests/data/checkpoint_v1.json`` and
+#: ``tests/data/checkpoint_v1_checksummed.json``).
+CHECKPOINT_SCHEMA_VERSION = 2
 
 #: Pinned pickle protocol for the state blob, matching the artifact
 #: cache's choice so checkpoints stay readable across the same range of
@@ -70,19 +87,55 @@ CHECKPOINT_SCHEMA_VERSION = 1
 PICKLE_PROTOCOL = 4
 
 
-def _envelope_checksum(data: Dict[str, Any]) -> str:
-    """blake2b digest of the envelope's canonical JSON, sans checksum.
+class _StatePickler(pickle.Pickler):
+    """Default pickling, except exact ``random.Random`` objects, which
+    pickle as packed words (:func:`repro.rng.reduce_random`)."""
 
+    dispatch_table = {**copyreg.dispatch_table, random.Random: reduce_random}
+
+
+def dump_state(obj: Any) -> bytes:
+    """Pickle ``obj`` at :data:`PICKLE_PROTOCOL` through the state pickler.
+
+    The one serializer for vertex state: checkpoint capture and the
+    local crash-recovery snapshots both use it.  ``pickle.loads`` reads
+    it back; one pickle memo keeps object identity, so a cached bound
+    method or a live :class:`repro.rng.MTStream` still points at its
+    context's generator after the round trip.
+    """
+    buffer = io.BytesIO()
+    _StatePickler(buffer, protocol=PICKLE_PROTOCOL).dump(obj)
+    return buffer.getvalue()
+
+
+def _envelope_checksum(data: Dict[str, Any]) -> str:
+    """blake2b digest of an envelope, per its schema, sans checksum.
+
+    Schema 1 digests the whole envelope's canonical JSON.  Schema 2
+    digests the canonical JSON of every field except ``state``,
+    followed by the base64 ``state`` text itself, so the multi-megabyte
+    blob is hashed as it stands instead of being JSON-encoded again.
     Verified by :meth:`SimulationCheckpoint.from_dict` *before* the
     state blob is base64-decoded or unpickled, so a truncated or
     bit-flipped checkpoint raises :class:`CheckpointError` instead of
-    feeding garbage to pickle.  Envelopes written before checksums
-    existed simply lack the field and stay loadable.
+    feeding garbage to pickle.  Schema-1 envelopes written before
+    checksums existed simply lack the field and stay loadable.
     """
-    body = {k: v for k, v in data.items() if k != "checksum"}
-    return blake2b(
+    if data.get("schema") == 1:
+        skip, tail = ("checksum",), b""
+    else:
+        state = data.get("state")
+        if not isinstance(state, str):
+            raise TypeError(
+                f"state is {type(state).__name__}, not base64 text"
+            )
+        skip, tail = ("checksum", "state"), state.encode("utf-8")
+    body = {k: v for k, v in data.items() if k not in skip}
+    digest = blake2b(
         storage.canonical_json(body).encode("utf-8"), digest_size=16
-    ).hexdigest()
+    )
+    digest.update(tail)
+    return digest.hexdigest()
 
 
 def graph_fingerprint(graph: Graph) -> str:
@@ -137,8 +190,9 @@ class SimulationCheckpoint:
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe form (the state blob is base64-encoded).
 
-        The envelope carries a whole-payload ``checksum`` so torn
-        writes and bit-flips are caught at load time, never unpickled.
+        The envelope carries a ``checksum`` (computed per
+        :attr:`schema`; see :func:`_envelope_checksum`) so torn writes
+        and bit-flips are caught at load time, never unpickled.
         """
         data = {
             "schema": self.schema,
@@ -170,7 +224,24 @@ class SimulationCheckpoint:
             raise CheckpointError(
                 f"checkpoint payload is {type(data).__name__}, not an object"
             )
+        # The schema picks the checksum rule, so it is read first; a
+        # forged schema marker fails the checksum it selects.
+        schema = data.get("schema")
+        if not isinstance(schema, int) or schema < 1:
+            raise CheckpointError(
+                f"checkpoint carries invalid schema marker {schema!r}"
+            )
+        if schema > CHECKPOINT_SCHEMA_VERSION:
+            raise CheckpointError(
+                f"checkpoint schema {schema} is newer than the supported "
+                f"version {CHECKPOINT_SCHEMA_VERSION}"
+            )
         expected = data.get("checksum")
+        if expected is None and schema >= 2:
+            raise CheckpointError(
+                f"checkpoint schema {schema} envelope carries no checksum; "
+                "refusing to unpickle its state"
+            )
         if expected is not None:
             try:
                 actual = _envelope_checksum(data)
@@ -184,17 +255,6 @@ class SimulationCheckpoint:
                     f"(expected {expected!r}, got {actual!r}) — torn "
                     "write or bit-flip; refusing to unpickle its state"
                 )
-            data = {k: v for k, v in data.items() if k != "checksum"}
-        schema = data.get("schema")
-        if not isinstance(schema, int) or schema < 1:
-            raise CheckpointError(
-                f"checkpoint carries invalid schema marker {schema!r}"
-            )
-        if schema > CHECKPOINT_SCHEMA_VERSION:
-            raise CheckpointError(
-                f"checkpoint schema {schema} is newer than the supported "
-                f"version {CHECKPOINT_SCHEMA_VERSION}"
-            )
         try:
             budget = data.get("budget", {})
             return cls(
@@ -378,7 +438,7 @@ def capture_engine_state(engine) -> SimulationCheckpoint:
             engine.faults.plan.to_dict() if engine.faults is not None else None
         ),
         metrics=engine.metrics.to_dict(include_per_round=True),
-        state=pickle.dumps(state, protocol=PICKLE_PROTOCOL),
+        state=dump_state(state),
         trace_rounds=(
             [r.to_dict() for r in engine.trace.rounds]
             if engine.trace is not None
@@ -409,6 +469,17 @@ def restore_engine_state(engine, checkpoint: SimulationCheckpoint) -> None:
     try:
         contexts = state["contexts"]
         algorithms = state["algorithms"]
+        # The engine was built through the caller's factory; resuming
+        # another protocol's objects would run them to this one's round
+        # bound and grade foreign state.
+        for v, built in zip(verts, engine._algorithms):
+            restored = algorithms[v]
+            if type(restored) is not type(built):
+                raise CheckpointError(
+                    f"checkpoint holds a {type(restored).__qualname__} at "
+                    f"vertex {v!r}, but this simulation's factory builds "
+                    f"{type(built).__qualname__}"
+                )
         engine._contexts = [contexts[v] for v in verts]
         engine._algorithms = [algorithms[v] for v in verts]
         engine._pending = [None] * n

@@ -17,6 +17,10 @@ construction, the same ``_randbelow`` rejection loop, and the same
 one identical stream, and state can be committed back into the Python
 generators at any observation point.
 
+It also owns the packed pickled form of an exact ``random.Random``
+(:func:`reduce_random` / :func:`rebuild_random`), which checkpoints
+use from schema 2 on.
+
 NumPy is optional: when it is missing (or ``REPRO_NO_NUMPY`` is set),
 ``HAVE_NUMPY`` is False, the vectorized classes refuse construction,
 and every consumer (walk-exchange vectorization, the columnar round
@@ -32,6 +36,8 @@ from __future__ import annotations
 
 import os
 import random
+import sys
+from array import array
 from typing import List, Optional, Sequence, Union
 
 try:  # pragma: no cover - exercised via the no-numpy CI leg
@@ -106,6 +112,55 @@ _LOWER_MASK = 0x7FFFFFFF
 
 #: random.Random state tuple version this module understands.
 _STATE_VERSION = 3
+
+#: ``array`` typecode of one unsigned 32-bit MT19937 word on this
+#: platform; ``None`` on an ABI with no 4-byte typecode, where
+#: :func:`reduce_random` keeps default pickling.
+_WORD_CODE = next((code for code in "IL" if array(code).itemsize == 4), None)
+
+#: Packed words are little-endian on disk whatever the host's order.
+_SWAP_WORDS = sys.byteorder != "little"
+
+
+def reduce_random(rng: random.Random):
+    """Pickle reducer: an exact ``random.Random`` as packed MT19937 words.
+
+    ``Random.__reduce__`` pickles the state as a tuple of 625 Python
+    ints, so a checkpoint of a few thousand materialized vertex streams
+    is mostly integer opcodes.  This reducer writes the 624 key words
+    as 2496 little-endian bytes plus the position and ``gauss_next``;
+    :func:`rebuild_random` restores a generator whose ``getstate()``
+    equals the original's.  Install it in a pickler's
+    ``dispatch_table`` under ``random.Random`` (an exact-type lookup,
+    so subclasses keep default pickling), as the checkpoint serializer
+    :func:`repro.congest.checkpoint.dump_state` does.
+
+    Both names are frozen.  From checkpoint schema 2 on, every saved
+    state blob names ``repro.rng.rebuild_random``, so renaming or moving
+    it breaks every saved checkpoint; this reducer stays paired with it.
+    """
+    version, internal, gauss = rng.getstate()
+    if (
+        _WORD_CODE is None
+        or version != _STATE_VERSION
+        or len(internal) != _N + 1
+    ):
+        return rng.__reduce__()
+    words = array(_WORD_CODE, internal)
+    pos = words.pop()  # internal is the 624 key words, then the position
+    if _SWAP_WORDS:
+        words.byteswap()
+    return rebuild_random, (words.tobytes(), pos, gauss)
+
+
+def rebuild_random(words: bytes, pos: int, gauss) -> random.Random:
+    """Unpickle what :func:`reduce_random` wrote (name frozen, see there)."""
+    key = array(_WORD_CODE)
+    key.frombytes(words)
+    if _SWAP_WORDS:
+        key.byteswap()
+    key.append(pos)
+    return fresh_random_from_state((_STATE_VERSION, tuple(key), gauss))
 
 
 def _twist_block(key):

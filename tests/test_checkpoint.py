@@ -7,12 +7,17 @@ metrics, traces, and crash sets identical to the run that never
 stopped.  The differential grid below pins that for every fault class
 (fault-free, drop, duplicate, corrupt, crash, crash + rejoin) crossed
 with every capture-engine/resume-engine pair, including cross-engine.
+The churn rows also run the crash-recovery snapshots, which go through
+the same serializer as capture (:func:`dump_state`).
 """
 
 import dataclasses
+import importlib
 import json
 import os
+import pickle
 import random
+from hashlib import blake2b
 
 import pytest
 
@@ -26,11 +31,18 @@ from repro.congest import (
     graph_fingerprint,
     resume_simulation,
 )
+from repro.congest.checkpoint import dump_state
 from repro.errors import CheckpointError
 from repro.graph import Graph
-from repro.storage import DiskFaultPlan, use_disk_faults
+from repro.rng import HAVE_NUMPY
+from repro.routing.walk_exchange import WalkExchange
+from repro.storage import DiskFaultPlan, canonical_json, use_disk_faults
 
 from tests._checkpoint_fixture import FixtureFlood, FixtureWalker
+
+# The package re-exports the walk_exchange *function* under the same
+# name as its defining module; go through importlib for the module.
+walk_exchange_module = importlib.import_module("repro.routing.walk_exchange")
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "data")
 
@@ -327,6 +339,16 @@ def test_restore_refuses_mismatched_target():
         )
 
 
+@pytest.mark.parametrize("engine", ["fast", "reference"])
+def test_restore_refuses_another_algorithm(engine):
+    """Resuming under the wrong factory must not run and grade the
+    checkpoint's foreign vertex objects as if they were its own."""
+    graph = _graph()
+    checkpoint = _capture_first(graph, FixtureFlood, FaultPlan(), engine)
+    with pytest.raises(CheckpointError, match="FixtureFlood"):
+        resume_simulation(graph, FixtureWalker, checkpoint, engine=engine)
+
+
 def test_resume_ignores_ambient_fault_plan():
     """The checkpoint's plan is authoritative; an ambient use_faults()
     region around the resume must not leak into the resumed run."""
@@ -385,6 +407,23 @@ def test_bit_flipped_state_blob_refuses_before_unpickling(tmp_path):
         SimulationCheckpoint.load(path)
 
 
+def test_schema2_checksum_covers_metadata_then_state_text():
+    """Schema 2 hashes the metadata's canonical JSON followed by the
+    base64 state text as it stands, and refuses an envelope without a
+    checksum before decoding anything."""
+    checkpoint = _capture_first(_graph(), FixtureFlood, FaultPlan(), "fast")
+    data = checkpoint.to_dict()
+    assert data["schema"] == 2
+    meta = {k: v for k, v in data.items() if k not in ("checksum", "state")}
+    digest = blake2b(canonical_json(meta).encode("utf-8"), digest_size=16)
+    digest.update(data["state"].encode("ascii"))
+    assert data["checksum"] == digest.hexdigest()
+
+    del data["checksum"]
+    with pytest.raises(CheckpointError, match="carries no checksum"):
+        SimulationCheckpoint.from_dict(data)
+
+
 def test_tampered_metadata_refuses_loudly(tmp_path):
     path = _saved_checkpoint(tmp_path)
     with open(path) as handle:
@@ -427,3 +466,141 @@ def test_v1_fixture_loads_and_resumes():
     recorder = TraceRecorder("resumed")
     sim = resume_simulation(graph, FixtureFlood, checkpoint, trace=recorder)
     assert _fingerprint(sim.run(300), recorder) == baseline
+
+
+def test_v1_checksummed_fixture_loads_and_resumes():
+    """A checksummed schema-1 checkpoint whose vertex RNGs are pickled
+    the default way (625 ints each) passes its whole-envelope checksum
+    and resumes bit-identically to the uninterrupted run."""
+    path = os.path.join(FIXTURES, "checkpoint_v1_checksummed.json")
+    with open(path) as handle:
+        data = json.load(handle)
+    checkpoint = SimulationCheckpoint.load(path)
+    assert checkpoint.schema == 1
+    # Re-serializing keeps the schema-1 checksum rule.
+    assert checkpoint.to_dict()["checksum"] == data["checksum"]
+    state = pickle.loads(checkpoint.state)
+    assert any(ctx._rng is not None for ctx in state["contexts"].values())
+    assert b"rebuild_random" not in checkpoint.state
+    graph = _graph()  # the fixture was captured over this exact graph
+    assert checkpoint.graph == graph_fingerprint(graph)
+
+    baseline = _run_uninterrupted(
+        graph, FixtureWalker, FaultPlan(), "fast", max_rounds=60
+    )
+    recorder = TraceRecorder("resumed")
+    sim = resume_simulation(graph, FixtureWalker, checkpoint, trace=recorder)
+    assert _fingerprint(sim.run(60), recorder) == baseline
+
+
+def test_v1_checksummed_fixture_refuses_an_edited_state():
+    path = os.path.join(FIXTURES, "checkpoint_v1_checksummed.json")
+    with open(path) as handle:
+        data = json.load(handle)
+    state = data["state"]
+    pos = len(state) // 2
+    data["state"] = (
+        state[:pos] + ("A" if state[pos] != "A" else "B") + state[pos + 1:]
+    )
+    with pytest.raises(CheckpointError, match="refusing to unpickle"):
+        SimulationCheckpoint.from_dict(data)
+
+
+# ----------------------------------------------------------------------
+# The packed state serializer
+# ----------------------------------------------------------------------
+
+
+class _SubRandom(random.Random):
+    """A ``random.Random`` subclass: must keep default pickling."""
+
+
+def test_packed_random_keeps_state_and_identity():
+    rng = random.Random(7)
+    rng.gauss(0.0, 1.0)  # leaves a cached gauss_next behind
+    rng.random()
+    back = pickle.loads(dump_state([rng, rng, rng.random, rng._randbelow]))
+    assert back[0] is back[1]
+    assert back[2].__self__ is back[0] and back[3].__self__ is back[0]
+    assert back[0].getstate() == rng.getstate()
+    assert [back[0].random() for _ in range(700)] == [
+        rng.random() for _ in range(700)
+    ]
+
+
+def test_random_subclasses_keep_default_pickling():
+    rng = _SubRandom(5)
+    blob = dump_state(rng)
+    assert b"rebuild_random" not in blob
+    back = pickle.loads(blob)
+    assert type(back) is _SubRandom and back.getstate() == rng.getstate()
+
+
+def test_capture_packs_materialized_vertex_rngs():
+    checkpoint = _capture_first(
+        _graph(), FixtureWalker, FaultPlan(), "fast", every=7, max_rounds=60
+    )
+    state = pickle.loads(checkpoint.state)
+    assert any(ctx._rng is not None for ctx in state["contexts"].values())
+    assert len(checkpoint.state) < len(pickle.dumps(state, protocol=4))
+
+
+WALK_STEPS = 12
+
+
+def _walk_factory(v):
+    return WalkExchange(0, WALK_STEPS, [((v, i), i) for i in range(2)], None)
+
+
+@pytest.mark.parametrize("engine", ["fast", "reference"])
+@pytest.mark.parametrize(
+    "threshold",
+    [
+        None,
+        pytest.param(
+            1,
+            marks=pytest.mark.skipif(
+                not HAVE_NUMPY, reason="MTStream needs numpy"
+            ),
+        ),
+    ],
+    ids=["scalar", "stream"],
+)
+def test_walkers_resume_bound_to_their_generators(
+    monkeypatch, engine, threshold
+):
+    """A walk exchange checkpointed mid-forward-phase resumes exactly,
+    and its cached RNG methods (scalar) or live ``MTStream`` (threshold
+    1) point at the restored context's own generator."""
+    if threshold is not None:
+        monkeypatch.setattr(walk_exchange_module, "VECTOR_THRESHOLD", threshold)
+    graph = _graph()
+    max_rounds = 2 * WALK_STEPS + 4
+    baseline = _run_uninterrupted(
+        graph, _walk_factory, FaultPlan(), engine, max_rounds=max_rounds
+    )
+    checkpoint = _capture_first(
+        graph, _walk_factory, FaultPlan(), engine, every=5,
+        max_rounds=max_rounds,
+    )
+    assert checkpoint.round < WALK_STEPS
+    checkpoint = SimulationCheckpoint.from_dict(
+        json.loads(json.dumps(checkpoint.to_dict()))
+    )
+    recorder = TraceRecorder("resumed")
+    sim = resume_simulation(
+        graph, _walk_factory, checkpoint, engine=engine, trace=recorder
+    )
+    pairs = list(zip(sim._engine._algorithms, sim._engine._contexts))
+    if threshold is None:
+        bound = [(w, ctx) for w, ctx in pairs if w._random is not None]
+        assert bound
+        for walker, ctx in bound:
+            assert walker._random.__self__ is ctx._rng
+            assert walker._randbelow.__self__ is ctx._rng
+    else:
+        live = [(w, ctx) for w, ctx in pairs if w._stream is not None]
+        assert live
+        for walker, ctx in live:
+            assert walker._stream._rng is ctx._rng
+    assert _fingerprint(sim.run(max_rounds), recorder) == baseline

@@ -267,6 +267,19 @@ class TestFaultsCheckpointCLI:
         err = capsys.readouterr().err
         assert "checkpoint" in err and "Traceback" not in err
 
+    def test_resume_under_another_algorithm_exits_2(self, capsys, tmp_path):
+        ck = str(tmp_path / "ck.json")
+        common = ["faults", "--n", "60", "--seed", "1"]
+        assert main(common + ["--algorithm", "matching", "--drop", "0.1",
+                              "--save-checkpoint", ck,
+                              "--checkpoint-every", "3"]) == 0
+        capsys.readouterr()
+        code = main(common + ["--algorithm", "maxis", "--resume-from", ck])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1, err
+        assert "ProposalMatching" in err and "Traceback" not in err
+
 
 class TestObsErrorPaths:
     def test_report_missing_snapshot_exits_2(self, capsys, tmp_path):
