@@ -337,28 +337,29 @@ def cmd_bench(args) -> int:
         raise _OperatorError(
             f"unknown suite(s) {unknown}; available: {suite_names()}"
         )
-    if args.journal and len(names) > 1:
+    if args.journal is not None and len(names) > 1:
         raise _OperatorError(
             "--journal names one file and cannot span multiple suites; "
             "restrict the run with --suite NAME"
         )
-    if args.trace_detail and not args.trace:
+    if args.trace_detail and args.trace is None:
         raise _OperatorError("--trace-detail requires --trace PATH")
-    if args.timeline and not args.telemetry:
+    if args.timeline and args.telemetry is None:
         raise _OperatorError("--timeline requires --telemetry PATH")
     for label, path in (
         ("trace", args.trace), ("telemetry", args.telemetry),
+        ("stats-json", args.stats_json),
     ):
-        if path:
+        if path is not None:
             _probe_path(path, label)
-    if args.journal:
+    if args.journal is not None:
         # Probe without truncating: the journal may hold a resumable run.
         _probe_path(args.journal, "journal", mode="a")
 
     from .runner.progress import PROGRESS_SCHEMA_VERSION, ProgressLog
 
     plog = None
-    if args.progress:
+    if args.progress is not None:
         try:
             plog = ProgressLog(args.progress)
         except OSError as exc:
@@ -442,13 +443,13 @@ def cmd_bench(args) -> int:
         plog.emit("bench_finished", wall_seconds=round(total_wall, 3))
         plog.close()
 
-    if args.trace:
+    if args.trace is not None:
         lines = [line for run in runs for line in run.trace_lines()]
         _write_verified(
             args.trace, "\n".join(lines) + ("\n" if lines else ""), "trace"
         )
         log.info("trace: %d round records -> %s", len(lines), args.trace)
-    if args.telemetry:
+    if args.telemetry is not None:
         from .obs import TelemetryRegistry, build_snapshot, write_snapshot
 
         registry = TelemetryRegistry()
@@ -474,7 +475,7 @@ def cmd_bench(args) -> int:
         )
         write_snapshot(args.telemetry, snapshot)
         log.info("telemetry snapshot -> %s", args.telemetry)
-    if args.stats_json:
+    if args.stats_json is not None:
         payload = {
             "suites": [run.summary() for run in runs],
             "wall_seconds": round(total_wall, 4),
@@ -629,17 +630,20 @@ def cmd_faults(args) -> int:
         log.error("invalid fault plan: %s", exc)
         return 2
     g = _build_graph(args)
-    if args.resume_from:
+    if args.resume_from is not None:
         return _faults_resume(args, g)
     checkpoint_kwargs = {}
     saved_checkpoints = []
-    if args.save_checkpoint:
+    if args.save_checkpoint is not None:
         if args.algorithm == "framework":
             log.error(
                 "--save-checkpoint supports --algorithm maxis or "
                 "matching only"
             )
             return 2
+        # Append mode: probing must not clobber an earlier checkpoint
+        # at PATH before this run has captured a new one.
+        _probe_path(args.save_checkpoint, "save-checkpoint", mode="a")
 
         def _persist(checkpoint) -> None:
             from .errors import CheckpointError
@@ -708,7 +712,7 @@ def cmd_faults(args) -> int:
           f"+{len(plan.edge_up_windows)}w "
           f"partitions={len(plan.partitions)} delay={plan.delay} "
           f"seed={plan.seed}")
-    if args.save_checkpoint:
+    if args.save_checkpoint is not None:
         if saved_checkpoints:
             print(
                 f"checkpoints: {len(saved_checkpoints)} saved to "
@@ -734,6 +738,8 @@ def cmd_chaos(args) -> int:
     from .chaos import run_torture
     from .errors import ReproError
 
+    if args.stats_json is not None:
+        _probe_path(args.stats_json, "stats-json")
     try:
         report = run_torture(
             suite=args.suite,
@@ -747,7 +753,7 @@ def cmd_chaos(args) -> int:
         log.error("%s", exc)
         return 2
     print(report.summary())
-    if args.stats_json:
+    if args.stats_json is not None:
         report.save(args.stats_json)
         log.info("chaos report -> %s", args.stats_json)
     if not report.ok:
@@ -1307,7 +1313,7 @@ def _dispatch(args) -> int:
     # `bench` manages tracing itself (per-cell sessions merged across
     # worker processes); the session wrapper below is for the
     # single-simulation commands.
-    if getattr(args, "trace", None) and args.command != "bench":
+    if getattr(args, "trace", None) is not None and args.command != "bench":
         from .congest import TraceSession
 
         _probe_path(args.trace, "trace")

@@ -31,11 +31,10 @@ Wire format: a schema-versioned JSON envelope whose ``state`` field is
 a pickled (protocol-pinned) blob of the live vertex objects, base64
 encoded, and whose ``checksum`` field is verified before that blob is
 decoded.  The blob must be one pickle so that object identity between
-an algorithm and its context (wrappers like
-:class:`repro.resilience.transport.ReliableAlgorithm` hold both, and a
-walker caches bound methods of its context's generator) is preserved
-across the round trip.  Checkpointing therefore requires the vertex
-algorithms to be picklable — true for every algorithm in this library.
+an algorithm and its context (a walker caches bound methods of its
+context's generator) is preserved across the round trip.
+Checkpointing therefore requires the vertex algorithms to be
+picklable — true for every algorithm in this library.
 The blob is written by :func:`dump_state`, which pickles every exact
 ``random.Random`` as its packed MT19937 words
 (:func:`repro.rng.reduce_random`) instead of 625 Python ints; the
@@ -100,8 +99,8 @@ def dump_state(obj: Any) -> bytes:
     The one serializer for vertex state: checkpoint capture and the
     local crash-recovery snapshots both use it.  ``pickle.loads`` reads
     it back; one pickle memo keeps object identity, so a cached bound
-    method or a live :class:`repro.rng.MTStream` still points at its
-    context's generator after the round trip.
+    method still points at its context's generator after the round
+    trip.
     """
     buffer = io.BytesIO()
     _StatePickler(buffer, protocol=PICKLE_PROTOCOL).dump(obj)

@@ -84,11 +84,11 @@ def pad_fault_counts(counts) -> Tuple[int, ...]:
 class CorruptedPayload:
     """Deterministic stand-in delivered in place of a corrupted message.
 
-    Algorithms that inspect payload shapes can detect it (the
-    :mod:`repro.resilience` transport treats it as a lost frame and
-    retransmits); algorithms that don't will typically raise on it,
-    which the post-run validators report as a ``failed`` verdict rather
-    than a silently wrong number.  The nonce is derived from the same
+    Algorithms that inspect payload shapes can detect it (the walk
+    exchange drops it as a lost token, which its origin then detects);
+    algorithms that don't will typically raise on it, which the
+    post-run validators report as a ``failed`` verdict rather than a
+    silently wrong number.  The nonce is derived from the same
     keyed hash as the fault decision, so both engines deliver *equal*
     corrupted payloads.
     """

@@ -15,8 +15,7 @@ when every live vertex is due every round, the engine hands
 the indices it returns as halted.  Random draws stay on the per-vertex
 scalar generators (``ctx.rng``): the registered protocols consume
 O(log n) words per vertex, far too few to amortize columnar stream
-adoption (see the measurements in ``docs/kernels.md``);
-:class:`~repro.rng.MTColumn` remains available for draw-heavy kernels.
+adoption (see the measurements in ``docs/kernels.md``).
 
 Activation (:func:`maybe_build_kernel`) is deliberately conservative.
 A kernel engages only when

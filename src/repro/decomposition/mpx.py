@@ -87,9 +87,9 @@ class MPXKernel(KernelBase):
     improvement re-broadcasts), so inbound candidates reconstruct from
     the senders' best columns masked by who broadcast last round.  The
     lexicographic max over (key, root) runs as three masked segment
-    maxima; the exponential shifts are drawn through the columnar RNG
-    but mapped through ``math.log`` per vertex, because NumPy's SIMD
-    ``log`` is not guaranteed ULP-identical to libm's.
+    maxima; the exponential shifts are drawn from each vertex's scalar
+    generator and mapped through ``math.log`` per vertex, because
+    NumPy's SIMD ``log`` is not guaranteed ULP-identical to libm's.
     """
 
     #: Sentinel below any reachable adoption key.

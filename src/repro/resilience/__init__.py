@@ -1,18 +1,13 @@
-"""Resilience layer: reliable transport + post-run result validation.
+"""Resilience layer: post-run result validation.
 
 Companion to :mod:`repro.congest.faults`.  The faults module breaks
-the network; this package provides the two tools an experiment needs
-on the other side of the breakage:
-
-* :class:`ReliableAlgorithm` / :func:`reliable` — an ack/retransmit
-  wrapper giving any vertex algorithm lossless semantics over a lossy
-  channel (at a measurable round/message cost);
-* the ``validate_*`` functions and :class:`Verdict` — independent
-  re-checks grading each faulted run ``correct`` / ``degraded(ratio)``
-  / ``failed`` for the E11 fault-tolerance tables.
+the network; the ``validate_*`` functions and :class:`Verdict` here
+independently re-check each faulted run's result and grade it
+``correct`` / ``degraded(ratio)`` / ``failed`` / ``stalled`` for the
+fault-tolerance tables.  Nothing retransmits: as in the paper's
+Section 2.3, a lost message is detected, not repaired.
 """
 
-from .transport import ReliableAlgorithm, reliable
 from .validators import (
     CORRECT,
     DEGRADED,
@@ -26,8 +21,6 @@ from .validators import (
 )
 
 __all__ = [
-    "ReliableAlgorithm",
-    "reliable",
     "Verdict",
     "CORRECT",
     "DEGRADED",

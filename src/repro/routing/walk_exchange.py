@@ -36,20 +36,11 @@ from ..congest import (
 from ..errors import GraphError, RoutingError
 from ..graph import Graph
 from ..rng import SeedLike
-from ..rng import HAVE_NUMPY, MTStream
 
 #: Hard cap on forward walk length, protecting experiments from
 #: pathologically low-conductance clusters (a failed execution is then
 #: reported, per Section 2.3, rather than simulated forever).
 MAX_WALK_STEPS = 50_000
-
-#: Holding-set size at which a vertex adopts the vectorized
-#: Mersenne-Twister stream for its forward-phase randomness.  Both
-#: paths consume the identical word stream in the identical order, so
-#: this threshold tunes speed only, never outcomes —
-#: ``tests/test_mt_stream.py`` runs whole exchanges at threshold 1 and
-#: threshold infinity and asserts byte-equal results.
-VECTOR_THRESHOLD = 16
 
 TokenKey = Tuple[Any, int]  # (origin vertex, sequence number)
 Responder = Callable[[Dict[TokenKey, Any]], Dict[TokenKey, Any]]
@@ -127,9 +118,6 @@ class WalkExchange(VertexAlgorithm):
         # Bound RNG primitives, captured on first forwarding step.
         self._random = None
         self._randbelow = None
-        # Batched MT19937 view of the vertex RNG, adopted lazily once
-        # the holding set is large enough to amortize it.
-        self._stream: Optional[MTStream] = None
         # Schedule landmarks, precomputed for the wakeup hot path.
         self._total_rounds = 2 * forward_steps + 2
         self._halt_round = self._total_rounds + 1
@@ -149,14 +137,12 @@ class WalkExchange(VertexAlgorithm):
         if t <= self.forward_steps:
             self._forward_round(ctx, inbox, t)
         elif t == self.forward_steps + 1:
-            self._release_stream()
             self._forward_receive(ctx, inbox, t)
             if ctx.vertex == self.leader:
                 self._prepare_responses()
         elif t <= 2 * self.forward_steps + 2:
             self._reverse_round(ctx, inbox, t)
         else:
-            self._release_stream()
             ctx.halt(
                 {
                     "responses": dict(self.received_responses),
@@ -195,23 +181,17 @@ class WalkExchange(VertexAlgorithm):
                     self.holding[key] = payload
                     self.arrival_log.setdefault(key, {})[arrival_round] = sender
 
-    def _release_stream(self) -> None:
-        """Hand the vertex RNG back when forward-phase randomness ends."""
-        if self._stream is not None:
-            self._stream.commit()
-            self._stream = None
-
     def _forward_round(
         self, ctx: VertexContext, inbox: Dict[Any, List[Any]], t: int
     ) -> None:
         """One lazy-walk step for every held token.
 
-        Randomness is drawn coins-first-then-targets: one ``random()``
-        lazy coin per held token (in holding order), then one
-        ``_randbelow(fanout)`` per mover (in the same order).  Both the
-        scalar and the batched NumPy path consume that schedule
-        word-for-word identically, so the ``VECTOR_THRESHOLD`` cutover
-        is invisible to every simulation outcome.
+        Randomness is drawn coins-first-then-targets from the vertex's
+        own generator: one ``random()`` lazy coin per held token (in
+        holding order), then one ``_randbelow(fanout)`` per mover (in
+        the same order).  That schedule is part of the bit-identity
+        contract: the pinned benchmark digests and every saved
+        checkpoint's RNG state depend on it.
         """
         if inbox:
             self._forward_receive(ctx, inbox, t)
@@ -221,45 +201,28 @@ class WalkExchange(VertexAlgorithm):
         neighbors = ctx.neighbors
         fanout = len(neighbors)
         send = ctx.send
-        stream = self._stream
-        if stream is None and HAVE_NUMPY and len(holding) >= VECTOR_THRESHOLD:
-            # Adopt the batched stream; it owns this vertex's RNG until
-            # the forward phase ends (commit in _release_stream), so
-            # scalar and batched draws never interleave mid-stream.
-            stream = self._stream = MTStream(ctx.rng)
+        lazy_stay = self._random
+        if lazy_stay is None:
+            rng = ctx.rng
+            lazy_stay = self._random = rng.random
+            # choice(seq) is seq[rng._randbelow(len(seq))]; calling
+            # the primitive directly keeps the RNG stream identical
+            # while skipping a call layer on the hottest randomness
+            # in the repo.
+            self._randbelow = rng._randbelow
+        randbelow = self._randbelow
         still_holding: Dict[TokenKey, Any] = {}
         movers: List[Tuple[TokenKey, Any]] = []
-        if stream is not None:
-            coins = stream.random_batch(len(holding))
-            for (key, payload), coin in zip(holding.items(), coins):
-                if coin < 0.5:
-                    still_holding[key] = payload
-                else:
-                    movers.append((key, payload))
-            targets = stream.randbelow_batch(fanout, len(movers))
-            for (key, payload), idx in zip(movers, targets):
-                send(neighbors[idx], ("F", key[0], key[1], payload))
-        else:
-            lazy_stay = self._random
-            if lazy_stay is None:
-                rng = ctx.rng
-                lazy_stay = self._random = rng.random
-                # choice(seq) is seq[rng._randbelow(len(seq))]; calling
-                # the primitive directly keeps the RNG stream identical
-                # while skipping a call layer on the hottest randomness
-                # in the repo.
-                self._randbelow = rng._randbelow
-            randbelow = self._randbelow
-            for key, payload in holding.items():
-                if lazy_stay() < 0.5:
-                    still_holding[key] = payload
-                else:
-                    movers.append((key, payload))
-            for key, payload in movers:
-                send(
-                    neighbors[randbelow(fanout)],
-                    ("F", key[0], key[1], payload),
-                )
+        for key, payload in holding.items():
+            if lazy_stay() < 0.5:
+                still_holding[key] = payload
+            else:
+                movers.append((key, payload))
+        for key, payload in movers:
+            send(
+                neighbors[randbelow(fanout)],
+                ("F", key[0], key[1], payload),
+            )
         self.holding = still_holding
 
     # ------------------------------------------------------------------

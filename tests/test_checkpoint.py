@@ -12,7 +12,6 @@ the same serializer as capture (:func:`dump_state`).
 """
 
 import dataclasses
-import importlib
 import json
 import os
 import pickle
@@ -34,15 +33,11 @@ from repro.congest import (
 from repro.congest.checkpoint import dump_state
 from repro.errors import CheckpointError
 from repro.graph import Graph
-from repro.rng import HAVE_NUMPY
 from repro.routing.walk_exchange import WalkExchange
 from repro.storage import DiskFaultPlan, canonical_json, use_disk_faults
 
+from tests import _checkpoint_fixture as checkpoint_fixture
 from tests._checkpoint_fixture import FixtureFlood, FixtureWalker
-
-# The package re-exports the walk_exchange *function* under the same
-# name as its defining module; go through importlib for the module.
-walk_exchange_module = importlib.import_module("repro.routing.walk_exchange")
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "data")
 
@@ -349,6 +344,22 @@ def test_restore_refuses_another_algorithm(engine):
         resume_simulation(graph, FixtureWalker, checkpoint, engine=engine)
 
 
+@pytest.mark.parametrize("engine", ["fast", "reference"])
+def test_restore_refuses_state_naming_a_deleted_class(monkeypatch, engine):
+    """A saved blob whose state names a class the code no longer has
+    fails as a checkpoint error, not as a raw unpickling exception."""
+    graph = _graph()
+    checkpoint = _capture_first(graph, FixtureFlood, FaultPlan(), engine)
+    checkpoint = SimulationCheckpoint.from_dict(
+        json.loads(json.dumps(checkpoint.to_dict()))
+    )
+    monkeypatch.delattr(checkpoint_fixture, "FixtureFlood")
+    with pytest.raises(
+        CheckpointError, match="cannot unpickle checkpoint state"
+    ):
+        resume_simulation(graph, FixtureWalker, checkpoint, engine=engine)
+
+
 def test_resume_ignores_ambient_fault_plan():
     """The checkpoint's plan is authoritative; an ambient use_faults()
     region around the resume must not leak into the resumed run."""
@@ -553,27 +564,10 @@ def _walk_factory(v):
 
 
 @pytest.mark.parametrize("engine", ["fast", "reference"])
-@pytest.mark.parametrize(
-    "threshold",
-    [
-        None,
-        pytest.param(
-            1,
-            marks=pytest.mark.skipif(
-                not HAVE_NUMPY, reason="MTStream needs numpy"
-            ),
-        ),
-    ],
-    ids=["scalar", "stream"],
-)
-def test_walkers_resume_bound_to_their_generators(
-    monkeypatch, engine, threshold
-):
+def test_walkers_resume_bound_to_their_generators(engine):
     """A walk exchange checkpointed mid-forward-phase resumes exactly,
-    and its cached RNG methods (scalar) or live ``MTStream`` (threshold
-    1) point at the restored context's own generator."""
-    if threshold is not None:
-        monkeypatch.setattr(walk_exchange_module, "VECTOR_THRESHOLD", threshold)
+    and its cached RNG methods point at the restored context's own
+    generator."""
     graph = _graph()
     max_rounds = 2 * WALK_STEPS + 4
     baseline = _run_uninterrupted(
@@ -592,15 +586,9 @@ def test_walkers_resume_bound_to_their_generators(
         graph, _walk_factory, checkpoint, engine=engine, trace=recorder
     )
     pairs = list(zip(sim._engine._algorithms, sim._engine._contexts))
-    if threshold is None:
-        bound = [(w, ctx) for w, ctx in pairs if w._random is not None]
-        assert bound
-        for walker, ctx in bound:
-            assert walker._random.__self__ is ctx._rng
-            assert walker._randbelow.__self__ is ctx._rng
-    else:
-        live = [(w, ctx) for w, ctx in pairs if w._stream is not None]
-        assert live
-        for walker, ctx in live:
-            assert walker._stream._rng is ctx._rng
+    bound = [(w, ctx) for w, ctx in pairs if w._random is not None]
+    assert bound
+    for walker, ctx in bound:
+        assert walker._random.__self__ is ctx._rng
+        assert walker._randbelow.__self__ is ctx._rng
     assert _fingerprint(sim.run(max_rounds), recorder) == baseline

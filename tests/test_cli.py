@@ -233,6 +233,50 @@ class TestBenchJournal:
         assert payload["suites"][0]["journal_corrupt_lines"] == 1
 
 
+_MAXIS = ["maxis", "--n", "30", "--seed", "2"]
+_FAULTS = ["faults", "--algorithm", "maxis", "--n", "60", "--seed", "1"]
+_BENCH = ["bench", "--suite", "CHAOS", "--limit", "1", "--jobs", "1",
+          "--no-cache"]
+_CHAOS = ["chaos", "--suite", "CHAOS", "--limit", "1", "--trials", "1"]
+
+
+class TestEmptyPathFlags:
+    """An empty PATH is a given flag with an unusable value: one error
+    line naming the flag, exit 2, and nothing run or written."""
+
+    @pytest.mark.parametrize(
+        "argv,named",
+        [
+            (_MAXIS + ["--trace", ""], "invalid trace path"),
+            (_BENCH + ["--trace", ""], "invalid trace path"),
+            (_BENCH + ["--telemetry", ""], "invalid telemetry path"),
+            (_BENCH + ["--progress", ""], "invalid progress path"),
+            (_BENCH + ["--journal", ""], "invalid journal path"),
+            (_BENCH + ["--stats-json", ""], "invalid stats-json path"),
+            (_CHAOS + ["--stats-json", ""], "invalid stats-json path"),
+            (_FAULTS + ["--save-checkpoint", ""],
+             "invalid save-checkpoint path"),
+            (_FAULTS + ["--resume-from", ""], "cannot read checkpoint ''"),
+        ],
+        ids=[
+            "maxis-trace", "bench-trace", "bench-telemetry",
+            "bench-progress", "bench-journal", "bench-stats-json",
+            "chaos-stats-json", "faults-save-checkpoint",
+            "faults-resume-from",
+        ],
+    )
+    def test_empty_path_is_an_operator_error(
+        self, capsys, tmp_path, monkeypatch, argv, named
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and named in lines[0]
+        assert os.listdir(tmp_path) == []
+
+
 class TestFaultsCheckpointCLI:
     ARGS = ["faults", "--family", "delaunay", "--n", "40",
             "--algorithm", "maxis", "--seed", "3"]

@@ -448,8 +448,20 @@ def test_faulted_traces_equivalent(seed):
 
 
 # ----------------------------------------------------------------------
-# Crashes and link failures
+# Loss, crashes and link failures
 # ----------------------------------------------------------------------
+
+
+def test_heavy_loss_breaks_plain_flooding():
+    """Nothing retransmits: 50% loss on a path leaves some vertex
+    short of the max id when the flood's round budget runs out."""
+    g = path_graph(8)
+    plan = FaultPlan(seed=8, drop=0.5)
+    sim = CongestSimulator(g, lambda v: Flood(12), seed=1, faults=plan)
+    result = sim.run(max_rounds=400)
+    best = max(g.vertices())
+    assert any(result.outputs[v] != best for v in g.vertices())
+    assert result.metrics.messages_dropped > 0
 
 
 @pytest.mark.parametrize("engine", ["fast", "reference"])

@@ -10,15 +10,12 @@ columnar send plans, so the batched accounting is held to the same
 bit-parity bar, including its error paths (oversized messages, strict
 capacity violations).  A second group covers the activation rules
 (thresholds, fault plans, missing NumPy, the ``REPRO_NO_KERNELS``
-escape hatch) and checkpoint round-trips across kernel modes, and a
-third unit-tests the :mod:`repro.rng` columnar MT19937 machinery the
-kernels are built on.
+escape hatch) and checkpoint round-trips across kernel modes.
 """
 
 from __future__ import annotations
 
 import pickle
-import random
 
 import pytest
 
@@ -46,12 +43,7 @@ from repro.matching.distributed import (
     ProposalMatchingKernel,
 )
 from repro.obs.registry import telemetry_scope
-from repro.rng import (
-    HAVE_NUMPY,
-    MTColumn,
-    fresh_random_from_state,
-    mt_state_matrix,
-)
+from repro.rng import HAVE_NUMPY
 
 pytestmark = pytest.mark.skipif(
     not HAVE_NUMPY, reason="kernel differential tests require numpy"
@@ -666,109 +658,3 @@ def test_checkpoint_fixture_workload_unaffected():
     result = resumed.run(max_rounds=45)
     assert result.outputs == base.outputs
 
-
-# ----------------------------------------------------------------------
-# Columnar MT19937 plumbing
-# ----------------------------------------------------------------------
-
-class TestMTColumn:
-    def test_state_matrix_matches_cpython_seeding(self):
-        seeds = [0, 1, 42, 2**31 - 1, 2**32, 2**64 - 1, 12345]
-        matrix = mt_state_matrix(seeds)
-        for row, seed in enumerate(seeds):
-            expected = random.Random(seed).getstate()[1][:624]
-            assert tuple(int(x) for x in matrix[row]) == expected
-
-    def test_random_column_matches_scalar(self):
-        import numpy as np
-
-        col = MTColumn(5)
-        col.adopt_seeds(np.arange(5), [11, 22, 33, 44, 55])
-        scalars = [random.Random(s) for s in (11, 22, 33, 44, 55)]
-        for _ in range(3):
-            rows = np.array([0, 2, 4])
-            drawn = col.random_column(rows)
-            for row, value in zip(rows.tolist(), drawn.tolist()):
-                assert value == scalars[row].random()
-
-    def test_randbelow_column_matches_scalar(self):
-        import numpy as np
-
-        col = MTColumn(4)
-        col.adopt_seeds(np.arange(4), [7, 8, 9, 10])
-        scalars = [random.Random(s) for s in (7, 8, 9, 10)]
-        bounds = np.array([3, 17, 255, 1_000_000])
-        for _ in range(4):
-            rows = np.arange(4)
-            drawn = col.randbelow_column(rows, bounds)
-            for row, value in zip(rows.tolist(), drawn.tolist()):
-                assert value == scalars[row]._randbelow(int(bounds[row]))
-
-    def test_adopt_state_resumes_mid_stream(self):
-        import numpy as np
-
-        scalar = random.Random(99)
-        for _ in range(1000):
-            scalar.random()
-        col = MTColumn(2)
-        col.adopt_state(1, scalar)
-        clone = random.Random(99)
-        for _ in range(1000):
-            clone.random()
-        drawn = col.random_column(np.array([1]))
-        assert drawn[0] == clone.random()
-
-    def test_state_of_round_trips_through_random(self):
-        import numpy as np
-
-        col = MTColumn(3)
-        col.adopt_seeds(np.arange(3), [1, 2, 3])
-        col.random_column(np.arange(3))
-        for row in range(3):
-            rebuilt = fresh_random_from_state(col.state_of(row))
-            reference = random.Random(row + 1)
-            reference.random()
-            assert rebuilt.getstate() == reference.getstate()
-            assert rebuilt.random() == reference.random()
-
-    def test_dirty_tracking(self):
-        import numpy as np
-
-        col = MTColumn(4)
-        col.adopt_seeds(np.arange(4), [5, 6, 7, 8])
-        col.clear_dirty()
-        col.random_column(np.array([1, 3]))
-        assert sorted(col.dirty_rows().tolist()) == [1, 3]
-        col.clear_dirty()
-        assert col.dirty_rows().size == 0
-
-    def test_fresh_randoms_replay_shortcut(self):
-        """The bulk hand-back (reseed + skip for seed-adopted rows,
-        state tuple for rows of unknown provenance) equals scalar."""
-        import numpy as np
-
-        col = MTColumn(4)
-        seeds = [21, 22, 23]
-        col.adopt_seeds(np.arange(3), seeds)
-        scalars = [random.Random(s) for s in seeds]
-        # Row 3 adopted mid-stream: replay is impossible, tuple path.
-        donor = random.Random(99)
-        donor.random(), donor.getrandbits(13)
-        twin = random.Random(99)
-        twin.random(), twin.getrandbits(13)
-        col.adopt_state(3, donor)
-        scalars.append(twin)
-        # Ragged consumption, including >1 twist block on row 0.
-        for _ in range(800):
-            col.random_column(np.array([0]))
-            scalars[0].random()
-        col.random_column(np.arange(4))
-        for rng in scalars:
-            rng.random()
-        col.randbelow_column(np.array([1, 3]), np.array([7, 7]))
-        scalars[1]._randbelow(7), scalars[3]._randbelow(7)
-        rebuilt = col.fresh_randoms(np.arange(4))
-        for rng, reference in zip(rebuilt, scalars):
-            assert rng.getstate() == reference.getstate()
-            assert rng.random() == reference.random()
-        assert col.fresh_randoms(np.empty(0, dtype=np.intp)) == []

@@ -14,7 +14,7 @@ from repro.errors import (
     RoutingError,
     SolverError,
 )
-from repro.rng import derive_seed, ensure_numpy_rng, ensure_rng, split_rng
+from repro.rng import ensure_numpy_rng, ensure_rng
 
 
 class TestRng:
@@ -35,21 +35,6 @@ class TestRng:
 
         gen = np.random.default_rng(0)
         assert ensure_numpy_rng(gen) is gen
-
-    def test_split_rng_children_independent(self):
-        children = split_rng(random.Random(7), 4)
-        values = [c.random() for c in children]
-        assert len(set(values)) == 4
-
-    def test_split_rng_negative_rejected(self):
-        with pytest.raises(ValueError):
-            split_rng(random.Random(0), -1)
-
-    def test_derive_seed_depends_on_stream(self):
-        a = derive_seed(random.Random(9), "walk")
-        b = derive_seed(random.Random(9), "walk")
-        assert isinstance(a, int) and a >= 0
-        assert a == b
 
 
 class TestReporting:

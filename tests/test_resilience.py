@@ -1,192 +1,22 @@
-"""Reliable transport over faulty channels + post-run validators."""
+"""Post-run validators: graded verdicts for faulted results."""
 
 import pytest
 
-from repro.congest import CongestSimulator, FaultPlan, VertexAlgorithm
 from repro.decomposition.expander import (
     ExpanderDecomposition,
     expander_decomposition,
 )
-from repro.generators import delaunay_planar_graph, gnp_random_graph, path_graph
+from repro.generators import delaunay_planar_graph, path_graph
 from repro.independent_set.greedy import greedy_min_degree_is
 from repro.matching.greedy import maximal_matching
 from repro.resilience import (
-    ReliableAlgorithm,
     Verdict,
-    reliable,
     validate_decomposition,
     validate_framework,
     validate_independent_set,
     validate_matching,
 )
 from repro.core.framework import run_framework
-
-
-class Flood(VertexAlgorithm):
-    """Max-ID flooding with a round budget."""
-
-    def __init__(self, budget):
-        self.budget = budget
-        self.best = None
-
-    def initialize(self, ctx):
-        self.best = ctx.vertex
-        ctx.broadcast(self.best)
-
-    def step(self, ctx, inbox):
-        for payloads in inbox.values():
-            for value in payloads:
-                if value > self.best:
-                    self.best = value
-                    ctx.broadcast(self.best)
-        if ctx.round_number >= self.budget:
-            ctx.halt(self.best)
-
-
-# ----------------------------------------------------------------------
-# Transport
-# ----------------------------------------------------------------------
-
-
-def test_reliable_transport_is_transparent_when_fault_free():
-    g = gnp_random_graph(20, 0.25, seed=2)
-    sim = CongestSimulator(g, reliable(lambda v: Flood(10)), seed=2)
-    result = sim.run(max_rounds=60)
-    assert result.halted
-    best = max(g.vertices())
-    assert all(result.output_of(v) == best for v in g.vertices())
-
-
-@pytest.mark.parametrize("engine", ["fast", "reference"])
-def test_reliable_transport_defeats_heavy_drops(engine):
-    """30% drops + corruption: the wrapped flood still converges."""
-    g = gnp_random_graph(16, 0.3, seed=4)
-    plan = FaultPlan(seed=3, drop=0.3, corrupt=0.05)
-    wrapped = []
-
-    def factory(v):
-        algo = ReliableAlgorithm(Flood(12), timeout=3, max_backoff=24)
-        wrapped.append(algo)
-        return algo
-
-    sim = CongestSimulator(g, factory, seed=4, engine=engine, faults=plan)
-    result = sim.run(max_rounds=400)
-    assert result.halted
-    best = max(g.vertices())
-    assert all(result.output_of(v) == best for v in g.vertices())
-    # The channel really was hostile and the transport really worked.
-    assert sim.metrics.messages_dropped > 0
-    assert sum(a.retransmissions for a in wrapped) > 0
-    assert sum(a.invalid_discarded for a in wrapped) > 0
-
-
-def test_unreliable_flood_fails_where_reliable_succeeds():
-    """The control: the same plan breaks the raw algorithm."""
-    g = path_graph(8)
-    plan = FaultPlan(seed=8, drop=0.5)
-    raw = CongestSimulator(g, lambda v: Flood(12), seed=1, faults=plan)
-    raw_result = raw.run(max_rounds=400)
-    best = max(g.vertices())
-    raw_correct = all(raw_result.outputs[v] == best for v in g.vertices())
-    assert not raw_correct  # 50% loss on a path must break plain flooding
-
-    cured = CongestSimulator(
-        g,
-        # The inner flood halts at its round budget whether or not the
-        # transport has finished hauling improvements across the lossy
-        # hops, so the budget must exceed the worst per-hop latency:
-        # tight retries (timeout=1) and a generous attempt cap keep
-        # every frame alive until it lands.
-        reliable(lambda v: Flood(600), timeout=1, max_attempts=40),
-        seed=1,
-        faults=plan,
-    )
-    cured_result = cured.run(max_rounds=8000)
-    assert all(cured_result.output_of(v) == best for v in g.vertices())
-
-
-def test_duplicates_are_discarded_by_seq():
-    g = path_graph(4)
-    plan = FaultPlan(seed=5, duplicate=0.5)
-    wrapped = []
-
-    def factory(v):
-        algo = ReliableAlgorithm(Flood(8))
-        wrapped.append(algo)
-        return algo
-
-    sim = CongestSimulator(g, factory, seed=0, faults=plan)
-    result = sim.run(max_rounds=200)
-    assert result.halted
-    assert all(result.output_of(v) == 3 for v in g.vertices())
-    assert sim.metrics.messages_duplicated > 0
-    assert sum(a.duplicates_discarded for a in wrapped) > 0
-
-
-def test_transport_abandons_frames_to_a_crashed_peer():
-    """A crashed neighbor must not hold the sender hostage forever."""
-    g = path_graph(3)
-    plan = FaultPlan(crashes=((2, 1),))
-    wrapped = []
-
-    def factory(v):
-        algo = ReliableAlgorithm(Flood(6), timeout=2, max_attempts=3)
-        wrapped.append(algo)
-        return algo
-
-    sim = CongestSimulator(g, factory, seed=0, faults=plan)
-    result = sim.run(max_rounds=300)
-    assert result.halted  # the survivors finished despite the dead peer
-    assert result.crashed == frozenset({2})
-    assert sum(a.abandoned for a in wrapped) > 0
-
-
-def test_transport_exhaustion_grades_failed_deterministically():
-    """Heavy loss + tiny attempt caps: abandonment is graded, not hidden.
-
-    With ``max_attempts=2`` on a 70%-loss channel the transport must
-    give up on frames, the flood converges on wrong answers, and the
-    graded verdict is ``failed`` — identically on every rerun, because
-    the fault stream and the retry schedule are both deterministic.
-    """
-    g = path_graph(10)
-    plan = FaultPlan(seed=21, drop=0.7)
-    best = max(g.vertices())
-
-    def graded_run():
-        wrapped = []
-
-        def factory(v):
-            algo = ReliableAlgorithm(Flood(10), timeout=1, max_attempts=2)
-            wrapped.append(algo)
-            return algo
-
-        sim = CongestSimulator(g, factory, seed=6, faults=plan)
-        result = sim.run(max_rounds=400)
-        wrong = sum(1 for v in g.vertices() if result.output_of(v) != best)
-        verdict = (
-            Verdict.correct() if wrong == 0
-            else Verdict.failed(f"{wrong} vertices missed the max id")
-        )
-        return verdict, sum(a.abandoned for a in wrapped)
-
-    verdict, abandoned = graded_run()
-    assert verdict.status == "failed" and not verdict.ok
-    assert abandoned > 0  # the caps really were exhausted
-    again, abandoned_again = graded_run()
-    assert (again, abandoned_again) == (verdict, abandoned)
-
-
-def test_transport_parameter_validation():
-    with pytest.raises(ValueError):
-        ReliableAlgorithm(Flood(1), timeout=0)
-    with pytest.raises(ValueError):
-        ReliableAlgorithm(Flood(1), max_attempts=0)
-
-
-# ----------------------------------------------------------------------
-# Validators
-# ----------------------------------------------------------------------
 
 
 def test_verdict_labels_and_roundtrip():
