@@ -326,10 +326,7 @@ def cmd_bench(args) -> int:
         from .congest.algorithm import set_kernels_enabled
 
         set_kernels_enabled(False)
-    if args.faults:
-        names = (args.suite or []) + ["E11", "E15"]
-    else:
-        names = args.suite or suite_names()
+    names = args.suite or suite_names()
     # Hidden suites stay out of the default sweep but remain reachable
     # by explicit --suite NAME.
     unknown = [n for n in names if n not in SUITES]
@@ -355,6 +352,11 @@ def cmd_bench(args) -> int:
     if args.journal is not None:
         # Probe without truncating: the journal may hold a resumable run.
         _probe_path(args.journal, "journal", mode="a")
+    if args.out is not None:
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise _OperatorError(f"invalid out path: {exc}")
 
     from .runner.progress import PROGRESS_SCHEMA_VERSION, ProgressLog
 
@@ -431,8 +433,7 @@ def cmd_bench(args) -> int:
             stats["disk_hits"], stats["misses"], stats["stores"],
             stats["corrupt"], "" if args.cache else " (cache disabled)",
         )
-        if args.out:
-            os.makedirs(args.out, exist_ok=True)
+        if args.out is not None:
             _write_verified(
                 os.path.join(args.out, f"{name}.txt"),
                 rendered + "\n",
@@ -498,13 +499,9 @@ def _faults_resume(args, g) -> int:
     fingerprint are authoritative; any mismatch (or a corrupt file)
     surfaces as a clean one-line error with exit code 2.
     """
-    from .congest.checkpoint import SimulationCheckpoint, resume_simulation
+    from .congest.checkpoint import SimulationCheckpoint
     from .errors import CheckpointError
-    from .resilience import (
-        Verdict,
-        validate_independent_set,
-        validate_matching,
-    )
+    from .resilience import graded_run
 
     if args.algorithm == "framework":
         log.error(
@@ -516,42 +513,21 @@ def _faults_resume(args, g) -> int:
     except CheckpointError as exc:
         log.error("corrupt checkpoint: %s", exc)
         return 2
-    if args.algorithm == "maxis":
-        from .independent_set.greedy import LubyMIS, luby_mis_max_phases
-
-        max_phases = luby_mis_max_phases(g.n)
-        factory = lambda v: LubyMIS(max_phases)  # noqa: E731
-        max_rounds = 2 * max_phases + 4
-    else:
-        from .matching.distributed import (
-            ProposalMatching,
-            matching_max_phases,
-        )
-
-        max_phases = matching_max_phases(g.n)
-        factory = lambda v: ProposalMatching(max_phases)  # noqa: E731
-        max_rounds = 3 * max_phases + 6
     try:
-        sim = resume_simulation(g, factory, checkpoint)
-        result = sim.run(max_rounds=max_rounds)
+        metrics, verdict = graded_run(args.algorithm, g, resume=checkpoint)
     except CheckpointError as exc:
         log.error("cannot resume from checkpoint: %s", exc)
         return 2
-    if args.algorithm == "maxis":
-        mis = {v for v, in_mis in result.outputs.items() if in_mis}
-        verdict = validate_independent_set(g, mis)
-    else:
-        from .matching.distributed import matching_from_outputs
-
-        verdict = validate_matching(g, matching_from_outputs(result.outputs))
-    if not result.halted:
-        verdict = Verdict.stalled(
-            f"not halted after {result.metrics.rounds} rounds"
-        )
     print(f"resumed: {args.resume_from} from round {checkpoint.round}")
-    _print_metrics(result.metrics)
-    if result.metrics.faulted:
-        print("faults:", result.metrics.fault_summary())
+    return _print_graded(metrics, verdict)
+
+
+def _print_graded(metrics, verdict) -> int:
+    """Print a graded run's metrics, faults and verdict; its exit code."""
+    if metrics is not None:
+        _print_metrics(metrics)
+        if metrics.faulted:
+            print("faults:", metrics.fault_summary())
     print(f"verdict: {verdict.label()}"
           + (f" ({verdict.detail})" if verdict.detail else ""))
     return 0 if verdict.ok else 1
@@ -559,13 +535,8 @@ def _faults_resume(args, g) -> int:
 
 def cmd_faults(args) -> int:
     """Run one algorithm under an explicit fault plan and grade it."""
-    from .congest import EdgeWindow, FaultPlan, PartitionWindow, use_faults
-    from .resilience import (
-        Verdict,
-        validate_framework,
-        validate_independent_set,
-        validate_matching,
-    )
+    from .congest import EdgeWindow, FaultPlan, PartitionWindow
+    from .resilience import graded_run
 
     def vertex_round(spec):
         vertex, round_number = spec.split(":", 1)
@@ -659,51 +630,10 @@ def cmd_faults(args) -> int:
             "checkpoint_every": args.checkpoint_every,
             "on_checkpoint": _persist,
         }
-    metrics = None
-    halted = True
-    try:
-        with use_faults(plan):
-            if args.algorithm == "maxis":
-                from .independent_set.greedy import luby_mis
-
-                mis, result = luby_mis(
-                    g, seed=args.seed, **checkpoint_kwargs
-                )
-                metrics = result.metrics
-                halted = result.halted
-                verdict = validate_independent_set(g, mis)
-            elif args.algorithm == "matching":
-                from .matching.distributed import (
-                    distributed_maximal_matching,
-                )
-
-                matching, result = distributed_maximal_matching(
-                    g, seed=args.seed, **checkpoint_kwargs
-                )
-                metrics = result.metrics
-                halted = result.halted
-                verdict = validate_matching(g, matching)
-            else:
-                from .core.framework import run_framework
-
-                def _solver(sub, leader, notes):
-                    return {v: sub.degree(v) for v in sub.vertices()}
-
-                result = run_framework(
-                    g, args.eps, solver=_solver, phi=args.phi,
-                    seed=args.seed,
-                )
-                metrics = result.metrics
-                verdict = validate_framework(result)
-        if not halted:
-            # The adversity (a long partition, sustained churn, heavy
-            # delay) kept the protocol from terminating: grade the run
-            # stalled rather than judging its partial output.
-            verdict = Verdict.stalled(
-                f"not halted after {metrics.rounds} rounds"
-            )
-    except Exception as exc:  # graded outcome, not a crash
-        verdict = Verdict.failed(f"{type(exc).__name__}: {exc}")
+    metrics, verdict = graded_run(
+        args.algorithm, g, plan, seed=args.seed, epsilon=args.eps,
+        phi=args.phi, **checkpoint_kwargs,
+    )
 
     print(f"plan: drop={plan.drop} duplicate={plan.duplicate} "
           f"corrupt={plan.corrupt} crashes={len(plan.crashes)} "
@@ -724,13 +654,7 @@ def cmd_faults(args) -> int:
                 "no checkpoint captured: the run finished before round "
                 "%d; lower --checkpoint-every", args.checkpoint_every,
             )
-    if metrics is not None:
-        _print_metrics(metrics)
-        if metrics.faulted:
-            print("faults:", metrics.fault_summary())
-    print(f"verdict: {verdict.label()}"
-          + (f" ({verdict.detail})" if verdict.detail else ""))
-    return 0 if verdict.ok else 1
+    return _print_graded(metrics, verdict)
 
 
 def cmd_chaos(args) -> int:
@@ -1051,9 +975,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(cell started/finished/retried/stalled) "
                             "to PATH; follow live with "
                             "`repro trace tail PATH --follow`")
-    bench.add_argument("--faults", action="store_true",
-                       help="include the E11 fault-tolerance suite "
-                            "(shorthand for --suite E11)")
     bench.add_argument("--cell-timeout", type=float, default=None,
                        metavar="SECONDS",
                        help="kill any cell attempt exceeding this "

@@ -283,6 +283,20 @@ def luby_mis_max_phases(n: int) -> int:
     return 8 * max(1, math.ceil(math.log2(n + 2)))
 
 
+def luby_mis_protocol(n: int, max_phases: Optional[int] = None):
+    """``(vertex factory, round budget)`` of an ``n``-vertex Luby MIS
+    run: the one definition :func:`luby_mis` and
+    :func:`repro.resilience.graded_run` build their simulator from."""
+    if max_phases is None:
+        max_phases = luby_mis_max_phases(n)
+    return (lambda v: LubyMIS(max_phases)), 2 * max_phases + 4
+
+
+def mis_from_outputs(outputs) -> Set:
+    """The vertices whose output claims MIS membership."""
+    return {v for v, in_mis in outputs.items() if in_mis}
+
+
 def luby_mis(
     graph: Graph,
     seed: SeedLike = None,
@@ -297,15 +311,10 @@ def luby_mis(
     can persist :class:`~repro.congest.checkpoint.SimulationCheckpoint`
     snapshots (``repro faults --save-checkpoint``).
     """
-    if max_phases is None:
-        max_phases = luby_mis_max_phases(graph.n)
-    simulator = CongestSimulator(
-        graph, lambda v: LubyMIS(max_phases), seed=seed
-    )
-    result = simulator.run(
-        max_rounds=2 * max_phases + 4,
+    factory, max_rounds = luby_mis_protocol(graph.n, max_phases)
+    result = CongestSimulator(graph, factory, seed=seed).run(
+        max_rounds=max_rounds,
         checkpoint_every=checkpoint_every,
         on_checkpoint=on_checkpoint,
     )
-    mis = {v for v, in_mis in result.outputs.items() if in_mis}
-    return mis, result
+    return mis_from_outputs(result.outputs), result

@@ -413,6 +413,15 @@ def matching_max_phases(n: int) -> int:
     return 8 * max(1, math.ceil(math.log2(n + 2)))
 
 
+def matching_protocol(n: int, max_phases: Optional[int] = None):
+    """``(vertex factory, round budget)`` of an ``n``-vertex proposal
+    matching run: the one definition :func:`distributed_maximal_matching`
+    and :func:`repro.resilience.graded_run` build their simulator from."""
+    if max_phases is None:
+        max_phases = matching_max_phases(n)
+    return (lambda v: ProposalMatching(max_phases)), 3 * max_phases + 6
+
+
 def distributed_maximal_matching(
     graph: Graph,
     seed: SeedLike = None,
@@ -428,13 +437,9 @@ def distributed_maximal_matching(
     :meth:`~repro.congest.network.CongestSimulator.run` for durable
     mid-run snapshots (``repro faults --save-checkpoint``).
     """
-    if max_phases is None:
-        max_phases = matching_max_phases(graph.n)
-    simulator = CongestSimulator(
-        graph, lambda v: ProposalMatching(max_phases), seed=seed
-    )
-    result = simulator.run(
-        max_rounds=3 * max_phases + 6,
+    factory, max_rounds = matching_protocol(graph.n, max_phases)
+    result = CongestSimulator(graph, factory, seed=seed).run(
+        max_rounds=max_rounds,
         checkpoint_every=checkpoint_every,
         on_checkpoint=on_checkpoint,
     )
@@ -442,7 +447,7 @@ def distributed_maximal_matching(
 
 
 def matching_from_outputs(outputs) -> Matching:
-    """Mutual mate claims -> matching (shared with the resume path)."""
+    """Mutual mate claims -> matching."""
     matching: Matching = set()
     for v, mate in outputs.items():
         if mate is not None and outputs.get(mate) == v:

@@ -24,8 +24,9 @@ execution that produced it — and returns a :class:`Verdict`:
     delay) kept the algorithm from halting within its round budget.
     Whatever partial object it left behind is not graded.
 
-Experiment cells in the E11/E15 suites attach one verdict per run, so
-the fault-tolerance tables report *graded outcomes*, not just timings.
+The E11/E12/E15 cells and ``repro faults`` grade every run through
+:func:`repro.resilience.graded_run`, so the fault-tolerance tables
+report *graded outcomes*, not just timings.
 """
 
 from __future__ import annotations

@@ -3,10 +3,13 @@
 The O(diameter)-round toolkit every distributed algorithm leans on:
 build a BFS tree from a root, *convergecast* an associative aggregate
 (count, sum, max) up the tree, and *broadcast* the result back down.
-The framework uses these for the Section 2.3 checks that the paper says
+These are the in-network form of the Section 2.3 checks the paper says
 take O(phi^-1 log n) rounds — e.g. letting a cluster leader learn
 |V_i| and |E_i| so the Lemma 2.3 degree condition
 deg(v*) >= c * phi^2 * |E_i| can be verified in-network.
+``run_framework`` does not call them: it checks Lemma 2.3 centrally
+with :func:`repro.core.failure.degree_condition_holds`, and only the
+tests drive :func:`tree_aggregate` and :func:`cluster_statistics`.
 
 Everything here is capacity-1 CONGEST: one O(log n)-bit message per
 edge per round, no batching (the simulator's strict mode would accept

@@ -174,28 +174,6 @@ def tree_exchange(
     budget = MessageBudget(max(cluster.n, budget_n or 0))
     simulator = CongestSimulator(cluster, factory, budget=budget, seed=seed)
     result = simulator.run(max_rounds=3 * depth_budget + 5)
-
-    all_keys = [
-        (v, i)
-        for v, payloads in requests.items()
-        for i in range(len(payloads))
-    ]
-    leader_output = result.outputs.get(leader) or {}
-    delivered = leader_output.get("absorbed", {})
-    responses: Dict[TokenKey, Any] = {}
-    for v in cluster.vertices():
-        out = result.outputs.get(v) or {}
-        responses.update(out.get("responses", {}))
-    undelivered = [key for key in all_keys if key not in delivered]
-    unanswered = [
-        key for key in all_keys if key in delivered and key not in responses
-    ]
-    return ExchangeResult(
-        leader=leader,
-        requests_delivered=delivered,
-        responses=responses,
-        undelivered=undelivered,
-        unanswered=unanswered,
-        metrics=result.metrics,
-        forward_steps=depth_budget,
+    return ExchangeResult.collect(
+        cluster, leader, requests, result, depth_budget
     )

@@ -77,6 +77,42 @@ class ExchangeResult:
         """All requests reached the leader and all responses returned."""
         return not self.undelivered and not self.unanswered
 
+    @classmethod
+    def collect(
+        cls,
+        cluster: Graph,
+        leader: Any,
+        requests: Dict[Any, List[Any]],
+        result: SimulationResult,
+        forward_steps: int,
+    ) -> "ExchangeResult":
+        """Assemble the outcome from one exchange run's per-vertex
+        outputs; the walk and the tree transport share it."""
+        all_keys = [
+            (v, i)
+            for v, payloads in requests.items()
+            for i in range(len(payloads))
+        ]
+        leader_output = result.outputs.get(leader) or {}
+        delivered = leader_output.get("absorbed", {})
+        responses: Dict[TokenKey, Any] = {}
+        for v in cluster.vertices():
+            out = result.outputs.get(v) or {}
+            responses.update(out.get("responses", {}))
+        return cls(
+            leader=leader,
+            requests_delivered=delivered,
+            responses=responses,
+            undelivered=[key for key in all_keys if key not in delivered],
+            unanswered=[
+                key
+                for key in all_keys
+                if key in delivered and key not in responses
+            ],
+            metrics=result.metrics,
+            forward_steps=forward_steps,
+        )
+
 
 class WalkExchange(VertexAlgorithm):
     """One vertex of the walk-exchange protocol.
@@ -347,31 +383,6 @@ def walk_exchange(
     budget = MessageBudget(max(cluster.n, budget_n or 0))
     simulator = CongestSimulator(cluster, factory, budget=budget, seed=seed)
     result = simulator.run(max_rounds=2 * forward_steps + 4)
-
-    all_keys = [
-        (v, i)
-        for v, payloads in requests.items()
-        for i in range(len(payloads))
-    ]
-    leader_output = result.outputs.get(leader) or {}
-    delivered = leader_output.get("absorbed", {})
-    responses: Dict[TokenKey, Any] = {}
-    unanswered: List[TokenKey] = []
-    for v in cluster.vertices():
-        out = result.outputs.get(v) or {}
-        responses.update(out.get("responses", {}))
-    undelivered = [key for key in all_keys if key not in delivered]
-    unanswered = [
-        key
-        for key in all_keys
-        if key in delivered and key not in responses
-    ]
-    return ExchangeResult(
-        leader=leader,
-        requests_delivered=delivered,
-        responses=responses,
-        undelivered=undelivered,
-        unanswered=unanswered,
-        metrics=result.metrics,
-        forward_steps=forward_steps,
+    return ExchangeResult.collect(
+        cluster, leader, requests, result, forward_steps
     )

@@ -228,13 +228,7 @@ class SuiteRun:
         """Cells whose graded verdict is ``stalled`` (see
         :mod:`repro.resilience.validators`); 0 for suites that attach
         no verdicts."""
-        return sum(
-            1
-            for r in self.results
-            if isinstance(r.extra, dict)
-            and isinstance(r.extra.get("verdict"), dict)
-            and r.extra["verdict"].get("status") == "stalled"
-        )
+        return sum(1 for r in self.results if _result_stalled(r))
 
     def footer(self) -> str:
         """One status line summarizing the cells that need attention.

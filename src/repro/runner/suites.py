@@ -25,7 +25,13 @@ from ..cache import (
     cached_graph,
     simulation_salt,
 )
-from ..congest import TraceSession
+from ..congest import (
+    CongestMetrics,
+    EdgeWindow,
+    FaultPlan,
+    PartitionWindow,
+    TraceSession,
+)
 from ..congest.message import MessageBudget
 from ..obs.registry import telemetry_scope
 from ..decomposition.expander import phi_for_epsilon, verify_expander_decomposition
@@ -205,17 +211,14 @@ def _e10_cells() -> List[ExperimentCell]:
     return cells
 
 
-def _degree_solver(sub, leader, notes):
-    return {v: sub.degree(v) for v in sub.vertices()}
-
-
 def _run_e10(cell: ExperimentCell):
     from ..core.framework import run_framework
+    from ..resilience import degree_solver
 
     p = cell.params
     g = cached_graph(p["generator"], p["generator_params"])
     result = run_framework(
-        g, p["epsilon"], solver=_degree_solver, phi=p["phi"], seed=p["seed"]
+        g, p["epsilon"], solver=degree_solver, phi=p["phi"], seed=p["seed"]
     )
     budget = MessageBudget(g.n).bits
     m = result.metrics
@@ -263,49 +266,36 @@ def _e11_cells() -> List[ExperimentCell]:
     return cells
 
 
-def _run_e11(cell: ExperimentCell):
-    from ..congest import FaultPlan, use_faults
-    from ..resilience import (
-        Verdict,
-        validate_framework,
-        validate_independent_set,
-    )
+def _graded_cell(cell: ExperimentCell, g, plan, mode, counters):
+    """Run one fault-suite cell through :func:`repro.resilience.graded_run`.
+
+    The row is ``(algorithm, mode, n, rounds, messages, *counters(f),
+    verdict)`` with ``f`` the run's fault summary; a run that raised
+    before producing metrics shows zeros.
+    """
+    from ..resilience import graded_run
 
     p = cell.params
-    g = cached_graph(p["generator"], p["generator_params"])
-    plan = FaultPlan(seed=p["fault_seed"], drop=p["drop"])
-    metrics = None
-    # Message loss may break the run outright (a gather that cannot
-    # verify, a protocol that trips an invariant): that is a graded
-    # outcome for this suite, not an error.
-    try:
-        with use_faults(plan):
-            if p["algorithm"] == "maxis":
-                from ..independent_set.greedy import luby_mis
-
-                mis, result = luby_mis(g, seed=p["seed"])
-                metrics = result.metrics
-                verdict = validate_independent_set(g, mis)
-            else:
-                from ..core.framework import run_framework
-
-                result = run_framework(
-                    g, p["epsilon"], solver=_degree_solver,
-                    phi=p["phi"], seed=p["seed"],
-                )
-                metrics = result.metrics
-                verdict = validate_framework(result)
-    except Exception as exc:  # noqa: BLE001 — graded, not propagated
-        verdict = Verdict.failed(f"{type(exc).__name__}: {exc}")
+    metrics, verdict = graded_run(
+        p["algorithm"], g, plan,
+        seed=p["seed"], epsilon=p["epsilon"], phi=p["phi"],
+    )
+    m = metrics if metrics is not None else CongestMetrics()
     row = (
-        p["algorithm"], p["drop"], g.n,
-        metrics.rounds if metrics is not None else 0,
-        metrics.total_messages if metrics is not None else 0,
-        metrics.messages_dropped if metrics is not None else 0,
-        verdict.label(),
+        p["algorithm"], mode, g.n, m.rounds, m.total_messages,
+        *counters(m.fault_summary()), verdict.label(),
     )
     extra = {"verdict": verdict.to_dict()}
     return [row], metrics.to_dict() if metrics is not None else None, extra
+
+
+def _run_e11(cell: ExperimentCell):
+    p = cell.params
+    g = cached_graph(p["generator"], p["generator_params"])
+    plan = FaultPlan(seed=p["fault_seed"], drop=p["drop"])
+    return _graded_cell(
+        cell, g, plan, p["drop"], lambda f: (f["messages_dropped"],)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -351,8 +341,6 @@ def _e12_cells() -> List[ExperimentCell]:
 
 
 def _e12_plan(params):
-    from ..congest import FaultPlan
-
     churn = params["churn"]
     if churn == "none":
         return FaultPlan(seed=params["fault_seed"])
@@ -367,50 +355,14 @@ def _e12_plan(params):
 
 
 def _run_e12(cell: ExperimentCell):
-    from ..congest import use_faults
-    from ..resilience import (
-        Verdict,
-        validate_framework,
-        validate_independent_set,
-    )
-
+    # Unhardened algorithms are *expected* to degrade or fail under
+    # churn (a rejoined vertex lost its mail and possibly its state).
     p = cell.params
     g = cached_graph(p["generator"], p["generator_params"])
-    plan = _e12_plan(p)
-    metrics = None
-    # Unhardened algorithms are *expected* to degrade or fail under
-    # churn (a rejoined vertex lost its mail and possibly its state);
-    # that is a graded outcome for this suite, not an error.
-    try:
-        with use_faults(plan):
-            if p["algorithm"] == "maxis":
-                from ..independent_set.greedy import luby_mis
-
-                mis, result = luby_mis(g, seed=p["seed"])
-                metrics = result.metrics
-                verdict = validate_independent_set(g, mis)
-            else:
-                from ..core.framework import run_framework
-
-                result = run_framework(
-                    g, p["epsilon"], solver=_degree_solver,
-                    phi=p["phi"], seed=p["seed"],
-                )
-                metrics = result.metrics
-                verdict = validate_framework(result)
-    except Exception as exc:  # noqa: BLE001 — graded, not propagated
-        verdict = Verdict.failed(f"{type(exc).__name__}: {exc}")
-    faults = metrics.fault_summary() if metrics is not None else {}
-    row = (
-        p["algorithm"], p["churn"], g.n,
-        metrics.rounds if metrics is not None else 0,
-        metrics.total_messages if metrics is not None else 0,
-        faults.get("vertices_crashed", 0),
-        faults.get("vertices_rejoined", 0),
-        verdict.label(),
+    return _graded_cell(
+        cell, g, _e12_plan(p), p["churn"],
+        lambda f: (f["vertices_crashed"], f["vertices_rejoined"]),
     )
-    extra = {"verdict": verdict.to_dict()}
-    return [row], metrics.to_dict() if metrics is not None else None, extra
 
 
 # ----------------------------------------------------------------------
@@ -455,7 +407,6 @@ def _e15_cells() -> List[ExperimentCell]:
 
 
 def _e15_plan(params, g):
-    from ..congest import EdgeWindow, FaultPlan, PartitionWindow
     from ..graph import edge_key
 
     adversity = params["adversity"]
@@ -495,75 +446,19 @@ def _e15_plan(params, g):
 
 
 def _run_e15(cell: ExperimentCell):
-    from ..congest import use_faults
-    from ..resilience import (
-        Verdict,
-        validate_framework,
-        validate_independent_set,
-        validate_matching,
-    )
-
+    # Network adversity is *expected* to degrade, stall, or break the
+    # unhardened algorithms.
     p = cell.params
     g = cached_graph(p["generator"], p["generator_params"])
-    plan = _e15_plan(p, g)
-    metrics = None
-    # Network adversity is *expected* to degrade, stall, or break the
-    # unhardened algorithms; every outcome is graded, not propagated.
-    try:
-        with use_faults(plan):
-            if p["algorithm"] == "maxis":
-                from ..independent_set.greedy import luby_mis
-
-                mis, result = luby_mis(g, seed=p["seed"])
-                metrics = result.metrics
-                if not result.halted:
-                    verdict = Verdict.stalled(
-                        f"not halted after {metrics.rounds} rounds"
-                    )
-                else:
-                    verdict = validate_independent_set(g, mis)
-            elif p["algorithm"] == "matching":
-                from ..matching.distributed import (
-                    distributed_maximal_matching,
-                )
-
-                matching, result = distributed_maximal_matching(
-                    g, seed=p["seed"]
-                )
-                metrics = result.metrics
-                if not result.halted:
-                    verdict = Verdict.stalled(
-                        f"not halted after {metrics.rounds} rounds"
-                    )
-                else:
-                    verdict = validate_matching(g, matching)
-            else:
-                from ..core.framework import run_framework
-
-                result = run_framework(
-                    g, p["epsilon"], solver=_degree_solver,
-                    phi=p["phi"], seed=p["seed"],
-                )
-                metrics = result.metrics
-                verdict = validate_framework(result)
-    except Exception as exc:  # noqa: BLE001 — graded, not propagated
-        verdict = Verdict.failed(f"{type(exc).__name__}: {exc}")
-    faults = metrics.fault_summary() if metrics is not None else {}
-    lost = (
-        faults.get("messages_dropped", 0)
-        + faults.get("messages_lost_topology", 0)
-        + faults.get("messages_partitioned", 0)
+    return _graded_cell(
+        cell, g, _e15_plan(p, g), p["adversity"],
+        lambda f: (
+            f["messages_dropped"]
+            + f["messages_lost_topology"]
+            + f["messages_partitioned"],
+            f["messages_delayed"],
+        ),
     )
-    row = (
-        p["algorithm"], p["adversity"], g.n,
-        metrics.rounds if metrics is not None else 0,
-        metrics.total_messages if metrics is not None else 0,
-        lost,
-        faults.get("messages_delayed", 0),
-        verdict.label(),
-    )
-    extra = {"verdict": verdict.to_dict()}
-    return [row], metrics.to_dict() if metrics is not None else None, extra
 
 
 # ----------------------------------------------------------------------

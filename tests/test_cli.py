@@ -253,6 +253,7 @@ class TestEmptyPathFlags:
             (_BENCH + ["--progress", ""], "invalid progress path"),
             (_BENCH + ["--journal", ""], "invalid journal path"),
             (_BENCH + ["--stats-json", ""], "invalid stats-json path"),
+            (_BENCH + ["--out", ""], "invalid out path"),
             (_CHAOS + ["--stats-json", ""], "invalid stats-json path"),
             (_FAULTS + ["--save-checkpoint", ""],
              "invalid save-checkpoint path"),
@@ -261,6 +262,7 @@ class TestEmptyPathFlags:
         ids=[
             "maxis-trace", "bench-trace", "bench-telemetry",
             "bench-progress", "bench-journal", "bench-stats-json",
+            "bench-out",
             "chaos-stats-json", "faults-save-checkpoint",
             "faults-resume-from",
         ],
@@ -292,6 +294,28 @@ class TestFaultsCheckpointCLI:
         assert main(self.ARGS + ["--resume-from", ck]) == 0
         second = capsys.readouterr()
         assert "resumed:" in second.out and "verdict:" in second.out
+
+    @pytest.mark.parametrize("algorithm", ["maxis", "matching"])
+    def test_resumed_run_prints_the_uninterrupted_result(
+        self, capsys, tmp_path, algorithm
+    ):
+        ck = str(tmp_path / "ck.json")
+        common = ["faults", "--algorithm", algorithm, "--n", "60",
+                  "--seed", "1", "--drop", "0.1"]
+
+        def graded(out):
+            return [line for line in out.splitlines()
+                    if line.startswith(("CONGEST:", "faults:", "verdict:"))]
+
+        code = main(common + ["--save-checkpoint", ck,
+                              "--checkpoint-every", "3"])
+        first = capsys.readouterr().out
+        assert "checkpoints: " in first and " saved to " in first
+        assert main(common + ["--resume-from", ck]) == code
+        second = capsys.readouterr().out
+        assert "resumed:" in second
+        assert len(graded(first)) == 3
+        assert graded(second) == graded(first)
 
     def test_corrupt_checkpoint_resume_exits_2(self, capsys, tmp_path):
         ck = tmp_path / "ck.json"

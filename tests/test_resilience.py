@@ -9,8 +9,10 @@ from repro.decomposition.expander import (
 from repro.generators import delaunay_planar_graph, path_graph
 from repro.independent_set.greedy import greedy_min_degree_is
 from repro.matching.greedy import maximal_matching
+from repro.congest import FaultPlan
 from repro.resilience import (
     Verdict,
+    graded_run,
     validate_decomposition,
     validate_framework,
     validate_independent_set,
@@ -115,3 +117,38 @@ def test_validate_framework_degraded_and_failed():
     assert verdict.ratio == pytest.approx(0.5)
     empty = _Partial(g, {}, [_Run()])
     assert validate_framework(empty).status == "failed"
+
+
+def test_graded_run_grades_an_unhalted_run_stalled(monkeypatch):
+    import repro.resilience.graded as graded
+
+    g = delaunay_planar_graph(48, seed=41)
+    factory, _budget = graded.luby_mis_protocol(g.n)
+    monkeypatch.setattr(
+        graded, "luby_mis_protocol", lambda n: (factory, 1)
+    )
+    metrics, verdict = graded_run("maxis", g, FaultPlan(seed=1), seed=2)
+    assert verdict == Verdict.stalled("not halted after 1 rounds")
+    assert metrics.rounds == 1
+
+
+def test_graded_run_resumes_to_the_uninterrupted_grade():
+    g = delaunay_planar_graph(40, seed=4)
+    plan = FaultPlan(seed=2, drop=0.1)
+    captured = []
+    fresh = graded_run(
+        "matching", g, plan, seed=1,
+        checkpoint_every=3, on_checkpoint=captured.append,
+    )
+    assert captured[0].round == 3
+    resumed = graded_run("matching", g, resume=captured[0])
+    assert resumed[1] == fresh[1]
+    assert resumed[0].to_dict() == fresh[0].to_dict()
+
+
+def test_graded_run_rejects_what_it_cannot_run():
+    g = path_graph(4)
+    with pytest.raises(ValueError, match="unknown algorithm"):
+        graded_run("coloring", g)
+    with pytest.raises(ValueError, match="takes no checkpoints"):
+        graded_run("framework", g, on_checkpoint=print, checkpoint_every=1)
