@@ -6,8 +6,9 @@ which vertices are due, in what order outboxes drain, how a message is
 sized and charged.  Everything that does not depend on scheduling lives
 here, once, in :class:`EngineCore`:
 
-* the per-vertex state in canonical rank order (:func:`build_vertex_state`,
-  so both engines derive identical per-vertex RNG streams), with flat
+* the per-vertex state in canonical rank order (:func:`build_vertex_state`
+  over the graph's shared :class:`~repro.graph.SimulationLayout`, so both
+  engines derive identical per-vertex RNG streams), with flat
   rank-indexed lists for contexts, algorithms, inboxes and wakeups;
 * the channel a charged transmission crosses (:meth:`EngineCore._transmit`):
   topology → partition → link → classify → delay, with its detail-mode
@@ -28,9 +29,9 @@ directly by ``tests/test_faults.py``, ``tests/test_adversity.py`` and
 from __future__ import annotations
 
 import pickle
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..graph import Graph, canonical_vertex_order
+from ..graph import Graph, SimulationLayout
 from ..rng import ensure_rng
 from .algorithm import VertexAlgorithm, VertexContext
 from .checkpoint import (
@@ -56,36 +57,32 @@ DROPPED, DUPLICATED, CORRUPTED, DELAYED, TOPO_LOST, PARTITIONED = range(6)
 
 
 def build_vertex_state(
-    graph: Graph,
+    layout: SimulationLayout,
     algorithm_factory: Callable[[Any], VertexAlgorithm],
     seed,
-) -> Tuple[List[Any], List[VertexContext], List[VertexAlgorithm]]:
+) -> Tuple[List[VertexContext], List[VertexAlgorithm]]:
     """Construct per-vertex contexts and algorithms in canonical order.
 
     The per-vertex RNG streams are derived from the root seed in
     canonical vertex order, so they are identical whichever engine runs
-    the algorithm.
+    the algorithm.  Contexts share the layout's neighbor tuples; each
+    gets its own weight dict.
     """
-    root_rng = ensure_rng(seed)
-    getrandbits = root_rng.getrandbits
-    order = canonical_vertex_order(graph.vertices())
-    n = graph.n
-    adj = graph._adj
-    contexts: List[VertexContext] = []
-    algorithms: List[VertexAlgorithm] = []
-    for v in order:
-        row = adj[v]
-        neighbors = canonical_vertex_order(row)
-        ctx = VertexContext(
-            vertex=v,
-            neighbors=neighbors,
-            edge_weights={u: row[u] for u in neighbors},
-            n=n,
-            rng_seed=getrandbits(64),
+    getrandbits = ensure_rng(seed).getrandbits
+    order = layout.order
+    n = len(order)
+    # Positional (vertex, neighbors, edge_weights, n, rng, rng_seed).
+    contexts = [
+        VertexContext(
+            v, neighbors, dict(zip(neighbors, weights)), n, None,
+            getrandbits(64),
         )
-        contexts.append(ctx)
-        algorithms.append(algorithm_factory(v))
-    return order, contexts, algorithms
+        for v, neighbors, weights in zip(
+            order, layout.neighbors, layout.weights
+        )
+    ]
+    algorithms = [algorithm_factory(v) for v in order]
+    return contexts, algorithms
 
 
 class EngineCore:
@@ -122,11 +119,17 @@ class EngineCore:
         # snapshot re-initializes through the same factory.
         self._factory = algorithm_factory
 
-        order, contexts, algorithms = build_vertex_state(
-            graph, algorithm_factory, seed
+        # The graph's layout, shared with every other simulation on it
+        # and never written: rank order, rank index, neighbor rows (and
+        # the kernels' CSR arrays).
+        layout = graph.simulation_layout()
+        self._layout = layout
+        contexts, algorithms = build_vertex_state(
+            layout, algorithm_factory, seed
         )
-        self._verts: List[Any] = order
-        self._index: Dict[Any, int] = {v: i for i, v in enumerate(order)}
+        order = layout.order
+        self._verts: Sequence[Any] = order
+        self._index: Dict[Any, int] = layout.index
         self._contexts = contexts
         self._algorithms = algorithms
         n = len(order)

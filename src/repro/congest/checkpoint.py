@@ -57,7 +57,7 @@ from typing import Any, Dict, List, Optional
 
 from .. import storage
 from ..errors import CheckpointError, StorageError
-from ..graph import Graph, canonical_vertex_order
+from ..graph import Graph
 from ..rng import reduce_random
 from .faults import pad_fault_counts
 from .metrics import CongestMetrics
@@ -146,13 +146,14 @@ def graph_fingerprint(graph: Graph) -> str:
     into a :class:`~repro.errors.CheckpointError`.
     """
     digest = blake2b(digest_size=16)
-    adj = graph._adj
-    for v in canonical_vertex_order(graph.vertices()):
+    layout = graph.simulation_layout()
+    for v, neighbors, weights in zip(
+        layout.order, layout.neighbors, layout.weights
+    ):
         digest.update(repr(v).encode("utf-8"))
         digest.update(b"|")
-        row = adj[v]
-        for u in canonical_vertex_order(row):
-            digest.update(f"{u!r}:{row[u]!r};".encode("utf-8"))
+        for u, w in zip(neighbors, weights):
+            digest.update(f"{u!r}:{w!r};".encode("utf-8"))
         digest.update(b"\n")
     return digest.hexdigest()
 

@@ -483,20 +483,12 @@ class KernelBase:
         self.contexts = engine._contexts
         self.algorithms = engine._algorithms
         self.verts = engine._verts
-        # CSR adjacency in canonical order: row i's slice lists i's
-        # neighbors exactly as ``ctx.neighbors`` does (ascending label
-        # order), so "the k-th active neighbor" means the same thing
-        # columnar and scalar.
-        index = engine._index
-        indptr = np.zeros(n + 1, np.int64)
-        flat: List[int] = []
-        for i, ctx in enumerate(self.contexts):
-            flat.extend(index[u] for u in ctx.neighbors)
-            indptr[i + 1] = len(flat)
+        # CSR adjacency in canonical order, from the graph's layout: row
+        # i's slice lists i's neighbors exactly as ``ctx.neighbors`` does
+        # (ascending label order), so "the k-th active neighbor" means
+        # the same thing columnar and scalar.  Shared and read-only.
+        indptr, self.nbr = engine._layout.csr()
         self.indptr = indptr
-        self.nbr = np.array(flat, dtype=np.int64) if flat else np.zeros(
-            0, np.int64
-        )
         degrees = indptr[1:] - indptr[:-1]
         self.edge_dst = np.repeat(np.arange(n, dtype=np.int64), degrees)
         # Rounds in which each vertex last stepped, mirrored into

@@ -67,7 +67,11 @@ class MPXClustering(VertexAlgorithm):
     def step(self, ctx: VertexContext, inbox: Dict[Any, List[Any]]) -> None:
         improved = False
         for payloads in inbox.values():
-            for root, scaled, dist in payloads:
+            for message in payloads:
+                # A corrupted message (not a tuple) is lost.
+                if type(message) is not tuple:
+                    continue
+                root, scaled, dist = message
                 candidate = (scaled, root, dist + 1)
                 if self._key(*candidate) > self._key(*self.best):
                     self.best = candidate
@@ -87,9 +91,11 @@ class MPXKernel(KernelBase):
     improvement re-broadcasts), so inbound candidates reconstruct from
     the senders' best columns masked by who broadcast last round.  The
     lexicographic max over (key, root) runs as three masked segment
-    maxima; the exponential shifts are drawn from each vertex's scalar
-    generator and mapped through ``math.log`` per vertex, because
-    NumPy's SIMD ``log`` is not guaranteed ULP-identical to libm's.
+    maxima, and not at all in the settled rounds after one in which
+    nobody broadcast.  The exponential shifts are drawn from each
+    vertex's scalar generator and mapped through ``math.log`` per
+    vertex, because NumPy's SIMD ``log`` is not guaranteed ULP-identical
+    to libm's.
     """
 
     #: Sentinel below any reachable adoption key.
@@ -196,7 +202,11 @@ class MPXKernel(KernelBase):
             self.sent[:] = False
             if improved_rows.size:
                 self._broadcast(improved_rows)
-        else:
+        elif self.sent.any():
+            # Once a round passes with no broadcast the wave has
+            # settled: every candidate would be masked to _KEY_MIN, no
+            # row could improve and ``sent`` is already clear, so the
+            # reduction is skipped and only the halt below runs.
             nbr = self.nbr
             indptr = self.indptr
             dst = self.edge_dst

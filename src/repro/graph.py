@@ -19,7 +19,6 @@ from __future__ import annotations
 from collections import deque
 from typing import (
     Dict,
-    FrozenSet,
     Hashable,
     Iterable,
     Iterator,
@@ -68,6 +67,60 @@ def canonical_vertex_order(vertices: Iterable[Vertex]) -> List[Vertex]:
         return sorted(vs, key=lambda v: (type(v).__name__, repr(v)))
 
 
+class SimulationLayout:
+    """What every CONGEST simulation reads from its graph, derived once.
+
+    Built by :meth:`Graph.simulation_layout` and shared by every
+    simulation on that graph until a mutator drops it:
+
+    * ``order`` — the vertices in canonical order (rank ``i`` is
+      ``order[i]``), and ``index``, mapping each vertex to its rank;
+    * ``neighbors`` — per rank, the vertex's neighbors in canonical
+      order, and ``weights``, the aligned edge weights;
+    * :meth:`csr` — the neighbor rows as rank arrays, for the kernels.
+
+    Consumers share these objects and never write to them.
+    """
+
+    __slots__ = ("order", "index", "neighbors", "weights", "_csr")
+
+    def __init__(self, adj: Dict[Vertex, Dict[Vertex, float]]) -> None:
+        self.order: Tuple[Vertex, ...] = tuple(canonical_vertex_order(adj))
+        self.index: Dict[Vertex, int] = {
+            v: i for i, v in enumerate(self.order)
+        }
+        neighbors = []
+        weights = []
+        for v in self.order:
+            row = adj[v]
+            nbrs = tuple(canonical_vertex_order(row))
+            neighbors.append(nbrs)
+            weights.append(tuple([row[u] for u in nbrs]))
+        self.neighbors: Tuple[Tuple[Vertex, ...], ...] = tuple(neighbors)
+        self.weights: Tuple[Tuple[float, ...], ...] = tuple(weights)
+        self._csr = None
+
+    def csr(self):
+        """``(indptr, nbr)``: row ``i``'s slice of ``nbr`` holds the
+        ranks of ``neighbors[i]``, in order.  Read-only int64 arrays,
+        built on the first call, which only a kernel makes."""
+        if self._csr is None:
+            index = self.index
+            rows = self.neighbors
+            indptr = np.zeros(len(rows) + 1, np.int64)
+            np.cumsum([len(row) for row in rows], dtype=np.int64,
+                      out=indptr[1:])
+            nbr = np.fromiter(
+                (index[u] for row in rows for u in row),
+                np.int64,
+                count=int(indptr[-1]),
+            )
+            indptr.flags.writeable = False
+            nbr.flags.writeable = False
+            self._csr = (indptr, nbr)
+        return self._csr
+
+
 class Graph:
     """A simple undirected graph with float edge weights.
 
@@ -76,6 +129,10 @@ class Graph:
     :meth:`conductance_of_cut` implement the quantities vol(S),
     ∂(S), |∂(S)|, and Φ(S) from Section 2.
     """
+
+    #: The :class:`SimulationLayout`, once built; every mutator resets
+    #: it and pickles leave it out, so copies and loads start without.
+    _layout: Optional[SimulationLayout] = None
 
     def __init__(self) -> None:
         self._adj: Dict[Vertex, Dict[Vertex, float]] = {}
@@ -123,7 +180,9 @@ class Graph:
 
     def add_vertex(self, v: Vertex) -> None:
         """Add an isolated vertex (no-op if already present)."""
-        self._adj.setdefault(v, {})
+        if v not in self._adj:
+            self._adj[v] = {}
+            self._layout = None
 
     def add_edge(self, u: Vertex, v: Vertex, weight: float = 1.0) -> None:
         """Add the undirected edge ``{u, v}``.
@@ -141,6 +200,7 @@ class Graph:
             self._m += 1
         self._adj[u][v] = weight
         self._adj[v][u] = weight
+        self._layout = None
 
     def remove_edge(self, u: Vertex, v: Vertex) -> None:
         """Remove the edge ``{u, v}``; raises if absent."""
@@ -149,6 +209,7 @@ class Graph:
         del self._adj[u][v]
         del self._adj[v][u]
         self._m -= 1
+        self._layout = None
 
     def remove_vertex(self, v: Vertex) -> None:
         """Remove ``v`` and all incident edges; raises if absent."""
@@ -157,6 +218,7 @@ class Graph:
         for u in list(self._adj[v]):
             self.remove_edge(u, v)
         del self._adj[v]
+        self._layout = None
 
     def remove_vertices(self, vertices: Iterable[Vertex]) -> None:
         """Remove every vertex in ``vertices``."""
@@ -187,15 +249,18 @@ class Graph:
         return u in self._adj and v in self._adj[u]
 
     def edges(self) -> List[Edge]:
-        """Each undirected edge exactly once, in canonical key form."""
-        seen: Set[FrozenSet] = set()
+        """Each undirected edge exactly once, in canonical key form.
+
+        An edge is listed from whichever endpoint comes first in
+        insertion order, at the other endpoint's place in its row.
+        """
+        visited: Set[Vertex] = set()
         out: List[Edge] = []
         for u, nbrs in self._adj.items():
             for v in nbrs:
-                key = frozenset((u, v))
-                if key not in seen:
-                    seen.add(key)
+                if v not in visited:
                     out.append(edge_key(u, v))
+            visited.add(u)
         return out
 
     def weighted_edges(self) -> List[Tuple[Vertex, Vertex, float]]:
@@ -236,6 +301,14 @@ class Graph:
         if self.n == 0:
             return 0.0
         return self.m / self.n
+
+    def simulation_layout(self) -> SimulationLayout:
+        """The graph's :class:`SimulationLayout`, built on first use and
+        kept until the next mutation."""
+        layout = self._layout
+        if layout is None:
+            layout = self._layout = SimulationLayout(self._adj)
+        return layout
 
     # ------------------------------------------------------------------
     # Cuts, volumes, conductance (Section 2 vocabulary)
@@ -509,3 +582,10 @@ class Graph:
 
     def __hash__(self) -> int:  # graphs are mutable; identity hash
         return id(self)
+
+    def __getstate__(self) -> Dict[str, object]:
+        # Pickles (and copy/deepcopy) carry the graph, not its layout.
+        state = self.__dict__
+        if "_layout" in state:
+            state = {k: v for k, v in state.items() if k != "_layout"}
+        return state

@@ -639,6 +639,58 @@ def test_dense_run_checkpoints_resume_on_both_engines(algo, every):
             assert _fingerprint(result, recorder, resumed) == expected
 
 
+#: MPX whose wave settles long before its budget: with shifts capped at
+#: 2.0 a root's candidacy wins at most about two hops out, so the last
+#: broadcast comes within the first few of its 30 rounds and the kernel
+#: skips the reduction in the rest.
+SETTLING_MPX = (lambda v: MPXClustering(0.4, 2.0, 30), 32)
+
+
+def test_settled_mpx_rounds_match_scalar():
+    graph = GENERATORS["grid"](0)
+    factory, rounds = SETTLING_MPX
+    pair_on = run_once(graph, factory, 5, True, rounds=rounds)
+    pair_off = run_once(graph, factory, 5, False, rounds=rounds)
+    assert pair_on[2]._engine._kernel is not None
+    per_round = pair_on[0].metrics.messages_per_round
+    assert len(per_round) == 30 and per_round[0] > 0
+    assert not any(per_round[10:]), per_round
+    assert_identical(pair_on, pair_off)
+
+
+def test_settled_mpx_checkpoint_resumes_on_both_engines():
+    """A checkpoint captured deep in the settled stretch resumes to the
+    uninterrupted run with the kernel on or off, on either engine."""
+    graph = GENERATORS["grid"](0)
+    factory, rounds = SETTLING_MPX
+    run = run_once(graph, factory, 5, True, rounds=rounds)
+    expected = _fingerprint(*run)
+    per_round = run[0].metrics.messages_per_round
+    checkpoints = []
+    CongestSimulator(
+        graph, factory, seed=5, trace=TraceRecorder("capture")
+    ).run(
+        max_rounds=rounds, checkpoint_every=15,
+        on_checkpoint=checkpoints.append,
+    )
+    checkpoint = checkpoints[0]
+    assert checkpoint.round == 15 and not any(per_round[10:15])
+    for engine, enabled in (
+        ("fast", True), ("fast", False), ("reference", True)
+    ):
+        set_kernels_enabled(enabled)
+        recorder = TraceRecorder("resumed")
+        resumed = resume_simulation(
+            graph, factory, checkpoint, engine=engine, trace=recorder
+        )
+        result = resumed.run(max_rounds=rounds)
+        set_kernels_enabled(True)
+        assert (getattr(resumed._engine, "_kernel", None) is not None) == (
+            engine == "fast" and enabled
+        )
+        assert _fingerprint(result, recorder, resumed) == expected
+
+
 def test_checkpoint_fixture_workload_unaffected():
     """Unregistered algorithms (the checkpoint fixture's RNG walker)
     never see a kernel and round-trip exactly as before."""

@@ -90,3 +90,16 @@ class TestMPX:
         coarse, _ = mpx_ldd(g, 0.3, seed=10, beta=0.05)
         fine, _ = mpx_ldd(g, 0.3, seed=10, beta=0.8)
         assert len(fine.clusters) >= len(coarse.clusters)
+
+    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    def test_corrupted_payloads_are_lost(self, engine):
+        """A corrupted message is dropped, not unpacked: the run
+        completes and its clusters still partition V."""
+        from repro.congest import FaultPlan, use_engine, use_faults
+
+        g = delaunay_planar_graph(60, seed=1)
+        with use_engine(engine), use_faults(FaultPlan(seed=3, corrupt=0.2)):
+            ldd, sim = mpx_ldd(g, 0.5, seed=2)
+        assert sim.metrics.messages_corrupted > 0
+        covered = [v for cluster in ldd.clusters for v in cluster]
+        assert len(covered) == g.n and set(covered) == set(g.vertices())
