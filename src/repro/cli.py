@@ -117,22 +117,30 @@ def _parse_specs(specs, flag: str, shape: str, parse) -> tuple:
 
 
 def _build_graph(args) -> Graph:
+    """The ``--family``/``--n`` graph; a size the family cannot be
+    built at is an operator error."""
     from . import generators
+    from .errors import GraphError
 
     n = args.n
     side = max(2, int(round(n ** 0.5)))
-    if args.family == "delaunay":
-        return generators.delaunay_planar_graph(n, seed=args.seed)
-    if args.family == "grid":
-        return generators.grid_graph(side, side)
-    if args.family == "trigrid":
-        return generators.triangulated_grid_graph(side, side)
-    if args.family == "ktree":
-        return generators.k_tree(n, 3, seed=args.seed)
-    if args.family == "torus":
-        return generators.toroidal_grid_graph(side, side)
-    if args.family == "cycle":
-        return generators.cycle_graph(n)
+    try:
+        if args.family == "delaunay":
+            return generators.delaunay_planar_graph(n, seed=args.seed)
+        if args.family == "grid":
+            return generators.grid_graph(side, side)
+        if args.family == "trigrid":
+            return generators.triangulated_grid_graph(side, side)
+        if args.family == "ktree":
+            return generators.k_tree(n, 3, seed=args.seed)
+        if args.family == "torus":
+            return generators.toroidal_grid_graph(side, side)
+        if args.family == "cycle":
+            return generators.cycle_graph(n)
+    except GraphError as exc:
+        raise _OperatorError(
+            f"cannot build --family {args.family} at --n {n}: {exc}"
+        )
     raise SystemExit(f"unknown family {args.family!r}")
 
 
@@ -321,11 +329,6 @@ def cmd_bench(args) -> int:
 
     from .runner import SUITES, run_suite, suite_names
 
-    if args.no_kernels:
-        # The env mirror makes the choice inherit into spawned workers.
-        from .congest.algorithm import set_kernels_enabled
-
-        set_kernels_enabled(False)
     names = args.suite or suite_names()
     # Hidden suites stay out of the default sweep but remain reachable
     # by explicit --suite NAME.
@@ -537,6 +540,12 @@ def cmd_faults(args) -> int:
     """Run one algorithm under an explicit fault plan and grade it."""
     from .congest import EdgeWindow, FaultPlan, PartitionWindow
     from .resilience import graded_run
+
+    if args.checkpoint_every < 1:
+        raise _OperatorError(
+            f"--checkpoint-every must be at least 1, got "
+            f"{args.checkpoint_every}"
+        )
 
     def vertex_round(spec):
         vertex, round_number = spec.split(":", 1)
@@ -991,11 +1000,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="replay cells already completed in the "
                             "journal of an interrupted run instead of "
                             "recomputing them")
-    bench.add_argument("--no-kernels", action="store_true",
-                       help="disable the columnar round kernels and "
-                            "run every CONGEST cell on the scalar "
-                            "per-vertex path (results are bit-identical"
-                            "; see docs/kernels.md)")
     bench.set_defaults(handler=cmd_bench)
 
     faults = sub.add_parser(

@@ -156,8 +156,10 @@ class VertexAlgorithm:
 # NumPy columns (one entry per vertex) whenever the run qualifies — see
 # :func:`repro.congest.kernels.maybe_build_kernel` for the activation
 # rules — and falls back to the ordinary scalar ``step`` loop
-# otherwise.  Kernels are a pure performance feature: outputs, metrics,
-# traces, and per-vertex RNG streams are bit-identical either way
+# otherwise.  A kernel steps every live vertex every round, so only an
+# algorithm that keeps the default scheduling hints may register one.
+# Kernels are a pure performance feature: outputs, metrics, traces, and
+# per-vertex RNG streams are bit-identical either way
 # (``tests/test_kernels.py`` is the differential gate).
 
 #: Minimum vertex count at which a registered kernel engages; below it
@@ -179,7 +181,17 @@ _kernels_enabled = os.environ.get("REPRO_NO_KERNELS", "").lower() not in (
 
 def register_kernel(algorithm_cls: type):
     """Class decorator registering a kernel class for ``algorithm_cls``
-    — the declaration that the algorithm's step is vectorizable."""
+    — the declaration that the algorithm's step is vectorizable.
+
+    Raises ``TypeError`` if ``algorithm_cls`` overrides
+    :meth:`VertexAlgorithm.is_idle`: kernel runs take dense rounds, in
+    which no vertex may sit a round out.
+    """
+    if algorithm_cls.is_idle is not VertexAlgorithm.is_idle:
+        raise TypeError(
+            f"{algorithm_cls.__qualname__} overrides is_idle; a kernel "
+            "steps every live vertex every round"
+        )
 
     def decorate(kernel_cls: type) -> type:
         kernel_cls.algorithm_cls = algorithm_cls
@@ -200,18 +212,14 @@ def kernels_enabled() -> bool:
 
 
 def set_kernels_enabled(flag: bool) -> None:
-    """Enable or disable kernels process-wide.
+    """Enable or disable kernels in this process.
 
-    Mirrored into the ``REPRO_NO_KERNELS`` environment variable so that
-    spawned benchmark workers inherit the choice (the CLI's
-    ``repro bench --no-kernels`` escape hatch relies on this).
+    The operator's switch is the ``REPRO_NO_KERNELS`` environment
+    variable, read at import, which spawned workers inherit like any
+    other; this setter does not touch the environment.
     """
     global _kernels_enabled
     _kernels_enabled = bool(flag)
-    if flag:
-        os.environ.pop("REPRO_NO_KERNELS", None)
-    else:
-        os.environ["REPRO_NO_KERNELS"] = "1"
 
 
 def kernel_threshold() -> int:

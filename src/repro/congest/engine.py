@@ -19,12 +19,12 @@ scheduling and accounting:
 * **Columnar kernels** — registered algorithms batch whole rounds and
   hand over a :class:`~repro.congest.kernels.SendPlan` charged as
   arrays.
-* **Dense rounds** — in a kernel run where no vertex can sit a round
-  out (default scheduling hints, no crash, rejoin or delay schedule)
-  the due set is always the live set, so the live ranks stay one
-  ascending index array that the kernel steps whole and that shrinks
-  only by the kernel's halts; the wakeup heap, due-set sort,
-  rescheduling pass and outbox scan are skipped.
+* **Dense rounds** — a kernel engages only on a fresh, fault-free run
+  of an algorithm that keeps the default scheduling hints, so no
+  vertex ever sits a round out: the live ranks stay one ascending index
+  array that the kernel steps whole and that shrinks only by the
+  kernel's halts; the wakeup heap, due-set sort, rescheduling pass and
+  outbox scan are skipped.
 
 The differential harness in ``tests/test_engine_equivalence.py`` and
 the fuzzer in ``tests/test_engine_fuzz.py`` pin outputs, metrics, and
@@ -100,16 +100,13 @@ class FastEngine(EngineCore):
         # _send_plan for _collect to charge vectorized; the charged
         # plan then waits in _lazy_plan, standing in for the pending
         # inbox dictionaries until the next round consumes it — or
-        # until checkpoint capture / crash filtering materializes it.
+        # until a checkpoint capture materializes it.
         self._send_plan = None
         self._lazy_plan = None
         # Columnar round kernel, when the algorithm class registered
-        # one and this run qualifies (see repro.congest.kernels);
-        # None means the ordinary scalar step loop.
+        # one and this run qualifies (see repro.congest.kernels): run()
+        # then takes dense rounds.  None means the per-vertex scheduler.
         self._kernel = maybe_build_kernel(self)
-        # Whether run() takes dense rounds; fixed for the engine's life
-        # (restore_checkpoint decides again).
-        self._dense = self._dense_rounds_apply()
 
     def run(
         self,
@@ -140,33 +137,15 @@ class FastEngine(EngineCore):
                 i for i in range(self._n) if not self._contexts[i]._halted
             }
             self._live = len(self._runnable)
-        if self._dense:
-            self._run_dense(max_rounds, checkpoint_every, on_checkpoint)
-        else:
-            self._run_scheduled(max_rounds, checkpoint_every, on_checkpoint)
         if kernel is not None:
+            self._run_dense(max_rounds, checkpoint_every, on_checkpoint)
             # Materialize columnar state (algorithm attributes, round
             # numbers, advanced RNG streams) back into the scalar
             # objects callers observe.
             kernel.sync()
+        else:
+            self._run_scheduled(max_rounds, checkpoint_every, on_checkpoint)
         return self._result()
-
-    def _dense_rounds_apply(self) -> bool:
-        """Is every live vertex due in every round of this run?
-
-        True for a kernel run in which no vertex can sit a round out
-        or come back: all vertices keep the default scheduling hints
-        (never idle) and there is no crash schedule, rejoin or delayed
-        message.  The per-vertex scheduler's due set is then always
-        exactly the live set, and :meth:`_run_dense` takes over.
-        """
-        return (
-            self._kernel is not None
-            and self._crash_rounds is None
-            and not self._rejoin_queue
-            and not self._delay_queue
-            and all(self._default_hints)
-        )
 
     def _run_dense(
         self,
@@ -174,13 +153,18 @@ class FastEngine(EngineCore):
         checkpoint_every: Optional[int],
         on_checkpoint: Optional[Callable[..., None]],
     ) -> None:
-        """The round loop when :meth:`_dense_rounds_apply` holds.
+        """The round loop of a kernel run.
 
-        The live ranks are one ascending index array that the kernel
-        steps whole and that shrinks only by the ranks it halted, so
-        no round sorts a due set, reschedules vertex by vertex, looks
-        for a fast-forward target or scans outboxes.  Rounds open,
-        drain and close exactly as in :meth:`_run_scheduled`.
+        A kernel engages only without a fault plan (no crash, rejoin or
+        delayed message) and only for an algorithm class that keeps the
+        default scheduling hints (``register_kernel`` refuses an
+        ``is_idle`` override), so every live vertex is due in every
+        round.  The live ranks are one ascending index array that the
+        kernel steps whole and that shrinks only by the ranks it
+        halted, so no round sorts a due set, reschedules vertex by
+        vertex, looks for a fast-forward target or scans outboxes.
+        Rounds open, drain and close exactly as in
+        :meth:`_run_scheduled`.
         """
         kernel = self._kernel
         np = kernel.np
@@ -229,7 +213,6 @@ class FastEngine(EngineCore):
         contexts = self._contexts
         algorithms = self._algorithms
         crash_rounds = self._crash_rounds
-        kernel = self._kernel
         due_vertices = self._due_vertices
         reschedule = self._reschedule
         record_skipped = self.metrics.record_skipped
@@ -283,16 +266,9 @@ class FastEngine(EngineCore):
             if crash_rounds is None:
                 stepping = due
             else:
-                # Fail-stop filtering happens before any stepping, so
-                # both the scalar loop and a kernel see the same live
-                # cohort (a vertex never steps at or after its crash
-                # round and its mail dies with it).  Filtering drops a
-                # crashing vertex's queued mail, which needs real inbox
-                # dictionaries — materialize a lazily-delivered plan
-                # first, preserving the scalar collect-then-filter
-                # order.
-                if self._lazy_plan is not None:
-                    self._materialize_lazy()
+                # Fail-stop filtering happens before any stepping: a
+                # vertex never steps at or after its crash round and
+                # its mail dies with it.
                 stepping = []
                 for i in due:
                     cr = crash_rounds[i]
@@ -307,32 +283,21 @@ class FastEngine(EngineCore):
                             pending_ids_discard(i)
                         continue
                     stepping.append(i)
-            if kernel is not None:
-                kernel.step_round(stepping, next_round)
-            else:
-                for i in stepping:
-                    ctx = contexts[i]
-                    ctx.round_number = next_round
-                    box = pending[i]
-                    if box is None:
-                        box = {}
-                    else:
-                        pending[i] = None
-                        pending_ids_discard(i)
-                    algorithms[i].step(ctx, box)
-            # A lazily-delivered plan is fully consumed by this round's
-            # step (its receivers were all due); drop it before the
-            # next collection replaces it.
-            self._lazy_plan = None
+            for i in stepping:
+                ctx = contexts[i]
+                ctx.round_number = next_round
+                box = pending[i]
+                if box is None:
+                    box = {}
+                else:
+                    pending[i] = None
+                    pending_ids_discard(i)
+                algorithms[i].step(ctx, box)
             # Revived vertices may have queued messages while (re-)
             # initializing; drain their outboxes along with the steppers,
             # in canonical order like every other drain.
             self._drain(sorted(due + revived) if revived else due)
             reschedule(due)
-            if kernel is not None and self._registry is not None:
-                # Diagnostic hit counter; excluded from telemetry
-                # identity comparisons (see Registry.comparable_dict).
-                self._registry.count("congest.kernel.rounds")
             self._close_round(
                 delivered,
                 stepping,
@@ -362,17 +327,22 @@ class FastEngine(EngineCore):
             # Columnar state becomes scalar truth before pickling, so
             # the envelope stays engine- and kernel-neutral.
             self._kernel.sync()
-        if self._lazy_plan is not None:
+        plan = self._lazy_plan
+        if plan is not None:
             # Checkpoints serialize pending inboxes as real
             # dictionaries; a lazily-delivered plan must become one
             # first so restores stay bit-identical across modes.
-            self._materialize_lazy()
+            self._lazy_plan = None
+            plan.materialize(self)
+            if self._registry is not None:
+                self._registry.count("congest.delivery.materialized")
         return capture_engine_state(self)
 
     def restore_checkpoint(self, checkpoint: SimulationCheckpoint) -> None:
         """Replace this engine's state with a captured checkpoint (see
         :func:`~repro.congest.checkpoint.restore_engine_state`) and
-        rebuild the scheduler's own indexes over it."""
+        rebuild the scheduler's own indexes over it.  The restored run
+        finishes on the per-vertex scheduler, kernel or not."""
         restore_engine_state(self, checkpoint)
         self._default_hints = [_never_idle(a) for a in self._algorithms]
         self._heap = [
@@ -384,11 +354,9 @@ class FastEngine(EngineCore):
         # materializes); discard any plan from the pre-restore life.
         self._send_plan = None
         self._lazy_plan = None
-        # Rebuild the kernel over the restored scalar state.  resume=True
-        # makes its first round replay the restored inbox dictionaries
-        # (the previous round's sends are not in any column yet).
-        self._kernel = maybe_build_kernel(self, resume=True)
-        self._dense = self._dense_rounds_apply()
+        # The previous round's sends exist only as the restored inbox
+        # dictionaries, which the columns cannot read: step scalar.
+        self._kernel = None
 
     # ------------------------------------------------------------------
     def _due_vertices(self, round_number: int) -> List[int]:
@@ -605,24 +573,16 @@ class FastEngine(EngineCore):
         """Charge a columnar send plan without materializing inboxes.
 
         The plan's vectorized accounting reproduces the scalar path
-        bit-for-bit (same per-edge counts, bits, histogram, errors);
-        the per-vertex scheduler marks receivers due via
-        ``_pending_ids`` (dense rounds step every live vertex anyway),
-        but their inbox dictionaries stay unbuilt — the plan itself is
-        parked in ``_lazy_plan`` and reconstructed only if checkpoint
-        capture or crash filtering needs object-level messages.
-        Kernelized plans ride a lossless channel by construction
-        (message-faulting plans disable kernels), so the fault channel
-        is skipped; crash-only injectors still get their zeroed
-        per-round fault counters.
+        bit-for-bit (same per-edge counts, bits, histogram, errors).
+        Dense rounds step every live vertex, so no receiver needs
+        marking due; the inbox dictionaries stay unbuilt — the plan
+        itself is parked in ``_lazy_plan`` and reconstructed only if a
+        checkpoint capture needs object-level messages.  Kernels never
+        run under a fault plan, so the fault channel is skipped.
         """
-        per_edge, messages, bits, bits_hist, max_bits, edge_keys = (
-            plan.account(self)
-        )
+        per_edge, messages, bits, bits_hist, max_bits = plan.account(self)
         if max_bits > self.metrics.max_message_bits:
             self.metrics.max_message_bits = max_bits
-        if not self._dense:
-            self._pending_ids.update(plan.receivers(edge_keys))
         self._lazy_plan = plan
         if self._registry is not None:
             self._registry.count("congest.delivery.batched")
@@ -633,11 +593,3 @@ class FastEngine(EngineCore):
             bits_hist,
             NO_FAULTS,
         )
-
-    def _materialize_lazy(self) -> None:
-        """Build the inbox dictionaries a lazily-delivered plan deferred."""
-        plan = self._lazy_plan
-        self._lazy_plan = None
-        plan.materialize(self)
-        if self._registry is not None:
-            self._registry.count("congest.delivery.materialized")

@@ -8,35 +8,34 @@ sends only through :meth:`KernelBase._emit_broadcast` /
 one :class:`SendPlan`; ``FastEngine._collect`` charges the plan
 vectorized (:meth:`SendPlan.account`) with exactly the bits, errors,
 and per-edge counts the scalar drain of the same sends would produce.
-The fault channel, metrics and traces stay on the engine's scalar path.
-So does scheduling, except in dense rounds (``FastEngine._run_dense``):
-when every live vertex is due every round, the engine hands
-:meth:`KernelBase.step_round` the live indices as one array and drops
-the indices it returns as halted.  Random draws stay on the per-vertex
-scalar generators (``ctx.rng``): the registered protocols consume
-O(log n) words per vertex, far too few to amortize columnar stream
-adoption (see the measurements in ``docs/kernels.md``).
+Metrics and traces stay on the engine's scalar path.  Every kernel run
+takes dense rounds (``FastEngine._run_dense``): every live vertex is
+due every round, so the engine hands :meth:`KernelBase.step_round` the
+live indices as one array and drops the indices it returns as halted.
+Random draws stay on the per-vertex scalar generators (``ctx.rng``):
+the registered protocols consume O(log n) words per vertex, far too
+few to amortize columnar stream adoption (see the measurements in
+``docs/kernels.md``).
 
-Activation (:func:`maybe_build_kernel`) is deliberately conservative.
-A kernel engages only when
+Activation (:func:`maybe_build_kernel`) runs once, when a fast engine
+is built, and is deliberately conservative.  A kernel engages only
+when
 
-* kernels are enabled (``repro bench --no-kernels`` / the
-  ``REPRO_NO_KERNELS`` environment variable flip this off),
+* kernels are enabled (the ``REPRO_NO_KERNELS`` environment variable
+  or :func:`~repro.congest.algorithm.set_kernels_enabled` flip this
+  off),
 * NumPy is importable (``HAVE_NUMPY`` — otherwise everything silently
   degrades to scalar),
 * the population is uniform (every vertex runs the same registered
   algorithm class) and at least ``kernel_threshold()`` vertices big,
-* the fault plan cannot touch messages: kernels reconstruct inbound
-  traffic from the sender-side columns of the previous round, which is
-  only faithful on a lossless, static channel.  Crash-only plans
-  qualify (crashed vertices are filtered before the kernel sees the
-  round); drop/duplicate/corrupt/link-failure/rejoin plans fall back,
-  as do the network-adversity plans (topology churn, partition
-  windows, message delay — each rewrites what the receiver sees), and
-  the first round after a checkpoint restore replays the restored
-  inbox dictionaries before switching to columnar reconstruction.
+* the run has no fault plan: kernels reconstruct inbound traffic from
+  the sender-side columns of the previous round, which is only
+  faithful on the model's lossless, static channel with every vertex
+  stepping every round.  (An empty plan compiles to no plan at all.)
 
-The fallback is always silent and always bit-identical — a kernel is a
+A run restored from a checkpoint never holds a kernel: it finishes on
+the per-vertex path from the restored inbox dictionaries.  The
+fallback is always silent and always bit-identical — a kernel is a
 pure performance feature (``tests/test_kernels.py`` pins this).
 """
 
@@ -54,7 +53,7 @@ from .message import message_bits
 _NO_PAYLOAD = object()
 
 
-def maybe_build_kernel(engine, resume: bool = False) -> Optional[KernelBase]:
+def maybe_build_kernel(engine) -> Optional[KernelBase]:
     """Build the columnar kernel for ``engine``, or ``None`` to run
     scalar.  See the module docstring for the activation rules."""
     algorithms = engine._algorithms
@@ -77,24 +76,9 @@ def maybe_build_kernel(engine, resume: bool = False) -> Optional[KernelBase]:
         # Per-message provenance tracing needs the scalar channel;
         # batched plans never materialize individual transmissions.
         reason = "trace-detail"
-    else:
-        injector = engine.faults
-        if injector is not None:
-            plan = injector.plan
-            if (
-                plan.drop
-                or plan.duplicate
-                or plan.corrupt
-                or plan.link_failures
-                or plan.rejoins
-                or plan.edge_arrivals
-                or plan.edge_departures
-                or plan.edge_up_windows
-                or plan.partitions
-                or plan.delay
-            ):
-                reason = "faulty-channel"
-    if reason is None and not kernel_cls.supports(engine):
+    elif engine.faults is not None:
+        reason = "fault-plan"
+    elif not kernel_cls.supports(engine):
         reason = "unsupported-population"
     registry = engine._registry
     if reason is not None:
@@ -103,7 +87,7 @@ def maybe_build_kernel(engine, resume: bool = False) -> Optional[KernelBase]:
         if registry is not None:
             registry.count("congest.kernel.fallback")
         return None
-    kernel = kernel_cls(engine, resume=resume)
+    kernel = kernel_cls(engine)
     if registry is not None:
         registry.count("congest.kernel.engaged")
     return kernel
@@ -194,8 +178,8 @@ class SendPlan:
     over dense ``sender * n + receiver`` edge keys, budget and strict
     checks as array comparisons that reproduce the scalar error text
     and attribution exactly — and defers building per-receiver inbox
-    dictionaries until something needs object-level messages
-    (:meth:`materialize`: checkpoint capture or crash filtering).
+    dictionaries until a checkpoint capture needs object-level
+    messages (:meth:`materialize`).
 
     Faithfulness constraint (holds for every shipped kernel, asserted
     nowhere for speed): the flattened segment-major order of a plan
@@ -214,10 +198,8 @@ class SendPlan:
     def account(self, engine):
         """Vectorized twin of the scalar ``_collect`` accounting.
 
-        Returns ``(per_edge, messages, bits, bits_hist, max_bits,
-        edge_keys)`` without touching any pending inbox, where
-        ``edge_keys`` holds the distinct ``sender * n + receiver`` keys
-        charged (see :meth:`receivers`); raises
+        Returns ``(per_edge, messages, bits, bits_hist, max_bits)``
+        without touching any pending inbox; raises
         ``MessageTooLargeError`` / ``ProtocolError`` for the same first
         offending message, with the same text, as the scalar path.
         """
@@ -329,7 +311,7 @@ class SendPlan:
             messages += total
             flat_base += total
         if not key_arrays:
-            return {}, 0, 0, {}, 0, np.zeros(0, np.int64)
+            return {}, 0, 0, {}, 0
         all_keys = (
             key_arrays[0]
             if len(key_arrays) == 1
@@ -376,22 +358,16 @@ class SendPlan:
                 f"in one round (capacity {capacity})"
             )
         per_edge = dict(zip(uniq_keys.tolist(), counts.tolist()))
-        return per_edge, messages, bits, bits_hist, max_bits, uniq_keys
-
-    def receivers(self, edge_keys) -> List[int]:
-        """The dense indices that receive mail, from :meth:`account`'s
-        ``edge_keys``, ascending."""
-        kernel = self.kernel
-        return kernel.np.unique(edge_keys % kernel.n).tolist()
+        return per_edge, messages, bits, bits_hist, max_bits
 
     def materialize(self, engine) -> None:
         """Build the per-receiver inbox dictionaries this plan deferred.
 
         Iterates the segments in plan (= scalar send) order and writes
-        structurally identical boxes — same payload objects, one shared
-        object per broadcast, insertion order matching the scalar
-        drain — so checkpoint capture and crash filtering observe
-        exactly the state the scalar path would have built.
+        dictionaries identical in structure — same payload objects, one
+        shared object per broadcast, insertion order matching the
+        scalar drain — so a checkpoint captures exactly the pending
+        state the scalar path would have built.
         """
         contexts = engine._contexts
         pending = engine._pending
@@ -447,8 +423,13 @@ class KernelBase:
     the same ``halt`` outputs, the same per-vertex RNG word
     consumption.  See ``docs/kernels.md`` for the full contract.
 
-    Subclasses implement ``_load_columns`` (scalar objects -> columns,
-    run at construction so a restored checkpoint resumes mid-protocol),
+    A kernel only ever drives a fresh, fault-free run in dense rounds
+    (see :func:`maybe_build_kernel`): every vertex initializes, then
+    every live vertex steps every round, and the previous round's sends
+    are always in the sender-side columns.
+
+    Subclasses implement ``_load_columns`` (allocate the state columns
+    and read the population's shared parameters, at construction),
     ``_write_columns`` (columns -> scalar objects, run at ``sync``),
     ``_initialize_rows`` and ``_step_rows``, and send only through
     ``_emit_broadcast`` / ``_emit_send``.
@@ -475,7 +456,7 @@ class KernelBase:
     def _supports_population(cls, engine) -> bool:
         return True
 
-    def __init__(self, engine, resume: bool = False) -> None:
+    def __init__(self, engine) -> None:
         np = _np()
         self.np = np
         self.engine = engine
@@ -495,15 +476,9 @@ class KernelBase:
         # ``ctx.round_number`` at sync (the scalar path sets it per
         # step; doing that eagerly would cost a Python attribute write
         # per vertex per round).
-        self.last_step = np.array(
-            [ctx.round_number for ctx in self.contexts], dtype=np.int64
-        )
+        self.last_step = np.zeros(n, dtype=np.int64)
         self._rn_dirty = np.zeros(n, dtype=bool)
         self._state_dirty = False
-        # After a checkpoint restore the previous round's sends are only
-        # available as the restored inbox dictionaries; replay those
-        # once, then trust the columns.
-        self._use_dicts = bool(resume)
         # Segments emitted through _emit_broadcast/_emit_send this
         # round, handed to the engine as one SendPlan.
         self._plan_segments: List[tuple] = []
@@ -520,26 +495,21 @@ class KernelBase:
         self._initialize_rows(rows)
         self._flush_plan()
 
-    def step_round(self, due: Sequence[int], round_number: int) -> List[int]:
+    def step_round(self, rows, round_number: int) -> List[int]:
         """Vectorized twin of one round's per-vertex ``step`` loop.
 
-        ``due`` holds the engine indices of live, scheduled vertices
-        (crashed vertices already filtered), ascending: a list, or the
-        ``intp`` array dense rounds keep.  Consumes their pending
-        inboxes, parks the round's sends on the engine as a
-        :class:`SendPlan`, sets ``_halted``/``_output`` for vertices
-        that halt, and returns those vertices' indices.
+        ``rows`` is the ``intp`` array of live engine indices, ascending,
+        that dense rounds keep.  Consumes their pending inboxes, parks
+        the round's sends on the engine as a :class:`SendPlan`, sets
+        ``_halted``/``_output`` for vertices that halt, and returns
+        those vertices' indices.
         """
-        np = self.np
         engine = self.engine
-        rows = np.asarray(due, dtype=np.intp)
         self.last_step[rows] = round_number
         self._rn_dirty[rows] = True
         self._state_dirty = True
-        boxes = None
-        if self._use_dicts:
-            boxes = [engine._pending[i] or {} for i in rows.tolist()]
-        # Consume the pending inboxes exactly like the scalar loop.
+        # Inboxes exist only where a checkpoint capture materialized the
+        # parked plan; consume them exactly like the scalar loop.
         pids = engine._pending_ids
         if pids:
             pending = engine._pending
@@ -548,8 +518,7 @@ class KernelBase:
                 pending[i] = None
             pids.difference_update(consumed)
         self._halts = []
-        self._step_rows(rows, round_number, boxes)
-        self._use_dicts = False
+        self._step_rows(rows, round_number)
         self._flush_plan()
         return self._halts
 
@@ -587,12 +556,12 @@ class KernelBase:
         """Queue a broadcast from each of ``rows`` to all its neighbors.
 
         Pass either ``payloads`` (a list aligned with ``rows`` — or a
-        zero-argument callable building one, deferred until an inbox
-        must actually materialize; each row's object is shared across
-        its neighbors, as the scalar path does) or ``shared`` (one
-        object for every row).  ``size`` optionally declares the
-        ``message_bits`` of the payloads — a uniform int or a per-row
-        ``int64`` column — so accounting skips measuring them.
+        zero-argument callable building one, deferred until a
+        checkpoint capture materializes the plan; each row's object is
+        shared across its neighbors, as the scalar path does) or
+        ``shared`` (one object for every row).  ``size`` optionally
+        declares the ``message_bits`` of the payloads — a uniform int or
+        a per-row ``int64`` column — so accounting skips measuring them.
         """
         if rows.shape[0] == 0:
             return
@@ -615,5 +584,5 @@ class KernelBase:
     def _initialize_rows(self, rows) -> None:
         raise NotImplementedError
 
-    def _step_rows(self, rows, round_number: int, boxes) -> None:
+    def _step_rows(self, rows, round_number: int) -> None:
         raise NotImplementedError

@@ -238,7 +238,14 @@ class CongestSimulator:
         passed to the callback (which may, e.g., ``save()`` it to disk).
         Resume one later with
         :func:`~repro.congest.checkpoint.resume_simulation`.
+        ``checkpoint_every`` below 1 raises ``ValueError`` before any
+        round runs.
         """
+        if checkpoint_every is not None and checkpoint_every < 1:
+            raise ValueError(
+                f"checkpoint_every must be at least 1, got "
+                f"{checkpoint_every!r}"
+            )
         return self._engine.run(
             max_rounds,
             checkpoint_every=checkpoint_every,

@@ -118,34 +118,23 @@ class MPXKernel(KernelBase):
         self.beta = algo.beta
         self.shift_cap = algo.shift_cap
         self.budget = algo.budget
-        index = self.engine._index
         # Label column for vectorized payload sizing (labels are ints
         # wherever a kernel engages).
         self.labels = np.array(self.verts, dtype=np.int64)
-        self.started = np.zeros(n, bool)
         self.best_scaled = np.zeros(n, np.int64)
         self.best_root = np.zeros(n, np.int64)
         self.best_dist = np.zeros(n, np.int64)
         self.best_key = np.full(n, self._KEY_MIN, np.int64)
         self.sent = np.zeros(n, bool)  # broadcast in the last round
-        for i, a in enumerate(self.algorithms):
-            if a.best is not None:
-                scaled, root, dist = a.best
-                self.started[i] = True
-                self.best_scaled[i] = scaled
-                self.best_root[i] = index[root]
-                self.best_dist[i] = dist
-                self.best_key[i] = scaled - dist * SHIFT_SCALE
 
     def _write_columns(self) -> None:
+        # Every vertex has a best: a kernel run initializes them all.
         verts = self.verts
-        started = self.started.tolist()
         scaled = self.best_scaled.tolist()
         root = self.best_root.tolist()
         dist = self.best_dist.tolist()
         for i, algo in enumerate(self.algorithms):
-            if started[i]:
-                algo.best = (scaled[i], verts[root[i]], dist[i])
+            algo.best = (scaled[i], verts[root[i]], dist[i])
 
     def _broadcast(self, rows) -> None:
         verts = self.verts
@@ -188,21 +177,15 @@ class MPXKernel(KernelBase):
             )
             for i in rows.tolist()
         ]
-        self.started[rows] = True
         self.best_scaled[rows] = scaled
         self.best_root[rows] = rows
         self.best_dist[rows] = 0
         self.best_key[rows] = self.best_scaled[rows]
         self._broadcast(rows)
 
-    def _step_rows(self, rows, round_number: int, boxes) -> None:
+    def _step_rows(self, rows, round_number: int) -> None:
         np = self.np
-        if boxes is not None:
-            improved_rows = self._adopt_from_dicts(rows, boxes)
-            self.sent[:] = False
-            if improved_rows.size:
-                self._broadcast(improved_rows)
-        elif self.sent.any():
+        if self.sent.any():
             # Once a round passes with no broadcast the wave has
             # settled: every candidate would be masked to _KEY_MIN, no
             # row could improve and ``sent`` is already clear, so the
@@ -249,26 +232,6 @@ class MPXKernel(KernelBase):
             verts = self.verts
             for i, r in zip(rows.tolist(), self.best_root[rows].tolist()):
                 self._halt(i, verts[r])
-
-    def _adopt_from_dicts(self, rows, boxes):
-        np = self.np
-        index = self.engine._index
-        improved: list = []
-        for i, box in zip(rows.tolist(), boxes):
-            cur = (int(self.best_key[i]), int(self.best_root[i]))
-            best = None
-            for payloads in box.values():
-                for root, scaled, dist in payloads:
-                    cand = (scaled - (dist + 1) * SHIFT_SCALE, index[root])
-                    if best is None or cand > best:
-                        best = (cand[0], cand[1], scaled, dist + 1)
-            if best is not None and (best[0], best[1]) > cur:
-                self.best_key[i] = best[0]
-                self.best_root[i] = best[1]
-                self.best_scaled[i] = best[2]
-                self.best_dist[i] = best[3]
-                improved.append(i)
-        return np.array(improved, dtype=np.intp)
 
 
 def mpx_ldd(

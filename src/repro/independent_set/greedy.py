@@ -148,25 +148,18 @@ class LubyKernel(KernelBase):
         self._in_size = message_bits(("IN", 0.0))
         self.status = np.zeros(n, np.int8)
         self.pri = np.zeros(n, np.float64)
-        self.drawn = np.zeros(n, bool)  # has a priority (initialized)
         self.sent_pri = np.zeros(n, bool)  # broadcast PRI last round
         self.sent_in = np.zeros(n, bool)  # broadcast IN last round
-        for i, algo in enumerate(self.algorithms):
-            if algo.priority is not None:
-                self.status[i] = self._STATES.index(algo.state)
-                self.pri[i] = algo.priority[0]
-                self.drawn[i] = True
 
     def _write_columns(self) -> None:
+        # Every vertex has drawn: a kernel run initializes them all.
         status = self.status.tolist()
         pri = self.pri.tolist()
-        drawn = self.drawn.tolist()
         verts = self.verts
         states = self._STATES
         for i, algo in enumerate(self.algorithms):
             algo.state = states[status[i]]
-            if drawn[i]:
-                algo.priority = (pri[i], verts[i])
+            algo.priority = (pri[i], verts[i])
 
     def _draw_and_announce(self, rows) -> None:
         """Columnar twin of ``LubyMIS._draw_and_announce``.
@@ -178,7 +171,6 @@ class LubyKernel(KernelBase):
         streams bit-identical by construction.
         """
         pri = self.pri
-        self.drawn[rows] = True
         self.sent_pri[:] = False
         self.sent_pri[rows] = True
         contexts = self.contexts
@@ -193,28 +185,20 @@ class LubyKernel(KernelBase):
     def _initialize_rows(self, rows) -> None:
         self._draw_and_announce(rows)
 
-    def _step_rows(self, rows, round_number: int, boxes) -> None:
-        np = self.np
+    def _step_rows(self, rows, round_number: int) -> None:
         status = self.status
         if round_number % 2 == 1:
             # Comparison round: join iff best among undecided neighbors.
             undecided = rows[status[rows] == 0]
-            if boxes is not None:
-                beaten_ids = self._beaten_from_dicts(rows, boxes)
-                winners = np.array(
-                    [i for i in undecided.tolist() if i not in beaten_ids],
-                    dtype=np.intp,
-                )
-            else:
-                nbr = self.nbr
-                dst = self.edge_dst
-                nbrp = self.pri[nbr]
-                dstp = self.pri[dst]
-                beat_e = self.sent_pri[nbr] & (
-                    (nbrp > dstp) | ((nbrp == dstp) & (nbr > dst))
-                )
-                beaten = seg_any(beat_e, self.indptr)
-                winners = undecided[~beaten[undecided]]
+            nbr = self.nbr
+            dst = self.edge_dst
+            nbrp = self.pri[nbr]
+            dstp = self.pri[dst]
+            beat_e = self.sent_pri[nbr] & (
+                (nbrp > dstp) | ((nbrp == dstp) & (nbr > dst))
+            )
+            beaten = seg_any(beat_e, self.indptr)
+            winners = undecided[~beaten[undecided]]
             status[winners] = 1
             self.sent_pri[:] = False
             self.sent_in[:] = False
@@ -227,15 +211,8 @@ class LubyKernel(KernelBase):
         else:
             # Resolution round: losers of an IN neighbor leave.
             undecided = rows[status[rows] == 0]
-            if boxes is not None:
-                saw = self._saw_in_from_dicts(rows, boxes)
-                out_rows = np.array(
-                    [i for i in undecided.tolist() if i in saw],
-                    dtype=np.intp,
-                )
-            else:
-                saw_in = seg_any(self.sent_in[self.nbr], self.indptr)
-                out_rows = undecided[saw_in[undecided]]
+            saw_in = seg_any(self.sent_in[self.nbr], self.indptr)
+            out_rows = undecided[saw_in[undecided]]
             status[out_rows] = 2
             decided = rows[status[rows] != 0]
             for i, s in zip(decided.tolist(), status[decided].tolist()):
@@ -252,28 +229,6 @@ class LubyKernel(KernelBase):
                     self._halt(i, False)
                 return
             self._draw_and_announce(remaining)
-
-    # -- post-restore replay of restored inbox dictionaries ------------
-    def _beaten_from_dicts(self, rows, boxes):
-        beaten = set()
-        pri = self.pri
-        verts = self.verts
-        for i, box in zip(rows.tolist(), boxes):
-            mine = (pri[i], verts[i])
-            for sender, payloads in box.items():
-                for tag, value in payloads:
-                    if tag == "PRI" and (value, sender) > mine:
-                        beaten.add(i)
-        return beaten
-
-    def _saw_in_from_dicts(self, rows, boxes):
-        saw = set()
-        for i, box in zip(rows.tolist(), boxes):
-            for payloads in box.values():
-                if any(tag == "IN" for tag, _v in payloads):
-                    saw.add(i)
-                    break
-        return saw
 
 
 def luby_mis_max_phases(n: int) -> int:

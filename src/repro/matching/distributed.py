@@ -169,9 +169,12 @@ class ProposalMatchingKernel(KernelBase):
     The active sets live as one boolean mask over the CSR edge array,
     so "propose to the k-th active neighbor" is a cumulative-sum lookup
     and retiring announced neighbors is a masked store.  Proposals and
-    acceptances reconstruct from the senders' columns stamped with the
-    round they were made in, which keeps them valid under crash faults
-    (a stale stamp never matches the current phase).
+    acceptances reconstruct from the senders' ``proposed`` and ``mate``
+    columns: every live vertex steps every round of a kernel run, so a
+    proposal is cleared in the resolve round right after it is made,
+    and a proposer that finds ``mate[target]`` pointing at itself was
+    accepted in the round before (an earlier acceptance would have
+    matched it then).
     """
 
     @classmethod
@@ -182,53 +185,26 @@ class ProposalMatchingKernel(KernelBase):
     def _load_columns(self) -> None:
         np = self.np
         n = self.n
-        index = self.engine._index
-        indptr = self.indptr
-        nbr = self.nbr
         self.max_phases = self.algorithms[0].max_phases
-        self.started = np.zeros(n, bool)
         self.matched = np.zeros(n, bool)
         self.announced = np.zeros(n, bool)
         self.mate = np.full(n, -1, np.int64)
         self.proposed = np.full(n, -1, np.int64)
-        self.prop_round = np.full(n, -1, np.int64)
-        self.acc_round = np.full(n, -1, np.int64)
         self.sent_ann = np.zeros(n, bool)  # announced in the last round
-        self.act_e = np.zeros(nbr.shape[0], bool)
-        for i, a in enumerate(self.algorithms):
-            if a.active is None:
-                continue
-            self.started[i] = True
-            self.matched[i] = a.matched
-            self.announced[i] = a.announced
-            if a.mate is not None:
-                self.mate[i] = index[a.mate]
-            if a.proposed_to is not None:
-                self.proposed[i] = index[a.proposed_to]
-                # The proposal is from the most recent propose round at
-                # or before the vertex's last step.
-                r = self.contexts[i].round_number
-                self.prop_round[i] = r - ((r - 1) % 3)
-            if a.active:
-                act = {index[u] for u in a.active}
-                lo, hi = int(indptr[i]), int(indptr[i + 1])
-                self.act_e[lo:hi] = [
-                    j in act for j in nbr[lo:hi].tolist()
-                ]
+        self.act_e = np.zeros(self.nbr.shape[0], bool)
 
     def _write_columns(self) -> None:
+        # Every vertex has an active set: a kernel run initializes them
+        # all.
         verts = self.verts
         indptr = self.indptr
         nbr = self.nbr
         act_e = self.act_e
-        started = self.started.tolist()
         matched = self.matched.tolist()
         announced = self.announced.tolist()
         mate = self.mate.tolist()
         proposed = self.proposed.tolist()
         for i, a in enumerate(self.algorithms):
-            if not started[i]:
-                continue
             a.matched = matched[i]
             a.announced = announced[i]
             a.mate = verts[mate[i]] if mate[i] >= 0 else None
@@ -246,44 +222,27 @@ class ProposalMatchingKernel(KernelBase):
 
     def _initialize_rows(self, rows) -> None:
         np = self.np
-        self.started[rows] = True
         sel = np.zeros(self.n, bool)
         sel[rows] = True
         self.act_e[sel[self.edge_dst]] = True
 
-    def _step_rows(self, rows, round_number: int, boxes) -> None:
+    def _step_rows(self, rows, round_number: int) -> None:
         phase = round_number % 3
         if phase == 1:
-            self._propose(rows, round_number, boxes)
+            self._propose(rows, round_number)
         elif phase == 2:
-            self._accept(rows, round_number, boxes)
+            self._accept(rows)
         else:
-            self._resolve(rows, round_number, boxes)
+            self._resolve(rows)
 
-    def _propose(self, rows, r: int, boxes) -> None:
+    def _propose(self, rows, r: int) -> None:
         np = self.np
         indptr = self.indptr
         nbr = self.nbr
         # Retire neighbors that announced a match last resolve.
-        if boxes is not None:
-            index = self.engine._index
-            for i, box in zip(rows.tolist(), boxes):
-                lo, hi = int(indptr[i]), int(indptr[i + 1])
-                seg = nbr[lo:hi]
-                for sender, payloads in box.items():
-                    if any(
-                        p == ProposalMatching.MATCHED for p in payloads
-                    ):
-                        pos = lo + int(
-                            np.searchsorted(seg, index[sender])
-                        )
-                        self.act_e[pos] = False
-        else:
-            due_mask = np.zeros(self.n, bool)
-            due_mask[rows] = True
-            self.act_e[due_mask[self.edge_dst] & self.sent_ann[nbr]] = (
-                False
-            )
+        due_mask = np.zeros(self.n, bool)
+        due_mask[rows] = True
+        self.act_e[due_mask[self.edge_dst] & self.sent_ann[nbr]] = False
         self.sent_ann[:] = False
         if r > 3 * self.max_phases:
             # Budget exhausted (failure path); stay unmatched.
@@ -329,70 +288,27 @@ class ProposalMatchingKernel(KernelBase):
         )
         targets = nbr[edge]
         self.proposed[proposers] = targets
-        self.prop_round[proposers] = r
         self._emit_send(proposers, targets, ProposalMatching.PROPOSE)
 
-    def _accept(self, rows, r: int, boxes) -> None:
+    def _accept(self, rows) -> None:
         np = self.np
         eligible = rows[~self.matched[rows] & (self.proposed[rows] < 0)]
-        if boxes is not None:
-            index = self.engine._index
-            box_by_row = dict(zip(rows.tolist(), boxes))
-            rows_w: List[int] = []
-            winners: List[int] = []
-            for i in eligible.tolist():
-                best = -1
-                for sender, payloads in box_by_row[i].items():
-                    if any(
-                        p == ProposalMatching.PROPOSE for p in payloads
-                    ):
-                        best = max(best, index[sender])
-                if best >= 0:
-                    rows_w.append(i)
-                    winners.append(best)
-            acc_rows = np.array(rows_w, dtype=np.intp)
-            acc_mate = np.array(winners, dtype=np.int64)
-        else:
-            nbr = self.nbr
-            dst = self.edge_dst
-            prop_e = (self.proposed[nbr] == dst) & (
-                self.prop_round[nbr] == r - 1
-            )
-            mx = seg_max(np.where(prop_e, nbr, -1), self.indptr, -1)
-            acc_rows = eligible[mx[eligible] >= 0]
-            acc_mate = mx[acc_rows]
+        nbr = self.nbr
+        prop_e = self.proposed[nbr] == self.edge_dst
+        mx = seg_max(np.where(prop_e, nbr, -1), self.indptr, -1)
+        acc_rows = eligible[mx[eligible] >= 0]
         if acc_rows.size == 0:
             return
+        acc_mate = mx[acc_rows]
         self.matched[acc_rows] = True
         self.mate[acc_rows] = acc_mate
-        self.acc_round[acc_rows] = r
         self._emit_send(acc_rows, acc_mate, ProposalMatching.ACCEPT)
 
-    def _resolve(self, rows, r: int, boxes) -> None:
-        np = self.np
+    def _resolve(self, rows) -> None:
         prop_rows = rows[self.proposed[rows] >= 0]
         if prop_rows.size:
             targets = self.proposed[prop_rows]
-            if boxes is not None:
-                box_by_row = dict(zip(rows.tolist(), boxes))
-                verts = self.verts
-                ok = np.array(
-                    [
-                        any(
-                            p == ProposalMatching.ACCEPT
-                            for p in box_by_row[i].get(verts[t], ())
-                        )
-                        for i, t in zip(
-                            prop_rows.tolist(), targets.tolist()
-                        )
-                    ],
-                    dtype=bool,
-                )
-            else:
-                ok = (self.mate[targets] == prop_rows) & (
-                    self.acc_round[targets] == r - 1
-                )
-            won = prop_rows[ok]
+            won = prop_rows[self.mate[targets] == prop_rows]
             self.matched[won] = True
             self.mate[won] = self.proposed[won]
             self.proposed[prop_rows] = -1

@@ -190,6 +190,19 @@ def test_every_checkpoint_boundary_resumes_identically():
         assert _fingerprint(resumed.run(300), recorder) == baseline
 
 
+@pytest.mark.parametrize("engine", ["fast", "reference"])
+@pytest.mark.parametrize("every", [0, -1])
+def test_checkpoint_every_below_one_is_refused(engine, every):
+    """An interval below 1 names no sensible capture round: refused
+    before round 1, on either engine."""
+    captured = []
+    sim = CongestSimulator(_graph(), FixtureFlood, seed=3, engine=engine)
+    with pytest.raises(ValueError, match="must be at least 1"):
+        sim.run(300, checkpoint_every=every, on_checkpoint=captured.append)
+    assert captured == []
+    assert sim.rounds_executed == 0
+
+
 # ----------------------------------------------------------------------
 # Crash-recovery semantics
 # ----------------------------------------------------------------------

@@ -173,6 +173,18 @@ class TestFaultsCommand:
                      "--checkpoint-interval", "0"]) == 2
         assert "invalid fault plan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family", ["delaunay", "ktree", "torus", "cycle"])
+    def test_too_small_n_is_a_clean_error(self, capsys, family):
+        # The generator cannot build the family at this size: exit 2
+        # with one line naming the flags, never a GraphError traceback.
+        assert main(["faults", "--family", family, "--n", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, lines
+        assert f"cannot build --family {family} at --n 2" in lines[0]
+        assert "Traceback" not in captured.err
+
 
 class TestBenchJournal:
     def test_resume_replays_journaled_cells(self, capsys, tmp_path):
@@ -316,6 +328,23 @@ class TestFaultsCheckpointCLI:
         assert "resumed:" in second
         assert len(graded(first)) == 3
         assert graded(second) == graded(first)
+
+    @pytest.mark.parametrize("every", ["0", "-1"])
+    def test_checkpoint_every_below_one_exits_2(self, capsys, tmp_path, every):
+        # An interval below 1 names no sensible capture round: an
+        # unusable flag value, refused before anything runs.
+        ck = tmp_path / "ck.json"
+        code = main(self.ARGS + ["--save-checkpoint", str(ck),
+                                 "--checkpoint-every", every])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, lines
+        assert f"--checkpoint-every must be at least 1, got {every}" in (
+            lines[0]
+        )
+        assert not ck.exists()
 
     def test_corrupt_checkpoint_resume_exits_2(self, capsys, tmp_path):
         ck = tmp_path / "ck.json"

@@ -10,7 +10,8 @@ columnar send plans, so the batched accounting is held to the same
 bit-parity bar, including its error paths (oversized messages, strict
 capacity violations).  A second group covers the activation rules
 (thresholds, fault plans, missing NumPy, the ``REPRO_NO_KERNELS``
-escape hatch) and checkpoint round-trips across kernel modes.
+switch, idle-hint algorithms) and checkpoint round-trips across kernel
+modes: a kernel run captures, and every resume finishes scalar.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ class _CountdownKernel(KernelBase):
         senders = rows[degree > 0]
         self._emit_broadcast(senders, self.deadline[senders].tolist())
 
-    def _step_rows(self, rows, round_number, boxes):
+    def _step_rows(self, rows, round_number):
         left = self.deadline[rows] - round_number
         for i in rows[left <= 0].tolist():
             self._halt(i, round_number)
@@ -195,11 +196,11 @@ def test_kernel_matches_scalar(algo, family, seed, plan_kind, send_plans):
         pair_on = run_once(graph, factory, seed, True, plan, rounds)
         delivered = registry.to_dict()["counters"]
     pair_off = run_once(graph, factory, seed, False, plan, rounds)
-    # Message-fault plans force a (silent) scalar fallback; lossless
-    # and crash-only plans must actually engage the kernel, otherwise
-    # this test would be vacuously comparing scalar against scalar.
+    # Any fault plan forces a (silent) scalar fallback; fault-free runs
+    # must actually engage the kernel, otherwise this test would be
+    # vacuously comparing scalar against scalar.
     kernel = pair_on[2]._engine._kernel
-    if plan_kind == "drop":
+    if plan_kind != "none":
         assert kernel is None
     else:
         assert kernel is not None
@@ -261,8 +262,8 @@ def _refuse(self, *args):
 
 @pytest.mark.parametrize("algo", sorted(ALGORITHMS))
 def test_dense_rounds_bypass_the_per_vertex_scheduler(algo, monkeypatch):
-    """Kernel runs with default hints and no crash schedule never
-    compute a due set or reschedule vertex by vertex."""
+    """Kernel runs never compute a due set or reschedule vertex by
+    vertex."""
     graph = GENERATORS["gnp"](3)
     factory, rounds = ALGORITHMS[algo]
     monkeypatch.setattr(FastEngine, "_due_vertices", _refuse)
@@ -275,23 +276,14 @@ def test_dense_rounds_bypass_the_per_vertex_scheduler(algo, monkeypatch):
 
 
 @pytest.mark.parametrize("algo", sorted(ALGORITHMS))
-def test_crash_plan_keeps_the_per_vertex_scheduler(algo, monkeypatch):
-    """A crash schedule can take a live vertex out of a round, so
-    crash-only kernel runs stay on the per-vertex scheduler."""
+def test_crash_plan_falls_back_to_scalar(algo):
+    """A crash schedule can take a live vertex out of a round, so a
+    crash-only plan, like every fault plan, runs without a kernel."""
     graph = GENERATORS["gnp"](3)
     factory, rounds = ALGORITHMS[algo]
     plan = _plan("crash", graph)
-    scheduled = []
-    due_vertices = FastEngine._due_vertices
-
-    def counting(self, round_number):
-        scheduled.append(round_number)
-        return due_vertices(self, round_number)
-
-    monkeypatch.setattr(FastEngine, "_due_vertices", counting)
     pair_on = run_once(graph, factory, 3, True, plan, rounds)
-    assert pair_on[2]._engine._kernel is not None
-    assert scheduled
+    assert pair_on[2]._engine._kernel is None
     pair_off = run_once(graph, factory, 3, False, plan, rounds)
     assert_identical(pair_on, pair_off)
 
@@ -362,16 +354,31 @@ def test_default_threshold_engages_at_64(monkeypatch):
 def test_env_variable_disables_kernels(monkeypatch):
     monkeypatch.setenv("REPRO_NO_KERNELS", "1")
     # The module-level flag is read at import; the setter is the
-    # process-level control and mirrors back into the environment.
+    # process-level control.
     set_kernels_enabled(False)
     assert not kernels_enabled()
     graph = grid_graph(8, 8)
     sim = CongestSimulator(graph, ALGORITHMS["luby"][0], seed=1)
     assert sim._engine._kernel is None
     set_kernels_enabled(True)
-    assert "REPRO_NO_KERNELS" not in __import__("os").environ
     sim = CongestSimulator(graph, ALGORITHMS["luby"][0], seed=1)
     assert sim._engine._kernel is not None
+
+
+def test_register_kernel_refuses_idle_hints():
+    """A kernel steps every live vertex every round, so an algorithm
+    that may sit rounds out cannot register one."""
+
+    class _Sleepy(VertexAlgorithm):
+        def step(self, ctx, inbox):
+            ctx.halt(True)
+
+        def is_idle(self, ctx):
+            return True
+
+    with pytest.raises(TypeError, match="_Sleepy overrides is_idle"):
+        register_kernel(_Sleepy)
+    assert kernel_class_for(_Sleepy) is None
 
 
 def test_missing_numpy_degrades_silently(monkeypatch):
@@ -451,7 +458,7 @@ class _OversizeKernel(KernelBase):
     def _initialize_rows(self, rows):
         pass
 
-    def _step_rows(self, rows, round_number, boxes):
+    def _step_rows(self, rows, round_number):
         if round_number == 1:
             i = self.engine._index[5]
             self._emit_broadcast(rows[rows == i], shared=_BIG)
@@ -484,7 +491,7 @@ class _DoubleSendKernel(KernelBase):
     def _initialize_rows(self, rows):
         pass
 
-    def _step_rows(self, rows, round_number, boxes):
+    def _step_rows(self, rows, round_number):
         np = self.np
         if round_number == 1:
             i = self.engine._index[5]
@@ -552,16 +559,20 @@ def test_error_parity_batched_vs_scalar(factory, exc_type, strict):
         (True, False, 2),
         (False, True, 2),
         (True, True, 2),
-        # Resuming after round 3 makes the replayed round an even one:
-        # a Luby resolution round, read from the restored IN messages.
+        # Resuming after round 3 makes the first resumed round an even
+        # one: a Luby resolution round, read from the restored IN
+        # messages.
         (True, True, 3),
+        (False, True, 3),
     ],
 )
 def test_checkpoint_crosses_kernel_modes(algo, capture_on, resume_on, every):
-    """A checkpoint captured in either mode resumes bit-identically in
-    either — the envelope stays engine- and kernel-neutral.  Capturing
-    with kernels on exercises the materialize-before-capture path (a
-    lazy send plan may be parked at the checkpoint boundary)."""
+    """A checkpoint captured in either mode resumes bit-identically on
+    the per-vertex path — the envelope stays engine- and
+    kernel-neutral.  Capturing with kernels on exercises the
+    materialize-before-capture path (a lazy send plan may be parked at
+    the checkpoint boundary).  ``resume_on`` enables kernels for the
+    resume: the engine then builds a kernel, and the restore drops it."""
     graph = GENERATORS["gnp"](9)
     factory, rounds = ALGORITHMS[algo]
     base, base_rec, _ = run_once(graph, factory, 21, True, rounds=rounds)
@@ -569,6 +580,7 @@ def test_checkpoint_crosses_kernel_modes(algo, capture_on, resume_on, every):
     set_kernels_enabled(capture_on)
     checkpoints = []
     sim = CongestSimulator(graph, factory, seed=21)
+    assert (sim._engine._kernel is not None) == capture_on
     sim.run(
         max_rounds=rounds, checkpoint_every=every,
         on_checkpoint=checkpoints.append,
@@ -576,8 +588,9 @@ def test_checkpoint_crosses_kernel_modes(algo, capture_on, resume_on, every):
     assert checkpoints
     set_kernels_enabled(resume_on)
     resumed = resume_simulation(graph, factory, checkpoints[0])
-    result = resumed.run(max_rounds=rounds)
     set_kernels_enabled(True)
+    assert resumed._engine._kernel is None
+    result = resumed.run(max_rounds=rounds)
 
     assert result.outputs == base.outputs
     assert result.halted == base.halted
@@ -660,7 +673,8 @@ def test_settled_mpx_rounds_match_scalar():
 
 def test_settled_mpx_checkpoint_resumes_on_both_engines():
     """A checkpoint captured deep in the settled stretch resumes to the
-    uninterrupted run with the kernel on or off, on either engine."""
+    uninterrupted run with kernels on or off, on either engine, and
+    never with a kernel."""
     graph = GENERATORS["grid"](0)
     factory, rounds = SETTLING_MPX
     run = run_once(graph, factory, 5, True, rounds=rounds)
@@ -685,9 +699,7 @@ def test_settled_mpx_checkpoint_resumes_on_both_engines():
         )
         result = resumed.run(max_rounds=rounds)
         set_kernels_enabled(True)
-        assert (getattr(resumed._engine, "_kernel", None) is not None) == (
-            engine == "fast" and enabled
-        )
+        assert getattr(resumed._engine, "_kernel", None) is None
         assert _fingerprint(result, recorder, resumed) == expected
 
 
