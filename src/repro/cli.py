@@ -337,6 +337,8 @@ def cmd_bench(args) -> int:
         raise _OperatorError(
             f"unknown suite(s) {unknown}; available: {suite_names()}"
         )
+    if args.limit is not None and args.limit < 1:
+        raise _OperatorError(f"--limit must be at least 1, got {args.limit}")
     if args.journal is not None and len(names) > 1:
         raise _OperatorError(
             "--journal names one file and cannot span multiple suites; "
@@ -666,38 +668,6 @@ def cmd_faults(args) -> int:
     return _print_graded(metrics, verdict)
 
 
-def cmd_chaos(args) -> int:
-    """Torture the storage layer around real bench runs."""
-    from .chaos import run_torture
-    from .errors import ReproError
-
-    if args.stats_json is not None:
-        _probe_path(args.stats_json, "stats-json")
-    try:
-        report = run_torture(
-            suite=args.suite,
-            limit=args.limit,
-            trials=args.trials,
-            seed=args.chaos_seed,
-            workdir=args.keep,
-            progress=print,
-        )
-    except ReproError as exc:
-        log.error("%s", exc)
-        return 2
-    print(report.summary())
-    if args.stats_json is not None:
-        report.save(args.stats_json)
-        log.info("chaos report -> %s", args.stats_json)
-    if not report.ok:
-        log.error(
-            "invariant violated: %d silent divergence(s), "
-            "%d harness error(s)",
-            report.silent_divergences, report.harness_errors,
-        )
-    return 0 if report.ok else 1
-
-
 def cmd_obs_report(args) -> int:
     """Render a benchmark telemetry snapshot for humans or scrapers."""
     from .obs import (
@@ -956,7 +926,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="multiprocessing start method "
                             "(default: fork if available, else spawn)")
     bench.add_argument("--limit", type=int, default=None, metavar="K",
-                       help="run only the first K cells of each suite")
+                       help="run only the first K cells of each suite "
+                            "(K >= 1)")
     bench.add_argument("--out", default=None, metavar="DIR",
                        help="also write each suite table to DIR/<suite>.txt")
     bench.add_argument("--stats-json", default=None, metavar="PATH",
@@ -1075,37 +1046,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "fingerprint are authoritative, and a "
                              "corrupt or mismatched file exits 2")
     faults.set_defaults(handler=cmd_faults)
-
-    chaos = sub.add_parser(
-        "chaos",
-        help="torture the storage layer with kill-points and disk faults",
-        description=(
-            "Run a seeded sweep of crash-consistency trials: real "
-            "`repro bench` subprocesses under deterministic disk "
-            "faults (torn writes, dropped fsyncs, bit-flips, ENOSPC, "
-            "kill-points), each recovered by resume or recompute and "
-            "compared byte-for-byte against a clean baseline.  Exits "
-            "nonzero on any silent divergence (docs/durability.md)."
-        ),
-    )
-    chaos.add_argument("--suite", default="E10", metavar="NAME",
-                       help="suite to torture (default: E10)")
-    chaos.add_argument("--limit", type=int, default=2, metavar="K",
-                       help="cells per bench run (default: 2)")
-    chaos.add_argument("--trials", type=int, default=8, metavar="N",
-                       help="fault-schedule trials to run (default: 8; "
-                            "the acceptance sweep uses 50+)")
-    chaos.add_argument("--seed", type=int, default=0, dest="chaos_seed",
-                       help="sweep seed; every fault decision is a "
-                            "pure function of it (default: 0)")
-    chaos.add_argument("--keep", default=None, metavar="DIR",
-                       help="run inside DIR and keep all artifacts "
-                            "(default: a temp dir, removed afterwards)")
-    chaos.add_argument("--stats-json", default=None, metavar="PATH",
-                       help="write the full chaos report (per-trial "
-                            "outcomes + injected/recovered/loud "
-                            "counts) as JSON")
-    chaos.set_defaults(handler=cmd_chaos)
 
     obs = sub.add_parser(
         "obs",

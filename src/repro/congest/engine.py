@@ -104,9 +104,12 @@ class FastEngine(EngineCore):
         self._send_plan = None
         self._lazy_plan = None
         # Columnar round kernel, when the algorithm class registered
-        # one and this run qualifies (see repro.congest.kernels): run()
-        # then takes dense rounds.  None means the per-vertex scheduler.
-        self._kernel = maybe_build_kernel(self)
+        # one and this run qualifies (see repro.congest.kernels): the
+        # first run() of a fresh engine builds it and then takes dense
+        # rounds.  None means the per-vertex scheduler; a restored
+        # engine never builds one.
+        self._kernel = None
+        self._restored = False
 
     def run(
         self,
@@ -123,12 +126,13 @@ class FastEngine(EngineCore):
         continues from the checkpointed round; ``max_rounds`` stays an
         absolute bound on the round counter.
         """
-        kernel = self._kernel
         if not self._initialized:
             self._initialized = True
+            if not self._restored:
+                self._kernel = maybe_build_kernel(self)
             cohort = self._initial_cohort()
-            if kernel is not None:
-                kernel.initialize(cohort)
+            if self._kernel is not None:
+                self._kernel.initialize(cohort)
             else:
                 for i in cohort:
                     self._algorithms[i].initialize(self._contexts[i])
@@ -137,6 +141,7 @@ class FastEngine(EngineCore):
                 i for i in range(self._n) if not self._contexts[i]._halted
             }
             self._live = len(self._runnable)
+        kernel = self._kernel
         if kernel is not None:
             self._run_dense(max_rounds, checkpoint_every, on_checkpoint)
             # Materialize columnar state (algorithm attributes, round
@@ -355,8 +360,10 @@ class FastEngine(EngineCore):
         self._send_plan = None
         self._lazy_plan = None
         # The previous round's sends exist only as the restored inbox
-        # dictionaries, which the columns cannot read: step scalar.
+        # dictionaries, which the columns cannot read: step scalar, and
+        # build no kernel at the first run() either.
         self._kernel = None
+        self._restored = True
 
     # ------------------------------------------------------------------
     def _due_vertices(self, round_number: int) -> List[int]:

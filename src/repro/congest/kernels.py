@@ -17,9 +17,9 @@ the registered protocols consume O(log n) words per vertex, far too
 few to amortize columnar stream adoption (see the measurements in
 ``docs/kernels.md``).
 
-Activation (:func:`maybe_build_kernel`) runs once, when a fast engine
-is built, and is deliberately conservative.  A kernel engages only
-when
+Activation (:func:`maybe_build_kernel`) runs once, at the first
+``run()`` of a fresh fast engine, and is deliberately conservative.
+A kernel engages only when
 
 * kernels are enabled (the ``REPRO_NO_KERNELS`` environment variable
   or :func:`~repro.congest.algorithm.set_kernels_enabled` flip this
@@ -33,10 +33,11 @@ when
   faithful on the model's lossless, static channel with every vertex
   stepping every round.  (An empty plan compiles to no plan at all.)
 
-A run restored from a checkpoint never holds a kernel: it finishes on
-the per-vertex path from the restored inbox dictionaries.  The
-fallback is always silent and always bit-identical — a kernel is a
-pure performance feature (``tests/test_kernels.py`` pins this).
+A run restored from a checkpoint never builds a kernel (nor counts a
+``congest.kernel.*`` activation): it finishes on the per-vertex path
+from the restored inbox dictionaries.  The fallback is always silent
+and always bit-identical — a kernel is a pure performance feature
+(``tests/test_kernels.py`` pins this).
 """
 
 from __future__ import annotations

@@ -87,10 +87,10 @@ class StorageError(ReproError):
     """A durable I/O operation failed after bounded retries.
 
     Raised by :mod:`repro.storage` when an atomic write, append, or
-    read cannot complete — including injected faults from a
-    :class:`repro.storage.DiskFaultPlan` (ENOSPC, torn writes) that
-    exhaust the retry budget.  Consumers either degrade explicitly
-    (the artifact cache falls back to recompute) or propagate loudly
+    read cannot complete — including a transient error (ENOSPC, or a
+    verified write that keeps reading back torn bytes) that exhausts
+    the retry budget.  Consumers either degrade explicitly (the
+    artifact cache falls back to recompute) or propagate loudly
     (journals and checkpoints), but never silently lose data.
     """
 

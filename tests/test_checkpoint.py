@@ -31,10 +31,11 @@ from repro.congest import (
     resume_simulation,
 )
 from repro.congest.checkpoint import dump_state
+from repro import storage
 from repro.errors import CheckpointError
 from repro.graph import Graph
 from repro.routing.walk_exchange import WalkExchange
-from repro.storage import DiskFaultPlan, canonical_json, use_disk_faults
+from repro.storage import canonical_json
 
 from tests import _checkpoint_fixture as checkpoint_fixture
 from tests._checkpoint_fixture import FixtureFlood, FixtureWalker
@@ -459,15 +460,24 @@ def test_tampered_metadata_refuses_loudly(tmp_path):
         SimulationCheckpoint.load(path)
 
 
-def test_torn_checkpoint_save_is_caught_at_load(tmp_path):
+def test_torn_checkpoint_save_is_caught_at_load(tmp_path, monkeypatch):
     """End to end through the storage layer: a save whose write tears
     mid-file leaves a checkpoint that refuses to load — never one that
     silently resumes from half a state blob."""
     graph = _graph()
     checkpoint = _capture_first(graph, FixtureFlood, FaultPlan(), "fast")
     path = str(tmp_path / "ck.json")
-    with use_disk_faults(DiskFaultPlan(seed=0, torn_write=1.0)):
-        checkpoint.save(path)
+    real_replace = os.replace
+
+    def tearing_replace(src, dst):
+        size = os.path.getsize(src)
+        with open(src, "r+b") as handle:
+            handle.truncate(size // 2)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(storage.os, "replace", tearing_replace)
+    checkpoint.save(path)
+    monkeypatch.undo()
     with pytest.raises(CheckpointError):
         SimulationCheckpoint.load(path)
 

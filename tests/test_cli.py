@@ -249,7 +249,6 @@ _MAXIS = ["maxis", "--n", "30", "--seed", "2"]
 _FAULTS = ["faults", "--algorithm", "maxis", "--n", "60", "--seed", "1"]
 _BENCH = ["bench", "--suite", "CHAOS", "--limit", "1", "--jobs", "1",
           "--no-cache"]
-_CHAOS = ["chaos", "--suite", "CHAOS", "--limit", "1", "--trials", "1"]
 
 
 class TestEmptyPathFlags:
@@ -266,7 +265,6 @@ class TestEmptyPathFlags:
             (_BENCH + ["--journal", ""], "invalid journal path"),
             (_BENCH + ["--stats-json", ""], "invalid stats-json path"),
             (_BENCH + ["--out", ""], "invalid out path"),
-            (_CHAOS + ["--stats-json", ""], "invalid stats-json path"),
             (_FAULTS + ["--save-checkpoint", ""],
              "invalid save-checkpoint path"),
             (_FAULTS + ["--resume-from", ""], "cannot read checkpoint ''"),
@@ -274,8 +272,7 @@ class TestEmptyPathFlags:
         ids=[
             "maxis-trace", "bench-trace", "bench-telemetry",
             "bench-progress", "bench-journal", "bench-stats-json",
-            "bench-out",
-            "chaos-stats-json", "faults-save-checkpoint",
+            "bench-out", "faults-save-checkpoint",
             "faults-resume-from",
         ],
     )
@@ -289,6 +286,23 @@ class TestEmptyPathFlags:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and named in lines[0]
         assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("limit", ["0", "-2"])
+def test_bench_limit_below_one_exits_2(capsys, tmp_path, monkeypatch, limit):
+    """A limit below 1 selects no cell: run anyway, it would print an
+    empty table and exit 0, so a mistyped smoke would pass vacuously.
+    It is an unusable flag value, refused before anything runs."""
+    monkeypatch.chdir(tmp_path)
+    code = main(["bench", "--suite", "E11", "--no-cache", "--limit", limit,
+                 "--out", "tables"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, lines
+    assert f"--limit must be at least 1, got {limit}" in lines[0]
+    assert os.listdir(tmp_path) == []
 
 
 class TestFaultsCheckpointCLI:

@@ -329,26 +329,32 @@ def test_registry_maps_algorithms_to_kernels():
     assert kernel_class_for(dict) is None
 
 
+def _ran(graph, factory, rounds):
+    """The simulator after its first run: a fast engine decides on a
+    kernel there, not at construction."""
+    sim = CongestSimulator(graph, factory, seed=1)
+    sim.run(max_rounds=rounds)
+    return sim
+
+
 def test_threshold_gates_engagement(monkeypatch):
     graph = grid_graph(5, 5)
-    factory, _ = ALGORITHMS["luby"]
+    # Matching, not Luby: Luby's priority payloads overrun the CONGEST
+    # budget of a 25-vertex graph (see test_congest_budget.py).
+    factory, rounds = ALGORITHMS["matching"]
     monkeypatch.setenv("REPRO_KERNEL_THRESHOLD", "26")
-    sim = CongestSimulator(graph, factory, seed=1)
-    assert sim._engine._kernel is None
+    assert _ran(graph, factory, rounds)._engine._kernel is None
     monkeypatch.setenv("REPRO_KERNEL_THRESHOLD", "25")
-    sim = CongestSimulator(graph, factory, seed=1)
-    assert sim._engine._kernel is not None
+    assert _ran(graph, factory, rounds)._engine._kernel is not None
 
 
 def test_default_threshold_engages_at_64(monkeypatch):
     monkeypatch.delenv("REPRO_KERNEL_THRESHOLD")
     graph = grid_graph(8, 8)
     factory, rounds = ALGORITHMS["luby"]
-    sim = CongestSimulator(graph, factory, seed=1)
-    assert sim._engine._kernel is not None
+    assert _ran(graph, factory, rounds)._engine._kernel is not None
     small = grid_graph(7, 9)  # 63 vertices
-    sim = CongestSimulator(small, factory, seed=1)
-    assert sim._engine._kernel is None
+    assert _ran(small, factory, rounds)._engine._kernel is None
 
 
 def test_env_variable_disables_kernels(monkeypatch):
@@ -358,11 +364,10 @@ def test_env_variable_disables_kernels(monkeypatch):
     set_kernels_enabled(False)
     assert not kernels_enabled()
     graph = grid_graph(8, 8)
-    sim = CongestSimulator(graph, ALGORITHMS["luby"][0], seed=1)
-    assert sim._engine._kernel is None
+    factory, rounds = ALGORITHMS["luby"]
+    assert _ran(graph, factory, rounds)._engine._kernel is None
     set_kernels_enabled(True)
-    sim = CongestSimulator(graph, ALGORITHMS["luby"][0], seed=1)
-    assert sim._engine._kernel is not None
+    assert _ran(graph, factory, rounds)._engine._kernel is not None
 
 
 def test_register_kernel_refuses_idle_hints():
@@ -415,15 +420,14 @@ def test_mixed_population_falls_back():
             return MPXClustering(0.4, 12.0, 16)
         return LubyMIS(20)
 
-    sim = CongestSimulator(graph, factory, seed=1)
-    assert sim._engine._kernel is None
+    # Vertex 0 cannot parse its neighbours' Luby messages, so run no
+    # round: initialization alone decides on a kernel.
+    assert _ran(graph, factory, 0)._engine._kernel is None
 
 
 def test_non_uniform_parameters_fall_back():
     graph = grid_graph(8, 8)
-    sim = CongestSimulator(
-        graph, lambda v: LubyMIS(20 if v else 21), seed=1
-    )
+    sim = _ran(graph, lambda v: LubyMIS(20 if v else 21), 44)
     assert sim._engine._kernel is None
 
 
@@ -513,10 +517,9 @@ def _capture_error(graph, factory, exc_type, *, kernels, strict=False):
     set_kernels_enabled(kernels)
     try:
         sim = CongestSimulator(graph, factory, seed=2, strict=strict)
-        if kernels:
-            assert sim._engine._kernel is not None
         with pytest.raises(exc_type) as info:
             sim.run(max_rounds=6)
+        assert (sim._engine._kernel is not None) == kernels
     finally:
         set_kernels_enabled(True)
     return info.value, sim._engine._round
@@ -572,7 +575,7 @@ def test_checkpoint_crosses_kernel_modes(algo, capture_on, resume_on, every):
     kernel-neutral.  Capturing with kernels on exercises the
     materialize-before-capture path (a lazy send plan may be parked at
     the checkpoint boundary).  ``resume_on`` enables kernels for the
-    resume: the engine then builds a kernel, and the restore drops it."""
+    resume, and the restored engine still builds none."""
     graph = GENERATORS["gnp"](9)
     factory, rounds = ALGORITHMS[algo]
     base, base_rec, _ = run_once(graph, factory, 21, True, rounds=rounds)
@@ -580,11 +583,11 @@ def test_checkpoint_crosses_kernel_modes(algo, capture_on, resume_on, every):
     set_kernels_enabled(capture_on)
     checkpoints = []
     sim = CongestSimulator(graph, factory, seed=21)
-    assert (sim._engine._kernel is not None) == capture_on
     sim.run(
         max_rounds=rounds, checkpoint_every=every,
         on_checkpoint=checkpoints.append,
     )
+    assert (sim._engine._kernel is not None) == capture_on
     assert checkpoints
     set_kernels_enabled(resume_on)
     resumed = resume_simulation(graph, factory, checkpoints[0])
@@ -599,6 +602,39 @@ def test_checkpoint_crosses_kernel_modes(algo, capture_on, resume_on, every):
         == base.metrics.messages_per_round
     )
     assert result.metrics.summary() == base.metrics.summary()
+
+
+@pytest.mark.parametrize("algo", sorted(ALGORITHMS))
+@pytest.mark.parametrize("at", ["before-run", "mid-run"])
+def test_restored_engine_builds_no_kernel(algo, at):
+    """A resumed fast engine finishes on the per-vertex path without
+    ever building a kernel: it allocates none and counts no kernel
+    activation, engaged or fallback.  This holds for a checkpoint taken
+    inside kernel rounds and for one taken before the first run."""
+    graph = GENERATORS["gnp"](9)
+    factory, rounds = ALGORITHMS[algo]
+    expected = CongestSimulator(graph, factory, seed=21).run(
+        max_rounds=rounds
+    )
+    sim = CongestSimulator(graph, factory, seed=21)
+    if at == "before-run":
+        checkpoint = sim.checkpoint()
+    else:
+        checkpoints = []
+        sim.run(
+            max_rounds=rounds, checkpoint_every=2,
+            on_checkpoint=checkpoints.append,
+        )
+        assert sim._engine._kernel is not None
+        checkpoint = checkpoints[0]
+    with telemetry_scope() as registry:
+        resumed = resume_simulation(graph, factory, checkpoint)
+        result = resumed.run(max_rounds=rounds)
+    counters = registry.to_dict()["counters"]
+    assert resumed._engine._kernel is None
+    assert not [c for c in counters if c.startswith("congest.kernel.")]
+    assert result.outputs == expected.outputs
+    assert result.metrics.summary() == expected.metrics.summary()
 
 
 def _fingerprint(result, recorder, sim):
@@ -713,11 +749,11 @@ def test_checkpoint_fixture_workload_unaffected():
     base = CongestSimulator(graph, factory, seed=4).run(max_rounds=45)
     checkpoints = []
     sim = CongestSimulator(graph, factory, seed=4)
-    assert sim._engine._kernel is None
     sim.run(
         max_rounds=45, checkpoint_every=7,
         on_checkpoint=checkpoints.append,
     )
+    assert sim._engine._kernel is None
     resumed = resume_simulation(graph, factory, checkpoints[0])
     result = resumed.run(max_rounds=45)
     assert result.outputs == base.outputs

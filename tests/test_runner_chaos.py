@@ -213,53 +213,6 @@ def test_sigkill_mid_e15_resumes_byte_identically(tmp_path):
     assert resumed.footer().startswith(baseline.footer())
 
 
-# ----------------------------------------------------------------------
-# Disk-fault torture harness (repro chaos)
-# ----------------------------------------------------------------------
-
-def test_torture_smoke_no_silent_divergence(tmp_path, no_chaos):
-    """A short seeded torture run over E10: every injected disk fault
-    must end recovered/clean — zero silent divergences, zero harness
-    errors — and the report's accounting must be self-consistent."""
-    from repro.chaos import run_torture
-
-    report = run_torture(
-        suite="E10", limit=1, trials=3, seed=1, workdir=str(tmp_path)
-    )
-    assert report.ok
-    assert report.silent_divergences == 0
-    assert report.harness_errors == 0
-    assert len(report.trials) == 3
-    payload = report.to_dict()
-    assert payload["counts"]["trials"] == 3
-    assert payload["counts"]["silent_divergences"] == 0
-    # seed 1 schedules a kill trial first: the kill must have fired
-    # (exit code 121 in some phase) and still recovered.
-    kinds = [t.kind for t in report.trials]
-    assert kinds == ["kill", "torn", "fsync"]
-    assert report.kills >= 1
-
-
-@pytest.mark.skipif(
-    not os.environ.get("REPRO_TORTURE_TRIALS"),
-    reason="set REPRO_TORTURE_TRIALS=<n> for the full kill/fault sweep",
-)
-def test_torture_sweep_full(tmp_path, no_chaos):
-    """The acceptance-grade sweep (50+ trials when the env var says
-    so): randomized kill-points and disk-fault schedules, with the
-    invariant that every trial is bit-identical-after-recovery or
-    loudly recomputed — never silently wrong."""
-    from repro.chaos import run_torture
-
-    trials = int(os.environ["REPRO_TORTURE_TRIALS"])
-    report = run_torture(
-        suite="E10", limit=2, trials=trials, seed=0, workdir=str(tmp_path)
-    )
-    assert report.ok, report.summary()
-    assert report.silent_divergences == 0
-    assert report.injected > 0
-
-
 @pytest.mark.skipif(sys.platform == "win32", reason="POSIX signals")
 def test_sigint_aborts_promptly_without_waiting_for_hung_workers(tmp_path):
     """Ctrl-C must not block on a worker sleeping for an hour."""

@@ -1,51 +1,32 @@
 """Contract of the crash-consistent storage layer (:mod:`repro.storage`).
 
-Four clauses, each pinned here: atomic replace (readers see old bytes
-or new bytes, never a tear), checksummed framing and sealed JSONL
-records (corruption is *detected*, with legacy unframed/unsealed
-artifacts still accepted), bounded retry of transient errors, and
-deterministic fault injection (every decision a pure keyed hash of the
-plan seed and operation coordinates, replayable across processes —
-including the kill-point, exercised in a real subprocess).
+Three clauses, each pinned here by damaging real bytes on a real disk:
+atomic replace (readers see old bytes or new bytes, never a tear),
+checksummed framing and sealed JSONL records (corruption and tears are
+*detected*, with legacy unframed/unsealed artifacts still accepted),
+and bounded retry of transient errors, including a verified write that
+reads back torn bytes.
 """
 
 import errno
 import json
 import os
-import subprocess
-import sys
 
 import pytest
 
 from repro import storage
-from repro.errors import ChecksumError, FaultError, StorageError
+from repro.errors import ChecksumError, StorageError
 from repro.storage import (
-    KILL_EXIT_CODE,
-    DiskFaultPlan,
     DurableAppender,
     atomic_write_bytes,
-    atomic_write_text,
     canonical_json,
     check_record,
     frame_bytes,
     iter_sealed_lines,
     read_bytes,
-    read_text,
-    reset_storage_stats,
     seal_record,
-    storage_stats,
     unframe_bytes,
-    use_disk_faults,
 )
-
-
-@pytest.fixture(autouse=True)
-def clean_stats(monkeypatch):
-    monkeypatch.delenv(storage.ENV_PLAN, raising=False)
-    monkeypatch.delenv(storage.ENV_STATS, raising=False)
-    reset_storage_stats()
-    yield
-    reset_storage_stats()
 
 
 # ----------------------------------------------------------------------
@@ -96,51 +77,7 @@ def test_canonical_json_is_key_order_independent():
 
 
 # ----------------------------------------------------------------------
-# Plan validation and determinism
-# ----------------------------------------------------------------------
-
-def test_plan_rejects_invalid_rates():
-    with pytest.raises(FaultError):
-        DiskFaultPlan(torn_write=1.5)
-    with pytest.raises(FaultError):
-        DiskFaultPlan(bit_flip=-0.1)
-    with pytest.raises(FaultError):
-        DiskFaultPlan(slow_seconds=-1.0)
-    with pytest.raises(FaultError):
-        DiskFaultPlan(kill_at=0)
-    with pytest.raises(FaultError):
-        DiskFaultPlan.from_dict({"seed": 1, "torn_wrlte": 0.5})
-    with pytest.raises(FaultError):
-        DiskFaultPlan.from_json("not json")
-    with pytest.raises(FaultError):
-        DiskFaultPlan.from_json("[1, 2]")
-
-
-def test_plan_json_roundtrip_and_noop():
-    plan = DiskFaultPlan(seed=9, torn_write=0.25, kill_at=7)
-    assert DiskFaultPlan.from_json(plan.to_json()) == plan
-    assert not plan.is_noop()
-    assert DiskFaultPlan().is_noop()
-    assert DiskFaultPlan(seed=42).is_noop()  # seed alone injects nothing
-
-
-def test_injector_decisions_replay_identically():
-    plan = DiskFaultPlan(seed=5, torn_write=0.4, bit_flip=0.4)
-    ops = [("wal.jsonl", 64), ("wal.jsonl", 64), ("entry.bin", 128)] * 4
-    def trace(injector):
-        out = []
-        for name, size in ops:
-            out.append(injector.torn_length(name, size))
-            out.append(injector.flip_bit(name, b"\x00" * size))
-        return out
-    assert trace(plan.compile()) == trace(plan.compile())
-    # A different seed draws a different schedule.
-    other = trace(DiskFaultPlan(seed=6, torn_write=0.4, bit_flip=0.4).compile())
-    assert other != trace(plan.compile())
-
-
-# ----------------------------------------------------------------------
-# Atomic writes and reads under injected faults
+# Atomic writes, verified writes and bounded retry
 # ----------------------------------------------------------------------
 
 def test_atomic_write_replaces_and_leaves_no_temp_files(tmp_path):
@@ -149,81 +86,112 @@ def test_atomic_write_replaces_and_leaves_no_temp_files(tmp_path):
     atomic_write_bytes(path, b"second")
     assert read_bytes(path) == b"second"
     assert os.listdir(tmp_path) == ["artifact.bin"]
-    assert storage_stats().writes == 2 and storage_stats().reads == 1
 
 
-def test_torn_write_is_caught_by_the_frame(tmp_path):
+def _tearing_replace(monkeypatch, tears, keep=3):
+    """Make the next ``tears`` renames land a file cut to ``keep`` bytes,
+    as a disk that acknowledges a write it did not keep would; count
+    every call."""
+    real_replace = os.replace
+    calls = []
+
+    def replace(src, dst):
+        calls.append(dst)
+        if len(calls) <= tears:
+            with open(src, "r+b") as handle:
+                handle.truncate(keep)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(storage.os, "replace", replace)
+    return calls
+
+
+def test_torn_write_is_caught_by_the_frame(tmp_path, monkeypatch):
     path = str(tmp_path / "entry.bin")
     framed = frame_bytes(b"payload bytes that tear")
-    # Seed chosen so the tear lands past the 20-byte frame header: a
-    # shorter prefix no longer starts with the magic and is handled as
-    # a legacy blob by the consumer's deserializer instead.
-    with use_disk_faults(DiskFaultPlan(seed=0, torn_write=1.0)):
-        atomic_write_bytes(path, framed)
+    # The tear lands past the 20-byte frame header: a shorter prefix no
+    # longer starts with the magic and is handled as a legacy blob by
+    # the consumer's deserializer instead.
+    _tearing_replace(monkeypatch, tears=1, keep=len(framed) - 5)
+    atomic_write_bytes(path, framed)
     torn = read_bytes(path)
-    assert len(torn) < len(framed)  # a strict prefix reached the disk
-    assert storage_stats().torn_writes == 1
-    with pytest.raises(ChecksumError):
+    assert 20 < len(torn) < len(framed)  # a strict prefix reached the disk
+    with pytest.raises(ChecksumError, match="checksum"):
         unframe_bytes(torn)
-
-
-def test_dropped_fsync_keeps_the_previous_content(tmp_path):
-    path = str(tmp_path / "entry.bin")
-    atomic_write_bytes(path, b"old")
-    with use_disk_faults(DiskFaultPlan(seed=1, drop_fsync=1.0)):
-        atomic_write_bytes(path, b"new")
-    assert read_bytes(path) == b"old"  # the replace never landed
-    assert storage_stats().dropped_fsyncs == 1
-    assert os.listdir(tmp_path) == ["entry.bin"]  # temp cleaned up
 
 
 def test_bit_flip_on_read_is_caught_by_the_frame(tmp_path):
     path = str(tmp_path / "entry.bin")
     atomic_write_bytes(path, frame_bytes(b"precious payload"))
-    with use_disk_faults(DiskFaultPlan(seed=3, bit_flip=1.0)):
-        flipped = read_bytes(path)
-    assert storage_stats().bit_flips == 1
-    with pytest.raises(ChecksumError):
+    with open(path, "r+b") as handle:  # one bit rots on the platter
+        handle.seek(-3, os.SEEK_END)
+        byte = handle.read(1)[0]
+        handle.seek(-3, os.SEEK_END)
+        handle.write(bytes([byte ^ 0x10]))
+    flipped = read_bytes(path)
+    with pytest.raises(ChecksumError, match="checksum"):
         unframe_bytes(flipped)
 
 
-def test_verified_write_rewrites_a_torn_artifact(tmp_path):
+def test_verified_write_rewrites_a_torn_artifact(tmp_path, monkeypatch):
     """Final artifacts (tables, stats JSON) have no checksummed reader,
     so a lying disk would corrupt them silently; ``verify=True`` reads
-    the rename target back and rewrites on mismatch.  Seed 16 tears
-    the first attempt only."""
+    the rename target back and rewrites on mismatch."""
     path = str(tmp_path / "table.txt")
-    with use_disk_faults(DiskFaultPlan(seed=16, torn_write=0.6)):
-        atomic_write_bytes(path, b"the full rendered result table\n",
-                           verify=True)
+    calls = _tearing_replace(monkeypatch, tears=1)
+    atomic_write_bytes(path, b"the full rendered result table\n",
+                       verify=True)
     assert read_bytes(path) == b"the full rendered result table\n"
-    assert storage_stats().torn_writes == 1
-    assert storage_stats().retries == 1
+    assert len(calls) == 2
+    assert os.listdir(tmp_path) == ["table.txt"]
 
 
-def test_verified_write_rewrites_a_dropped_write(tmp_path):
-    path = str(tmp_path / "table.txt")  # seed 12: first fsync dropped
-    with use_disk_faults(DiskFaultPlan(seed=12, drop_fsync=0.6)):
-        atomic_write_bytes(path, b"stats payload", verify=True)
-    assert read_bytes(path) == b"stats payload"
-    assert storage_stats().dropped_fsyncs == 1
-
-
-def test_verified_write_goes_loud_when_the_disk_keeps_lying(tmp_path):
+def test_verified_write_rewrites_a_dropped_write(tmp_path, monkeypatch):
+    """A rename the disk acknowledges but never keeps leaves the old
+    bytes in place; the read-back sees them and writes again."""
     path = str(tmp_path / "table.txt")
-    with use_disk_faults(DiskFaultPlan(seed=0, torn_write=1.0)):
-        with pytest.raises(StorageError, match="verification"):
-            atomic_write_bytes(path, b"0123456789", verify=True)
+    atomic_write_bytes(path, b"stale stats")
+    real_replace = os.replace
+    calls = []
+
+    def dropping_replace(src, dst):
+        calls.append(dst)
+        if len(calls) == 1:
+            os.unlink(src)  # acknowledged, never landed
+            return
+        real_replace(src, dst)
+
+    monkeypatch.setattr(storage.os, "replace", dropping_replace)
+    atomic_write_bytes(path, b"stats payload", verify=True)
+    assert read_bytes(path) == b"stats payload"
+    assert len(calls) == 2
+    assert os.listdir(tmp_path) == ["table.txt"]
 
 
-def test_persistent_enospc_surfaces_as_storage_error(tmp_path):
+def test_verified_write_goes_loud_when_the_disk_keeps_lying(
+    tmp_path, monkeypatch
+):
+    path = str(tmp_path / "table.txt")
+    calls = _tearing_replace(monkeypatch, tears=float("inf"))
+    with pytest.raises(StorageError, match="verification"):
+        atomic_write_bytes(path, b"0123456789", verify=True)
+    assert len(calls) == storage._MAX_RETRIES + 1
+
+
+def test_persistent_enospc_surfaces_as_storage_error(tmp_path, monkeypatch):
     path = str(tmp_path / "entry.bin")
-    with use_disk_faults(DiskFaultPlan(seed=2, enospc=1.0)):
-        with pytest.raises(StorageError, match="no space"):
-            atomic_write_bytes(path, b"data")
-    assert not os.path.exists(path)
-    assert storage_stats().retries == storage._MAX_RETRIES
-    assert storage_stats().enospc == storage._MAX_RETRIES + 1
+    attempts = []
+
+    def full(fd):
+        attempts.append(fd)
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(storage.os, "fsync", full)
+    with pytest.raises(StorageError, match="No space"):
+        atomic_write_bytes(path, b"data")
+    assert len(attempts) == storage._MAX_RETRIES + 1
+    # Neither the destination nor a temp file is left behind.
+    assert os.listdir(tmp_path) == []
 
 
 def test_transient_error_is_retried_then_succeeds():
@@ -235,32 +203,22 @@ def test_transient_error_is_retried_then_succeeds():
         return "ok"
     assert storage._retry_transient("write", "x", flaky) == "ok"
     assert len(attempts) == 3
-    assert storage_stats().retries == 2
 
 
 def test_permanent_oserror_is_not_retried():
+    attempts = []
     def denied():
+        attempts.append(1)
         raise OSError(errno.EACCES, "denied")
     with pytest.raises(StorageError, match="denied"):
         storage._retry_transient("write", "x", denied)
-    assert storage_stats().retries == 0
+    assert len(attempts) == 1
 
 
 def test_read_missing_file_raises_plain_file_not_found(tmp_path):
     # Consumers keep their miss handling: no StorageError wrapping.
     with pytest.raises(FileNotFoundError):
         read_bytes(str(tmp_path / "absent.bin"))
-
-
-def test_use_disk_faults_scopes_and_nests(tmp_path):
-    assert storage.active_injector() is None
-    with use_disk_faults(DiskFaultPlan(seed=1, slow=1.0, slow_seconds=0.0)):
-        outer = storage.active_injector()
-        assert outer is not None
-        with use_disk_faults(None):
-            assert storage.active_injector() is None
-        assert storage.active_injector() is outer
-    assert storage.active_injector() is None
 
 
 # ----------------------------------------------------------------------
@@ -284,76 +242,16 @@ def test_appender_writes_sealed_lines_that_verify(tmp_path):
         {"kind": "cell", "index": 0},
     ]
     assert stats["skipped"] == 1
-    assert storage_stats().appends == 3
 
 
 def test_torn_append_is_skipped_on_replay(tmp_path):
     path = str(tmp_path / "log.jsonl")
     with DurableAppender(path, "w") as appender:
         appender.append_record({"index": 0})
-    with use_disk_faults(DiskFaultPlan(seed=4, torn_write=1.0)):
-        with DurableAppender(path, "a") as appender:
-            appender.append_record({"index": 1})
+    # A sealed record cut short, as a kill mid-append leaves it.
+    torn = json.dumps(seal_record({"index": 1}))
+    with DurableAppender(path, "a") as appender:
+        appender.append(torn[: len(torn) // 2])
     stats = {}
     assert list(iter_sealed_lines(path, stats)) == [{"index": 0}]
     assert stats["skipped"] == 1
-
-
-def test_dropped_append_never_reaches_the_file(tmp_path):
-    path = str(tmp_path / "log.jsonl")
-    with use_disk_faults(DiskFaultPlan(seed=4, drop_fsync=1.0)):
-        with DurableAppender(path, "w") as appender:
-            appender.append_record({"index": 0})
-    assert read_text(path) == ""
-    assert storage_stats().dropped_fsyncs == 1
-
-
-# ----------------------------------------------------------------------
-# Environment mirror and the kill-point (real subprocesses)
-# ----------------------------------------------------------------------
-
-def _storage_subprocess(tmp_path, plan, script_body):
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env["PYTHONPATH"] = os.path.abspath(src)
-    env[storage.ENV_PLAN] = plan.to_json()
-    env[storage.ENV_STATS] = str(tmp_path / "stats.json")
-    return subprocess.run(
-        [sys.executable, "-c", script_body],
-        env=env, cwd=str(tmp_path), capture_output=True, text=True,
-        timeout=60,
-    )
-
-
-def test_env_plan_governs_subprocess_and_dumps_stats(tmp_path):
-    plan = DiskFaultPlan(seed=8, torn_write=1.0)
-    proc = _storage_subprocess(
-        tmp_path, plan,
-        "from repro import storage\n"
-        "storage.atomic_write_bytes('out.bin', b'0123456789')\n",
-    )
-    assert proc.returncode == 0, proc.stderr
-    torn = (tmp_path / "out.bin").read_bytes()
-    assert len(torn) < 10
-    # The atexit hook dumped the subprocess's injection evidence.
-    stats = json.loads((tmp_path / "stats.json").read_text())
-    assert stats["torn_writes"] == 1 and stats["injected"] == 1
-    # The tear is the same one an in-process injector would draw.
-    assert plan.compile().torn_length("out.bin", 10) == len(torn)
-
-
-def test_kill_point_terminates_with_the_reserved_exit_code(tmp_path):
-    plan = DiskFaultPlan(seed=8, kill_at=2)
-    proc = _storage_subprocess(
-        tmp_path, plan,
-        "from repro import storage\n"
-        "storage.atomic_write_bytes('a.bin', b'a')\n"   # op 1: survives
-        "storage.atomic_write_bytes('b.bin', b'b')\n"   # op 2: killed
-        "print('unreachable')\n",
-    )
-    assert proc.returncode == KILL_EXIT_CODE
-    assert "unreachable" not in proc.stdout
-    assert (tmp_path / "a.bin").read_bytes() == b"a"
-    assert not (tmp_path / "b.bin").exists()
-    stats = json.loads((tmp_path / "stats.json").read_text())
-    assert stats["kills"] == 1
