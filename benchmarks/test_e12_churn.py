@@ -55,7 +55,6 @@ def test_e12_churn_sweep(benchmark):
     """The E12 grid (churn mode x algorithm), executed as runner cells."""
     run = run_recorded_suite("E12", "E12.txt")
     assert len(run.results) == 6
-    assert not run.quarantined  # graded failures are rows, not aborts
 
     verdicts = {}
     for cell in run.results:

@@ -72,7 +72,8 @@ def _configure_logging(args) -> None:
 class _OperatorError(Exception):
     """An unusable flag value, path, or input file.  :func:`main` logs
     the one-line message and exits 2; exit 1 stays reserved for a
-    failed verdict or a quarantined cell."""
+    failed verdict, a perf diff past its budget, or a bench cell that
+    raised (its traceback ends the run)."""
 
 
 def _probe_path(path: str, label: str, mode: str = "w") -> None:
@@ -330,13 +331,13 @@ def cmd_bench(args) -> int:
     from .runner import SUITES, run_suite, suite_names
 
     names = args.suite or suite_names()
-    # Hidden suites stay out of the default sweep but remain reachable
-    # by explicit --suite NAME.
     unknown = [n for n in names if n not in SUITES]
     if unknown:
         raise _OperatorError(
             f"unknown suite(s) {unknown}; available: {suite_names()}"
         )
+    if args.jobs < 1:
+        raise _OperatorError(f"--jobs must be at least 1, got {args.jobs}")
     if args.limit is not None and args.limit < 1:
         raise _OperatorError(f"--limit must be at least 1, got {args.limit}")
     if args.journal is not None and len(names) > 1:
@@ -389,12 +390,9 @@ def cmd_bench(args) -> int:
                 jobs=args.jobs,
                 use_cache=args.cache,
                 cache_root=args.cache_dir,
-                mp_start=args.mp_start,
                 limit=args.limit,
                 trace=args.trace is not None,
                 telemetry=args.telemetry is not None,
-                cell_timeout=args.cell_timeout,
-                retries=args.retries,
                 journal=args.journal,
                 resume=args.resume,
                 trace_detail=args.trace_detail,
@@ -416,17 +414,6 @@ def cmd_bench(args) -> int:
                 len(run.results) - run.replayed_cells(),
                 (f", {run.journal_corrupt_lines} corrupt line(s) skipped"
                  if run.journal_corrupt_lines else ""),
-            )
-        if run.recovery.intervened or run.quarantined:
-            r = run.recovery
-            log.warning(
-                "[%s] recovery: %d retries, %d timeouts, %d pool rebuilds",
-                name, r.retries, r.timeouts, r.pool_rebuilds,
-            )
-        for q in run.quarantined:
-            log.warning(
-                "[%s] QUARANTINED %s after %d attempt(s): %s",
-                name, q.label, q.attempts, q.reason,
             )
         stats = run.cache_stats()
         log.info(
@@ -466,10 +453,7 @@ def cmd_bench(args) -> int:
                 run.name: {
                     "wall_seconds": round(run.wall_seconds, 4),
                     "cells": {
-                        r.label: {
-                            "elapsed": round(r.elapsed, 6),
-                            "attempts": r.attempts,
-                        }
+                        r.label: {"elapsed": round(r.elapsed, 6)}
                         for r in run.results
                     },
                 }
@@ -494,7 +478,7 @@ def cmd_bench(args) -> int:
             "stats",
         )
         log.info("stats -> %s", args.stats_json)
-    return 1 if any(run.quarantined for run in runs) else 0
+    return 0
 
 
 def _faults_resume(args, g) -> int:
@@ -691,8 +675,16 @@ def cmd_obs_report(args) -> int:
 
 def cmd_obs_diff(args) -> int:
     """Compare two telemetry snapshots against a perf budget."""
+    import math
+
     from .obs import diff_snapshots, load_snapshot
 
+    # A zero, negative or NaN ratio is no budget, and an infinite one
+    # passes every regression: refuse them before reading anything.
+    if not (math.isfinite(args.budget) and args.budget > 0):
+        raise _OperatorError(
+            f"--budget must be a finite ratio above 0, got {args.budget:g}"
+        )
     old = _load(load_snapshot, args.old, "snapshot")
     new = _load(load_snapshot, args.new, "snapshot")
     diff = diff_snapshots(old, new, budget=args.budget,
@@ -910,7 +902,8 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="NAME",
                        help="suite to run (repeatable; default: all)")
     bench.add_argument("--jobs", type=int, default=1,
-                       help="worker processes (<=1 runs in-process)")
+                       help="worker processes, at least 1 "
+                            "(default 1: in-process)")
     cache_group = bench.add_mutually_exclusive_group()
     cache_group.add_argument("--cache", dest="cache", action="store_true",
                              default=True,
@@ -921,10 +914,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--cache-dir", default=None, metavar="PATH",
                        help="artifact cache root "
                             "(default: benchmarks/.cache)")
-    bench.add_argument("--mp-start", default=None,
-                       choices=["fork", "spawn", "forkserver"],
-                       help="multiprocessing start method "
-                            "(default: fork if available, else spawn)")
     bench.add_argument("--limit", type=int, default=None, metavar="K",
                        help="run only the first K cells of each suite "
                             "(K >= 1)")
@@ -952,16 +941,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "(`repro obs export`)")
     bench.add_argument("--progress", metavar="PATH", default=None,
                        help="append flushed JSONL heartbeat events "
-                            "(cell started/finished/retried/stalled) "
+                            "(suite and cell started/finished) "
                             "to PATH; follow live with "
                             "`repro trace tail PATH --follow`")
-    bench.add_argument("--cell-timeout", type=float, default=None,
-                       metavar="SECONDS",
-                       help="kill any cell attempt exceeding this "
-                            "wall-clock budget (parallel runs only)")
-    bench.add_argument("--retries", type=int, default=0, metavar="N",
-                       help="extra attempts per failed cell before it "
-                            "is quarantined (default: 0)")
     bench.add_argument("--journal", default=None, metavar="PATH",
                        help="write-ahead journal recording each "
                             "completed cell (single suite only; "

@@ -16,6 +16,7 @@ refuse old files explicitly instead of mis-reading them.
 from __future__ import annotations
 
 import json
+import math
 import platform
 import time
 from dataclasses import dataclass, field
@@ -37,9 +38,11 @@ def build_snapshot(
     """Assemble a snapshot payload.
 
     ``suites`` maps suite name to ``{"wall_seconds": float, "cells":
-    {label: {"elapsed": float, "attempts": int}}}`` — exactly what
-    ``repro bench`` collects; ``telemetry`` is a merged registry
-    payload (:meth:`TelemetryRegistry.to_dict`).
+    {label: {"elapsed": float}}}`` — exactly what ``repro bench``
+    collects; ``telemetry`` is a merged registry payload
+    (:meth:`TelemetryRegistry.to_dict`).  The diff reads only
+    ``elapsed`` from a cell, so older snapshots whose cells also carry
+    ``attempts`` still load and diff.
     """
     return {
         "schema": SNAPSHOT_SCHEMA_VERSION,
@@ -172,8 +175,9 @@ def diff_snapshots(
     but never fail the diff — a grid change is a review matter, not a
     perf regression.
     """
-    if budget <= 0:
-        raise ValueError("budget must be positive")
+    if not (math.isfinite(budget) and budget > 0):
+        # NaN or infinity would pass every regression.
+        raise ValueError("budget must be a finite positive ratio")
     old_series = _timing_series(old)
     new_series = _timing_series(new)
     diff = BaselineDiff(budget=budget)

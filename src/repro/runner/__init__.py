@@ -12,7 +12,7 @@ order rather than completion order.
 """
 
 from .cells import CellResult, ExperimentCell
-from .executor import QuarantinedCell, RecoveryStats, SuiteRun, run_suite
+from .executor import SuiteRun, run_suite
 from .journal import (
     JOURNAL_SCHEMA_VERSION,
     SuiteJournal,
@@ -34,8 +34,6 @@ __all__ = [
     "JOURNAL_SCHEMA_VERSION",
     "PROGRESS_SCHEMA_VERSION",
     "ProgressLog",
-    "QuarantinedCell",
-    "RecoveryStats",
     "SuiteJournal",
     "SuiteRun",
     "SUITES",

@@ -59,9 +59,6 @@ class CellResult:
     elapsed: float = 0.0
     cache: Dict[str, int] = field(default_factory=dict)
     telemetry: Optional[Dict[str, Any]] = None
-    #: Executions it took the executor to land this result (1 = first
-    #: try; >1 means the self-healing retry path was exercised).
-    attempts: int = 1
     #: True when this result was replayed from a suite journal instead
     #: of computed in this run (see :mod:`repro.runner.journal`).
     replayed: bool = False

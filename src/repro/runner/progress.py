@@ -4,10 +4,9 @@ A multi-minute ``repro bench`` sweep is a black box from the outside:
 the table prints only at the end, and the only mid-run signal is CPU
 load.  ``--progress out.jsonl`` turns the run into an observable
 stream — the executor appends one JSON object per lifecycle event
-(cell started / finished / retried / stalled / quarantined, pool
-rebuilds, suite boundaries) and flushes after every line, so a second
-terminal can follow along live with ``repro trace tail out.jsonl
---follow``.
+(cell started / finished, suite boundaries) and flushes after every
+line, so a second terminal can follow along live with ``repro trace
+tail out.jsonl --follow``.
 
 The stream is *heartbeat*, not ledger: it exists to answer "is the run
 alive, and what is it chewing on?"  Lines are nonetheless durable —
@@ -27,16 +26,13 @@ Event vocabulary (each object carries ``t`` — epoch seconds — and
   invocation, bracketing all its suites (``suites``, ``jobs``).
 * ``suite_started`` — ``suite``, ``cells``, ``pending``, ``replayed``
   (journal resume satisfied that many), ``jobs``.
-* ``cell_started`` — ``suite``, ``index``, ``label``, ``attempt``.
+* ``cell_started`` — ``suite``, ``index``, ``label``: a worker (or
+  the inline loop) took the cell.
 * ``cell_finished`` — adds ``elapsed`` seconds and ``stalled`` (the
   graded verdict said the algorithm stalled — the run itself is fine).
-* ``cell_retried`` — a failed attempt going back in the queue:
-  ``reason``, ``backoff`` seconds.
-* ``cell_stalled`` — an attempt exceeded ``--cell-timeout`` and its
-  worker is being killed (followed by ``cell_retried`` or
-  ``cell_quarantined``).
-* ``cell_quarantined`` — attempts exhausted: ``attempts``, ``reason``.
-* ``pool_rebuilt`` — the process pool was torn down and rebuilt.
+* ``suite_finished`` — ``suite``, ``cells``, ``stalled``,
+  ``wall_seconds``.  A cell that raises ends the run before this
+  event, so a stream without it is a run that failed or was killed.
 
 Schema changes bump :data:`PROGRESS_SCHEMA_VERSION`, stamped on the
 ``bench_started``/``suite_started`` events.
@@ -213,37 +209,17 @@ def render_progress_event(
         return (
             f"{clock} {suite}: done —"
             f" {record.get('cells', '?')} cell(s),"
-            f" {record.get('quarantined', 0)} quarantined,"
             f" {record.get('stalled', 0)} stalled"
             f" in {record.get('wall_seconds', 0.0):.2f}s"
         )
     if event == "cell_started":
-        return f"{clock} {where}: started (attempt {record.get('attempt', 1)})"
+        return f"{clock} {where}: started"
     if event == "cell_finished":
         flag = " [stalled verdict]" if record.get("stalled") else ""
         return (
             f"{clock} {where}: finished in"
             f" {record.get('elapsed', 0.0):.3f}s{flag}"
         )
-    if event == "cell_retried":
-        return (
-            f"{clock} {where}: attempt {record.get('attempt', '?')} failed"
-            f" ({record.get('reason', '')}) — retrying in"
-            f" {record.get('backoff', 0.0):.2f}s"
-        )
-    if event == "cell_stalled":
-        return (
-            f"{clock} {where}: stalled past"
-            f" {record.get('timeout', 0.0):.1f}s — killing worker"
-        )
-    if event == "cell_quarantined":
-        return (
-            f"{clock} {where}: quarantined after"
-            f" {record.get('attempts', '?')} attempt(s)"
-            f" ({record.get('reason', '')})"
-        )
-    if event == "pool_rebuilt":
-        return f"{clock} {suite}: worker pool rebuilt"
     extras = {
         k: v for k, v in record.items() if k not in ("t", "event", "cs")
     }

@@ -48,9 +48,6 @@ class SuiteSpec:
     description: str
     build_cells: Callable[[], List[ExperimentCell]]
     cell_fn: Callable[[ExperimentCell], Tuple[List[Tuple], Optional[Dict], Dict]]
-    #: Hidden suites are omitted from :func:`suite_names` (and thus the
-    #: CLI default sweep); they exist for the runner's own tests.
-    hidden: bool = False
 
     def cells(self) -> List[ExperimentCell]:
         return self.build_cells()
@@ -462,51 +459,6 @@ def _run_e15(cell: ExperimentCell):
 
 
 # ----------------------------------------------------------------------
-# CHAOS — hidden suite driving the executor's recovery machinery
-# ----------------------------------------------------------------------
-
-#: Cell misbehavior schedule.  With ``REPRO_CHAOS_DIR`` unset every
-#: cell is healthy, so the healthy subset of a chaos run can be
-#: compared byte-for-byte against a fault-free serial run.  Ordered so
-#: ``--limit`` slices isolate behaviors: limit=2 exercises only the
-#: flaky retry path, limit=4 adds the hung worker, and only the full
-#: grid reaches the crashing cell.
-_CHAOS_BEHAVIORS = ("ok", "flaky", "ok", "hang", "ok", "crash")
-
-
-def _chaos_cells() -> List[ExperimentCell]:
-    return [
-        ExperimentCell(
-            suite="CHAOS",
-            index=i,
-            label=f"CHAOS[{i}:{behavior}]",
-            params={"behavior": behavior, "value": i},
-        )
-        for i, behavior in enumerate(_CHAOS_BEHAVIORS)
-    ]
-
-
-def _run_chaos(cell: ExperimentCell):
-    import os
-
-    behavior = cell.params["behavior"]
-    chaos_dir = os.environ.get("REPRO_CHAOS_DIR")
-    if chaos_dir:
-        if behavior == "crash":
-            os._exit(17)  # hard worker death -> BrokenProcessPool
-        if behavior == "hang":
-            time.sleep(3600)  # never returns; only cell_timeout saves us
-        if behavior == "flaky":
-            marker = os.path.join(chaos_dir, f"flaky-{cell.index}")
-            if not os.path.exists(marker):
-                with open(marker, "w") as handle:
-                    handle.write("attempted\n")
-                raise RuntimeError("injected flaky failure (first attempt)")
-    row = (cell.index, behavior, (cell.params["value"] + 1) * 10)
-    return [row], None, {}
-
-
-# ----------------------------------------------------------------------
 # Registry + the worker-side entry point
 # ----------------------------------------------------------------------
 
@@ -569,21 +521,12 @@ SUITES: Dict[str, SuiteSpec] = {
         build_cells=_e15_cells,
         cell_fn=_run_e15,
     ),
-    "CHAOS": SuiteSpec(
-        name="CHAOS",
-        title="CHAOS: executor recovery exercises (hidden)",
-        columns=("cell", "behavior", "value"),
-        description="Deliberately misbehaving cells for executor tests.",
-        build_cells=_chaos_cells,
-        cell_fn=_run_chaos,
-        hidden=True,
-    ),
 }
 
 
 def suite_names() -> List[str]:
-    """Public suite names (hidden test-only suites excluded)."""
-    return sorted(name for name, spec in SUITES.items() if not spec.hidden)
+    """Every suite name, sorted: the default ``repro bench`` sweep."""
+    return sorted(SUITES)
 
 
 def execute_cell(

@@ -189,7 +189,7 @@ class TestFaultsCommand:
 class TestBenchJournal:
     def test_resume_replays_journaled_cells(self, capsys, tmp_path):
         journal = str(tmp_path / "wal.jsonl")
-        args = ["bench", "--suite", "CHAOS", "--limit", "2", "--no-cache",
+        args = ["bench", "--suite", "E15", "--limit", "2", "--no-cache",
                 "--cache-dir", str(tmp_path), "--journal", journal]
         assert main(args) == 0
         first = capsys.readouterr()
@@ -201,8 +201,8 @@ class TestBenchJournal:
         assert second.out == first.out  # byte-identical table
 
     def test_journal_rejects_multiple_suites(self, tmp_path, capsys):
-        # Exit 1 means a quarantined cell; this is an operator error.
-        assert main(["bench", "--suite", "E10", "--suite", "CHAOS",
+        # Exit 1 means a cell raised; this is an operator error.
+        assert main(["bench", "--suite", "E10", "--suite", "E15",
                      "--journal", str(tmp_path / "wal.jsonl")]) == 2
         assert "one file" in capsys.readouterr().err
 
@@ -213,7 +213,7 @@ class TestBenchJournal:
     def test_corrupt_journal_header_resume_exits_2(self, capsys, tmp_path):
         journal = tmp_path / "wal.jsonl"
         journal.write_text("{corrupt header\n")
-        code = main(["bench", "--suite", "CHAOS", "--limit", "2",
+        code = main(["bench", "--suite", "E15", "--limit", "2",
                      "--no-cache", "--cache-dir", str(tmp_path),
                      "--journal", str(journal), "--resume"])
         assert code == 2
@@ -227,7 +227,7 @@ class TestBenchJournal:
 
         journal = str(tmp_path / "wal.jsonl")
         stats = str(tmp_path / "stats.json")
-        args = ["bench", "--suite", "CHAOS", "--limit", "2", "--no-cache",
+        args = ["bench", "--suite", "E15", "--limit", "2", "--no-cache",
                 "--cache-dir", str(tmp_path), "--journal", journal]
         assert main(args) == 0
         capsys.readouterr()
@@ -247,7 +247,7 @@ class TestBenchJournal:
 
 _MAXIS = ["maxis", "--n", "30", "--seed", "2"]
 _FAULTS = ["faults", "--algorithm", "maxis", "--n", "60", "--seed", "1"]
-_BENCH = ["bench", "--suite", "CHAOS", "--limit", "1", "--jobs", "1",
+_BENCH = ["bench", "--suite", "E15", "--limit", "1", "--jobs", "1",
           "--no-cache"]
 
 
@@ -302,6 +302,24 @@ def test_bench_limit_below_one_exits_2(capsys, tmp_path, monkeypatch, limit):
     lines = captured.err.splitlines()
     assert len(lines) == 1, lines
     assert f"--limit must be at least 1, got {limit}" in lines[0]
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_bench_jobs_below_one_exits_2(capsys, tmp_path, monkeypatch, jobs):
+    """Fewer than one worker is no job count: run anyway, the suites
+    would run inline while --stats-json and the telemetry snapshot
+    recorded the given count.  It is refused before anything runs."""
+    monkeypatch.chdir(tmp_path)
+    code = main(["bench", "--suite", "E15", "--limit", "1", "--no-cache",
+                 "--jobs", jobs, "--out", "tables",
+                 "--stats-json", "stats.json"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, lines
+    assert f"--jobs must be at least 1, got {jobs}" in lines[0]
     assert os.listdir(tmp_path) == []
 
 
@@ -413,6 +431,31 @@ class TestObsErrorPaths:
         ]) == 2
         err = capsys.readouterr().err
         assert "absent.json" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("budget", ["0", "-1", "nan", "inf"])
+    def test_diff_budget_must_be_finite_and_positive(
+        self, capsys, tmp_path, budget
+    ):
+        """A budget of 0 or below used to raise a ValueError traceback
+        (exit 1, the "regressed" code), and NaN or infinity passed a
+        snapshot ten times slower: each is one error line, exit 2."""
+        from repro.obs import build_snapshot, write_snapshot
+
+        paths = []
+        for name, scale in (("old", 1), ("new", 10)):
+            path = str(tmp_path / f"{name}.json")
+            write_snapshot(path, build_snapshot(suites={"E10": {
+                "wall_seconds": 1.0 * scale,
+                "cells": {"E10[n=64]": {"elapsed": 0.5 * scale}},
+            }}))
+            paths.append(path)
+        assert main(["obs", "diff", *paths, "--budget", budget]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, lines
+        assert f"--budget must be a finite ratio above 0, got {budget}" \
+            in lines[0]
 
     def test_diff_wrong_kind_snapshot_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "kind.json"

@@ -10,26 +10,31 @@ cannot prove its identity could silently replay the wrong run.
 """
 
 import base64
+import dataclasses
 import json
+import multiprocessing
 import os
 import pickle
 import shutil
+import signal
 import subprocess
 import sys
 import textwrap
+import time
 
 import pytest
 
 from repro.errors import JournalError
 from repro.runner import (
     JOURNAL_SCHEMA_VERSION,
+    SUITES,
     SuiteJournal,
     default_journal_path,
     run_fingerprint,
     run_suite,
 )
 
-SUITE = "CHAOS"  # hidden suite; all cells healthy without REPRO_CHAOS_DIR
+SUITE = "E15"  # a real grid whose first LIMIT cells run in well under 1 s
 LIMIT = 4
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "data")
@@ -55,7 +60,7 @@ def _truncate_to(path, keep_lines):
 
 
 def test_journal_records_every_cell(tmp_path):
-    journal = str(tmp_path / "chaos.jsonl")
+    journal = str(tmp_path / "e15.jsonl")
     run = _run(journal=journal)
     assert run.journal_path == journal
     assert run.replayed_cells() == 0
@@ -69,7 +74,7 @@ def test_journal_records_every_cell(tmp_path):
 
 def test_interrupted_run_resumes_byte_identically(tmp_path):
     baseline = _run().render_table()
-    journal = str(tmp_path / "chaos.jsonl")
+    journal = str(tmp_path / "e15.jsonl")
     _run(journal=journal)
     _truncate_to(journal, 3)  # header + 2 cells: "killed" after cell 1
 
@@ -85,7 +90,7 @@ def test_interrupted_run_resumes_byte_identically(tmp_path):
 
 def test_parallel_resume_matches_serial(tmp_path):
     baseline = _run().render_table()
-    journal = str(tmp_path / "chaos.jsonl")
+    journal = str(tmp_path / "e15.jsonl")
     _run(journal=journal)
     _truncate_to(journal, 2)
 
@@ -96,7 +101,7 @@ def test_parallel_resume_matches_serial(tmp_path):
 
 def test_corrupt_records_are_recomputed_not_fatal(tmp_path):
     baseline = _run().render_table()
-    journal = str(tmp_path / "chaos.jsonl")
+    journal = str(tmp_path / "e15.jsonl")
     _run(journal=journal)
     lines = _truncate_to(journal, 5)
     # Mangle cell 1 three different ways across three resumes: torn
@@ -120,7 +125,7 @@ def test_corrupt_records_are_recomputed_not_fatal(tmp_path):
 
 
 def test_mismatched_header_discards_journal(tmp_path):
-    journal = str(tmp_path / "chaos.jsonl")
+    journal = str(tmp_path / "e15.jsonl")
     _run(journal=journal)
     # A different limit is a different run shape: nothing is replayed.
     resumed = run_suite(SUITE, use_cache=False, limit=2,
@@ -133,7 +138,7 @@ def test_mismatched_header_discards_journal(tmp_path):
 
 
 def test_missing_journal_starts_fresh(tmp_path):
-    journal = str(tmp_path / "chaos.jsonl")
+    journal = str(tmp_path / "e15.jsonl")
     resumed = _run(journal=journal, resume=True)  # nothing to resume
     assert resumed.replayed_cells() == 0
 
@@ -147,7 +152,7 @@ def test_corrupt_header_refuses_resume_loudly(tmp_path):
     unlike a *parseable* header with a mismatched fingerprint, which
     starts fresh because the caller asked for a different experiment.
     """
-    journal = str(tmp_path / "chaos.jsonl")
+    journal = str(tmp_path / "e15.jsonl")
     with open(journal, "w") as handle:
         handle.write("complete garbage\n")
     with pytest.raises(JournalError):
@@ -196,7 +201,7 @@ def test_prepr10_unsealed_journal_still_replays(tmp_path):
 
 
 def test_resume_false_discards_prior_journal(tmp_path):
-    journal = str(tmp_path / "chaos.jsonl")
+    journal = str(tmp_path / "e15.jsonl")
     _run(journal=journal)
     fresh = _run(journal=journal, resume=False)
     assert fresh.replayed_cells() == 0
@@ -210,14 +215,14 @@ def test_default_journal_path_under_cache_root(tmp_path):
     assert path == str(tmp_path / "journals" / "E10.jsonl")
     run = run_suite(SUITE, use_cache=False, limit=2,
                     cache_root=str(tmp_path), resume=True)
-    assert run.journal_path == str(tmp_path / "journals" / "CHAOS.jsonl")
+    assert run.journal_path == str(tmp_path / "journals" / "E15.jsonl")
     assert os.path.exists(run.journal_path)
 
 
 def test_journal_replay_filters_out_of_grid_cells(tmp_path):
     """Cells journaled beyond the current --limit stay out of the
     table (and out of the replay count)."""
-    journal = str(tmp_path / "chaos.jsonl")
+    journal = str(tmp_path / "e15.jsonl")
     fingerprint = _fingerprint()
     with SuiteJournal.open(journal, fingerprint) as wal:
         full = _run()
@@ -237,7 +242,7 @@ def test_sigkill_mid_suite_then_resume(tmp_path):
     cells; the parent then resumes from the journal on disk and must
     reproduce the uninterrupted table exactly.
     """
-    journal = str(tmp_path / "chaos.jsonl")
+    journal = str(tmp_path / "e15.jsonl")
     script = textwrap.dedent(f"""
         import os, signal
         from repro.runner import journal as journal_mod, run_suite
@@ -262,4 +267,97 @@ def test_sigkill_mid_suite_then_resume(tmp_path):
     baseline = _run().render_table()
     resumed = _run(journal=journal, resume=True)
     assert resumed.replayed_cells() == 2
+    assert resumed.render_table() == baseline
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="POSIX signals")
+def test_sigkill_mid_e15_resumes_byte_identically(tmp_path):
+    """SIGKILL a journaled E15 (temporal adversity) run the moment the
+    first cell is durable, then resume: every journaled cell replays
+    byte-identically into the same table an uninterrupted run makes."""
+    baseline = run_suite("E15", jobs=1, use_cache=False, limit=4)
+    baseline_rows = {r.index: r.rows for r in baseline.results}
+
+    journal = tmp_path / "e15-wal.jsonl"
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.path.abspath(src)
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.cli", "bench",
+            "--suite", "E15", "--limit", "4", "--jobs", "1",
+            "--no-cache", "--journal", str(journal),
+        ],
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+        start_new_session=True,
+    )
+    try:
+        # Wait for the header plus at least one durable cell record,
+        # then kill without any chance to flush or clean up.
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline:
+            try:
+                with open(journal) as handle:
+                    if sum(1 for _ in handle) >= 2:
+                        break
+            except FileNotFoundError:
+                pass
+            if proc.poll() is not None:
+                break  # finished before we could kill: still resumable
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGKILL)
+    finally:
+        proc.wait()
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+
+    resumed = run_suite(
+        "E15", jobs=1, use_cache=False, limit=4,
+        journal=str(journal), resume=True,
+    )
+    assert resumed.replayed_cells() >= 1
+    assert {r.index: r.rows for r in resumed.results} == baseline_rows
+    assert resumed.render_table() == baseline.render_table()
+    # SIGKILL routinely tears the in-flight journal line; the resumed
+    # footer may (loudly) append its corrupt-line count to the
+    # otherwise identical baseline footer.
+    assert resumed.footer().startswith(baseline.footer())
+
+
+@pytest.mark.parametrize("jobs", [
+    1,
+    pytest.param(2, marks=pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="workers must inherit the patched suite",
+    )),
+])
+def test_failing_cell_fails_the_run(tmp_path, monkeypatch, jobs):
+    """A cell that raises ends the run with its exception, inline and
+    pooled; the cells that landed first stay journaled, and a resume
+    once the cell is mended renders the uninterrupted table."""
+    baseline = _run().render_table()
+    real = SUITES[SUITE].cell_fn
+
+    def broken(cell):
+        if cell.index == 2:
+            raise RuntimeError("cell 2 is broken")
+        return real(cell)
+
+    monkeypatch.setitem(
+        SUITES, SUITE, dataclasses.replace(SUITES[SUITE], cell_fn=broken)
+    )
+    journal = str(tmp_path / "e15.jsonl")
+    with pytest.raises(RuntimeError, match="cell 2 is broken"):
+        _run(journal=journal, jobs=jobs)
+    with open(journal) as handle:
+        landed = [json.loads(line)["index"] for line in list(handle)[1:]]
+    # Cell 2 is submitted only after an earlier cell lands.
+    assert landed and 2 not in landed
+
+    monkeypatch.undo()
+    resumed = _run(journal=journal, resume=True, jobs=jobs)
+    assert resumed.replayed_cells() == len(landed)
     assert resumed.render_table() == baseline

@@ -500,8 +500,7 @@ class TestRunnerTelemetry:
 def _snapshot(elapsed=0.5, wall=1.0):
     return build_snapshot(
         suites={"E10": {"wall_seconds": wall,
-                        "cells": {"E10[n=64]": {"elapsed": elapsed,
-                                                "attempts": 1}}}},
+                        "cells": {"E10[n=64]": {"elapsed": elapsed}}}},
         telemetry=TelemetryRegistry().to_dict(),
     )
 
@@ -558,9 +557,27 @@ class TestBaseline:
         assert diff.added == ["suite:E11"]
         assert diff_snapshots(new, old).missing == ["suite:E11"]
 
+    def test_snapshot_with_cell_attempts_still_diffs(self):
+        """Snapshots written while cells also recorded ``attempts`` (the
+        committed seed baseline among them) still load and diff, on
+        ``elapsed`` alone."""
+        seed = load_snapshot(os.path.join(
+            os.path.dirname(__file__), os.pardir, "benchmarks", "results",
+            "BENCH_seed_baseline.json",
+        ))
+        (label, cell), = seed["suites"]["E10"]["cells"].items()
+        assert "attempts" in cell
+        slower = build_snapshot(suites={"E10": {
+            "wall_seconds": seed["suites"]["E10"]["wall_seconds"],
+            "cells": {label: {"elapsed": cell["elapsed"] * 10}},
+        }})
+        diff = diff_snapshots(seed, slower, budget=4.0)
+        assert [e["metric"] for e in diff.regressions] == [f"cell:{label}"]
+
     def test_budget_must_be_positive(self):
-        with pytest.raises(ValueError):
-            diff_snapshots(_snapshot(), _snapshot(), budget=0)
+        for budget in (0, -1, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                diff_snapshots(_snapshot(), _snapshot(), budget=budget)
 
 
 # ----------------------------------------------------------------------

@@ -11,12 +11,16 @@ composition, and the ``repro bench`` CLI surface.
 import json
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
 from repro.cli import main
 from repro.congest import CongestMetrics
-from repro.runner import SUITES, run_suite, suite_names
+from repro.runner import SUITES, iter_progress, run_suite, suite_names
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -165,11 +169,9 @@ def test_cli_bench_smoke(tmp_path, capsys):
     assert serial.footer() in captured.out
 
 
-def test_footer_counts_quarantined_and_stalled():
+def test_footer_counts_cells_and_stalled():
     run = run_suite("E15", jobs=1, use_cache=False, limit=4)
-    assert run.footer() == (
-        f"E15: {len(run.results)} cell(s), 0 quarantined, 0 stalled"
-    )
+    assert run.footer() == "E15: 4 cell(s), 0 stalled"
     assert run.summary()["stalled"] == 0
     # Flip one cell's graded verdict to stalled: every surface that
     # reports the count (method, footer, --stats-json summary) follows.
@@ -186,3 +188,47 @@ def test_cli_bench_no_cache(tmp_path, capsys):
     assert code == 0
     # Cache statistics are diagnostics: logger -> stderr.
     assert "misses" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="POSIX signals")
+def test_sigint_stops_a_pooled_run_after_its_running_cells(tmp_path):
+    """Ctrl-C during ``repro bench --jobs 2`` ends the run once the
+    cells already running finish: the rest of the grid never starts,
+    and the suite never reports itself finished."""
+    progress = str(tmp_path / "progress.jsonl")
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.path.abspath(src)
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.cli", "bench", "--suite", "E10",
+            "--jobs", "2", "--no-cache", "--progress", progress,
+        ],
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+        start_new_session=True,  # keep the test runner's tty out of it
+    )
+
+    def kinds():
+        try:
+            return [e["event"] for e in iter_progress(progress)]
+        except FileNotFoundError:
+            return []
+
+    try:
+        deadline = time.monotonic() + 60
+        while "cell_finished" not in kinds():
+            assert proc.poll() is None, "bench exited before its first cell"
+            assert time.monotonic() < deadline, "no cell finished in 60 s"
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGINT)
+        code = proc.wait(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert code != 0
+    events = kinds()
+    assert "suite_finished" not in events
+    assert events.count("cell_started") < len(SUITES["E10"].cells())
