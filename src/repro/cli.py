@@ -680,10 +680,16 @@ def cmd_obs_diff(args) -> int:
     from .obs import diff_snapshots, load_snapshot
 
     # A zero, negative or NaN ratio is no budget, and an infinite one
-    # passes every regression: refuse them before reading anything.
+    # passes every regression, as does a NaN or infinite floor: refuse
+    # them before reading anything.
     if not (math.isfinite(args.budget) and args.budget > 0):
         raise _OperatorError(
             f"--budget must be a finite ratio above 0, got {args.budget:g}"
+        )
+    if not (math.isfinite(args.min_seconds) and args.min_seconds >= 0):
+        raise _OperatorError(
+            "--min-seconds must be a finite number of seconds, 0 or "
+            f"more, got {args.min_seconds:g}"
         )
     old = _load(load_snapshot, args.old, "snapshot")
     new = _load(load_snapshot, args.new, "snapshot")

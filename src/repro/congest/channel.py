@@ -200,6 +200,10 @@ class EngineCore:
         self._snapshot_targets: Set[int] = {i for _, i in self._rejoin_queue}
         self._snapshots: Dict[int, bytes] = {}
         self._snapshot_rounds: Dict[int, int] = {}
+        # Reference MT19937 keys per vertex seed, kept for the engine's
+        # life so every capture and snapshot after the first reads only
+        # the live generators (see repro.rng.reduce_seeded_random).
+        self._rng_keys: Dict[Any, Any] = {}
         # Flipped by run() after the initialization pass; a restored
         # post-init checkpoint carries True, so run() then skips
         # initialization and continues mid-simulation.
@@ -305,9 +309,12 @@ class EngineCore:
 
     def _enqueue(self, j: int, sender, payload, copies: int = 1) -> None:
         """Append ``copies`` of ``payload`` from ``sender`` to rank
-        ``j``'s inbox."""
+        ``j``'s inbox, unless ``j`` has halted: nothing reads a halted
+        vertex's mail, so it gets no inbox (the sender was charged)."""
         box = self._pending[j]
         if box is None:
+            if self._contexts[j]._halted:
+                return
             self._pending[j] = {sender: [payload] * copies}
             self._pending_ids.add(j)
             return
@@ -411,8 +418,9 @@ class EngineCore:
             if i in self._snapshot_targets and not self._contexts[i]._halted:
                 last = last_rounds.get(i)
                 if last is None or round_number - last >= interval:
+                    ctx = self._contexts[i]
                     self._snapshots[i] = dump_state(
-                        (self._algorithms[i], self._contexts[i])
+                        (self._algorithms[i], ctx), (ctx,), self._rng_keys
                     )
                     last_rounds[i] = round_number
 

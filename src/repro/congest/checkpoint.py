@@ -35,17 +35,19 @@ an algorithm and its context (a walker caches bound methods of its
 context's generator) is preserved across the round trip.
 Checkpointing therefore requires the vertex algorithms to be
 picklable — true for every algorithm in this library.
-The blob is written by :func:`dump_state`, which pickles every exact
-``random.Random`` as its packed MT19937 words
-(:func:`repro.rng.reduce_random`) instead of 625 Python ints; the
-crash-recovery snapshots of :mod:`repro.congest.channel` go through
-the same serializer.
+The blob is written by :func:`dump_state`.  A vertex's randomness is
+its seed and the number of words it has drawn, so a context's generator
+that is still within its first 624 words since seeding pickles as that
+seed and count (:func:`repro.rng.reduce_seeded_random`), a few bytes;
+every other exact ``random.Random`` pickles as its packed MT19937 words
+(:func:`repro.rng.reduce_random`) instead of 625 Python ints.  The
+crash-recovery snapshots of :mod:`repro.congest.channel` go through the
+same serializer.
 """
 
 from __future__ import annotations
 
 import base64
-import copyreg
 import io
 import json
 import os
@@ -53,12 +55,12 @@ import pickle
 import random
 from dataclasses import dataclass
 from hashlib import blake2b
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from .. import storage
 from ..errors import CheckpointError, StorageError
 from ..graph import Graph
-from ..rng import reduce_random
+from ..rng import reduce_random, reduce_seeded_random
 from .faults import pad_fault_counts
 from .metrics import CongestMetrics
 from .trace import RoundTrace
@@ -73,12 +75,18 @@ from .trace import RoundTrace
 #:   (:func:`repro.rng.rebuild_random`).  The ``checksum`` is mandatory
 #:   and covers the metadata's canonical JSON followed by the base64
 #:   ``state`` text, so the state is never re-encoded to verify it.
+#: * 3 — seeded RNG states: a vertex context's generator that is its
+#:   seed advanced by at most 624 words pickles as the seed and that
+#:   count (:func:`repro.rng.rebuild_seeded_random`); every other exact
+#:   ``random.Random`` keeps schema 2's packed words.  The checksum
+#:   rule is schema 2's.
 #:
 #: ``from_dict`` accepts any version up to the current one and fills
 #: absent newer fields with defaults, so pinned old fixtures keep
-#: loading (see ``tests/data/checkpoint_v1.json`` and
-#: ``tests/data/checkpoint_v1_checksummed.json``).
-CHECKPOINT_SCHEMA_VERSION = 2
+#: loading (see ``tests/data/checkpoint_v1.json``,
+#: ``tests/data/checkpoint_v1_checksummed.json`` and
+#: ``tests/data/checkpoint_v2.json``).
+CHECKPOINT_SCHEMA_VERSION = 3
 
 #: Pinned pickle protocol for the state blob, matching the artifact
 #: cache's choice so checkpoints stay readable across the same range of
@@ -87,33 +95,58 @@ PICKLE_PROTOCOL = 4
 
 
 class _StatePickler(pickle.Pickler):
-    """Default pickling, except exact ``random.Random`` objects, which
-    pickle as packed words (:func:`repro.rng.reduce_random`)."""
+    """Default pickling, except exact ``random.Random`` objects: one
+    that is a context's generator pickles as seed and count when it
+    can (:func:`repro.rng.reduce_seeded_random`), any other as packed
+    words (:func:`repro.rng.reduce_random`).  ``seeds`` maps the
+    ``id`` of each context's generator to that context's seed.
+    """
 
-    dispatch_table = {**copyreg.dispatch_table, random.Random: reduce_random}
+    def __init__(self, file, seeds: Dict[int, Any], keys: Dict) -> None:
+        super().__init__(file, protocol=PICKLE_PROTOCOL)
+        self._seeds = seeds
+        self._keys = keys
+
+    def reducer_override(self, obj):
+        if type(obj) is not random.Random:
+            return NotImplemented
+        seed = self._seeds.get(id(obj))
+        if seed is None:
+            return reduce_random(obj)
+        return reduce_seeded_random(obj, seed, self._keys)
 
 
-def dump_state(obj: Any) -> bytes:
+def dump_state(obj: Any, contexts: Iterable = (),
+               keys: Optional[Dict] = None) -> bytes:
     """Pickle ``obj`` at :data:`PICKLE_PROTOCOL` through the state pickler.
 
     The one serializer for vertex state: checkpoint capture and the
-    local crash-recovery snapshots both use it.  ``pickle.loads`` reads
-    it back; one pickle memo keeps object identity, so a cached bound
-    method still points at its context's generator after the round
-    trip.
+    local crash-recovery snapshots both use it.  ``contexts`` are the
+    vertex contexts whose generators ``obj`` holds; each seeded
+    generator among them that is within its first 624 words pickles as
+    its seed and count.  ``keys`` carries the reference keys of
+    :func:`repro.rng.reduce_seeded_random` from one dump to the next
+    (an engine keeps one for its life).  ``pickle.loads`` reads the result back;
+    one pickle memo keeps object identity, so a cached bound method
+    still points at its context's generator after the round trip.
     """
+    seeds = {
+        id(ctx._rng): ctx._rng_seed
+        for ctx in contexts
+        if ctx._rng is not None and ctx._rng_seed is not None
+    }
     buffer = io.BytesIO()
-    _StatePickler(buffer, protocol=PICKLE_PROTOCOL).dump(obj)
+    _StatePickler(buffer, seeds, {} if keys is None else keys).dump(obj)
     return buffer.getvalue()
 
 
 def _envelope_checksum(data: Dict[str, Any]) -> str:
     """blake2b digest of an envelope, per its schema, sans checksum.
 
-    Schema 1 digests the whole envelope's canonical JSON.  Schema 2
-    digests the canonical JSON of every field except ``state``,
-    followed by the base64 ``state`` text itself, so the multi-megabyte
-    blob is hashed as it stands instead of being JSON-encoded again.
+    Schema 1 digests the whole envelope's canonical JSON.  Schemas 2
+    and 3 digest the canonical JSON of every field except ``state``,
+    followed by the base64 ``state`` text itself, so the blob is hashed
+    as it stands instead of being JSON-encoded again.
     Verified by :meth:`SimulationCheckpoint.from_dict` *before* the
     state blob is base64-decoded or unpickled, so a truncated or
     bit-flipped checkpoint raises :class:`CheckpointError` instead of
@@ -143,19 +176,12 @@ def graph_fingerprint(graph: Graph) -> str:
     Stored in every checkpoint and verified at resume: restoring vertex
     state into a *different* network would not fail loudly on its own —
     it would silently diverge — so the fingerprint turns that mistake
-    into a :class:`~repro.errors.CheckpointError`.
+    into a :class:`~repro.errors.CheckpointError`.  Computed once per
+    :class:`~repro.graph.SimulationLayout`
+    (:meth:`~repro.graph.SimulationLayout.fingerprint`), so captures and
+    resumes on one graph hash it once.
     """
-    digest = blake2b(digest_size=16)
-    layout = graph.simulation_layout()
-    for v, neighbors, weights in zip(
-        layout.order, layout.neighbors, layout.weights
-    ):
-        digest.update(repr(v).encode("utf-8"))
-        digest.update(b"|")
-        for u, w in zip(neighbors, weights):
-            digest.update(f"{u!r}:{w!r};".encode("utf-8"))
-        digest.update(b"\n")
-    return digest.hexdigest()
+    return graph.simulation_layout().fingerprint()
 
 
 @dataclass
@@ -438,7 +464,7 @@ def capture_engine_state(engine) -> SimulationCheckpoint:
             engine.faults.plan.to_dict() if engine.faults is not None else None
         ),
         metrics=engine.metrics.to_dict(include_per_round=True),
-        state=dump_state(state),
+        state=dump_state(state, contexts, engine._rng_keys),
         trace_rounds=(
             [r.to_dict() for r in engine.trace.rounds]
             if engine.trace is not None

@@ -379,8 +379,8 @@ class FastEngine(EngineCore):
         live_due = []
         for i in sorted(due):
             if contexts[i]._halted:
-                # A vertex that halted with mail still queued will never
-                # read it; drop it from the active set for good.
+                # A halted vertex never steps again; drop it from the
+                # active set for good.
                 self._pending_ids.discard(i)
             else:
                 live_due.append(i)
@@ -558,8 +558,10 @@ class FastEngine(EngineCore):
                     continue
                 box = pending[j]
                 if box is None:
-                    pending[j] = {v: [payload]}
-                    pending_ids_add(j)
+                    # A halted receiver gets no inbox: nothing reads it.
+                    if not contexts[j]._halted:
+                        pending[j] = {v: [payload]}
+                        pending_ids_add(j)
                 else:
                     lst = box.get(v)
                     if lst is None:

@@ -367,8 +367,9 @@ class SendPlan:
         Iterates the segments in plan (= scalar send) order and writes
         dictionaries identical in structure — same payload objects, one
         shared object per broadcast, insertion order matching the
-        scalar drain — so a checkpoint captures exactly the pending
-        state the scalar path would have built.
+        scalar drain, and no inbox for a halted receiver — so a
+        checkpoint captures exactly the pending state the scalar path
+        would have built.
         """
         contexts = engine._contexts
         pending = engine._pending
@@ -387,8 +388,9 @@ class SendPlan:
                         j = index[neighbor]
                         box = pending[j]
                         if box is None:
-                            pending[j] = {v: [payload]}
-                            pending_ids_add(j)
+                            if not contexts[j]._halted:
+                                pending[j] = {v: [payload]}
+                                pending_ids_add(j)
                         else:
                             lst = box.get(v)
                             if lst is None:
@@ -403,8 +405,9 @@ class SendPlan:
                     v = verts[i]
                     box = pending[j]
                     if box is None:
-                        pending[j] = {v: [payload]}
-                        pending_ids_add(j)
+                        if not contexts[j]._halted:
+                            pending[j] = {v: [payload]}
+                            pending_ids_add(j)
                     else:
                         lst = box.get(v)
                         if lst is None:

@@ -17,6 +17,7 @@ carry a float weight (default ``1.0``).
 from __future__ import annotations
 
 from collections import deque
+from hashlib import blake2b
 from typing import (
     Dict,
     Hashable,
@@ -77,12 +78,15 @@ class SimulationLayout:
       ``order[i]``), and ``index``, mapping each vertex to its rank;
     * ``neighbors`` — per rank, the vertex's neighbors in canonical
       order, and ``weights``, the aligned edge weights;
-    * :meth:`csr` — the neighbor rows as rank arrays, for the kernels.
+    * :meth:`csr` — the neighbor rows as rank arrays, for the kernels;
+    * :meth:`fingerprint` — the digest checkpoints bind the graph by.
 
     Consumers share these objects and never write to them.
     """
 
-    __slots__ = ("order", "index", "neighbors", "weights", "_csr")
+    __slots__ = (
+        "order", "index", "neighbors", "weights", "_csr", "_fingerprint"
+    )
 
     def __init__(self, adj: Dict[Vertex, Dict[Vertex, float]]) -> None:
         self.order: Tuple[Vertex, ...] = tuple(canonical_vertex_order(adj))
@@ -99,6 +103,7 @@ class SimulationLayout:
         self.neighbors: Tuple[Tuple[Vertex, ...], ...] = tuple(neighbors)
         self.weights: Tuple[Tuple[float, ...], ...] = tuple(weights)
         self._csr = None
+        self._fingerprint: Optional[str] = None
 
     def csr(self):
         """``(indptr, nbr)``: row ``i``'s slice of ``nbr`` holds the
@@ -119,6 +124,23 @@ class SimulationLayout:
             nbr.flags.writeable = False
             self._csr = (indptr, nbr)
         return self._csr
+
+    def fingerprint(self) -> str:
+        """blake2b digest of the exact topology and edge weights, in
+        rank order, computed on the first call (see
+        :func:`repro.congest.checkpoint.graph_fingerprint`)."""
+        if self._fingerprint is None:
+            digest = blake2b(digest_size=16)
+            for v, neighbors, weights in zip(
+                self.order, self.neighbors, self.weights
+            ):
+                digest.update(repr(v).encode("utf-8"))
+                digest.update(b"|")
+                for u, w in zip(neighbors, weights):
+                    digest.update(f"{u!r}:{w!r};".encode("utf-8"))
+                digest.update(b"\n")
+            self._fingerprint = digest.hexdigest()
+        return self._fingerprint
 
 
 class Graph:

@@ -178,6 +178,9 @@ def diff_snapshots(
     if not (math.isfinite(budget) and budget > 0):
         # NaN or infinity would pass every regression.
         raise ValueError("budget must be a finite positive ratio")
+    if not (math.isfinite(min_seconds) and min_seconds >= 0):
+        # No slowdown exceeds NaN or infinity: every regression passes.
+        raise ValueError("min_seconds must be finite and not negative")
     old_series = _timing_series(old)
     new_series = _timing_series(new)
     diff = BaselineDiff(budget=budget)

@@ -194,6 +194,58 @@ def test_kernel_engages_without_adversity():
 
 
 # ----------------------------------------------------------------------
+# Halted vertices hold no mail, yet every message sent to one is charged
+# ----------------------------------------------------------------------
+
+
+def _halted_with_inbox(sim):
+    engine = sim._engine
+    halted = [i for i, ctx in enumerate(engine._contexts) if ctx._halted]
+    assert halted
+    return [i for i in halted if engine._pending[i] is not None]
+
+
+@pytest.mark.parametrize("engine", ["fast", "reference"])
+def test_halted_vertices_hold_no_inbox(engine):
+    graph = _graph(5)
+    sent = []
+
+    class CountingLuby(LubyMIS):
+        def initialize(self, ctx):
+            super().initialize(ctx)
+            sent.append(len(ctx._outbox))
+
+        def step(self, ctx, inbox):
+            super().step(ctx, inbox)
+            sent.append(len(ctx._outbox))
+
+    result, _, sim = _run(
+        graph, lambda v: CountingLuby(20), 5, _plan("combined", graph),
+        engine,
+    )
+    assert _halted_with_inbox(sim) == []
+    # Charged on send: delivered into a round, or still in flight.
+    assert result.metrics.total_messages + sim._engine._inflight[1] == sum(
+        sent
+    )
+
+
+def test_kernel_captures_leave_halted_vertices_no_inbox():
+    """A capture materializes a kernel's parked sends as inboxes; it
+    builds none for a halted receiver, so none outlives the run."""
+    from repro.rng import HAVE_NUMPY
+
+    if not HAVE_NUMPY:
+        pytest.skip("kernels require numpy")
+    set_kernels_enabled(True)
+    sim = CongestSimulator(_graph(3), lambda v: LubyMIS(20), seed=3)
+    captured = []
+    sim.run(40, checkpoint_every=1, on_checkpoint=captured.append)
+    assert sim._engine._kernel is not None and len(captured) > 2
+    assert _halted_with_inbox(sim) == []
+
+
+# ----------------------------------------------------------------------
 # Checkpoint resume with delayed messages in flight
 # ----------------------------------------------------------------------
 

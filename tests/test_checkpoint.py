@@ -30,15 +30,23 @@ from repro.congest import (
     graph_fingerprint,
     resume_simulation,
 )
+from repro.congest import channel
+from repro.congest import checkpoint as checkpoint_module
+from repro.congest.algorithm import VertexAlgorithm, VertexContext
 from repro.congest.checkpoint import dump_state
+from repro import graph as graph_module
 from repro import storage
 from repro.errors import CheckpointError
+from repro.generators import gnp_random_graph
 from repro.graph import Graph
+from repro.independent_set.greedy import LubyMIS
+from repro.rng import rebuild_seeded_random, reduce_random
 from repro.routing.walk_exchange import WalkExchange
 from repro.storage import canonical_json
 
 from tests import _checkpoint_fixture as checkpoint_fixture
 from tests._checkpoint_fixture import FixtureFlood, FixtureWalker
+from tests.test_adversity import _rng_states
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "data")
 
@@ -318,6 +326,26 @@ def test_malformed_payloads_rejected(mangle):
         SimulationCheckpoint.from_dict(mangle(checkpoint.to_dict()))
 
 
+def test_captures_and_resume_hash_the_graph_once(monkeypatch):
+    """The fingerprint is cached on the graph's simulation layout."""
+    hashed = []
+    real_blake2b = graph_module.blake2b
+
+    def counting_blake2b(*args, **kwargs):
+        hashed.append(1)
+        return real_blake2b(*args, **kwargs)
+
+    monkeypatch.setattr(graph_module, "blake2b", counting_blake2b)
+    graph = _graph()
+    captured = []
+    CongestSimulator(graph, FixtureFlood, seed=3).run(
+        300, checkpoint_every=2, on_checkpoint=captured.append
+    )
+    assert len(captured) >= 2
+    resume_simulation(graph, FixtureFlood, captured[0]).run(300)
+    assert len(hashed) == 1
+
+
 def test_restore_refuses_mismatched_target():
     graph = _graph()
     other = _graph(seed=6)  # same n, different edges
@@ -432,13 +460,10 @@ def test_bit_flipped_state_blob_refuses_before_unpickling(tmp_path):
         SimulationCheckpoint.load(path)
 
 
-def test_schema2_checksum_covers_metadata_then_state_text():
-    """Schema 2 hashes the metadata's canonical JSON followed by the
-    base64 state text as it stands, and refuses an envelope without a
-    checksum before decoding anything."""
-    checkpoint = _capture_first(_graph(), FixtureFlood, FaultPlan(), "fast")
-    data = checkpoint.to_dict()
-    assert data["schema"] == 2
+def _assert_state_text_checksum(data):
+    """The checksum is the metadata's canonical JSON followed by the
+    base64 state text as it stands, and an envelope without one is
+    refused before anything is decoded."""
     meta = {k: v for k, v in data.items() if k not in ("checksum", "state")}
     digest = blake2b(canonical_json(meta).encode("utf-8"), digest_size=16)
     digest.update(data["state"].encode("ascii"))
@@ -447,6 +472,25 @@ def test_schema2_checksum_covers_metadata_then_state_text():
     del data["checksum"]
     with pytest.raises(CheckpointError, match="carries no checksum"):
         SimulationCheckpoint.from_dict(data)
+
+
+def test_schema2_checksum_covers_metadata_then_state_text():
+    """Pinned on the committed schema-2 envelope."""
+    with open(os.path.join(FIXTURES, "checkpoint_v2.json")) as handle:
+        data = json.load(handle)
+    assert data["schema"] == 2
+    _assert_state_text_checksum(data)
+
+
+def test_schema3_checksum_covers_metadata_then_state_text():
+    """A fresh capture is schema 3, which keeps schema 2's checksum
+    rule; schema 4 is refused."""
+    checkpoint = _capture_first(_graph(), FixtureFlood, FaultPlan(), "fast")
+    data = checkpoint.to_dict()
+    assert data["schema"] == CHECKPOINT_SCHEMA_VERSION == 3
+    with pytest.raises(CheckpointError, match="schema 4 is newer"):
+        SimulationCheckpoint.from_dict({**data, "schema": 4})
+    _assert_state_text_checksum(data)
 
 
 def test_tampered_metadata_refuses_loudly(tmp_path):
@@ -540,6 +584,49 @@ def test_v1_checksummed_fixture_refuses_an_edited_state():
         SimulationCheckpoint.from_dict(data)
 
 
+@pytest.mark.parametrize("engine", ["fast", "reference"])
+def test_v2_fixture_loads_and_resumes(engine):
+    """A schema-2 checkpoint, whose vertex RNGs are all packed words,
+    passes its checksum and resumes bit-identically, RNG end-states
+    included, on either engine."""
+    path = os.path.join(FIXTURES, "checkpoint_v2.json")
+    with open(path) as handle:
+        data = json.load(handle)
+    checkpoint = SimulationCheckpoint.load(path)
+    assert checkpoint.schema == 2
+    assert checkpoint.to_dict()["checksum"] == data["checksum"]
+    state = pickle.loads(checkpoint.state)
+    assert any(ctx._rng is not None for ctx in state["contexts"].values())
+    assert b"rebuild_random" in checkpoint.state
+    assert b"rebuild_seeded_random" not in checkpoint.state
+    graph = _graph()  # the fixture was captured over this exact graph
+    assert checkpoint.graph == graph_fingerprint(graph)
+
+    recorder = TraceRecorder("baseline")
+    sim = CongestSimulator(
+        graph, FixtureWalker, seed=3, faults=FaultPlan(), trace=recorder,
+        engine=engine,
+    )
+    baseline = _fingerprint(sim.run(60), recorder), _rng_states(sim)
+    recorder = TraceRecorder("resumed")
+    sim = resume_simulation(
+        graph, FixtureWalker, checkpoint, engine=engine, trace=recorder
+    )
+    assert (_fingerprint(sim.run(60), recorder), _rng_states(sim)) == baseline
+
+
+def test_v2_fixture_refuses_an_edited_state():
+    with open(os.path.join(FIXTURES, "checkpoint_v2.json")) as handle:
+        data = json.load(handle)
+    state = data["state"]
+    pos = len(state) // 2
+    data["state"] = (
+        state[:pos] + ("A" if state[pos] != "A" else "B") + state[pos + 1:]
+    )
+    with pytest.raises(CheckpointError, match="refusing to unpickle"):
+        SimulationCheckpoint.from_dict(data)
+
+
 # ----------------------------------------------------------------------
 # The packed state serializer
 # ----------------------------------------------------------------------
@@ -570,6 +657,160 @@ def test_random_subclasses_keep_default_pickling():
     assert type(back) is _SubRandom and back.getstate() == rng.getstate()
 
 
+SEED = 0x5EED_CAFE_F00D
+
+
+def _seeded_context(drawn):
+    """A context whose generator drew ``drawn`` words since seeding."""
+    ctx = VertexContext(0, (1,), {1: 1.0}, 2, rng_seed=SEED)
+    ctx.rng.getrandbits(32 * drawn)  # 0 bits draws nothing
+    return ctx
+
+
+def _assert_same_generator(back, rng):
+    assert back.getstate() == rng.getstate()
+    assert [back.random() for _ in range(700)] == [
+        rng.random() for _ in range(700)
+    ]
+
+
+@pytest.mark.parametrize(
+    "drawn,seeded",
+    [(0, True), (1, True), (624, True), (625, False), (1300, False)],
+)
+def test_context_generators_pickle_as_seed_and_count(drawn, seeded):
+    """Within its first 624 words a context's generator pickles as its
+    seed and count; from the 625th word on its key has twisted again,
+    so it keeps packed words.  Either way the state round-trips."""
+    ctx = _seeded_context(drawn)
+    blob = dump_state(ctx, [ctx])
+    assert (b"rebuild_seeded_random" in blob) is seeded
+    assert (b"rebuild_random" in blob) is not seeded
+    _assert_same_generator(pickle.loads(blob)._rng, ctx._rng)
+
+
+def test_twisted_key_at_position_zero_keeps_packed_words():
+    """The seed's twisted key at position 0 draws the same words as the
+    fresh seed, yet no draw count reproduces that state."""
+    ctx = _seeded_context(1)
+    version, internal, gauss = ctx.rng.getstate()
+    ctx.rng.setstate((version, internal[:-1] + (0,), gauss))
+    blob = dump_state(ctx, [ctx])
+    assert b"rebuild_seeded_random" not in blob
+    _assert_same_generator(pickle.loads(blob)._rng, ctx._rng)
+
+
+def test_cached_gauss_falls_back_to_packed_words():
+    ctx = _seeded_context(0)
+    ctx.rng.gauss(0.0, 1.0)  # four words drawn, gauss_next cached
+    blob = dump_state(ctx, [ctx])
+    assert b"rebuild_seeded_random" not in blob
+    back = pickle.loads(blob)._rng
+    assert back.getstate()[2] is not None
+    _assert_same_generator(back, ctx._rng)
+
+
+def test_generators_no_context_owns_keep_packed_words():
+    """The seed comes from the context holding the generator: a twin in
+    the very same state that no given context holds, a generator whose
+    context is not given, and a context without a seed all keep packed
+    words."""
+    ctx = _seeded_context(5)
+    twin = random.Random(SEED)
+    twin.getrandbits(32 * 5)
+    assert twin.getstate() == ctx.rng.getstate()
+    unseeded = VertexContext(0, (1,), {1: 1.0}, 2, rng=random.Random(9))
+    unseeded.rng.random()
+    for obj, contexts, rng in (
+        (twin, [ctx], twin),
+        (ctx, [], ctx.rng),
+        (unseeded, [unseeded], unseeded.rng),
+    ):
+        blob = dump_state(obj, contexts)
+        assert b"rebuild_seeded_random" not in blob
+        assert b"rebuild_random" in blob
+        back = pickle.loads(blob)
+        _assert_same_generator(getattr(back, "_rng", back), rng)
+
+
+def test_rebuild_seeded_random_refuses_counts_past_one_key():
+    for drawn in (-1, 625):
+        with pytest.raises(ValueError):
+            rebuild_seeded_random(SEED, drawn)
+
+
+def test_faulted_luby_checkpoint_stores_seeds_and_counts():
+    """Non-vacuity: every Luby vertex draws from its generator, and a
+    faulted run's checkpoint writes each one as seed and count."""
+    graph = gnp_random_graph(40, 0.12, seed=5)
+    checkpoint = _capture_first(
+        graph, lambda v: LubyMIS(20), FaultPlan(seed=17, drop=0.05),
+        "fast", every=3,
+    )
+    state = pickle.loads(checkpoint.state)
+    assert all(ctx._rng is not None for ctx in state["contexts"].values())
+    assert b"rebuild_seeded_random" in checkpoint.state
+    assert b"rebuild_random" not in checkpoint.state
+
+
+class _Drawer(VertexAlgorithm):
+    """Draws 150 words a round and halts after 12 rounds with what it
+    drew: a revived vertex answers right only if its snapshot kept its
+    generator exactly."""
+
+    def __init__(self, vertex):
+        self.drawn = 0
+
+    def step(self, ctx, inbox):
+        self.drawn ^= ctx.rng.getrandbits(32 * 150)
+        if ctx.round_number >= 12:
+            ctx.halt(self.drawn)
+
+
+@pytest.mark.parametrize("engine", ["fast", "reference"])
+def test_snapshot_revival_restores_seeded_generators(engine, monkeypatch):
+    """Vertex 2's last snapshot before its crash holds 450 drawn words
+    (seed and count), vertex 7's 750 (packed words).  Revived, both end
+    exactly as when every snapshot packs its words."""
+    graph = _graph()
+    plan = FaultPlan(
+        seed=16,
+        crashes=((2, 4), (7, 7)),
+        rejoins=((2, 6), (7, 9)),
+        checkpoint_interval=2,
+    )
+    real_dump = channel.dump_state
+
+    def run():
+        blobs = []
+
+        def spy(*args):
+            blobs.append(real_dump(*args))
+            return blobs[-1]
+
+        monkeypatch.setattr(channel, "dump_state", spy)
+        sim = CongestSimulator(graph, _Drawer, seed=3, faults=plan,
+                               engine=engine)
+        result = sim.run(40)
+        assert result.metrics.vertices_rejoined == 2
+        return (
+            result.outputs,
+            result.metrics.to_dict(include_per_round=True),
+            _rng_states(sim),
+        ), blobs
+
+    seeded, blobs = run()
+    assert any(b"rebuild_seeded_random" in blob for blob in blobs)
+    assert any(b"rebuild_random" in blob for blob in blobs)
+    monkeypatch.setattr(
+        checkpoint_module, "reduce_seeded_random",
+        lambda rng, seed, keys: reduce_random(rng),
+    )
+    packed, blobs = run()
+    assert not any(b"rebuild_seeded_random" in blob for blob in blobs)
+    assert seeded == packed
+
+
 def test_capture_packs_materialized_vertex_rngs():
     checkpoint = _capture_first(
         _graph(), FixtureWalker, FaultPlan(), "fast", every=7, max_rounds=60
@@ -582,15 +823,26 @@ def test_capture_packs_materialized_vertex_rngs():
 WALK_STEPS = 12
 
 
+class _PrimedWalk(WalkExchange):
+    """Odd vertices draw 700 words first, so a checkpoint holds walker
+    generators in both pickled forms."""
+
+    def initialize(self, ctx):
+        if ctx.vertex % 2:
+            ctx.rng.getrandbits(32 * 700)
+        super().initialize(ctx)
+
+
 def _walk_factory(v):
-    return WalkExchange(0, WALK_STEPS, [((v, i), i) for i in range(2)], None)
+    return _PrimedWalk(0, WALK_STEPS, [((v, i), i) for i in range(2)], None)
 
 
 @pytest.mark.parametrize("engine", ["fast", "reference"])
 def test_walkers_resume_bound_to_their_generators(engine):
     """A walk exchange checkpointed mid-forward-phase resumes exactly,
     and its cached RNG methods point at the restored context's own
-    generator."""
+    generator, whether that was pickled as seed and count or as packed
+    words."""
     graph = _graph()
     max_rounds = 2 * WALK_STEPS + 4
     baseline = _run_uninterrupted(
@@ -601,6 +853,8 @@ def test_walkers_resume_bound_to_their_generators(engine):
         max_rounds=max_rounds,
     )
     assert checkpoint.round < WALK_STEPS
+    assert b"rebuild_seeded_random" in checkpoint.state
+    assert b"rebuild_random" in checkpoint.state
     checkpoint = SimulationCheckpoint.from_dict(
         json.loads(json.dumps(checkpoint.to_dict()))
     )
@@ -611,6 +865,7 @@ def test_walkers_resume_bound_to_their_generators(engine):
     pairs = list(zip(sim._engine._algorithms, sim._engine._contexts))
     bound = [(w, ctx) for w, ctx in pairs if w._random is not None]
     assert bound
+    assert {ctx.vertex % 2 for _, ctx in bound} == {0, 1}
     for walker, ctx in bound:
         assert walker._random.__self__ is ctx._rng
         assert walker._randbelow.__self__ is ctx._rng

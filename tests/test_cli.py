@@ -432,13 +432,9 @@ class TestObsErrorPaths:
         err = capsys.readouterr().err
         assert "absent.json" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("budget", ["0", "-1", "nan", "inf"])
-    def test_diff_budget_must_be_finite_and_positive(
-        self, capsys, tmp_path, budget
-    ):
-        """A budget of 0 or below used to raise a ValueError traceback
-        (exit 1, the "regressed" code), and NaN or infinity passed a
-        snapshot ten times slower: each is one error line, exit 2."""
+    @staticmethod
+    def _ten_times_slower(tmp_path):
+        """Paths of a snapshot and of one ten times slower."""
         from repro.obs import build_snapshot, write_snapshot
 
         paths = []
@@ -449,6 +445,16 @@ class TestObsErrorPaths:
                 "cells": {"E10[n=64]": {"elapsed": 0.5 * scale}},
             }}))
             paths.append(path)
+        return paths
+
+    @pytest.mark.parametrize("budget", ["0", "-1", "nan", "inf"])
+    def test_diff_budget_must_be_finite_and_positive(
+        self, capsys, tmp_path, budget
+    ):
+        """A budget of 0 or below used to raise a ValueError traceback
+        (exit 1, the "regressed" code), and NaN or infinity passed a
+        snapshot ten times slower: each is one error line, exit 2."""
+        paths = self._ten_times_slower(tmp_path)
         assert main(["obs", "diff", *paths, "--budget", budget]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -456,6 +462,27 @@ class TestObsErrorPaths:
         assert len(lines) == 1, lines
         assert f"--budget must be a finite ratio above 0, got {budget}" \
             in lines[0]
+
+    @pytest.mark.parametrize("floor", ["nan", "inf", "-1"])
+    def test_diff_min_seconds_must_be_finite_and_not_negative(
+        self, capsys, tmp_path, floor
+    ):
+        """No slowdown exceeds a NaN or infinite floor, so either used
+        to pass a snapshot ten times slower with exit 0: each is now one
+        error line, exit 2, as is a negative floor."""
+        paths = self._ten_times_slower(tmp_path)
+        assert main(["obs", "diff", *paths, "--min-seconds", floor]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, lines
+        assert f"--min-seconds must be a finite number of seconds, 0 or " \
+            f"more, got {floor}" in lines[0]
+
+    def test_diff_min_seconds_zero_still_gates(self, capsys, tmp_path):
+        old, new = self._ten_times_slower(tmp_path)
+        assert main(["obs", "diff", old, old, "--min-seconds", "0"]) == 0
+        assert main(["obs", "diff", old, new, "--min-seconds", "0"]) == 1
 
     def test_diff_wrong_kind_snapshot_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "kind.json"

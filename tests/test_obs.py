@@ -579,6 +579,12 @@ class TestBaseline:
             with pytest.raises(ValueError):
                 diff_snapshots(_snapshot(), _snapshot(), budget=budget)
 
+    def test_min_seconds_must_be_finite_and_not_negative(self):
+        for floor in (-1, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                diff_snapshots(_snapshot(), _snapshot(), min_seconds=floor)
+        assert diff_snapshots(_snapshot(), _snapshot(), min_seconds=0).ok
+
 
 # ----------------------------------------------------------------------
 # CLI integration: bench --telemetry, obs report, obs diff
