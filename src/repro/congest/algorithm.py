@@ -147,29 +147,34 @@ class VertexAlgorithm:
 
 
 # ---------------------------------------------------------------------------
-# Columnar round-kernel registry
+# Round-kernel registry
 # ---------------------------------------------------------------------------
 #
-# An algorithm class *declares a vectorizable step* by registering a
-# :class:`~repro.congest.kernels.KernelBase` subclass against itself.
-# The fast engine then batches that algorithm's per-round work into
-# NumPy columns (one entry per vertex) whenever the run qualifies — see
+# An algorithm class declares a faster way to run its rounds by
+# registering a kernel class.  A *columnar* kernel
+# (:class:`~repro.congest.kernels.KernelBase`) batches the algorithm's
+# per-round work into NumPy columns (one entry per vertex) and steps
+# every live vertex every round, so only an algorithm that keeps the
+# default scheduling hints may register one.  A kernel that *keeps its
+# own schedule* (the walk exchange's) steps exactly the vertices the
+# per-vertex scheduler would, so its algorithm may have idle hints.
+# The fast engine uses a kernel whenever the run qualifies — see
 # :func:`repro.congest.kernels.maybe_build_kernel` for the activation
 # rules — and falls back to the ordinary scalar ``step`` loop
-# otherwise.  A kernel steps every live vertex every round, so only an
-# algorithm that keeps the default scheduling hints may register one.
-# Kernels are a pure performance feature: outputs, metrics, traces, and
-# per-vertex RNG streams are bit-identical either way
-# (``tests/test_kernels.py`` is the differential gate).
+# otherwise.  Kernels are a pure performance feature: outputs, metrics,
+# traces, and per-vertex RNG streams are bit-identical either way
+# (``tests/test_kernels.py`` and ``tests/test_walk_kernel.py`` are the
+# differential gates).
 
-#: Minimum vertex count at which a registered kernel engages; below it
-#: the columnar setup costs more than it saves.  A pure performance
-#: knob (``tests/test_kernels.py`` monkeypatches it to 1 to vectorize
-#: tiny graphs).  The ``REPRO_KERNEL_THRESHOLD`` environment variable
-#: overrides it, e.g. for CI smoke runs through spawned workers.
+#: Minimum vertex count at which a registered columnar kernel engages;
+#: below it the columnar setup costs more than it saves.  A pure
+#: performance knob (``tests/test_kernels.py`` monkeypatches it to 1 to
+#: vectorize tiny graphs).  The ``REPRO_KERNEL_THRESHOLD`` environment
+#: variable overrides it, e.g. for CI smoke runs through spawned
+#: workers.
 KERNEL_THRESHOLD = 64
 
-#: Algorithm class -> KernelBase subclass.
+#: Algorithm class -> kernel class.
 _KERNEL_REGISTRY: Dict[type, type] = {}
 
 _kernels_enabled = os.environ.get("REPRO_NO_KERNELS", "").lower() not in (
@@ -179,18 +184,36 @@ _kernels_enabled = os.environ.get("REPRO_NO_KERNELS", "").lower() not in (
 )
 
 
-def register_kernel(algorithm_cls: type):
-    """Class decorator registering a kernel class for ``algorithm_cls``
-    — the declaration that the algorithm's step is vectorizable.
+def register_kernel(target: type):
+    """Register a round kernel for an algorithm class.
 
-    Raises ``TypeError`` if ``algorithm_cls`` overrides
-    :meth:`VertexAlgorithm.is_idle`: kernel runs take dense rounds, in
-    which no vertex may sit a round out.
+    ``@register_kernel(AlgorithmClass)`` decorates a columnar kernel (a
+    :class:`~repro.congest.kernels.KernelBase` subclass).  It raises
+    ``TypeError`` if ``AlgorithmClass`` overrides
+    :meth:`VertexAlgorithm.is_idle`: columnar kernel runs take dense
+    rounds, in which no vertex may sit a round out.
+
+    ``@register_kernel`` applied directly to a kernel class that keeps
+    its own schedule registers it for the algorithm class it names in
+    ``algorithm_cls``.  Such a kernel steps exactly the vertices the
+    per-vertex scheduler would step, so the algorithm may override the
+    scheduling hints.
     """
+    if not issubclass(target, VertexAlgorithm):
+        from .kernels import KernelBase
+
+        if issubclass(target, KernelBase):
+            raise TypeError(
+                f"{target.__qualname__} is a columnar kernel; register "
+                "it with @register_kernel(AlgorithmClass)"
+            )
+        _KERNEL_REGISTRY[target.algorithm_cls] = target
+        return target
+    algorithm_cls = target
     if algorithm_cls.is_idle is not VertexAlgorithm.is_idle:
         raise TypeError(
-            f"{algorithm_cls.__qualname__} overrides is_idle; a kernel "
-            "steps every live vertex every round"
+            f"{algorithm_cls.__qualname__} overrides is_idle; a columnar "
+            "kernel steps every live vertex every round"
         )
 
     def decorate(kernel_cls: type) -> type:
@@ -207,7 +230,7 @@ def kernel_class_for(algorithm_cls: type) -> Optional[type]:
 
 
 def kernels_enabled() -> bool:
-    """Whether columnar kernels may engage in this process."""
+    """Whether kernels may engage in this process."""
     return _kernels_enabled
 
 
@@ -223,7 +246,8 @@ def set_kernels_enabled(flag: bool) -> None:
 
 
 def kernel_threshold() -> int:
-    """The active engagement threshold (env override, else the global)."""
+    """The active engagement threshold of columnar kernels (env
+    override, else the global)."""
     env = os.environ.get("REPRO_KERNEL_THRESHOLD")
     if env:
         try:

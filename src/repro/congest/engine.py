@@ -16,15 +16,15 @@ scheduling and accounting:
   measured inline, and on a fault-free channel without detail tracing
   messages go straight into the inboxes; only a fault injector or
   detail tracing routes them through the shared channel.
-* **Columnar kernels** — registered algorithms batch whole rounds and
-  hand over a :class:`~repro.congest.kernels.SendPlan` charged as
-  arrays.
-* **Dense rounds** — a kernel engages only on a fresh, fault-free run
-  of an algorithm that keeps the default scheduling hints, so no
-  vertex ever sits a round out: the live ranks stay one ascending index
-  array that the kernel steps whole and that shrinks only by the
-  kernel's halts; the wakeup heap, due-set sort, rescheduling pass and
-  outbox scan are skipped.
+* **Kernel rounds** — a registered kernel engages only on a fresh,
+  fault-free run and then decides each round's due set itself
+  (:meth:`FastEngine._run_kernel`): a columnar kernel steps its live
+  ranks as one array every round and hands over a
+  :class:`~repro.congest.kernels.SendPlan` charged as arrays; the walk
+  exchange's kernel steps only the ranks that hold or receive a token
+  and names the next round anyone is due, which the engine
+  fast-forwards to.  The wakeup heap, due-set sort, rescheduling pass
+  and outbox scan are skipped.
 
 The differential harness in ``tests/test_engine_equivalence.py`` and
 the fuzzer in ``tests/test_engine_fuzz.py`` pin outputs, metrics, and
@@ -95,17 +95,17 @@ class FastEngine(EngineCore):
         self._heap: List[Tuple[int, int]] = []
         # Number of vertices that have not halted.
         self._live = self._n
-        # Batched delivery (see repro.congest.kernels.SendPlan): a
-        # kernel parks the current round's sends as a plan in
-        # _send_plan for _collect to charge vectorized; the charged
+        # Batched delivery (see repro.congest.kernels): a kernel parks
+        # the current round's sends as a plan in _send_plan for
+        # _collect to charge without per-message objects; the charged
         # plan then waits in _lazy_plan, standing in for the pending
         # inbox dictionaries until the next round consumes it — or
         # until a checkpoint capture materializes it.
         self._send_plan = None
         self._lazy_plan = None
-        # Columnar round kernel, when the algorithm class registered
-        # one and this run qualifies (see repro.congest.kernels): the
-        # first run() of a fresh engine builds it and then takes dense
+        # Round kernel, when the algorithm class registered one and
+        # this run qualifies (see repro.congest.kernels): the first
+        # run() of a fresh engine builds it and then takes the kernel's
         # rounds.  None means the per-vertex scheduler; a restored
         # engine never builds one.
         self._kernel = None
@@ -143,16 +143,16 @@ class FastEngine(EngineCore):
             self._live = len(self._runnable)
         kernel = self._kernel
         if kernel is not None:
-            self._run_dense(max_rounds, checkpoint_every, on_checkpoint)
-            # Materialize columnar state (algorithm attributes, round
-            # numbers, advanced RNG streams) back into the scalar
-            # objects callers observe.
+            self._run_kernel(max_rounds, checkpoint_every, on_checkpoint)
+            # Write the kernel's state (algorithm attributes, round
+            # numbers, advanced RNG streams, the scheduler's fields)
+            # back into the objects callers observe.
             kernel.sync()
         else:
             self._run_scheduled(max_rounds, checkpoint_every, on_checkpoint)
         return self._result()
 
-    def _run_dense(
+    def _run_kernel(
         self,
         max_rounds: int,
         checkpoint_every: Optional[int],
@@ -161,46 +161,49 @@ class FastEngine(EngineCore):
         """The round loop of a kernel run.
 
         A kernel engages only without a fault plan (no crash, rejoin or
-        delayed message) and only for an algorithm class that keeps the
-        default scheduling hints (``register_kernel`` refuses an
-        ``is_idle`` override), so every live vertex is due in every
-        round.  The live ranks are one ascending index array that the
-        kernel steps whole and that shrinks only by the ranks it
-        halted, so no round sorts a due set, reschedules vertex by
-        vertex, looks for a fast-forward target or scans outboxes.
-        Rounds open, drain and close exactly as in
-        :meth:`_run_scheduled`.
+        delayed message), so its own state says which vertices are due:
+        a columnar kernel steps every live vertex every round (its
+        algorithm keeps the default scheduling hints), and a kernel
+        that keeps its own schedule names the next round anyone is due
+        and who.  The engine fast-forwards to that round, so no round
+        sorts a heap-fed due set, reschedules vertex by vertex or scans
+        outboxes.  Rounds open, drain and close exactly as in
+        :meth:`_run_scheduled`, so metrics, traces, telemetry and
+        checkpoints stay the scheduler's.
         """
         kernel = self._kernel
-        np = kernel.np
-        live = np.array(
-            [i for i, ctx in enumerate(self._contexts) if not ctx._halted],
-            dtype=np.intp,
-        )
-        while self._round < max_rounds and live.shape[0]:
-            self._round += 1
+        record_skipped = self.metrics.record_skipped
+        while self._round < max_rounds and self._live:
+            target = kernel.next_round(self._round)
+            skipped = target - self._round - 1
+            if skipped:
+                if target > max_rounds:
+                    record_skipped(max_rounds - self._round)
+                    self._round = max_rounds
+                    break
+                record_skipped(skipped)
+            self._round = target
             delivered = self._open_round()
-            halted = kernel.step_round(live, self._round)
-            # Every receiver of the parked plan was live and has just
+            live_before = self._live
+            stepped, halted = kernel.step_round(target)
+            # Every receiver of the parked plan was due and has just
             # consumed it.
             self._lazy_plan = None
-            # Kernels send only through the send plan; no outbox holds
-            # a message to scan for.
+            # Kernels send only through their plans; no outbox holds a
+            # message to scan for.
             self._drain(())
-            stepped = live
             if halted:
-                live = live[np.isin(live, halted, invert=True)]
                 self._runnable.difference_update(halted)
-                self._live = len(live)
+                self._live -= len(halted)
             if self._registry is not None:
                 self._registry.count("congest.kernel.rounds")
             self._close_round(
                 delivered,
                 stepped,
                 crashed=0,
-                idle=0,
+                idle=live_before - len(stepped),
                 halted=self._n - self._live,
-                skipped=0,
+                skipped=skipped,
                 rejoined=0,
                 checkpoint_every=checkpoint_every,
                 on_checkpoint=on_checkpoint,
@@ -329,8 +332,8 @@ class FastEngine(EngineCore):
         """Freeze the simulation at the current round boundary (see
         :func:`~repro.congest.checkpoint.capture_engine_state`)."""
         if self._kernel is not None:
-            # Columnar state becomes scalar truth before pickling, so
-            # the envelope stays engine- and kernel-neutral.
+            # Kernel state becomes scalar truth before pickling, so the
+            # envelope stays engine- and kernel-neutral.
             self._kernel.sync()
         plan = self._lazy_plan
         if plan is not None:
@@ -579,11 +582,13 @@ class FastEngine(EngineCore):
         )
 
     def _collect_batched(self, plan) -> None:
-        """Charge a columnar send plan without materializing inboxes.
+        """Charge a kernel's send plan without materializing inboxes.
 
-        The plan's vectorized accounting reproduces the scalar path
-        bit-for-bit (same per-edge counts, bits, histogram, errors).
-        Dense rounds step every live vertex, so no receiver needs
+        The plan's accounting (the vectorized one of a columnar
+        :class:`~repro.congest.kernels.SendPlan`, or the walk kernel's
+        per-token tally) reproduces the scalar path bit-for-bit (same
+        per-edge counts, bits, histogram, errors).  A kernel's schedule
+        steps every receiver in the next round, so no receiver needs
         marking due; the inbox dictionaries stay unbuilt — the plan
         itself is parked in ``_lazy_plan`` and reconstructed only if a
         checkpoint capture needs object-level messages.  Kernels never

@@ -1,21 +1,41 @@
-"""Shared runtime for columnar round kernels (fast engine only).
+"""Shared runtime for round kernels (fast engine only).
 
-A registered :class:`KernelBase` subclass replaces the fast engine's
-per-vertex ``initialize``/``step`` loop with NumPy columns — one entry
-per vertex, with CSR adjacency for neighborhood reductions.  A kernel
-sends only through :meth:`KernelBase._emit_broadcast` /
-:meth:`KernelBase._emit_send`, which collect the round's sends into
-one :class:`SendPlan`; ``FastEngine._collect`` charges the plan
-vectorized (:meth:`SendPlan.account`) with exactly the bits, errors,
-and per-edge counts the scalar drain of the same sends would produce.
-Metrics and traces stay on the engine's scalar path.  Every kernel run
-takes dense rounds (``FastEngine._run_dense``): every live vertex is
-due every round, so the engine hands :meth:`KernelBase.step_round` the
-live indices as one array and drops the indices it returns as halted.
-Random draws stay on the per-vertex scalar generators (``ctx.rng``):
-the registered protocols consume O(log n) words per vertex, far too
-few to amortize columnar stream adoption (see the measurements in
-``docs/kernels.md``).
+A registered kernel replaces the fast engine's per-vertex
+``initialize``/``step`` loop for one algorithm class.  There are two
+kinds, told apart by the kernel class itself:
+
+* A **columnar** kernel (a :class:`KernelBase` subclass) keeps NumPy
+  columns — one entry per vertex, with CSR adjacency for neighborhood
+  reductions.  It sends only through :meth:`KernelBase._emit_broadcast`
+  / :meth:`KernelBase._emit_send`, which collect the round's sends into
+  one :class:`SendPlan`; ``FastEngine._collect`` charges the plan
+  vectorized (:meth:`SendPlan.account`) with exactly the bits, errors,
+  and per-edge counts the scalar drain of the same sends would produce.
+  Every columnar run takes dense rounds: every live vertex is due
+  every round, so :meth:`KernelBase.step_round` steps the live indices
+  as one array and drops the indices it halts.  Random draws stay on
+  the per-vertex scalar generators (``ctx.rng``): the registered
+  protocols consume O(log n) words per vertex, far too few to amortize
+  columnar stream adoption (see the measurements in
+  ``docs/kernels.md``).
+* A kernel that **keeps its own schedule** (the walk exchange's, in
+  :mod:`repro.routing.walk_exchange`) is plain Python over the vertex
+  objects.  It steps exactly the vertices the per-vertex scheduler
+  would, derived from its own state instead of the ``is_idle`` /
+  ``next_wakeup`` hints, so its algorithm may override them.
+
+Both kinds meet the engine through one interface, driven by
+``FastEngine._run_kernel``: ``initialize(cohort)``; ``next_round(r)``,
+the next round after ``r`` in which a live vertex is due, which the
+engine fast-forwards to; ``step_round(r)``, which steps that round's
+due vertices and returns ``(stepped, halted)`` as rank sequences; a
+plan left in ``engine._send_plan`` for the round's sends, whose
+``account(engine)`` charges them and whose ``materialize(engine)``
+writes them into the pending inboxes at a checkpoint capture; and
+``sync()``, which writes the kernel's state back into the scalar
+objects (and, for a kernel with its own schedule, the scheduler's
+fields and the pending inboxes, so its ``materialize`` has nothing
+left to do) at every observation point.
 
 Activation (:func:`maybe_build_kernel`) runs once, at the first
 ``run()`` of a fresh fast engine, and is deliberately conservative.
@@ -24,20 +44,21 @@ A kernel engages only when
 * kernels are enabled (the ``REPRO_NO_KERNELS`` environment variable
   or :func:`~repro.congest.algorithm.set_kernels_enabled` flip this
   off),
-* NumPy is importable (``HAVE_NUMPY`` — otherwise everything silently
-  degrades to scalar),
+* for a columnar kernel: NumPy is importable (``HAVE_NUMPY`` —
+  otherwise everything silently degrades to scalar) and the population
+  is at least ``kernel_threshold()`` vertices big,
 * the population is uniform (every vertex runs the same registered
-  algorithm class) and at least ``kernel_threshold()`` vertices big,
+  algorithm class) and the kernel ``supports`` it,
 * the run has no fault plan: kernels reconstruct inbound traffic from
-  the sender-side columns of the previous round, which is only
-  faithful on the model's lossless, static channel with every vertex
-  stepping every round.  (An empty plan compiles to no plan at all.)
+  their own record of the previous round's sends, which is only
+  faithful on the model's lossless, static channel.  (An empty plan
+  compiles to no plan at all.)
 
 A run restored from a checkpoint never builds a kernel (nor counts a
 ``congest.kernel.*`` activation): it finishes on the per-vertex path
 from the restored inbox dictionaries.  The fallback is always silent
 and always bit-identical — a kernel is a pure performance feature
-(``tests/test_kernels.py`` pins this).
+(``tests/test_kernels.py`` and ``tests/test_walk_kernel.py`` pin this).
 """
 
 from __future__ import annotations
@@ -54,8 +75,8 @@ from .message import message_bits
 _NO_PAYLOAD = object()
 
 
-def maybe_build_kernel(engine) -> Optional[KernelBase]:
-    """Build the columnar kernel for ``engine``, or ``None`` to run
+def maybe_build_kernel(engine) -> Optional[object]:
+    """Build the registered kernel for ``engine``, or ``None`` to run
     scalar.  See the module docstring for the activation rules."""
     algorithms = engine._algorithms
     if not algorithms:
@@ -64,18 +85,21 @@ def maybe_build_kernel(engine) -> Optional[KernelBase]:
     kernel_cls = kernel_class_for(cls)
     if kernel_cls is None:
         return None
+    # Only columnar kernels build NumPy columns, and only they cost
+    # more than they save on small graphs.
+    columnar = issubclass(kernel_cls, KernelBase)
     reason = None
     if not kernels_enabled():
         reason = "disabled"
-    elif not _rng.HAVE_NUMPY:
+    elif columnar and not _rng.HAVE_NUMPY:
         reason = "no-numpy"
-    elif engine._n < kernel_threshold():
+    elif columnar and engine._n < kernel_threshold():
         reason = "below-threshold"
     elif any(type(a) is not cls for a in algorithms):
         reason = "mixed-population"
     elif getattr(engine, "_want_detail", False):
         # Per-message provenance tracing needs the scalar channel;
-        # batched plans never materialize individual transmissions.
+        # kernels never materialize individual transmissions.
         reason = "trace-detail"
     elif engine.faults is not None:
         reason = "fault-plan"
@@ -427,10 +451,10 @@ class KernelBase:
     the same ``halt`` outputs, the same per-vertex RNG word
     consumption.  See ``docs/kernels.md`` for the full contract.
 
-    A kernel only ever drives a fresh, fault-free run in dense rounds
-    (see :func:`maybe_build_kernel`): every vertex initializes, then
-    every live vertex steps every round, and the previous round's sends
-    are always in the sender-side columns.
+    A columnar kernel only ever drives a fresh, fault-free run in dense
+    rounds (see :func:`maybe_build_kernel`): every vertex initializes,
+    then every live vertex steps every round, and the previous round's
+    sends are always in the sender-side columns.
 
     Subclasses implement ``_load_columns`` (allocate the state columns
     and read the population's shared parameters, at construction),
@@ -498,17 +522,28 @@ class KernelBase:
         self._state_dirty = True
         self._initialize_rows(rows)
         self._flush_plan()
+        # The live ranks, ascending: every one is due every round, and
+        # the array shrinks only by the ranks the kernel halts.
+        contexts = self.contexts
+        self.live = np.array(
+            [i for i in live if not contexts[i]._halted], dtype=np.intp
+        )
 
-    def step_round(self, rows, round_number: int) -> List[int]:
+    def next_round(self, round_number: int) -> int:
+        """Dense rounds: every live vertex is due in the next round."""
+        return round_number + 1
+
+    def step_round(self, round_number: int):
         """Vectorized twin of one round's per-vertex ``step`` loop.
 
-        ``rows`` is the ``intp`` array of live engine indices, ascending,
-        that dense rounds keep.  Consumes their pending inboxes, parks
-        the round's sends on the engine as a :class:`SendPlan`, sets
-        ``_halted``/``_output`` for vertices that halt, and returns
-        those vertices' indices.
+        Steps the live ranks (an ascending ``intp`` array), consuming
+        their pending inboxes, parks the round's sends on the engine as
+        a :class:`SendPlan`, sets ``_halted``/``_output`` for vertices
+        that halt, and returns ``(rows, halted)``: the stepped array and
+        the halted ranks, which leave the live array.
         """
         engine = self.engine
+        rows = self.live
         self.last_step[rows] = round_number
         self._rn_dirty[rows] = True
         self._state_dirty = True
@@ -521,10 +556,12 @@ class KernelBase:
             for i in consumed:
                 pending[i] = None
             pids.difference_update(consumed)
-        self._halts = []
+        self._halts = halts = []
         self._step_rows(rows, round_number)
         self._flush_plan()
-        return self._halts
+        if halts:
+            self.live = rows[self.np.isin(rows, halts, invert=True)]
+        return rows, halts
 
     def _flush_plan(self) -> None:
         segments = self._plan_segments

@@ -18,11 +18,17 @@ trajectories backwards in lock step — reverse round r undoes forward
 round T - r + 1.  A request whose token never reached the leader gets
 no response, so its origin *detects* the failure, which is precisely
 the failure-detection mechanism the paper's property tester relies on.
+
+:class:`WalkExchange` is the protocol, one object per vertex.  On a
+fresh, fault-free run the fast engine drives the walkers through
+:class:`WalkExchangeKernel` instead of its per-vertex scheduler, with
+bit-identical results; every other run steps them one by one.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -33,7 +39,14 @@ from ..congest import (
     VertexAlgorithm,
     VertexContext,
 )
-from ..errors import GraphError, RoutingError
+from ..congest.algorithm import register_kernel
+from ..congest.message import message_bits
+from ..errors import (
+    GraphError,
+    MessageTooLargeError,
+    ProtocolError,
+    RoutingError,
+)
 from ..graph import Graph
 from ..rng import SeedLike
 
@@ -170,11 +183,13 @@ class WalkExchange(VertexAlgorithm):
 
     def step(self, ctx: VertexContext, inbox: Dict[Any, List[Any]]) -> None:
         t = ctx.round_number
-        if t <= self.forward_steps:
-            self._forward_round(ctx, inbox, t)
-        elif t == self.forward_steps + 1:
-            self._forward_receive(ctx, inbox, t)
-            if ctx.vertex == self.leader:
+        if t <= self.forward_steps + 1:
+            send = ctx.send
+            for target, key, payload in self._forward_step(
+                ctx, _tokens(inbox, "F") if inbox else None, t
+            ):
+                send(target, ("F", key[0], key[1], payload))
+            if t > self.forward_steps and ctx.vertex == self.leader:
                 self._prepare_responses()
         elif t <= 2 * self.forward_steps + 2:
             self._reverse_round(ctx, inbox, t)
@@ -194,49 +209,45 @@ class WalkExchange(VertexAlgorithm):
             )
 
     # ------------------------------------------------------------------
-    def _forward_receive(
-        self, ctx: VertexContext, inbox: Dict[Any, List[Any]], t: int
-    ) -> None:
-        """Take delivery of tokens that moved in forward round t-1."""
-        arrival_round = t - 1
-        for sender, payloads in inbox.items():
-            for token in payloads:
-                # A corrupted token (not a tuple) is lost; its origin
-                # then detects the failure as an undelivered request.
-                if type(token) is not tuple:
-                    continue
-                tag, origin, seq, payload = token
-                if tag != "F":
-                    continue
-                key = (origin, seq)
-                if ctx.vertex == self.leader:
-                    self.absorbed[key] = payload
-                    self.leader_arrivals[key] = arrival_round
-                    self.arrival_log.setdefault(key, {})[arrival_round] = sender
-                else:
-                    self.holding[key] = payload
-                    self.arrival_log.setdefault(key, {})[arrival_round] = sender
-
-    def _forward_round(
-        self, ctx: VertexContext, inbox: Dict[Any, List[Any]], t: int
-    ) -> None:
-        """One lazy-walk step for every held token.
+    # ``step`` and :class:`WalkExchangeKernel` both take the forward
+    # step and run the responder through these methods, and both find
+    # a response's next send round with ``_send_rounds``.
+    # ------------------------------------------------------------------
+    def _forward_step(self, ctx: VertexContext, arrivals, t: int):
+        """Forward round ``t`` (1..T+1): take delivery of the tokens
+        that moved in round t-1, logging each hop (the leader absorbs
+        them, any other vertex holds them); then, up to round T, move
+        every held token one lazy step.  ``arrivals`` are ``(sender,
+        key, payload)`` triples, or None; returns the movers as
+        ``(neighbor, key, payload)``.
 
         Randomness is drawn coins-first-then-targets from the vertex's
         own generator: one ``random()`` lazy coin per held token (in
         holding order), then one ``_randbelow(fanout)`` per mover (in
         the same order).  That schedule is part of the bit-identity
         contract: the pinned benchmark digests and every saved
-        checkpoint's RNG state depend on it.
+        checkpoint's RNG state depend on it.  A vertex without
+        neighbors keeps its tokens and draws nothing; their origins
+        detect the failure as undelivered requests.
         """
-        if inbox:
-            self._forward_receive(ctx, inbox, t)
         holding = self.holding
-        if ctx.vertex == self.leader or not holding:
-            return
+        if arrivals is not None:
+            arrival_round = t - 1
+            log = self.arrival_log
+            if ctx.vertex == self.leader:
+                absorbed = self.absorbed
+                leader_arrivals = self.leader_arrivals
+                for sender, key, payload in arrivals:
+                    absorbed[key] = payload
+                    leader_arrivals[key] = arrival_round
+                    log.setdefault(key, {})[arrival_round] = sender
+                return ()  # the leader never holds a token
+            for sender, key, payload in arrivals:
+                holding[key] = payload
+                log.setdefault(key, {})[arrival_round] = sender
         neighbors = ctx.neighbors
-        fanout = len(neighbors)
-        send = ctx.send
+        if not holding or not neighbors or t > self.forward_steps:
+            return ()
         lazy_stay = self._random
         if lazy_stay is None:
             rng = ctx.rng
@@ -246,23 +257,24 @@ class WalkExchange(VertexAlgorithm):
             # while skipping a call layer on the hottest randomness
             # in the repo.
             self._randbelow = rng._randbelow
-        randbelow = self._randbelow
         still_holding: Dict[TokenKey, Any] = {}
-        movers: List[Tuple[TokenKey, Any]] = []
-        for key, payload in holding.items():
+        movers = []
+        for item in holding.items():
             if lazy_stay() < 0.5:
-                still_holding[key] = payload
+                still_holding[item[0]] = item[1]
             else:
-                movers.append((key, payload))
-        for key, payload in movers:
-            send(
-                neighbors[randbelow(fanout)],
-                ("F", key[0], key[1], payload),
-            )
+                movers.append(item)
         self.holding = still_holding
+        if movers:
+            randbelow = self._randbelow
+            fanout = len(neighbors)
+            for k, (key, payload) in enumerate(movers):
+                movers[k] = (neighbors[randbelow(fanout)], key, payload)
+        return movers
 
-    # ------------------------------------------------------------------
     def _prepare_responses(self) -> None:
+        """Round T+1, at the leader: run the responder and load the
+        response tokens."""
         if self.responder is None:
             responses = {key: None for key in self.absorbed}
         else:
@@ -281,36 +293,51 @@ class WalkExchange(VertexAlgorithm):
     def _reverse_round(
         self, ctx: VertexContext, inbox: Dict[Any, List[Any]], t: int
     ) -> None:
-        # Take delivery of response tokens.
+        """Reverse round ``t`` (T+2..2T+2): take delivery of the
+        responses that moved in round t-1 (an origin keeps its own, any
+        other vertex holds them to send on), then send each held one
+        whose token arrived here in the forward round this round undoes
+        back along that hop."""
         responding = self.responding
-        vertex = ctx.vertex
-        for sender, payloads in inbox.items():
-            for token in payloads:
-                # A corrupted response token is lost like a forward one.
-                if type(token) is not tuple:
-                    continue
-                tag, origin, seq, payload = token
-                if tag != "R":
-                    continue
-                key = (origin, seq)
-                if vertex == origin:
-                    self.received_responses[key] = payload
+        if inbox:
+            vertex = ctx.vertex
+            received = self.received_responses
+            for _sender, key, payload in _tokens(inbox, "R"):
+                if vertex == key[0]:
+                    received[key] = payload
                 else:
                     responding[key] = payload
-        # Reverse round r undoes forward round T - r + 1.
-        r = t - (self.forward_steps + 1)
-        forward_round = self.forward_steps - r + 1
-        if forward_round < 0 or not responding:
+        if not responding:
             return
-        arrival_log = self.arrival_log
-        to_send = []
-        for key in responding:
-            log = arrival_log.get(key)
-            if log is not None and forward_round in log:
-                to_send.append((key, log[forward_round]))
-        for key, back in to_send:
+        # Reverse round r = t - (T+1) undoes forward round T - r + 1.
+        forward_round = 2 * self.forward_steps + 2 - t
+        log = self.arrival_log
+        send = ctx.send
+        for key in [
+            key for key in responding if forward_round in log.get(key, ())
+        ]:
             payload = responding.pop(key)
-            ctx.send(back, ("R", key[0], key[1], payload))
+            send(log[key][forward_round], ("R", key[0], key[1], payload))
+
+    def _send_rounds(self, keys, t: int) -> List[Tuple[TokenKey, int]]:
+        """``(key, round)`` for each response in ``keys`` that this
+        vertex sends on in a reverse round ``t`` or later: the round
+        undoing the latest hop of its token logged here and not yet
+        undone.  A response whose every hop is undone is left out."""
+        # Round t undoes forward round 2T+2-t, so forward round g is
+        # undone in round 2T+2-g.
+        mirror = 2 * self.forward_steps + 2
+        last = mirror - t
+        log = self.arrival_log
+        rounds = []
+        for key in keys:
+            hop = 0
+            for g in log.get(key, ()):
+                if hop < g <= last:
+                    hop = g
+            if hop:
+                rounds.append((key, mirror - hop))
+        return rounds
 
     # ------------------------------------------------------------------
     # Scheduling hints: the walk phases are long but sparse, so idle
@@ -325,25 +352,394 @@ class WalkExchange(VertexAlgorithm):
 
     def next_wakeup(self, ctx: VertexContext) -> Optional[int]:
         t = ctx.round_number
-        halt_round = self._halt_round
         if t <= self.forward_steps:
             if ctx.vertex == self.leader:
                 # Wake to run the responder right after the forward phase.
                 return self.forward_steps + 1
-            return halt_round
+            return self._halt_round
         if t <= self._total_rounds and self.responding:
-            # Wake at the earliest reverse round matching a logged hop.
-            candidates = []
-            for key in self.responding:
-                for forward_round in self.arrival_log.get(key, ()):
-                    wake = (self.forward_steps + 1) + (
-                        self.forward_steps - forward_round + 1
+            # Wake at the earliest round that sends a response on.
+            rounds = self._send_rounds(self.responding, t + 1)
+            if rounds:
+                return min(wake for _key, wake in rounds)
+        return self._halt_round
+
+
+def _tokens(inbox: Dict[Any, List[Any]], tag: str):
+    """The ``tag`` tokens of a per-vertex inbox as ``(sender, key,
+    payload)``, in drain order.  A corrupted token (not a tuple) is
+    lost; its origin then detects the failure."""
+    for sender, payloads in inbox.items():
+        for token in payloads:
+            if type(token) is not tuple:
+                continue
+            token_tag, origin, seq, payload = token
+            if token_tag == tag:
+                yield sender, (origin, seq), payload
+
+
+@register_kernel
+class WalkExchangeKernel:
+    """A fault-free walk exchange, token by token, on its own schedule.
+
+    Replaces the per-vertex scheduler for a population of
+    :class:`WalkExchange` walkers (see ``docs/kernels.md``).  In the
+    forward rounds each due walker takes the same step
+    :meth:`WalkExchange.step` takes (``_forward_step``, and
+    ``_prepare_responses`` at T+1), so the walker objects and their
+    ``ctx.rng`` draws come out exactly as on the scalar path; the
+    reverse rounds make ``_reverse_round``'s moves inline, and file
+    each response under the round the walker's ``_send_rounds``
+    names.  Each hop is charged at the ``message_bits`` of its
+    ``(tag, origin, seq, payload)`` token, measured once per tag and
+    key.  It steps exactly the ranks the per-vertex scheduler would,
+    read off its own state instead of the walkers' hints:
+
+    * round 1 and the halt round 2T+3: every rank;
+    * forward rounds 2..T+1: the non-leader ranks that kept a token
+      after their last step, the receivers of last round's tokens, and
+      the leader at T+1;
+    * reverse rounds: the receivers, and each rank holding a response
+      whose logged hop that round undoes;
+
+    and every other round is fast-forwarded.  Tokens in flight wait in
+    the kernel as ``(sender vertex, key, payload)`` per receiving rank,
+    in drain order; :meth:`sync` writes them, with the round numbers
+    and the scheduler's runnable set and wakeups, back into the engine.
+    """
+
+    algorithm_cls = WalkExchange
+
+    @classmethod
+    def supports(cls, engine) -> bool:
+        """Every walker shares the leader (a vertex of the graph), the
+        integer walk length and the responder, and no two tokens share
+        a key (token sizes are measured once per key)."""
+        walkers = engine._algorithms
+        first = walkers[0]
+        if (
+            type(first.forward_steps) is not int
+            or first.leader not in engine._index
+        ):
+            return False
+        keys = set()
+        tokens = 0
+        for walker in walkers:
+            if (
+                walker.leader != first.leader
+                or walker.forward_steps != first.forward_steps
+                or walker.responder is not first.responder
+            ):
+                return False
+            tokens += len(walker.initial_requests)
+            keys.update(key for key, _payload in walker.initial_requests)
+        return len(keys) == tokens
+
+    def __init__(self, engine) -> None:
+        # A proxy, so the engine (which holds its kernel) is freed by
+        # reference counting when the simulation is dropped.
+        self.engine = weakref.proxy(engine)
+        self.budget_bits = engine.budget.bits
+        self.strict = engine.strict
+        self.capacity = engine.capacity
+        self.walkers = engine._algorithms
+        self.contexts = engine._contexts
+        self.verts = engine._verts
+        self.index = engine._index
+        self.n = engine._n
+        # The engine's inboxes and their index, which sync() writes.
+        self.pending = engine._pending
+        self.pending_ids = engine._pending_ids
+        first = self.walkers[0]
+        self.steps = first.forward_steps
+        self.halt_round = first._halt_round
+        self.leader = engine._index[first.leader]
+        # Tokens delivered into the next round: receiving rank ->
+        # [(sender vertex, key, payload)], in drain order.
+        self._mail: Dict[int, list] = {}
+        # Non-leader ranks that kept a forward token after their step.
+        self._holders: List[int] = []
+        # Reverse round -> {rank: responses it sends on then, in the
+        # order of its ``responding`` dict}.
+        self._due: Dict[int, Dict[int, List[TokenKey]]] = {}
+        # message_bits of each key's forward and response token.
+        self._forward_bits: Dict[TokenKey, int] = {}
+        self._response_bits: Dict[TokenKey, int] = {}
+        # The round's charge for account(): (per-edge counts, bits
+        # histogram, first budget or capacity violation).
+        self._charge = None
+
+    # -- engine-facing entry points ------------------------------------
+    def initialize(self, cohort) -> None:
+        """The walkers' own ``initialize``: none sends anything."""
+        for i in cohort:
+            self.walkers[i].initialize(self.contexts[i])
+
+    def next_round(self, round_number: int) -> int:
+        """The next round after ``round_number`` with a rank due (at
+        the latest the halt round, where every rank is)."""
+        if self._mail or round_number == 0:
+            return round_number + 1
+        if round_number <= self.steps:
+            # Holders move every round; otherwise the leader wakes at
+            # T+1 to run the responder.
+            return round_number + 1 if self._holders else self.steps + 1
+        round_number += 1
+        due = self._due
+        while round_number < self.halt_round and round_number not in due:
+            round_number += 1
+        return round_number
+
+    def step_round(self, round_number: int):
+        """Step the ranks due in ``round_number``, in canonical order;
+        returns ``(stepped, halted)``."""
+        t = round_number
+        mail = self._mail
+        self._mail = {}
+        pending_ids = self.pending_ids
+        if pending_ids:
+            # A sync wrote this mail into the inboxes of the ranks that
+            # take it now; they consume them, as on the scalar path.
+            pending = self.pending
+            for j in pending_ids:
+                pending[j] = None
+            pending_ids.clear()
+        steps = self.steps
+        if t >= self.halt_round:
+            stepped = list(range(self.n))
+            for i in stepped:
+                ctx = self.contexts[i]
+                ctx.round_number = t
+                self.walkers[i].step(ctx, {})
+            return stepped, stepped
+        if t > steps + 1:
+            sending = self._due.pop(t, {})
+            stepped = sorted(set(mail).union(sending))
+            self._reverse(t, stepped, mail, sending)
+            return stepped, ()
+        if t == 1:
+            stepped = list(range(self.n))
+        else:
+            due = set(self._holders).union(mail)
+            if t == steps + 1:
+                due.add(self.leader)
+            stepped = sorted(due)
+        if t <= steps:
+            self._forward(t, stepped, mail)
+        else:
+            self._last_arrivals(t, stepped, mail)
+        return stepped, ()
+
+    def account(self, engine):
+        """The round's charge, as ``SendPlan.account`` returns one; raises
+        the first over-budget or over-capacity send, as ``_collect``
+        would."""
+        per_edge, sizes, error = self._charge
+        self._charge = None
+        if error is not None:
+            raise error
+        messages = bits = 0
+        for size, count in sizes.items():
+            messages += count
+            bits += size * count
+        return (
+            per_edge,
+            messages,
+            bits,
+            sizes if engine._want_bits_hist else {},
+            max(sizes),
+        )
+
+    def materialize(self, engine) -> None:
+        """Nothing to write: a capture runs :meth:`sync` first, which
+        wrote the tokens in flight into the pending inboxes."""
+
+    def sync(self) -> None:
+        """Write back what the per-vertex scheduler would hold now: the
+        runnable set and wakeups ``_reschedule`` would have left, and
+        the tokens in flight as the scalar drain leaves them,
+        ``{sender: [token, ...]}`` per receiving rank in drain order.
+        Round numbers are set as ranks step."""
+        steps = self.steps
+        halt_round = self.halt_round
+        first_due: Dict[int, int] = {}
+        for r in sorted(self._due):
+            for i in self._due[r]:
+                first_due.setdefault(i, r)
+        runnable = set()
+        wake: List[Optional[int]] = [None] * self.n
+        for i, ctx in enumerate(self.contexts):
+            last = ctx.round_number
+            if ctx._halted:
+                continue
+            if last == 0:
+                runnable.add(i)
+            elif last > steps:
+                wake[i] = first_due.get(i, halt_round)
+            elif i == self.leader:
+                wake[i] = steps + 1
+            elif self.walkers[i].holding:
+                runnable.add(i)
+            else:
+                wake[i] = halt_round
+        self.engine._runnable = runnable
+        self.engine._wake_round = wake
+        tag = "F" if self.engine._round <= steps else "R"
+        for j, box in self._mail.items():
+            inbox: Dict[Any, List[Any]] = {}
+            for sender, key, payload in box:
+                inbox.setdefault(sender, []).append(
+                    (tag, key[0], key[1], payload)
+                )
+            self.pending[j] = inbox
+            self.pending_ids.add(j)
+
+    # -- the schedule --------------------------------------------------
+    def _forward(self, t: int, stepped: List[int], mail) -> None:
+        """Forward round ``t``: each due rank takes last round's tokens,
+        then moves."""
+        contexts = self.contexts
+        walkers = self.walkers
+        holders = []
+        sends = []
+        for i in stepped:
+            ctx = contexts[i]
+            ctx.round_number = t
+            walker = walkers[i]
+            moves = walker._forward_step(ctx, mail.get(i), t)
+            if moves:
+                sends.append((i, moves))
+            if walker.holding:
+                holders.append(i)
+        self._holders = holders
+        self._send(sends, "F", self._forward_bits)
+
+    def _last_arrivals(self, t: int, stepped: List[int], mail) -> None:
+        """Round T+1: each due rank takes the tokens that moved in round
+        T, and the leader, in its turn, runs the responder."""
+        for i in stepped:
+            ctx = self.contexts[i]
+            ctx.round_number = t
+            walker = self.walkers[i]
+            walker._forward_step(ctx, mail.get(i), t)
+            if i == self.leader:
+                walker._prepare_responses()
+                self._file(i, walker, walker.responding, t, {})
+
+    def _reverse(self, t: int, stepped: List[int], mail, sending) -> None:
+        """Reverse round ``t``: take last round's responses, then send
+        each due one back along the hop it undoes, as
+        ``WalkExchange._reverse_round`` does (``sending`` holds the
+        ones filed for round ``t``).  Unlike the forward step, the
+        take and the undo are kept inline here: they draw nothing, and
+        a walker call per stepped rank made these rounds slower (see
+        ``docs/kernels.md``)."""
+        contexts = self.contexts
+        walkers = self.walkers
+        verts = self.verts
+        forward_round = 2 * self.steps + 2 - t
+        sends = []
+        for i in stepped:
+            contexts[i].round_number = t
+            walker = walkers[i]
+            responding = walker.responding
+            box = mail.get(i)
+            if box is not None:
+                v = verts[i]
+                received = walker.received_responses
+                taken = []
+                for _sender, key, payload in box:
+                    if v == key[0]:
+                        received[key] = payload
+                    else:
+                        responding[key] = payload
+                        taken.append(key)
+                if taken:
+                    self._file(i, walker, taken, t, sending)
+            keys = sending.get(i)
+            if keys:
+                log = walker.arrival_log
+                moves = []
+                for key in keys:
+                    moves.append(
+                        (log[key][forward_round], key, responding.pop(key))
                     )
-                    if wake > t:
-                        candidates.append(wake)
-            if candidates:
-                return min(min(candidates), halt_round)
-        return halt_round
+                sends.append((i, moves))
+        self._send(sends, "R", self._response_bits)
+
+    def _file(self, i: int, walker, keys, t: int, sending) -> None:
+        """File each response in ``keys``, just taken by rank ``i`` in
+        round ``t``, under the round that sends it on, as the walker's
+        ``next_wakeup`` would name it (``sending`` holds round ``t``'s
+        own sends).  A response left out is never sent on: its origin
+        detects the loss."""
+        due = self._due
+        for key, wake in walker._send_rounds(keys, t):
+            if wake == t:
+                sending.setdefault(i, []).append(key)
+            else:
+                due.setdefault(wake, {}).setdefault(i, []).append(key)
+
+    # -- the charge ----------------------------------------------------
+    def _send(self, sends, tag: str, token_bits: Dict[TokenKey, int]) -> None:
+        """Charge the round's sends, ``[(rank, [(target, key, payload),
+        ...])]`` in drain order, as ``_collect`` would, and hold them
+        for their receivers.  A token's size never changes: it is
+        measured at the token's first hop under ``tag``, which is where
+        an oversized one fails."""
+        verts = self.verts
+        index = self.index
+        n = self.n
+        budget_bits = self.budget_bits
+        strict = self.strict
+        capacity = self.capacity
+        token_bits_get = token_bits.get
+        out: Dict[int, list] = {}
+        out_get = out.get
+        per_edge: Dict[int, int] = {}
+        per_edge_get = per_edge.get
+        sizes: Dict[int, int] = {}
+        sizes_get = sizes.get
+        error = None
+        for i, moves in sends:
+            v = verts[i]
+            base = i * n
+            for u, key, payload in moves:
+                j = index[u]
+                edge = base + j
+                count = per_edge_get(edge, 0) + 1
+                per_edge[edge] = count
+                size = token_bits_get(key)
+                if size is None:
+                    size = token_bits[key] = message_bits(
+                        (tag, key[0], key[1], payload)
+                    )
+                    if size > budget_bits and error is None:
+                        error = self._violation(v, u, size, count)
+                sizes[size] = sizes_get(size, 0) + 1
+                if strict and count > capacity and error is None:
+                    error = self._violation(v, u, size, count)
+                box = out_get(j)
+                if box is None:
+                    out[j] = [(v, key, payload)]
+                else:
+                    box.append((v, key, payload))
+        self._mail = out
+        if per_edge:
+            self._charge = (per_edge, sizes, error)
+            self.engine._send_plan = self
+
+    def _violation(self, v, u, size: int, count: int) -> Exception:
+        """The error ``_collect`` raises for the send from ``v`` to
+        ``u``: over budget first, else over capacity."""
+        if size > self.budget_bits:
+            return MessageTooLargeError(
+                size, self.budget_bits, detail=f"from {v!r} to {u!r}"
+            )
+        return ProtocolError(
+            f"edge {(v, u)!r} carried {count} messages in one round "
+            f"(capacity {self.capacity})"
+        )
 
 
 def walk_exchange(

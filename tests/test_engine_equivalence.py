@@ -23,6 +23,7 @@ from repro.congest import (
 from repro.core.framework import run_framework
 from repro.decomposition.mpx import mpx_ldd
 from repro.generators import delaunay_planar_graph, gnp_random_graph, k_tree
+from repro.obs.registry import telemetry_scope
 from repro.routing.gather import gather_topology
 from repro.routing.leader import elect_leader
 from repro.routing.walk_exchange import walk_exchange
@@ -34,12 +35,21 @@ def _metrics_fingerprint(metrics):
     return (metrics.summary(), metrics.messages_per_round)
 
 
-def _run_both(runner, seed):
-    """Run ``runner(seed)`` under each engine; return both results."""
+def _run_both(runner, seed, walk_kernel=False):
+    """Run ``runner(seed)`` under each engine; return both results.
+
+    With ``walk_kernel``, the fast run must engage the walk-exchange
+    kernel: a silent fallback would turn the comparison into scalar
+    against scalar."""
     with use_engine("reference"):
         ref = runner(seed)
-    with use_engine("fast"):
+    if not walk_kernel:
+        with use_engine("fast"):
+            return ref, runner(seed)
+    with use_engine("fast"), telemetry_scope() as registry:
         fast = runner(seed)
+    counters = registry.to_dict()["counters"]
+    assert counters.get("congest.kernel.engaged", 0) >= 1, counters
     return ref, fast
 
 
@@ -108,7 +118,7 @@ def test_walk_exchange_equivalent(seed):
     def runner(s):
         return walk_exchange(g, leader, requests, phi=0.2, seed=s)
 
-    ref, fast = _run_both(runner, seed)
+    ref, fast = _run_both(runner, seed, walk_kernel=True)
     assert ref.responses == fast.responses
     assert ref.requests_delivered == fast.requests_delivered
     assert ref.undelivered == fast.undelivered
@@ -128,7 +138,7 @@ def test_gather_equivalent(seed):
     def runner(s):
         return gather_topology(g, phi=0.2, solver=solver, seed=s)
 
-    ref, fast = _run_both(runner, seed)
+    ref, fast = _run_both(runner, seed, walk_kernel=True)
     assert ref.leader == fast.leader
     assert ref.answers == fast.answers
     assert ref.success == fast.success
@@ -167,7 +177,7 @@ def test_expander_framework_equivalent(seed):
     def runner(s):
         return run_framework(g, 0.9, solver=solver, phi=0.1, seed=s)
 
-    ref, fast = _run_both(runner, seed)
+    ref, fast = _run_both(runner, seed, walk_kernel=True)
     assert ref.answers == fast.answers
     assert ref.leaders == fast.leaders
     assert [sorted(c.vertices) for c in ref.clusters] == [

@@ -1,7 +1,12 @@
 """Deep unit tests of the walk-exchange protocol internals."""
 
+import signal
+from contextlib import contextmanager
+
 import pytest
 
+from repro.congest import use_engine
+from repro.congest.algorithm import set_kernels_enabled
 from repro.congest.message import MessageBudget
 from repro.errors import RoutingError
 from repro.generators import cycle_graph, grid_graph, path_graph, star_graph
@@ -110,3 +115,45 @@ class TestAccounting:
 
         with pytest.raises(GraphError):
             default_walk_steps(10, 0.0)
+
+
+@contextmanager
+def _deadline(seconds):
+    """Fail, rather than hang, a call that never returns."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestIsolatedHolder:
+    """A vertex without neighbors that holds a token cannot move it: the
+    token stays, nothing is drawn, and its origin detects the failure
+    (Section 2.3).  Drawing a target among zero neighbors used to spin
+    forever inside ``random._randbelow``."""
+
+    @pytest.mark.parametrize(
+        "engine,kernels",
+        [("fast", True), ("fast", False), ("reference", True)],
+    )
+    def test_token_stays_undelivered(self, engine, kernels):
+        g = Graph.from_edges([(0, 1)])
+        g.add_vertex(2)
+        set_kernels_enabled(kernels)
+        try:
+            with _deadline(10), use_engine(engine):
+                result = walk_exchange(
+                    g, 0, {2: [("H", None)]}, seed=1, forward_steps=20
+                )
+        finally:
+            set_kernels_enabled(True)
+        assert result.undelivered == [(2, 0)]
+        assert not result.success
+        assert result.metrics.total_messages == 0
