@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 from typing import List, Optional
 
@@ -76,13 +77,21 @@ class _OperatorError(Exception):
     raised (its traceback ends the run)."""
 
 
-def _probe_path(path: str, label: str, mode: str = "w") -> None:
+def _probe_path(path: str, label: str) -> None:
     """Fail before the run, not after: a long run whose deliverable
-    cannot be written should not execute at all."""
+    cannot be written should not execute at all.
+
+    The probe opens ``path`` for appending, so an existing file keeps
+    its bytes until the run's final atomic write replaces it, and it
+    removes a file it created itself, so a refused or failed run
+    leaves nothing behind."""
+    existed = os.path.lexists(path)
     try:
-        open(path, mode).close()
+        open(path, "a").close()
     except OSError as exc:
         raise _OperatorError(f"invalid {label} path: {exc}")
+    if not existed:
+        os.unlink(path)
 
 
 def _write_verified(path: str, text: str, what: str) -> None:
@@ -325,7 +334,6 @@ def cmd_ldd(args) -> int:
 
 def cmd_bench(args) -> int:
     """Run experiment suites through the parallel cell runner."""
-    import os
     import time
 
     from .runner import SUITES, run_suite, suite_names
@@ -340,11 +348,6 @@ def cmd_bench(args) -> int:
         raise _OperatorError(f"--jobs must be at least 1, got {args.jobs}")
     if args.limit is not None and args.limit < 1:
         raise _OperatorError(f"--limit must be at least 1, got {args.limit}")
-    if args.journal is not None and len(names) > 1:
-        raise _OperatorError(
-            "--journal names one file and cannot span multiple suites; "
-            "restrict the run with --suite NAME"
-        )
     if args.trace_detail and args.trace is None:
         raise _OperatorError("--trace-detail requires --trace PATH")
     if args.timeline and args.telemetry is None:
@@ -355,66 +358,29 @@ def cmd_bench(args) -> int:
     ):
         if path is not None:
             _probe_path(path, label)
-    if args.journal is not None:
-        # Probe without truncating: the journal may hold a resumable run.
-        _probe_path(args.journal, "journal", mode="a")
     if args.out is not None:
         try:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:
             raise _OperatorError(f"invalid out path: {exc}")
 
-    from .runner.progress import PROGRESS_SCHEMA_VERSION, ProgressLog
-
-    plog = None
-    if args.progress is not None:
-        try:
-            plog = ProgressLog(args.progress)
-        except OSError as exc:
-            raise _OperatorError(f"invalid progress path: {exc}")
-        plog.emit(
-            "bench_started",
-            schema=PROGRESS_SCHEMA_VERSION,
-            suites=list(names),
-            jobs=args.jobs,
-        )
-
-    from .errors import JournalError
-
     runs = []
     total_start = time.perf_counter()
     for name in names:
-        try:
-            run = run_suite(
-                name,
-                jobs=args.jobs,
-                use_cache=args.cache,
-                cache_root=args.cache_dir,
-                limit=args.limit,
-                trace=args.trace is not None,
-                telemetry=args.telemetry is not None,
-                journal=args.journal,
-                resume=args.resume,
-                trace_detail=args.trace_detail,
-                timeline=args.timeline,
-                progress=plog,
-            )
-        except JournalError as exc:
-            # A journal that cannot prove its identity must not be
-            # silently replayed or clobbered: operator decision needed.
-            log.error("cannot resume: %s", exc)
-            return 2
+        run = run_suite(
+            name,
+            jobs=args.jobs,
+            use_cache=args.cache,
+            cache_root=args.cache_dir,
+            limit=args.limit,
+            trace=args.trace is not None,
+            telemetry=args.telemetry is not None,
+            trace_detail=args.trace_detail,
+            timeline=args.timeline,
+        )
         runs.append(run)
         rendered = run.render_table() + "\n" + run.footer()
         print("\n" + rendered)
-        if run.journal_path:
-            log.info(
-                "[%s] journal %s: %d cell(s) replayed, %d computed%s",
-                name, run.journal_path, run.replayed_cells(),
-                len(run.results) - run.replayed_cells(),
-                (f", {run.journal_corrupt_lines} corrupt line(s) skipped"
-                 if run.journal_corrupt_lines else ""),
-            )
         stats = run.cache_stats()
         log.info(
             "[%s] cells=%d jobs=%d wall=%.3fs compute=%.3fs "
@@ -432,9 +398,6 @@ def cmd_bench(args) -> int:
                 "--out table",
             )
     total_wall = time.perf_counter() - total_start
-    if plog is not None:
-        plog.emit("bench_finished", wall_seconds=round(total_wall, 3))
-        plog.close()
 
     if args.trace is not None:
         lines = [line for run in runs for line in run.trace_lines()]
@@ -607,9 +570,7 @@ def cmd_faults(args) -> int:
                 "matching only"
             )
             return 2
-        # Append mode: probing must not clobber an earlier checkpoint
-        # at PATH before this run has captured a new one.
-        _probe_path(args.save_checkpoint, "save-checkpoint", mode="a")
+        _probe_path(args.save_checkpoint, "save-checkpoint")
 
         def _persist(checkpoint) -> None:
             from .errors import CheckpointError
@@ -794,46 +755,6 @@ def cmd_trace_explain(args) -> int:
     return 0 if report.found else 1
 
 
-def cmd_trace_tail(args) -> int:
-    """Follow (or replay) a runner heartbeat written by --progress."""
-    from .runner import (
-        follow_progress,
-        iter_progress,
-        render_progress_event,
-    )
-
-    t0: Optional[float] = None
-    read_stats: dict = {}
-    try:
-        if args.follow:
-            events = follow_progress(
-                args.progress_file, idle_timeout=args.idle_timeout
-            )
-        else:
-            events = iter_progress(args.progress_file, stats=read_stats)
-        for record in events:
-            if args.json:
-                print(json.dumps(record, sort_keys=True), flush=True)
-            else:
-                t = record.get("t")
-                if t0 is None and isinstance(t, (int, float)):
-                    t0 = t
-                print(render_progress_event(record, t0), flush=True)
-    except OSError as exc:
-        log.error("cannot read progress file: %s", exc)
-        return 2
-    except KeyboardInterrupt:
-        return 0
-    if read_stats.get("skipped"):
-        # A live writer's final line is routinely torn; say so instead
-        # of silently rendering a shorter story than the file holds.
-        log.warning(
-            "%d truncated or corrupt line(s) skipped",
-            read_stats["skipped"],
-        )
-    return 0
-
-
 def cmd_triangles(args) -> int:
     from .subgraphs import distributed_triangle_listing, list_triangles
 
@@ -945,20 +866,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "events so the snapshot can be exported as "
                             "a Chrome/Perfetto trace "
                             "(`repro obs export`)")
-    bench.add_argument("--progress", metavar="PATH", default=None,
-                       help="append flushed JSONL heartbeat events "
-                            "(suite and cell started/finished) "
-                            "to PATH; follow live with "
-                            "`repro trace tail PATH --follow`")
-    bench.add_argument("--journal", default=None, metavar="PATH",
-                       help="write-ahead journal recording each "
-                            "completed cell (single suite only; "
-                            "default with --resume: "
-                            "<cache-dir>/journals/<suite>.jsonl)")
-    bench.add_argument("--resume", action="store_true",
-                       help="replay cells already completed in the "
-                            "journal of an interrupted run instead of "
-                            "recomputing them")
     bench.set_defaults(handler=cmd_bench)
 
     faults = sub.add_parser(
@@ -1086,12 +993,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace = sub.add_parser(
         "trace",
-        help="diff, explain, and follow structured round traces",
+        help="diff and explain structured round traces",
         description=(
-            "Work with the per-round JSONL traces written by --trace "
-            "(and the heartbeat files written by bench --progress): "
-            "locate the first divergence between two runs, explain one "
-            "vertex's message provenance, or tail a live run."
+            "Work with the per-round JSONL traces written by --trace: "
+            "locate the first divergence between two runs, or explain "
+            "one vertex's message provenance."
         ),
     )
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
@@ -1129,25 +1035,6 @@ def build_parser() -> argparse.ArgumentParser:
     texplain.add_argument("--json", action="store_true",
                           help="machine-readable report on stdout")
     texplain.set_defaults(handler=cmd_trace_explain)
-    ttail = trace_sub.add_parser(
-        "tail",
-        help="render (or follow) a bench --progress heartbeat file",
-    )
-    ttail.add_argument("progress_file", metavar="PROGRESS",
-                       help="heartbeat JSONL written by bench --progress")
-    ttail.add_argument("--follow", action="store_true",
-                       help="keep reading as the run appends "
-                            "(tail -f semantics; stops at "
-                            "bench_finished)")
-    ttail.add_argument("--idle-timeout", type=float, default=None,
-                       metavar="SECONDS",
-                       help="with --follow, stop after this long with "
-                            "no new events (default: follow until "
-                            "interrupted)")
-    ttail.add_argument("--json", action="store_true",
-                       help="raw JSONL passthrough instead of rendered "
-                            "lines")
-    ttail.set_defaults(handler=cmd_trace_tail)
     return parser
 
 

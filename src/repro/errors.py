@@ -86,35 +86,23 @@ class FaultError(ReproError):
 class StorageError(ReproError):
     """A durable I/O operation failed after bounded retries.
 
-    Raised by :mod:`repro.storage` when an atomic write, append, or
-    read cannot complete — including a transient error (ENOSPC, or a
-    verified write that keeps reading back torn bytes) that exhausts
-    the retry budget.  Consumers either degrade explicitly (the
-    artifact cache falls back to recompute) or propagate loudly
-    (journals and checkpoints), but never silently lose data.
+    Raised by :mod:`repro.storage` when an atomic write or read cannot
+    complete — including a transient error (ENOSPC, or a verified
+    write that keeps reading back torn bytes) that exhausts the retry
+    budget.  Consumers either degrade explicitly (the artifact cache
+    falls back to recompute) or propagate loudly (checkpoints and
+    result artifacts), but never silently lose data.
     """
 
 
 class ChecksumError(StorageError):
-    """Framed bytes or a sealed JSONL record failed checksum verification.
+    """Framed bytes failed checksum verification.
 
-    Raised when the blake2b digest embedded in a storage frame or a
-    record's ``"cs"`` field does not match the payload — evidence of a
-    torn write, a bit-flip, or manual tampering.  Readers of durable
-    formats treat this as *corrupt*, which means loud recovery
-    (recompute, skip-and-count) instead of deserializing garbage.
-    """
-
-
-class JournalError(StorageError):
-    """A run journal is unusable for the resume that was requested.
-
-    Raised when ``--resume`` points at a journal whose header is
-    unreadable or fails checksum verification: resuming from it could
-    silently replay the wrong run, so the CLI stops with exit code 2
-    instead.  A journal whose header merely *mismatches* the current
-    run fingerprint is not an error — that is a fresh-start, because
-    the caller asked for a different experiment.
+    Raised when the blake2b digest embedded in a storage frame does not
+    match the payload — evidence of a torn write, a bit-flip, or manual
+    tampering.  Readers of durable formats treat this as *corrupt*,
+    which means loud recovery (recompute) instead of deserializing
+    garbage.
     """
 
 

@@ -13,36 +13,14 @@ order rather than completion order.
 
 from .cells import CellResult, ExperimentCell
 from .executor import SuiteRun, run_suite
-from .journal import (
-    JOURNAL_SCHEMA_VERSION,
-    SuiteJournal,
-    default_journal_path,
-    run_fingerprint,
-)
-from .progress import (
-    PROGRESS_SCHEMA_VERSION,
-    ProgressLog,
-    follow_progress,
-    iter_progress,
-    render_progress_event,
-)
 from .suites import SUITES, execute_cell, suite_names
 
 __all__ = [
     "CellResult",
     "ExperimentCell",
-    "JOURNAL_SCHEMA_VERSION",
-    "PROGRESS_SCHEMA_VERSION",
-    "ProgressLog",
-    "SuiteJournal",
     "SuiteRun",
     "SUITES",
-    "default_journal_path",
     "execute_cell",
-    "follow_progress",
-    "iter_progress",
-    "render_progress_event",
-    "run_fingerprint",
     "run_suite",
     "suite_names",
 ]

@@ -59,6 +59,3 @@ class CellResult:
     elapsed: float = 0.0
     cache: Dict[str, int] = field(default_factory=dict)
     telemetry: Optional[Dict[str, Any]] = None
-    #: True when this result was replayed from a suite journal instead
-    #: of computed in this run (see :mod:`repro.runner.journal`).
-    replayed: bool = False

@@ -1,10 +1,12 @@
 """Tests for the command-line interface."""
 
+import dataclasses
 import os
 
 import pytest
 
 from repro.cli import main
+from repro.runner import SUITES
 
 
 class TestCLI:
@@ -186,65 +188,6 @@ class TestFaultsCommand:
         assert "Traceback" not in captured.err
 
 
-class TestBenchJournal:
-    def test_resume_replays_journaled_cells(self, capsys, tmp_path):
-        journal = str(tmp_path / "wal.jsonl")
-        args = ["bench", "--suite", "E15", "--limit", "2", "--no-cache",
-                "--cache-dir", str(tmp_path), "--journal", journal]
-        assert main(args) == 0
-        first = capsys.readouterr()
-        assert "2 cell(s) replayed" not in first.err
-
-        assert main(args + ["--resume"]) == 0
-        second = capsys.readouterr()
-        assert "2 cell(s) replayed, 0 computed" in second.err
-        assert second.out == first.out  # byte-identical table
-
-    def test_journal_rejects_multiple_suites(self, tmp_path, capsys):
-        # Exit 1 means a cell raised; this is an operator error.
-        assert main(["bench", "--suite", "E10", "--suite", "E15",
-                     "--journal", str(tmp_path / "wal.jsonl")]) == 2
-        assert "one file" in capsys.readouterr().err
-
-    def test_unknown_suite_exits_2(self, capsys):
-        assert main(["bench", "--suite", "NOPE"]) == 2
-        assert "unknown suite(s) ['NOPE']" in capsys.readouterr().err
-
-    def test_corrupt_journal_header_resume_exits_2(self, capsys, tmp_path):
-        journal = tmp_path / "wal.jsonl"
-        journal.write_text("{corrupt header\n")
-        code = main(["bench", "--suite", "E15", "--limit", "2",
-                     "--no-cache", "--cache-dir", str(tmp_path),
-                     "--journal", str(journal), "--resume"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "cannot resume" in err and "Traceback" not in err
-
-    def test_corrupt_journal_cell_is_loud_in_footer_and_stats(
-        self, capsys, tmp_path
-    ):
-        import json
-
-        journal = str(tmp_path / "wal.jsonl")
-        stats = str(tmp_path / "stats.json")
-        args = ["bench", "--suite", "E15", "--limit", "2", "--no-cache",
-                "--cache-dir", str(tmp_path), "--journal", journal]
-        assert main(args) == 0
-        capsys.readouterr()
-        # Tear the final cell record, as a kill mid-append would.
-        with open(journal) as handle:
-            lines = handle.read().splitlines()
-        with open(journal, "w") as handle:
-            handle.write("\n".join(lines[:-1]) + "\n" + lines[-1][:20] + "\n")
-
-        assert main(args + ["--resume", "--stats-json", stats]) == 0
-        out = capsys.readouterr().out
-        assert "1 corrupt journal line(s) skipped" in out
-        with open(stats) as handle:
-            payload = json.load(handle)
-        assert payload["suites"][0]["journal_corrupt_lines"] == 1
-
-
 _MAXIS = ["maxis", "--n", "30", "--seed", "2"]
 _FAULTS = ["faults", "--algorithm", "maxis", "--n", "60", "--seed", "1"]
 _BENCH = ["bench", "--suite", "E15", "--limit", "1", "--jobs", "1",
@@ -261,9 +204,10 @@ class TestEmptyPathFlags:
             (_MAXIS + ["--trace", ""], "invalid trace path"),
             (_BENCH + ["--trace", ""], "invalid trace path"),
             (_BENCH + ["--telemetry", ""], "invalid telemetry path"),
-            (_BENCH + ["--progress", ""], "invalid progress path"),
-            (_BENCH + ["--journal", ""], "invalid journal path"),
             (_BENCH + ["--stats-json", ""], "invalid stats-json path"),
+            # The probe of the good path before it leaves no file.
+            (_BENCH + ["--trace", "ok.jsonl", "--stats-json", ""],
+             "invalid stats-json path"),
             (_BENCH + ["--out", ""], "invalid out path"),
             (_FAULTS + ["--save-checkpoint", ""],
              "invalid save-checkpoint path"),
@@ -271,9 +215,8 @@ class TestEmptyPathFlags:
         ],
         ids=[
             "maxis-trace", "bench-trace", "bench-telemetry",
-            "bench-progress", "bench-journal", "bench-stats-json",
-            "bench-out", "faults-save-checkpoint",
-            "faults-resume-from",
+            "bench-stats-json", "bench-trace-then-stats-json", "bench-out",
+            "faults-save-checkpoint", "faults-resume-from",
         ],
     )
     def test_empty_path_is_an_operator_error(
@@ -286,6 +229,80 @@ class TestEmptyPathFlags:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and named in lines[0]
         assert os.listdir(tmp_path) == []
+
+
+class TestProbeKeepsExistingOutputs:
+    """The probe checks that an output path is writable before the run;
+    the file it protects must keep its bytes until the final atomic
+    write replaces it, so a run that fails or is refused after the
+    probe leaves an earlier output intact."""
+
+    def test_failing_bench_cell_keeps_existing_outputs(
+        self, tmp_path, monkeypatch
+    ):
+        real = SUITES["E15"].cell_fn
+
+        def broken(cell):
+            if cell.index == 1:
+                raise RuntimeError("cell 1 is broken")
+            return real(cell)
+
+        monkeypatch.setitem(
+            SUITES, "E15", dataclasses.replace(SUITES["E15"], cell_fn=broken)
+        )
+        outputs = {
+            flag: tmp_path / f"earlier{flag}.out"
+            for flag in ("--trace", "--telemetry", "--stats-json")
+        }
+        argv = ["bench", "--suite", "E15", "--limit", "2", "--no-cache"]
+        for flag, path in outputs.items():
+            path.write_bytes(f"earlier {flag} output\n".encode())
+            argv += [flag, str(path)]
+        with pytest.raises(RuntimeError, match="cell 1 is broken"):
+            main(argv)
+        for flag, path in outputs.items():
+            assert path.read_bytes() == f"earlier {flag} output\n".encode()
+
+    def test_refused_simulation_keeps_existing_trace(self, capsys, tmp_path):
+        trace = tmp_path / "earlier.jsonl"
+        trace.write_bytes(b'{"round": 1}\n')
+        code = main(["faults", "--family", "delaunay", "--n", "2",
+                     "--trace", str(trace)])
+        assert code == 2
+        assert "cannot build --family delaunay" in capsys.readouterr().err
+        assert trace.read_bytes() == b'{"round": 1}\n'
+
+
+def test_bench_unknown_suite_exits_2(capsys):
+    assert main(["bench", "--suite", "NOPE"]) == 2
+    assert "unknown suite(s) ['NOPE']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        _BENCH + ["--resume"],
+        *(_BENCH + [f"--{flag}", "out.jsonl"]
+          for flag in ("journal", "progress")),
+        ["trace", "tail", "progress.jsonl"],
+    ],
+    ids=["bench-resume", "bench-journal", "bench-progress", "trace-tail"],
+)
+def test_resume_and_heartbeat_flags_are_gone(
+    capsys, tmp_path, monkeypatch, argv
+):
+    """A killed bench is rerun, not resumed, and no heartbeat is
+    written: the bench journal, resume and progress flags and the
+    trace ``tail`` command are refused as usage errors before anything
+    runs."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as refused:
+        main(argv)
+    assert refused.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("limit", ["0", "-2"])

@@ -5,9 +5,11 @@ function of the grid — byte-identical whether cells run serially,
 across a process pool, with the artifact cache cold, warm, or disabled.
 These tests execute the same suites under those configurations and
 compare the rendered bytes, then pin the merge order, the metrics
-composition, and the ``repro bench`` CLI surface.
+composition, what a failing cell, Ctrl-C and SIGKILL leave behind, and
+the ``repro bench`` CLI surface.
 """
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -20,7 +22,7 @@ import pytest
 
 from repro.cli import main
 from repro.congest import CongestMetrics
-from repro.runner import SUITES, iter_progress, run_suite, suite_names
+from repro.runner import SUITES, run_suite, suite_names
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -190,45 +192,128 @@ def test_cli_bench_no_cache(tmp_path, capsys):
     assert "misses" in capsys.readouterr().err
 
 
-@pytest.mark.skipif(sys.platform == "win32", reason="POSIX signals")
-def test_sigint_stops_a_pooled_run_after_its_running_cells(tmp_path):
-    """Ctrl-C during ``repro bench --jobs 2`` ends the run once the
-    cells already running finish: the rest of the grid never starts,
-    and the suite never reports itself finished."""
-    progress = str(tmp_path / "progress.jsonl")
+# ----------------------------------------------------------------------
+# Failures and interruptions: a stopped run is rerun, not resumed
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("jobs", [
+    1,
+    pytest.param(2, marks=pytest.mark.skipif(
+        not HAVE_FORK, reason="workers must inherit the patched suite",
+    )),
+])
+def test_failing_cell_fails_the_run(tmp_path, monkeypatch, jobs):
+    """A cell that raises ends the run with its exception, inline and
+    pooled.  The pool holds at most ``jobs`` cells: cell 2 starts only
+    after an earlier cell has finished, and the failure waits only for
+    the cells already running, so the rest of the grid never starts."""
+    real = SUITES["E15"].cell_fn
+    markers = tmp_path / "markers"
+    markers.mkdir()
+
+    def broken(cell):
+        finished = sorted(p.name for p in markers.glob("finished-*"))
+        (markers / f"started-{cell.index}").write_text(" ".join(finished))
+        if cell.index == 2:
+            raise RuntimeError("cell 2 is broken")
+        out = real(cell)
+        (markers / f"finished-{cell.index}").touch()
+        return out
+
+    monkeypatch.setitem(
+        SUITES, "E15", dataclasses.replace(SUITES["E15"], cell_fn=broken)
+    )
+    with pytest.raises(RuntimeError, match="cell 2 is broken"):
+        run_suite("E15", jobs=jobs, use_cache=False, limit=8)
+    started = {
+        int(p.name.split("-")[1]) for p in markers.glob("started-*")
+    }
+    assert (markers / "started-2").read_text() != ""
+    if jobs == 1:
+        assert started == {0, 1, 2}
+    else:
+        # Cell 3 can start only if cell 0 or 1 landed before cell 2
+        # raised; nothing later is ever submitted.
+        assert {0, 1, 2} <= started <= {0, 1, 2, 3}
+
+
+def _cell_entries(cache_dir):
+    """The whole-cell results the artifact cache has stored so far."""
+    return [
+        name
+        for _, _, names in os.walk(os.path.join(cache_dir, "cell"))
+        for name in names if name.endswith(".bin")
+    ]
+
+
+def _start_bench(argv):
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env["PYTHONPATH"] = os.path.abspath(src)
-    proc = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro.cli", "bench", "--suite", "E10",
-            "--jobs", "2", "--no-cache", "--progress", progress,
-        ],
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "bench"] + argv,
         env=env,
-        stdout=subprocess.DEVNULL,
+        stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL,
         start_new_session=True,  # keep the test runner's tty out of it
     )
 
-    def kinds():
-        try:
-            return [e["event"] for e in iter_progress(progress)]
-        except FileNotFoundError:
-            return []
 
+def _wait_for_a_stored_cell(proc, cache_dir):
+    deadline = time.monotonic() + 60
+    while not _cell_entries(cache_dir):
+        assert proc.poll() is None, "bench exited before its first cell"
+        assert time.monotonic() < deadline, "no cell stored in 60 s"
+        time.sleep(0.01)
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="POSIX signals")
+def test_sigint_stops_a_pooled_run_after_its_running_cells(tmp_path):
+    """Ctrl-C during ``repro bench --jobs 2`` ends the run once the
+    cells already running finish: the rest of the grid never runs, and
+    the suite never prints its table."""
+    cache_dir = str(tmp_path / "cache")
+    proc = _start_bench(
+        ["--suite", "E10", "--jobs", "2", "--cache-dir", cache_dir]
+    )
     try:
-        deadline = time.monotonic() + 60
-        while "cell_finished" not in kinds():
-            assert proc.poll() is None, "bench exited before its first cell"
-            assert time.monotonic() < deadline, "no cell finished in 60 s"
-            time.sleep(0.01)
+        _wait_for_a_stored_cell(proc, cache_dir)
         proc.send_signal(signal.SIGINT)
-        code = proc.wait(timeout=60)
+        out, _ = proc.communicate(timeout=60)
     finally:
         if proc.poll() is None:
             proc.kill()
             proc.wait()
-    assert code != 0
-    events = kinds()
-    assert "suite_finished" not in events
-    assert events.count("cell_started") < len(SUITES["E10"].cells())
+    assert proc.returncode != 0
+    assert b"E10: " not in out
+    assert len(_cell_entries(cache_dir)) < len(SUITES["E10"].cells())
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="POSIX signals")
+def test_sigkilled_bench_reruns_from_the_cell_cache(tmp_path):
+    """A killed ``repro bench`` is rerun, not resumed: each cell that
+    landed before the SIGKILL is already in the artifact cache's cell
+    tier, so the rerun reads it back from disk and renders the
+    uninterrupted table."""
+    cache_dir = str(tmp_path / "cache")
+    limit = 3
+    proc = _start_bench(
+        ["--suite", "E10", "--limit", str(limit), "--jobs", "1",
+         "--cache-dir", cache_dir]
+    )
+    try:
+        _wait_for_a_stored_cell(proc, cache_dir)
+        proc.send_signal(signal.SIGKILL)
+        proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert proc.returncode == -signal.SIGKILL
+    assert 1 <= len(_cell_entries(cache_dir)) < limit
+
+    rerun = run_suite("E10", limit=limit, cache_root=cache_dir)
+    uninterrupted = run_suite("E10", limit=limit, use_cache=False)
+    assert rerun.render_table() == uninterrupted.render_table()
+    assert rerun.footer() == uninterrupted.footer()
+    assert rerun.cache_stats()["disk_hits"] >= 1

@@ -2,14 +2,12 @@
 
 Three clauses, each pinned here by damaging real bytes on a real disk:
 atomic replace (readers see old bytes or new bytes, never a tear),
-checksummed framing and sealed JSONL records (corruption and tears are
-*detected*, with legacy unframed/unsealed artifacts still accepted),
-and bounded retry of transient errors, including a verified write that
-reads back torn bytes.
+checksummed framing (corruption and tears are *detected*, with legacy
+unframed artifacts still accepted), and bounded retry of transient
+errors, including a verified write that reads back torn bytes.
 """
 
 import errno
-import json
 import os
 
 import pytest
@@ -17,20 +15,16 @@ import pytest
 from repro import storage
 from repro.errors import ChecksumError, StorageError
 from repro.storage import (
-    DurableAppender,
     atomic_write_bytes,
     canonical_json,
-    check_record,
     frame_bytes,
-    iter_sealed_lines,
     read_bytes,
-    seal_record,
     unframe_bytes,
 )
 
 
 # ----------------------------------------------------------------------
-# Framing and sealed records
+# Framing and canonical JSON
 # ----------------------------------------------------------------------
 
 def test_frame_roundtrip_and_legacy_passthrough():
@@ -50,24 +44,6 @@ def test_corrupt_frame_is_detected():
     # Truncation inside the fixed-size header is equally loud.
     with pytest.raises(ChecksumError, match="truncated"):
         unframe_bytes(frame_bytes(b"x")[:10])
-
-
-def test_sealed_record_roundtrip_strips_checksum():
-    record = {"kind": "cell", "index": 3, "payload": "YWJj"}
-    sealed = seal_record(record)
-    assert "cs" in sealed and "cs" not in record
-    assert check_record(sealed) == record
-    # Legacy records without a checksum are accepted as-is.
-    assert check_record(record) == record
-    # Re-sealing a sealed record reproduces the same digest.
-    assert seal_record(sealed) == sealed
-
-
-def test_tampered_sealed_record_is_detected():
-    sealed = seal_record({"kind": "cell", "index": 3})
-    sealed["index"] = 4
-    with pytest.raises(ChecksumError):
-        check_record(sealed)
 
 
 def test_canonical_json_is_key_order_independent():
@@ -219,39 +195,3 @@ def test_read_missing_file_raises_plain_file_not_found(tmp_path):
     # Consumers keep their miss handling: no StorageError wrapping.
     with pytest.raises(FileNotFoundError):
         read_bytes(str(tmp_path / "absent.bin"))
-
-
-# ----------------------------------------------------------------------
-# Durable appends and verified replay
-# ----------------------------------------------------------------------
-
-def test_appender_writes_sealed_lines_that_verify(tmp_path):
-    path = str(tmp_path / "log.jsonl")
-    with DurableAppender(path, "w") as appender:
-        appender.append_record({"kind": "header", "schema": 1})
-        appender.append_record({"kind": "cell", "index": 0})
-        appender.append("not json at all")  # raw line, like a torn tail
-    assert appender.closed
-    with pytest.raises(StorageError, match="closed"):
-        appender.append("late")
-
-    stats = {}
-    records = list(iter_sealed_lines(path, stats))
-    assert records == [
-        {"kind": "header", "schema": 1},
-        {"kind": "cell", "index": 0},
-    ]
-    assert stats["skipped"] == 1
-
-
-def test_torn_append_is_skipped_on_replay(tmp_path):
-    path = str(tmp_path / "log.jsonl")
-    with DurableAppender(path, "w") as appender:
-        appender.append_record({"index": 0})
-    # A sealed record cut short, as a kill mid-append leaves it.
-    torn = json.dumps(seal_record({"index": 1}))
-    with DurableAppender(path, "a") as appender:
-        appender.append(torn[: len(torn) // 2])
-    stats = {}
-    assert list(iter_sealed_lines(path, stats)) == [{"index": 0}]
-    assert stats["skipped"] == 1

@@ -1,13 +1,13 @@
-"""Tests for the trace explorer: diff, explain, timelines, heartbeat.
+"""Tests for the trace explorer: diff, explain, timelines.
 
 Four layers are covered: the historical trace schemas (v1-v4 fixtures
 must keep loading through the v5 reader, and detail-off recording must
 stay byte-identical to v4), the divergence finder (exact first
 divergent round/field/vertex on deliberately divergent runs, silence
 on bit-identical execution-mode pairs), per-vertex provenance
-(``explain``), and the operational surfaces (Chrome trace export, the
-runner heartbeat, and the ``repro trace`` / ``repro obs export`` CLI
-with their exit-code contracts).
+(``explain``), and the operational surfaces (Chrome trace export and
+the ``repro trace`` / ``repro obs export`` CLI with their exit-code
+contracts).
 """
 
 import json
@@ -30,13 +30,6 @@ from repro.obs import (
     telemetry_scope,
     timeline_from_snapshot,
     validate_chrome_trace,
-)
-from repro.runner import (
-    ProgressLog,
-    follow_progress,
-    iter_progress,
-    render_progress_event,
-    run_suite,
 )
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "data")
@@ -330,91 +323,6 @@ class TestChromeExport:
 
 
 # ----------------------------------------------------------------------
-# Runner heartbeat
-# ----------------------------------------------------------------------
-
-class TestProgressHeartbeat:
-    def test_serial_run_emits_lifecycle(self, tmp_path):
-        path = tmp_path / "progress.jsonl"
-        run_suite(
-            "E11", limit=2, use_cache=False,
-            cache_root=str(tmp_path / "cache"), progress=str(path),
-        )
-        events = list(iter_progress(str(path)))
-        kinds = [e["event"] for e in events]
-        assert kinds[0] == "suite_started"
-        assert kinds[-1] == "suite_finished"
-        assert kinds.count("cell_started") == 2
-        assert kinds.count("cell_finished") == 2
-        finished = [e for e in events if e["event"] == "cell_finished"]
-        assert all("elapsed" in e and "stalled" in e for e in finished)
-
-    def test_parallel_run_emits_lifecycle(self, tmp_path):
-        path = tmp_path / "progress.jsonl"
-        run_suite(
-            "E11", limit=2, jobs=2, use_cache=False,
-            cache_root=str(tmp_path / "cache"), progress=str(path),
-        )
-        kinds = [e["event"] for e in iter_progress(str(path))]
-        assert kinds.count("cell_started") == 2
-        assert kinds.count("cell_finished") == 2
-        assert kinds[-1] == "suite_finished"
-
-    def test_follow_reads_appended_events(self, tmp_path):
-        path = tmp_path / "progress.jsonl"
-        with ProgressLog(str(path)) as plog:
-            plog.emit("suite_started", suite="X", cells=1)
-            plog.emit("cell_started", suite="X", index=0, label="c")
-            plog.emit("bench_finished")
-        events = list(follow_progress(str(path), idle_timeout=0.5))
-        assert [e["event"] for e in events] == [
-            "suite_started", "cell_started", "bench_finished",
-        ]
-
-    def test_reader_skips_truncated_line(self, tmp_path):
-        path = tmp_path / "progress.jsonl"
-        with ProgressLog(str(path)) as plog:
-            plog.emit("suite_started", suite="X")
-        with open(path, "a") as handle:
-            handle.write('{"event": "cell_sta')  # torn mid-write
-        events = list(iter_progress(str(path)))
-        assert [e["event"] for e in events] == ["suite_started"]
-
-    def test_render_covers_every_event(self):
-        samples = [
-            {"t": 1.0, "event": "bench_started", "suites": ["E11"]},
-            {"t": 1.1, "event": "suite_started", "suite": "E11",
-             "pending": 2, "replayed": 0, "jobs": 1},
-            {"t": 1.2, "event": "cell_started", "suite": "E11",
-             "index": 0, "label": "a"},
-            {"t": 1.3, "event": "cell_finished", "suite": "E11",
-             "index": 0, "label": "a", "elapsed": 0.5, "stalled": True},
-            {"t": 1.8, "event": "suite_finished", "suite": "E11",
-             "cells": 2, "stalled": 1, "wall_seconds": 0.9},
-            {"t": 1.9, "event": "bench_finished"},
-            {"t": 2.0, "event": "mystery", "extra": 1},
-        ]
-        rendered = [render_progress_event(e, 1.0) for e in samples]
-        assert all(isinstance(line, str) and line for line in rendered)
-        assert rendered[2].endswith("E11[0] a: started")
-        assert "stalled verdict" in rendered[3]
-        assert "2 cell(s), 1 stalled" in rendered[4]
-
-    def test_journal_fingerprint_distinguishes_modes(self):
-        from repro.runner import run_fingerprint
-
-        plain = run_fingerprint("E11", None, True, False, salt="s")
-        detail = run_fingerprint(
-            "E11", None, True, False, salt="s", trace_detail=True
-        )
-        timeline = run_fingerprint(
-            "E11", None, False, True, salt="s", timeline=True
-        )
-        assert plain != detail
-        assert plain != timeline
-
-
-# ----------------------------------------------------------------------
 # CLI surfaces and exit codes
 # ----------------------------------------------------------------------
 
@@ -496,22 +404,6 @@ class TestTraceCli:
         ) == 2
         assert "trace-detail" in capsys.readouterr().err
 
-    def test_tail_renders_and_passes_json(self, tmp_path, capsys):
-        path = tmp_path / "progress.jsonl"
-        with ProgressLog(str(path)) as plog:
-            plog.emit("suite_started", suite="E11", pending=1,
-                      replayed=0, jobs=1)
-            plog.emit("bench_finished")
-        assert main(["trace", "tail", str(path)]) == 0
-        assert "E11" in capsys.readouterr().out
-        assert main(["trace", "tail", str(path), "--json"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert json.loads(lines[0])["event"] == "suite_started"
-
-    def test_tail_missing_file_exits_two(self, tmp_path, capsys):
-        assert main(["trace", "tail", str(tmp_path / "nope.jsonl")]) == 2
-        assert "cannot read progress file" in capsys.readouterr().err
-
 
 class TestCliTracePathErrors:
     def test_bench_unwritable_trace_path_exits_two(self, tmp_path, capsys):
@@ -553,16 +445,14 @@ class TestCliTracePathErrors:
 
 
 class TestBenchObservabilityPipeline:
-    def test_detail_trace_progress_and_chrome_export(self, tmp_path, capsys):
+    def test_detail_trace_and_chrome_export(self, tmp_path, capsys):
         trace = tmp_path / "bench.jsonl"
         snapshot = tmp_path / "snap.json"
-        progress = tmp_path / "progress.jsonl"
         code = main([
             "bench", "--suite", "E11", "--limit", "1", "--no-cache",
             "--cache-dir", str(tmp_path / "cache"),
             "--trace", str(trace), "--trace-detail",
             "--telemetry", str(snapshot), "--timeline",
-            "--progress", str(progress),
         ])
         assert code == 0
         capsys.readouterr()
@@ -570,10 +460,6 @@ class TestBenchObservabilityPipeline:
         records = load_trace_jsonl(str(trace))
         assert any(r.get("events") for r in records)
         assert diff_traces(records, records) is None
-
-        kinds = [e["event"] for e in iter_progress(str(progress))]
-        assert kinds[0] == "bench_started"
-        assert kinds[-1] == "bench_finished"
 
         assert main(["obs", "export", str(snapshot)]) == 0
         out_path = capsys.readouterr().out.strip()
