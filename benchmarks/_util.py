@@ -9,15 +9,11 @@ numbers.
 Experiments that have been converted to the cell model (E01, E03, E10)
 run through :mod:`repro.runner`: the suite definition enumerates the
 parameter grid, each cell executes independently, and the table here is
-assembled from the per-cell result objects.  Two environment variables
-let CI and local runs exercise the scaling path without changing the
-tests:
-
-* ``REPRO_BENCH_JOBS`` — worker processes for converted suites
-  (default 1: in-process, exactly the historical serial execution);
-* ``REPRO_BENCH_CACHE`` — set to ``1`` to memoize artifacts under
-  ``benchmarks/.cache/``; benchmarks default to cache-off so the
-  numbers they print are always honest recomputations.
+assembled from the per-cell result objects, so every number printed is
+a recomputation.  ``REPRO_BENCH_JOBS`` sets the worker processes for
+converted suites (default 1: in-process, exactly the historical serial
+execution), so CI and local runs can exercise the parallel path
+without changing the tests.
 """
 
 from __future__ import annotations
@@ -64,22 +60,13 @@ def bench_jobs() -> int:
         return 1
 
 
-def bench_cache_enabled() -> bool:
-    """Whether benchmark runs may use the artifact cache."""
-    return os.environ.get("REPRO_BENCH_CACHE", "") == "1"
-
-
 def run_recorded_suite(name: str, filename: str, reset: bool = True) -> SuiteRun:
     """Execute a converted suite and record its assembled table.
 
     The table is built from the per-cell :class:`repro.runner.CellResult`
     objects in grid order, so its bytes do not depend on the job count.
     """
-    run = run_suite(
-        name,
-        jobs=bench_jobs(),
-        use_cache=bench_cache_enabled(),
-    )
+    run = run_suite(name, jobs=bench_jobs())
     if reset:
         reset_result(filename)
     record_table(filename, run.table())

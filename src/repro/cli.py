@@ -74,7 +74,9 @@ class _OperatorError(Exception):
     """An unusable flag value, path, or input file.  :func:`main` logs
     the one-line message and exits 2; exit 1 stays reserved for a
     failed verdict, a perf diff past its budget, or a bench cell that
-    raised (its traceback ends the run)."""
+    raised (its traceback ends the run).  Handlers raise it rather than
+    return 2, so a refused run never reaches :func:`_dispatch`'s final
+    trace write and an existing ``--trace`` file keeps its bytes."""
 
 
 def _probe_path(path: str, label: str) -> None:
@@ -370,8 +372,6 @@ def cmd_bench(args) -> int:
         run = run_suite(
             name,
             jobs=args.jobs,
-            use_cache=args.cache,
-            cache_root=args.cache_dir,
             limit=args.limit,
             trace=args.trace is not None,
             telemetry=args.telemetry is not None,
@@ -381,15 +381,10 @@ def cmd_bench(args) -> int:
         runs.append(run)
         rendered = run.render_table() + "\n" + run.footer()
         print("\n" + rendered)
-        stats = run.cache_stats()
         log.info(
-            "[%s] cells=%d jobs=%d wall=%.3fs compute=%.3fs "
-            "cache: %d mem hits, %d disk hits, %d misses, "
-            "%d stores, %d corrupt%s",
+            "[%s] cells=%d jobs=%d wall=%.3fs compute=%.3fs",
             name, len(run.results), run.jobs, run.wall_seconds,
-            run.compute_seconds(), stats["memory_hits"],
-            stats["disk_hits"], stats["misses"], stats["stores"],
-            stats["corrupt"], "" if args.cache else " (cache disabled)",
+            run.compute_seconds(),
         )
         if args.out is not None:
             _write_verified(
@@ -424,7 +419,6 @@ def cmd_bench(args) -> int:
             },
             telemetry=registry.to_dict(),
             jobs=args.jobs,
-            cache_enabled=args.cache,
         )
         write_snapshot(args.telemetry, snapshot)
         log.info("telemetry snapshot -> %s", args.telemetry)
@@ -433,7 +427,6 @@ def cmd_bench(args) -> int:
             "suites": [run.summary() for run in runs],
             "wall_seconds": round(total_wall, 4),
             "jobs": args.jobs,
-            "cache_enabled": args.cache,
         }
         _write_verified(
             args.stats_json,
@@ -449,27 +442,24 @@ def _faults_resume(args, g) -> int:
 
     The checkpoint's own fault plan, configuration, and graph
     fingerprint are authoritative; any mismatch (or a corrupt file)
-    surfaces as a clean one-line error with exit code 2.
+    is an operator error.
     """
     from .congest.checkpoint import SimulationCheckpoint
     from .errors import CheckpointError
     from .resilience import graded_run
 
     if args.algorithm == "framework":
-        log.error(
+        raise _OperatorError(
             "--resume-from supports --algorithm maxis or matching only"
         )
-        return 2
     try:
         checkpoint = SimulationCheckpoint.load(args.resume_from)
     except CheckpointError as exc:
-        log.error("corrupt checkpoint: %s", exc)
-        return 2
+        raise _OperatorError(f"corrupt checkpoint: {exc}")
     try:
         metrics, verdict = graded_run(args.algorithm, g, resume=checkpoint)
     except CheckpointError as exc:
-        log.error("cannot resume from checkpoint: %s", exc)
-        return 2
+        raise _OperatorError(f"cannot resume from checkpoint: {exc}")
     print(f"resumed: {args.resume_from} from round {checkpoint.round}")
     return _print_graded(metrics, verdict)
 
@@ -556,8 +546,7 @@ def cmd_faults(args) -> int:
         # e.g. a rejoin without a matching crash, conflicting churn
         # schedules, or a rate out of range: operator error, not a
         # bug — report cleanly instead of dumping a traceback.
-        log.error("invalid fault plan: %s", exc)
-        return 2
+        raise _OperatorError(f"invalid fault plan: {exc}")
     g = _build_graph(args)
     if args.resume_from is not None:
         return _faults_resume(args, g)
@@ -565,11 +554,10 @@ def cmd_faults(args) -> int:
     saved_checkpoints = []
     if args.save_checkpoint is not None:
         if args.algorithm == "framework":
-            log.error(
+            raise _OperatorError(
                 "--save-checkpoint supports --algorithm maxis or "
                 "matching only"
             )
-            return 2
         _probe_path(args.save_checkpoint, "save-checkpoint")
 
         def _persist(checkpoint) -> None:
@@ -681,11 +669,10 @@ def cmd_obs_export(args) -> int:
     snapshot = _load(load_snapshot, args.snapshot, "snapshot")
     timeline = timeline_from_snapshot(snapshot)
     if not timeline:
-        log.error(
-            "snapshot %s carries no timeline events; re-record with "
-            "`repro bench --telemetry PATH --timeline`", args.snapshot,
+        raise _OperatorError(
+            f"snapshot {args.snapshot} carries no timeline events; "
+            "re-record with `repro bench --telemetry PATH --timeline`"
         )
-        return 2
     out = args.out
     if out is None:
         base = args.snapshot
@@ -695,8 +682,7 @@ def cmd_obs_export(args) -> int:
     try:
         data = write_chrome_trace(timeline, out)
     except OSError as exc:
-        log.error("invalid output path: %s", exc)
-        return 2
+        raise _OperatorError(f"invalid output path: {exc}")
     for problem in validate_chrome_trace(data):
         log.warning("trace-event issue: %s", problem)
     log.info(
@@ -746,8 +732,7 @@ def cmd_trace_explain(args) -> int:
             sim=args.sim, depth=args.depth,
         )
     except ValueError as exc:
-        log.error("cannot explain: %s", exc)
-        return 2
+        raise _OperatorError(f"cannot explain: {exc}")
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
@@ -821,8 +806,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run experiment suites through the parallel cell runner",
         description=(
             "Execute E-suite experiment grids as independent cells, "
-            "optionally across worker processes and backed by the "
-            "content-addressed artifact cache."
+            "optionally across worker processes; every run computes "
+            "every cell."
         ),
     )
     bench.add_argument("--suite", action="append", default=None,
@@ -831,27 +816,16 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--jobs", type=int, default=1,
                        help="worker processes, at least 1 "
                             "(default 1: in-process)")
-    cache_group = bench.add_mutually_exclusive_group()
-    cache_group.add_argument("--cache", dest="cache", action="store_true",
-                             default=True,
-                             help="memoize artifacts (default)")
-    cache_group.add_argument("--no-cache", dest="cache",
-                             action="store_false",
-                             help="recompute everything")
-    bench.add_argument("--cache-dir", default=None, metavar="PATH",
-                       help="artifact cache root "
-                            "(default: benchmarks/.cache)")
     bench.add_argument("--limit", type=int, default=None, metavar="K",
                        help="run only the first K cells of each suite "
                             "(K >= 1)")
     bench.add_argument("--out", default=None, metavar="DIR",
                        help="also write each suite table to DIR/<suite>.txt")
     bench.add_argument("--stats-json", default=None, metavar="PATH",
-                       help="write wall-clock + cache-hit stats as JSON")
+                       help="write wall-clock stats as JSON")
     bench.add_argument("--trace", metavar="PATH", default=None,
                        help="write merged per-round JSONL traces of all "
-                            "cells to PATH (bypasses the cell-result "
-                            "cache tier)")
+                            "cells to PATH")
     bench.add_argument("--trace-detail", action="store_true",
                        help="with --trace, also record per-message "
                             "provenance events (trace schema v5) for "
@@ -859,8 +833,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--telemetry", metavar="PATH", default=None,
                        help="run cells with telemetry enabled and write "
                             "a schema-versioned perf snapshot to PATH "
-                            "(see `repro obs diff`; bypasses the "
-                            "cell-result cache tier)")
+                            "(see `repro obs diff`)")
     bench.add_argument("--timeline", action="store_true",
                        help="with --telemetry, capture span begin/end "
                             "events so the snapshot can be exported as "

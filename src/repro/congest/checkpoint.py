@@ -88,8 +88,8 @@ from .trace import RoundTrace
 #: ``tests/data/checkpoint_v2.json``).
 CHECKPOINT_SCHEMA_VERSION = 3
 
-#: Pinned pickle protocol for the state blob, matching the artifact
-#: cache's choice so checkpoints stay readable across the same range of
+#: Pinned pickle protocol for the state blob, so identical state
+#: pickles to identical bytes and checkpoints stay readable across
 #: interpreter versions.
 PICKLE_PROTOCOL = 4
 

@@ -141,32 +141,17 @@ def partition_minor_free(
     effective_epsilon = min(0.999, epsilon / t)
     if phi is None:
         phi = phi_for_epsilon(effective_epsilon, max(1, graph.m))
-    # The decomposition seed is drawn from the outer rng either way, so
-    # a cache hit leaves the RNG stream — and therefore every later
-    # cluster gather — exactly where a recomputation would have left it.
-    decomposition_seed = rng.getrandbits(64)
-    from ..cache import active_cache, cached_expander_decomposition
-
-    if active_cache() is not None:
-        decomposition = cached_expander_decomposition(
-            graph,
-            effective_epsilon,
-            phi=phi,
-            seed=decomposition_seed,
-            enforce_budget=enforce_budget,
-            cut_slack=cut_slack,
-            max_cluster_size=max_cluster_size,
-        )
-    else:
-        decomposition = expander_decomposition(
-            graph,
-            effective_epsilon,
-            phi=phi,
-            seed=decomposition_seed,
-            enforce_budget=enforce_budget,
-            cut_slack=cut_slack,
-            max_cluster_size=max_cluster_size,
-        )
+    # The decomposition's seed is the outer generator's first draw, and
+    # each cluster gather's seed is a later one.
+    decomposition = expander_decomposition(
+        graph,
+        effective_epsilon,
+        phi=phi,
+        seed=rng.getrandbits(64),
+        enforce_budget=enforce_budget,
+        cut_slack=cut_slack,
+        max_cluster_size=max_cluster_size,
+    )
 
     diameter_cap = diameter_bound(phi, graph.n)
     runs: List[ClusterRun] = []

@@ -89,20 +89,8 @@ class StorageError(ReproError):
     Raised by :mod:`repro.storage` when an atomic write or read cannot
     complete — including a transient error (ENOSPC, or a verified
     write that keeps reading back torn bytes) that exhausts the retry
-    budget.  Consumers either degrade explicitly (the artifact cache
-    falls back to recompute) or propagate loudly (checkpoints and
-    result artifacts), but never silently lose data.
-    """
-
-
-class ChecksumError(StorageError):
-    """Framed bytes failed checksum verification.
-
-    Raised when the blake2b digest embedded in a storage frame does not
-    match the payload — evidence of a torn write, a bit-flip, or manual
-    tampering.  Readers of durable formats treat this as *corrupt*,
-    which means loud recovery (recompute) instead of deserializing
-    garbage.
+    budget.  Consumers propagate it loudly (checkpoints and result
+    artifacts) and never silently lose data.
     """
 
 

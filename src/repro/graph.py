@@ -396,11 +396,10 @@ class Graph:
 
         Vertices are inserted in *canonical* order, so the subgraph's
         adjacency iteration order depends only on the vertex set, never
-        on the order (or set-iteration history) of ``vertices``.  This
-        is what lets cache-rehydrated cluster sets (:mod:`repro.cache`)
-        drive bit-identical simulations: a ``set`` deserialized from
-        disk may iterate differently from the freshly computed one, but
-        every consumer goes through this canonical subgraph.
+        on the order (or set-iteration history) of ``vertices``.  Every
+        simulation on a cluster runs on this subgraph, so equal cluster
+        sets drive bit-identical simulations however each set was built
+        (a ``set``'s iteration order depends on its insertion history).
         """
         s_set = set(vertices)
         missing = s_set - set(self._adj)

@@ -33,7 +33,6 @@ def build_snapshot(
     suites: Dict[str, Dict[str, Any]],
     telemetry: Optional[Dict[str, Any]] = None,
     jobs: int = 1,
-    cache_enabled: bool = True,
 ) -> Dict[str, Any]:
     """Assemble a snapshot payload.
 
@@ -42,7 +41,8 @@ def build_snapshot(
     collects; ``telemetry`` is a merged registry payload
     (:meth:`TelemetryRegistry.to_dict`).  The diff reads only
     ``elapsed`` from a cell, so older snapshots whose cells also carry
-    ``attempts`` still load and diff.
+    ``attempts``, or whose ``meta`` records the artifact-cache switch
+    of older builds, still load and diff.
     """
     return {
         "schema": SNAPSHOT_SCHEMA_VERSION,
@@ -52,7 +52,6 @@ def build_snapshot(
             "python": platform.python_version(),
             "platform": platform.platform(),
             "jobs": jobs,
-            "cache_enabled": cache_enabled,
         },
         "suites": suites,
         "telemetry": telemetry or {},

@@ -1,6 +1,6 @@
 """The cell model: one grid point of an experiment suite.
 
-A cell is the unit of scheduling, caching, and merging:
+A cell is the unit of scheduling and merging:
 
 * **identity** — ``(suite, index)`` addresses the cell; ``params`` are
   the grid coordinates (family, n, seed, epsilon, phi, ...), fixed
@@ -8,8 +8,7 @@ A cell is the unit of scheduling, caching, and merging:
   see exactly the same cells in exactly the same order;
 * **determinism** — every random choice inside a cell derives from
   seeds stored in ``params``; nothing is drawn from shared state, so a
-  cell's result is a pure function of its parameters (plus the code
-  version, which the artifact cache hashes into its keys);
+  cell's result is a pure function of its parameters and the code;
 * **result** — a :class:`CellResult` is plain data (tuples, dicts,
   strings) so it crosses the ``ProcessPoolExecutor`` boundary under the
   ``spawn`` start method without pickling any live graph or simulator
@@ -41,12 +40,10 @@ class CellResult:
     identically.  ``metrics`` is a :meth:`CongestMetrics.to_dict`
     payload when the cell ran a CONGEST simulation.  ``trace_lines``
     are JSONL round records when tracing was requested, labeled by
-    cell so a merged sharded trace is unambiguous.  ``cache`` is the
-    artifact-cache hit/miss delta attributable to this cell.
-    ``telemetry`` is a :meth:`TelemetryRegistry.to_dict` payload when
-    the cell ran under ``--telemetry``; the executor merges the
-    payloads in grid order, so serial and sharded runs agree on every
-    deterministic metric.
+    cell so a merged sharded trace is unambiguous.  ``telemetry`` is a
+    :meth:`TelemetryRegistry.to_dict` payload when the cell ran under
+    ``--telemetry``; the executor merges the payloads in grid order, so
+    serial and sharded runs agree on every deterministic metric.
     """
 
     suite: str
@@ -57,5 +54,4 @@ class CellResult:
     extra: Dict[str, Any] = field(default_factory=dict)
     trace_lines: List[str] = field(default_factory=list)
     elapsed: float = 0.0
-    cache: Dict[str, int] = field(default_factory=dict)
     telemetry: Optional[Dict[str, Any]] = None

@@ -8,7 +8,7 @@ seeded cell list and merge results in grid order, so the assembled
 table is byte-identical no matter the job count — the differential
 guarantee ``tests/test_runner.py`` locks in.
 
-Spawn safety: every task argument is a primitive tuple and every task
+Spawn safety: every task argument is a primitive value and the task
 function is a module-level name, so the pool works identically under
 the ``spawn`` start method (workers import ``repro`` fresh, nothing
 inherited) — the differential tests exercise spawn explicitly.  The
@@ -19,9 +19,7 @@ that fixed cost would swamp sub-second suite grids.
 A cell that raises ends the run with that cell's exception, on both
 paths.  Every cell is a statically seeded pure function of its grid,
 so a retry could only repeat the failure.  A killed or failed run is
-rerun, not resumed: with the artifact cache on, every cell that
-finished before the stop is already in the cache's cell tier, and the
-rerun reads it back.
+rerun, and the rerun computes every cell again.
 
 The parallel path keeps at most ``jobs`` cells in flight on a plain
 ``ProcessPoolExecutor``, so every submitted cell is running: a failure
@@ -37,29 +35,10 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..cache import ArtifactCache, CacheStats, activate
 from ..congest import CongestMetrics
 from ..obs import TelemetryRegistry
 from .cells import CellResult
 from .suites import SUITES, execute_cell
-
-#: Worker-process-global cache, installed by the pool initializer so the
-#: in-memory tier persists across the cells one worker executes.
-_WORKER_CACHE: Optional[ArtifactCache] = None
-
-
-def _worker_init(cache_root: Optional[str], use_cache: bool) -> None:
-    global _WORKER_CACHE
-    _WORKER_CACHE = ArtifactCache(root=cache_root) if use_cache else None
-
-
-def _worker_run_cell(args) -> CellResult:
-    suite_name, index, trace, telemetry, trace_detail, timeline = args
-    with activate(_WORKER_CACHE):
-        return execute_cell(
-            suite_name, index, trace=trace, telemetry=telemetry,
-            trace_detail=trace_detail, timeline=timeline,
-        )
 
 
 def default_start_method() -> str:
@@ -84,7 +63,6 @@ class SuiteRun:
 
     name: str
     jobs: int
-    use_cache: bool
     results: List[CellResult] = field(default_factory=list)
     wall_seconds: float = 0.0
 
@@ -104,12 +82,6 @@ class SuiteRun:
             CongestMetrics.from_dict(r.metrics)
             for r in self.results if r.metrics is not None
         )
-
-    def cache_stats(self) -> Dict[str, int]:
-        stats = CacheStats()
-        for result in self.results:
-            stats.add(result.cache)
-        return stats.as_dict()
 
     def merged_telemetry(self) -> Dict[str, object]:
         """Fold every cell's telemetry payload, in grid order.
@@ -143,9 +115,8 @@ class SuiteRun:
     def footer(self) -> str:
         """One status line summarizing the cells that need attention.
 
-        A pure function of the merged results (cache hits carry their
-        verdicts), so serial, sharded, and cached runs of the same grid
-        render the identical footer.
+        A pure function of the merged results, so serial and sharded
+        runs of the same grid render the identical footer.
         """
         return (
             f"{self.name}: {len(self.results)} cell(s), "
@@ -153,12 +124,10 @@ class SuiteRun:
         )
 
     def summary(self) -> Dict[str, object]:
-        stats = self.cache_stats()
         return {
             "suite": self.name,
             "cells": len(self.results),
             "jobs": self.jobs,
-            "cache": stats,
             "wall_seconds": round(self.wall_seconds, 4),
             "compute_seconds": round(self.compute_seconds(), 4),
             "stalled": self.stalled_cells(),
@@ -168,8 +137,6 @@ class SuiteRun:
 def run_suite(
     name: str,
     jobs: int = 1,
-    use_cache: bool = True,
-    cache_root: Optional[str] = None,
     mp_start: Optional[str] = None,
     limit: Optional[int] = None,
     trace: bool = False,
@@ -207,28 +174,24 @@ def run_suite(
     start = time.perf_counter()
     if jobs <= 1 or len(indices) <= 1:
         effective_jobs = 1
-        cache = ArtifactCache(root=cache_root) if use_cache else None
-        with activate(cache):
-            results = [
-                execute_cell(
-                    name, i, trace=trace, telemetry=telemetry,
-                    trace_detail=trace_detail, timeline=timeline,
-                )
-                for i in indices
-            ]
+        results = [
+            execute_cell(
+                name, i, trace=trace, telemetry=telemetry,
+                trace_detail=trace_detail, timeline=timeline,
+            )
+            for i in indices
+        ]
     else:
         effective_jobs = min(jobs, len(indices))
         results = _run_parallel(
             name, indices, (trace, telemetry, trace_detail, timeline),
             effective_jobs,
             multiprocessing.get_context(mp_start or default_start_method()),
-            (cache_root, use_cache),
         )
     results.sort(key=lambda r: r.index)
     return SuiteRun(
         name=name,
         jobs=effective_jobs,
-        use_cache=use_cache,
         results=results,
         wall_seconds=time.perf_counter() - start,
     )
@@ -240,7 +203,6 @@ def _run_parallel(
     flags: Tuple[bool, bool, bool, bool],
     jobs: int,
     context,
-    initargs: Tuple[Optional[str], bool],
 ) -> List[CellResult]:
     """Run ``indices`` on ``jobs`` workers, at most ``jobs`` in flight.
 
@@ -252,17 +214,12 @@ def _run_parallel(
     queue = list(reversed(indices))  # pop() takes grid order
     in_flight = set()
     results: List[CellResult] = []
-    with ProcessPoolExecutor(
-        max_workers=jobs,
-        mp_context=context,
-        initializer=_worker_init,
-        initargs=initargs,
-    ) as pool:
+    with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
         while queue or in_flight:
             while queue and len(in_flight) < jobs:
-                in_flight.add(pool.submit(
-                    _worker_run_cell, (name, queue.pop()) + flags
-                ))
+                in_flight.add(
+                    pool.submit(execute_cell, name, queue.pop(), *flags)
+                )
             done, in_flight = wait(in_flight, return_when=FIRST_COMPLETED)
             results.extend(future.result() for future in done)
     return results

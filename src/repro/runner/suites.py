@@ -8,8 +8,8 @@ benchmark asserts over is the same table the CLI prints, cell for cell.
 
 Cell functions are ordinary top-level functions so the parallel
 executor can address them by reference under the ``spawn`` start
-method; all expensive intermediates route through :mod:`repro.cache`
-(a no-op when no cache is active).
+method.  Every cell builds its graph and decomposition itself: a
+table is the work of the code that printed it.
 """
 
 from __future__ import annotations
@@ -18,13 +18,8 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from .. import generators
 from ..analysis import Table
-from ..cache import (
-    active_cache,
-    cached_expander_decomposition,
-    cached_graph,
-    simulation_salt,
-)
 from ..congest import (
     CongestMetrics,
     EdgeWindow,
@@ -34,8 +29,28 @@ from ..congest import (
 )
 from ..congest.message import MessageBudget
 from ..obs.registry import telemetry_scope
-from ..decomposition.expander import phi_for_epsilon, verify_expander_decomposition
+from ..decomposition.expander import (
+    expander_decomposition,
+    phi_for_epsilon,
+    verify_expander_decomposition,
+)
+from ..graph import Graph
 from .cells import CellResult, ExperimentCell
+
+#: The generators a cell names in its ``generator`` parameter.
+_GENERATORS: Dict[str, Callable[..., Graph]] = {
+    "delaunay": generators.delaunay_planar_graph,
+    "grid": generators.grid_graph,
+    "trigrid": generators.triangulated_grid_graph,
+    "ktree": generators.k_tree,
+    "torus": generators.toroidal_grid_graph,
+    "cycle": generators.cycle_graph,
+}
+
+
+def _cell_graph(params: Dict[str, Any]) -> Graph:
+    """The graph a cell's ``generator`` builds from its parameters."""
+    return _GENERATORS[params["generator"]](**params["generator_params"])
 
 
 @dataclass(frozen=True)
@@ -97,10 +112,10 @@ def _e01_cells() -> List[ExperimentCell]:
 
 def _run_e01(cell: ExperimentCell):
     p = cell.params
-    g = cached_graph(p["generator"], p["generator_params"])
+    g = _cell_graph(p)
     epsilon = p["epsilon"]
     phi = phi_for_epsilon(epsilon, g.m)
-    dec = cached_expander_decomposition(g, epsilon, phi=phi, seed=p["seed"])
+    dec = expander_decomposition(g, epsilon, phi=phi, seed=p["seed"])
     report = verify_expander_decomposition(dec)
     row = (
         p["family"], g.n, g.m, epsilon, dec.phi, dec.k,
@@ -147,8 +162,8 @@ def _run_e03(cell: ExperimentCell):
     from ..routing import gather_topology
 
     p = cell.params
-    g = cached_graph(p["generator"], p["generator_params"])
-    dec = cached_expander_decomposition(
+    g = _cell_graph(p)
+    dec = expander_decomposition(
         g, p["decomposition_epsilon"], phi=p["phi"],
         seed=p["decomposition_seed"], enforce_budget=False,
     )
@@ -213,7 +228,7 @@ def _run_e10(cell: ExperimentCell):
     from ..resilience import degree_solver
 
     p = cell.params
-    g = cached_graph(p["generator"], p["generator_params"])
+    g = _cell_graph(p)
     result = run_framework(
         g, p["epsilon"], solver=degree_solver, phi=p["phi"], seed=p["seed"]
     )
@@ -288,7 +303,7 @@ def _graded_cell(cell: ExperimentCell, g, plan, mode, counters):
 
 def _run_e11(cell: ExperimentCell):
     p = cell.params
-    g = cached_graph(p["generator"], p["generator_params"])
+    g = _cell_graph(p)
     plan = FaultPlan(seed=p["fault_seed"], drop=p["drop"])
     return _graded_cell(
         cell, g, plan, p["drop"], lambda f: (f["messages_dropped"],)
@@ -355,7 +370,7 @@ def _run_e12(cell: ExperimentCell):
     # Unhardened algorithms are *expected* to degrade or fail under
     # churn (a rejoined vertex lost its mail and possibly its state).
     p = cell.params
-    g = cached_graph(p["generator"], p["generator_params"])
+    g = _cell_graph(p)
     return _graded_cell(
         cell, g, _e12_plan(p), p["churn"],
         lambda f: (f["vertices_crashed"], f["vertices_rejoined"]),
@@ -446,7 +461,7 @@ def _run_e15(cell: ExperimentCell):
     # Network adversity is *expected* to degrade, stall, or break the
     # unhardened algorithms.
     p = cell.params
-    g = cached_graph(p["generator"], p["generator_params"])
+    g = _cell_graph(p)
     return _graded_cell(
         cell, g, _e15_plan(p, g), p["adversity"],
         lambda f: (
@@ -539,10 +554,6 @@ def execute_cell(
 ) -> CellResult:
     """Run one cell in the current process and package its result.
 
-    Uses whatever artifact cache is currently active (see
-    :func:`repro.cache.activate`); cache statistics are reported as the
-    delta this cell caused, which sums correctly across any sharding.
-
     With ``telemetry`` the cell runs inside its own telemetry scope —
     identically inline and in a worker process — and the registry
     payload rides back on :attr:`CellResult.telemetry`.
@@ -557,8 +568,6 @@ def execute_cell(
     spec = SUITES[suite_name]
     cells = spec.cells()
     cell = cells[index]
-    cache = active_cache()
-    before = cache.stats.snapshot() if cache is not None else None
 
     start = time.perf_counter()
     trace_lines: List[str] = []
@@ -574,40 +583,18 @@ def execute_cell(
                 trace_lines.extend(dumped.splitlines())
         return out
 
+    run = run_traced if trace else (lambda: spec.cell_fn(cell))
     if telemetry:
-        # Telemetry, like tracing, needs the simulation to actually
-        # run, so it bypasses the cell-result tier (intermediate
-        # artifacts still apply).  The per-cell span makes each cell a
-        # distinct path in the merged span tree.
+        # The per-cell span makes each cell a distinct path in the
+        # merged span tree.
         with telemetry_scope(timeline=timeline) as registry:
             with registry.span(f"cell:{cell.label}"):
-                if trace:
-                    rows, metrics, extra = run_traced()
-                else:
-                    rows, metrics, extra = spec.cell_fn(cell)
+                rows, metrics, extra = run()
         telemetry_data = registry.to_dict()
-    elif trace:
-        # Tracing needs the simulation to actually run, so it bypasses
-        # the cell-result tier (intermediate artifacts still apply).
-        rows, metrics, extra = run_traced()
-    elif cache is not None:
-        # Cell results are themselves content-addressed artifacts: the
-        # key covers the full grid coordinates plus a salt over the
-        # whole source tree, so any code change recomputes the cell.
-        key = cache.key(
-            "cell", suite_name, cell.params, salt=simulation_salt()
-        )
-        rows, metrics, extra = cache.get_or_compute(
-            "cell", key, lambda: spec.cell_fn(cell)
-        )
     else:
-        rows, metrics, extra = spec.cell_fn(cell)
+        rows, metrics, extra = run()
     elapsed = time.perf_counter() - start
 
-    cache_delta = (
-        cache.stats.delta_since(before) if cache is not None and before is not None
-        else {}
-    )
     return CellResult(
         suite=suite_name,
         index=index,
@@ -617,6 +604,5 @@ def execute_cell(
         extra=extra,
         trace_lines=trace_lines,
         elapsed=elapsed,
-        cache=cache_delta,
         telemetry=telemetry_data,
     )

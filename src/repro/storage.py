@@ -1,19 +1,16 @@
 """Crash-consistent storage primitives shared by every durability surface.
 
-Every artifact the reproduction persists — cache entries, simulation
-checkpoints, trace and telemetry sinks, result tables — routes its
-bytes through this module.  Centralizing the write path buys three
-guarantees that each consumer used to hand-roll (or lack):
+Every artifact the reproduction persists — simulation checkpoints,
+trace and telemetry sinks, result tables — routes its bytes through
+this module.  Centralizing the write path buys three guarantees that
+each consumer used to hand-roll (or lack):
 
 * **Atomicity.**  :func:`atomic_write_bytes` stages into a temporary
   file in the destination directory, fsyncs, and ``os.replace``\\ s into
   place, so readers observe either the old content or the new content,
   never a torn half-file.
-* **Checksums.**  :func:`frame_bytes` / :func:`unframe_bytes` wrap
-  binary blobs in a blake2b-checksummed envelope; readers accept the
-  legacy unframed format unchanged, so artifacts written before this
-  layer existed keep loading.  :func:`canonical_json` is the
-  serialization the checkpoint envelope's checksum is computed over.
+* **Canonical JSON.**  :func:`canonical_json` is the serialization the
+  checkpoint envelope's checksum is computed over.
 * **Bounded retry.**  Transient ``OSError``\\ s (ENOSPC, EDQUOT,
   EAGAIN, EINTR) are retried with bounded exponential backoff before
   surfacing as :class:`repro.errors.StorageError`; a ``verify=True``
@@ -30,29 +27,17 @@ import json
 import os
 import tempfile
 import time
-from hashlib import blake2b
 from typing import Any, Dict
 
-from .errors import ChecksumError, StorageError
+from .errors import StorageError
 
 __all__ = [
-    "FRAME_MAGIC",
-    "frame_bytes",
-    "unframe_bytes",
     "canonical_json",
     "atomic_write_bytes",
     "atomic_write_text",
     "read_bytes",
     "read_text",
 ]
-
-# Frame layout: 4-byte magic, 16-byte blake2b digest of the payload,
-# payload.  The magic can never collide with the formats that predate
-# framing (pickle protocol >= 2 starts with b"\x80", JSON with
-# whitespace/punctuation), which is what makes the legacy passthrough
-# in unframe_bytes safe.
-FRAME_MAGIC = b"RSF1"
-_FRAME_DIGEST_SIZE = 16
 
 # Transient errnos worth retrying: out-of-space and interrupted /
 # temporarily-unavailable syscalls.  Everything else (EACCES, EROFS,
@@ -62,43 +47,6 @@ _TRANSIENT_ERRNOS = frozenset(
 )
 _MAX_RETRIES = 3
 _BACKOFF_SECONDS = 0.01
-
-
-# ---------------------------------------------------------------------------
-# checksummed framing (binary blobs)
-
-
-def frame_bytes(payload: bytes) -> bytes:
-    """Wrap ``payload`` in the checksummed storage frame."""
-    digest = blake2b(payload, digest_size=_FRAME_DIGEST_SIZE).digest()
-    return FRAME_MAGIC + digest + payload
-
-
-def unframe_bytes(blob: bytes) -> bytes:
-    """Verify and strip a storage frame; pass legacy unframed bytes through.
-
-    Raises :class:`ChecksumError` when the frame's digest does not
-    match its payload (torn write or bit-flip).  Bytes that do not
-    start with the frame magic predate framing and are returned
-    unchanged — their integrity is the consumer's legacy contract.
-    """
-    if not blob.startswith(FRAME_MAGIC):
-        return blob
-    header_len = len(FRAME_MAGIC) + _FRAME_DIGEST_SIZE
-    if len(blob) < header_len:
-        raise ChecksumError(
-            f"framed blob truncated inside the header "
-            f"({len(blob)} < {header_len} bytes)"
-        )
-    expected = blob[len(FRAME_MAGIC):header_len]
-    payload = blob[header_len:]
-    actual = blake2b(payload, digest_size=_FRAME_DIGEST_SIZE).digest()
-    if actual != expected:
-        raise ChecksumError(
-            "framed blob failed checksum verification "
-            f"(expected {expected.hex()}, got {actual.hex()})"
-        )
-    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +136,9 @@ def atomic_write_text(
 def read_bytes(path: str) -> bytes:
     """Read a file fully.
 
-    ``FileNotFoundError`` and other ``OSError``\\ s propagate unchanged
-    so callers keep their existing miss/degrade handling.
+    ``FileNotFoundError`` and other ``OSError``\\ s propagate unchanged,
+    so each caller reports a missing or unreadable file in its own
+    terms.
     """
     with open(path, "rb") as handle:
         return handle.read()

@@ -190,8 +190,7 @@ class TestFaultsCommand:
 
 _MAXIS = ["maxis", "--n", "30", "--seed", "2"]
 _FAULTS = ["faults", "--algorithm", "maxis", "--n", "60", "--seed", "1"]
-_BENCH = ["bench", "--suite", "E15", "--limit", "1", "--jobs", "1",
-          "--no-cache"]
+_BENCH = ["bench", "--suite", "E15", "--limit", "1", "--jobs", "1"]
 
 
 class TestEmptyPathFlags:
@@ -254,7 +253,7 @@ class TestProbeKeepsExistingOutputs:
             flag: tmp_path / f"earlier{flag}.out"
             for flag in ("--trace", "--telemetry", "--stats-json")
         }
-        argv = ["bench", "--suite", "E15", "--limit", "2", "--no-cache"]
+        argv = ["bench", "--suite", "E15", "--limit", "2"]
         for flag, path in outputs.items():
             path.write_bytes(f"earlier {flag} output\n".encode())
             argv += [flag, str(path)]
@@ -263,14 +262,37 @@ class TestProbeKeepsExistingOutputs:
         for flag, path in outputs.items():
             assert path.read_bytes() == f"earlier {flag} output\n".encode()
 
-    def test_refused_simulation_keeps_existing_trace(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--family", "delaunay", "--n", "2"],
+             "cannot build --family delaunay"),
+            (["--drop", "2"], "invalid fault plan: drop rate 2.0"),
+            (["--algorithm", "framework", "--save-checkpoint", "ck.json"],
+             "--save-checkpoint supports --algorithm maxis or matching"),
+            (["--resume-from", "damaged.json"], "corrupt checkpoint"),
+        ],
+        ids=["n-2", "drop-2", "framework-save-checkpoint",
+             "damaged-resume-from"],
+    )
+    def test_refused_simulation_keeps_existing_trace(
+        self, capsys, tmp_path, monkeypatch, flags, message
+    ):
+        """A run refused inside its handler exits 2 with one line and
+        never reaches the final trace write."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "damaged.json").write_bytes(b'{"schema": 3, "ro')
         trace = tmp_path / "earlier.jsonl"
         trace.write_bytes(b'{"round": 1}\n')
-        code = main(["faults", "--family", "delaunay", "--n", "2",
-                     "--trace", str(trace)])
+        code = main(["faults", *flags, "--trace", str(trace)])
         assert code == 2
-        assert "cannot build --family delaunay" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and message in lines[0], lines
         assert trace.read_bytes() == b'{"round": 1}\n'
+        assert sorted(os.listdir(tmp_path)) == ["damaged.json",
+                                                "earlier.jsonl"]
 
 
 def test_bench_unknown_suite_exits_2(capsys):
@@ -285,16 +307,20 @@ def test_bench_unknown_suite_exits_2(capsys):
         *(_BENCH + [f"--{flag}", "out.jsonl"]
           for flag in ("journal", "progress")),
         ["trace", "tail", "progress.jsonl"],
+        _BENCH + ["--cache"],
+        _BENCH + ["--no-cache"],
+        _BENCH + ["--cache-dir", "cache"],
     ],
-    ids=["bench-resume", "bench-journal", "bench-progress", "trace-tail"],
+    ids=["bench-resume", "bench-journal", "bench-progress", "trace-tail",
+         "bench-cache", "bench-no-cache", "bench-cache-dir"],
 )
 def test_resume_and_heartbeat_flags_are_gone(
     capsys, tmp_path, monkeypatch, argv
 ):
-    """A killed bench is rerun, not resumed, and no heartbeat is
-    written: the bench journal, resume and progress flags and the
-    trace ``tail`` command are refused as usage errors before anything
-    runs."""
+    """A killed bench is rerun, not resumed, no heartbeat is written,
+    and every run computes every cell: the bench journal, resume,
+    progress and artifact-cache flags and the trace ``tail`` command
+    are refused as usage errors before anything runs."""
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as refused:
         main(argv)
@@ -311,7 +337,7 @@ def test_bench_limit_below_one_exits_2(capsys, tmp_path, monkeypatch, limit):
     empty table and exit 0, so a mistyped smoke would pass vacuously.
     It is an unusable flag value, refused before anything runs."""
     monkeypatch.chdir(tmp_path)
-    code = main(["bench", "--suite", "E11", "--no-cache", "--limit", limit,
+    code = main(["bench", "--suite", "E11", "--limit", limit,
                  "--out", "tables"])
     assert code == 2
     captured = capsys.readouterr()
@@ -328,7 +354,7 @@ def test_bench_jobs_below_one_exits_2(capsys, tmp_path, monkeypatch, jobs):
     would run inline while --stats-json and the telemetry snapshot
     recorded the given count.  It is refused before anything runs."""
     monkeypatch.chdir(tmp_path)
-    code = main(["bench", "--suite", "E15", "--limit", "1", "--no-cache",
+    code = main(["bench", "--suite", "E15", "--limit", "1",
                  "--jobs", jobs, "--out", "tables",
                  "--stats-json", "stats.json"])
     assert code == 2

@@ -190,7 +190,7 @@ class TestRegistry:
 class TestSinks:
     def _payload(self):
         registry = TelemetryRegistry()
-        registry.count("cache.misses", 2)
+        registry.count("framework.runs", 2)
         registry.gauge("load", 0.5)
         registry.observe("congest.message_bits", 33, times=4)
         with registry.span("decompose"):
@@ -223,7 +223,7 @@ class TestSinks:
 
     def test_prometheus_text(self):
         text = prometheus_text(self._payload())
-        assert "repro_cache_misses_total 2" in text
+        assert "repro_framework_runs_total 2" in text
         assert "repro_load 0.5" in text
         # Cumulative buckets: 33 falls in the le=64 bucket.
         assert 'repro_congest_message_bits_bucket{le="64"} 4' in text
@@ -234,7 +234,7 @@ class TestSinks:
     def test_render_report_sections(self):
         report = render_report(self._payload())
         for needle in ("phase spans", "counters / gauges", "histograms",
-                       "decompose/split", "cache.misses"):
+                       "decompose/split", "framework.runs"):
             assert needle in report
         assert render_report({}) == "telemetry: empty registry\n"
 
@@ -470,13 +470,9 @@ def _comparable(payload):
 
 
 class TestRunnerTelemetry:
-    # Cache must be off: a cache hit skips the decompose work entirely,
-    # and skipped work legitimately records no telemetry.
     def test_serial_and_sharded_merge_equal(self):
-        serial = run_suite("E10", jobs=1, use_cache=False, limit=2,
-                           telemetry=True)
-        sharded = run_suite("E10", jobs=4, use_cache=False, limit=2,
-                            telemetry=True)
+        serial = run_suite("E10", jobs=1, limit=2, telemetry=True)
+        sharded = run_suite("E10", jobs=4, limit=2, telemetry=True)
         assert all(r.telemetry for r in serial.results)
         assert all(r.telemetry for r in sharded.results)
         merged_serial = _comparable(serial.merged_telemetry())
@@ -488,7 +484,7 @@ class TestRunnerTelemetry:
         assert any("decompose" in p for p in paths)
 
     def test_telemetry_off_by_default(self):
-        run = run_suite("E10", jobs=1, use_cache=False, limit=1)
+        run = run_suite("E10", jobs=1, limit=1)
         assert all(r.telemetry is None for r in run.results)
         assert run.merged_telemetry() == TelemetryRegistry().to_dict()
 
@@ -558,15 +554,17 @@ class TestBaseline:
         assert diff_snapshots(new, old).missing == ["suite:E11"]
 
     def test_snapshot_with_cell_attempts_still_diffs(self):
-        """Snapshots written while cells also recorded ``attempts`` (the
-        committed seed baseline among them) still load and diff, on
-        ``elapsed`` alone."""
+        """Snapshots written while cells also recorded ``attempts`` and
+        ``meta`` recorded the artifact-cache switch (the committed seed
+        baseline among them) still load and diff, on ``elapsed``
+        alone."""
         seed = load_snapshot(os.path.join(
             os.path.dirname(__file__), os.pardir, "benchmarks", "results",
             "BENCH_seed_baseline.json",
         ))
         (label, cell), = seed["suites"]["E10"]["cells"].items()
         assert "attempts" in cell
+        assert set(seed["meta"]) > set(build_snapshot(suites={})["meta"])
         slower = build_snapshot(suites={"E10": {
             "wall_seconds": seed["suites"]["E10"]["wall_seconds"],
             "cells": {label: {"elapsed": cell["elapsed"] * 10}},
@@ -596,7 +594,7 @@ class TestObsCli:
 
         snap = tmp_path / "snap.json"
         assert main([
-            "bench", "--suite", "E10", "--limit", "1", "--no-cache",
+            "bench", "--suite", "E10", "--limit", "1",
             "--telemetry", str(snap),
         ]) == 0
         capsys.readouterr()
@@ -626,3 +624,20 @@ class TestObsCli:
         slow_path.write_text(json.dumps(slow))
         assert main(["obs", "diff", str(snap), str(slow_path)]) == 1
         assert "REGRESSION" in capsys.readouterr().out
+
+    def test_repeated_bench_records_equal_telemetry(self, capsys, tmp_path):
+        """Every run computes every cell, so two runs in a row record
+        the same work, decomposition spans included."""
+        from repro.cli import main
+
+        payloads = []
+        for name in ("first.json", "second.json"):
+            snap = str(tmp_path / name)
+            assert main([
+                "bench", "--suite", "E10", "--limit", "1",
+                "--telemetry", snap,
+            ]) == 0
+            payloads.append(_comparable(load_snapshot(snap)["telemetry"]))
+        capsys.readouterr()
+        assert payloads[0] == payloads[1]
+        assert any("decompose" in path for path in payloads[0]["spans"])

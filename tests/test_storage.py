@@ -1,10 +1,10 @@
 """Contract of the crash-consistent storage layer (:mod:`repro.storage`).
 
-Three clauses, each pinned here by damaging real bytes on a real disk:
-atomic replace (readers see old bytes or new bytes, never a tear),
-checksummed framing (corruption and tears are *detected*, with legacy
-unframed artifacts still accepted), and bounded retry of transient
-errors, including a verified write that reads back torn bytes.
+Two clauses, each pinned here by damaging real bytes on a real disk:
+atomic replace (readers see old bytes or new bytes, never a tear) and
+bounded retry of transient errors, including a verified write that
+reads back torn bytes.  The checkpoint envelope's checksum, computed
+over :func:`canonical_json`, is pinned in ``tests/test_checkpoint.py``.
 """
 
 import errno
@@ -13,38 +13,13 @@ import os
 import pytest
 
 from repro import storage
-from repro.errors import ChecksumError, StorageError
-from repro.storage import (
-    atomic_write_bytes,
-    canonical_json,
-    frame_bytes,
-    read_bytes,
-    unframe_bytes,
-)
+from repro.errors import StorageError
+from repro.storage import atomic_write_bytes, canonical_json, read_bytes
 
 
 # ----------------------------------------------------------------------
-# Framing and canonical JSON
+# Canonical JSON
 # ----------------------------------------------------------------------
-
-def test_frame_roundtrip_and_legacy_passthrough():
-    payload = b"\x80\x04arbitrary pickle-ish bytes"
-    assert unframe_bytes(frame_bytes(payload)) == payload
-    # Bytes that predate framing (no magic) pass through untouched.
-    assert unframe_bytes(payload) == payload
-    assert unframe_bytes(b"") == b""
-    assert unframe_bytes(b'{"json": 1}') == b'{"json": 1}'
-
-
-def test_corrupt_frame_is_detected():
-    blob = bytearray(frame_bytes(b"the payload"))
-    blob[-1] ^= 0x01  # flip a payload bit
-    with pytest.raises(ChecksumError, match="checksum"):
-        unframe_bytes(bytes(blob))
-    # Truncation inside the fixed-size header is equally loud.
-    with pytest.raises(ChecksumError, match="truncated"):
-        unframe_bytes(frame_bytes(b"x")[:10])
-
 
 def test_canonical_json_is_key_order_independent():
     a = canonical_json({"b": 1, "a": [1, 2]})
@@ -80,33 +55,6 @@ def _tearing_replace(monkeypatch, tears, keep=3):
 
     monkeypatch.setattr(storage.os, "replace", replace)
     return calls
-
-
-def test_torn_write_is_caught_by_the_frame(tmp_path, monkeypatch):
-    path = str(tmp_path / "entry.bin")
-    framed = frame_bytes(b"payload bytes that tear")
-    # The tear lands past the 20-byte frame header: a shorter prefix no
-    # longer starts with the magic and is handled as a legacy blob by
-    # the consumer's deserializer instead.
-    _tearing_replace(monkeypatch, tears=1, keep=len(framed) - 5)
-    atomic_write_bytes(path, framed)
-    torn = read_bytes(path)
-    assert 20 < len(torn) < len(framed)  # a strict prefix reached the disk
-    with pytest.raises(ChecksumError, match="checksum"):
-        unframe_bytes(torn)
-
-
-def test_bit_flip_on_read_is_caught_by_the_frame(tmp_path):
-    path = str(tmp_path / "entry.bin")
-    atomic_write_bytes(path, frame_bytes(b"precious payload"))
-    with open(path, "r+b") as handle:  # one bit rots on the platter
-        handle.seek(-3, os.SEEK_END)
-        byte = handle.read(1)[0]
-        handle.seek(-3, os.SEEK_END)
-        handle.write(bytes([byte ^ 0x10]))
-    flipped = read_bytes(path)
-    with pytest.raises(ChecksumError, match="checksum"):
-        unframe_bytes(flipped)
 
 
 def test_verified_write_rewrites_a_torn_artifact(tmp_path, monkeypatch):

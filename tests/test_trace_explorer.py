@@ -408,8 +408,7 @@ class TestTraceCli:
 class TestCliTracePathErrors:
     def test_bench_unwritable_trace_path_exits_two(self, tmp_path, capsys):
         code = main([
-            "bench", "--suite", "E11", "--limit", "1", "--no-cache",
-            "--cache-dir", str(tmp_path),
+            "bench", "--suite", "E11", "--limit", "1",
             "--trace", str(tmp_path / "missing" / "t.jsonl"),
         ])
         assert code == 2
@@ -429,16 +428,14 @@ class TestCliTracePathErrors:
 
     def test_bench_trace_detail_requires_trace(self, tmp_path, capsys):
         code = main([
-            "bench", "--suite", "E11", "--limit", "1", "--no-cache",
-            "--cache-dir", str(tmp_path), "--trace-detail",
+            "bench", "--suite", "E11", "--limit", "1", "--trace-detail",
         ])
         assert code == 2
         assert "--trace-detail requires" in capsys.readouterr().err
 
     def test_bench_timeline_requires_telemetry(self, tmp_path, capsys):
         code = main([
-            "bench", "--suite", "E11", "--limit", "1", "--no-cache",
-            "--cache-dir", str(tmp_path), "--timeline",
+            "bench", "--suite", "E11", "--limit", "1", "--timeline",
         ])
         assert code == 2
         assert "--timeline requires" in capsys.readouterr().err
@@ -449,8 +446,7 @@ class TestBenchObservabilityPipeline:
         trace = tmp_path / "bench.jsonl"
         snapshot = tmp_path / "snap.json"
         code = main([
-            "bench", "--suite", "E11", "--limit", "1", "--no-cache",
-            "--cache-dir", str(tmp_path / "cache"),
+            "bench", "--suite", "E11", "--limit", "1",
             "--trace", str(trace), "--trace-detail",
             "--telemetry", str(snapshot), "--timeline",
         ])
@@ -475,8 +471,7 @@ class TestBenchObservabilityPipeline:
     def test_export_without_timeline_exits_two(self, tmp_path, capsys):
         snapshot = tmp_path / "snap.json"
         code = main([
-            "bench", "--suite", "E11", "--limit", "1", "--no-cache",
-            "--cache-dir", str(tmp_path / "cache"),
+            "bench", "--suite", "E11", "--limit", "1",
             "--telemetry", str(snapshot),
         ])
         assert code == 0
@@ -487,8 +482,7 @@ class TestBenchObservabilityPipeline:
     def test_obs_diff_json(self, tmp_path, capsys):
         snapshot = tmp_path / "snap.json"
         code = main([
-            "bench", "--suite", "E11", "--limit", "1", "--no-cache",
-            "--cache-dir", str(tmp_path / "cache"),
+            "bench", "--suite", "E11", "--limit", "1",
             "--telemetry", str(snapshot),
         ])
         assert code == 0
