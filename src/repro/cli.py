@@ -10,11 +10,16 @@ Examples::
     python -m repro ldd --algorithm thm15 --eps 0.25
     python -m repro triangles --family trigrid --n 100
 
+Besides the algorithm commands, ``repro bench`` runs the experiment
+suites, ``repro faults`` runs one algorithm under a fault plan, and
+``repro obs`` / ``repro trace`` read the telemetry snapshots and round
+traces those write.
+
 Output discipline: tables and primary results go to **stdout** (so
 ``repro ... > results.txt`` captures exactly the deliverable), while
 progress and diagnostic lines go through the ``repro`` logger to
-**stderr** — tune them with ``--quiet`` / ``-v`` / ``--log-json``
-(flags of the top-level ``repro`` command, before the subcommand).
+**stderr** — tune them with ``--quiet`` / ``-v`` (flags of the
+top-level ``repro`` command, before the subcommand).
 """
 
 from __future__ import annotations
@@ -35,18 +40,6 @@ from .graph import Graph
 log = logging.getLogger("repro")
 
 
-class _JsonLogFormatter(logging.Formatter):
-    """One JSON object per diagnostic line (for log collectors)."""
-
-    def format(self, record: logging.LogRecord) -> str:
-        payload = {
-            "level": record.levelname.lower(),
-            "logger": record.name,
-            "message": record.getMessage(),
-        }
-        return json.dumps(payload, sort_keys=True)
-
-
 def _configure_logging(args) -> None:
     """(Re)wire the diagnostics channel for one CLI invocation.
 
@@ -61,10 +54,7 @@ def _configure_logging(args) -> None:
     else:
         level = logging.INFO
     handler = logging.StreamHandler(sys.stderr)
-    if getattr(args, "log_json", False):
-        handler.setFormatter(_JsonLogFormatter())
-    else:
-        handler.setFormatter(logging.Formatter("%(message)s"))
+    handler.setFormatter(logging.Formatter("%(message)s"))
     log.handlers[:] = [handler]
     log.setLevel(level)
     log.propagate = False
@@ -602,23 +592,13 @@ def cmd_faults(args) -> int:
 
 
 def cmd_obs_report(args) -> int:
-    """Render a benchmark telemetry snapshot for humans or scrapers."""
-    from .obs import (
-        iter_events,
-        load_snapshot,
-        prometheus_text,
-        render_report,
-    )
+    """Render a benchmark telemetry snapshot as terminal tables."""
+    from .obs import load_snapshot, render_report
 
     snapshot = _load(load_snapshot, args.snapshot, "snapshot")
-    telemetry = snapshot.get("telemetry", {})
-    if args.format == "prom":
-        sys.stdout.write(prometheus_text(telemetry))
-    elif args.format == "jsonl":
-        for event in iter_events(telemetry):
-            print(json.dumps(event, sort_keys=True))
-    else:
-        sys.stdout.write(render_report(telemetry, snapshot.get("suites")))
+    sys.stdout.write(render_report(
+        snapshot.get("telemetry", {}), snapshot.get("suites")
+    ))
     return 0
 
 
@@ -644,10 +624,7 @@ def cmd_obs_diff(args) -> int:
     new = _load(load_snapshot, args.new, "snapshot")
     diff = diff_snapshots(old, new, budget=args.budget,
                           min_seconds=args.min_seconds)
-    if args.json:
-        print(json.dumps(diff.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(diff.render())
+    print(diff.render())
     if not diff.ok:
         log.warning(
             "perf budget exceeded: %d metric(s) regressed past %.2fx",
@@ -660,10 +637,10 @@ def cmd_obs_diff(args) -> int:
 def cmd_obs_export(args) -> int:
     """Export a snapshot's span timeline as a Chrome/Perfetto trace."""
     from .obs import (
+        chrome_trace,
         load_snapshot,
         timeline_from_snapshot,
         validate_chrome_trace,
-        write_chrome_trace,
     )
 
     snapshot = _load(load_snapshot, args.snapshot, "snapshot")
@@ -679,10 +656,8 @@ def cmd_obs_export(args) -> int:
         if base.endswith(".json"):
             base = base[:-len(".json")]
         out = base + ".trace.json"
-    try:
-        data = write_chrome_trace(timeline, out)
-    except OSError as exc:
-        raise _OperatorError(f"invalid output path: {exc}")
+    data = chrome_trace(timeline)
+    _write_verified(out, json.dumps(data) + "\n", "chrome trace")
     for problem in validate_chrome_trace(data):
         log.warning("trace-event issue: %s", problem)
     log.info(
@@ -733,10 +708,7 @@ def cmd_trace_explain(args) -> int:
         )
     except ValueError as exc:
         raise _OperatorError(f"cannot explain: {exc}")
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(report.render())
+    print(report.render())
     return 0 if report.found else 1
 
 
@@ -767,8 +739,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--quiet", action="store_true",
                         help="suppress diagnostics (warnings still shown); "
                              "tables and results stay on stdout")
-    parser.add_argument("--log-json", action="store_true",
-                        help="emit diagnostics as JSON lines on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     commands = {
@@ -928,10 +898,6 @@ def build_parser() -> argparse.ArgumentParser:
         "report", help="render a snapshot's telemetry"
     )
     report.add_argument("snapshot", help="snapshot JSON file")
-    report.add_argument("--format", default="table",
-                        choices=["table", "prom", "jsonl"],
-                        help="table (default), Prometheus text "
-                             "exposition, or JSONL events")
     report.set_defaults(handler=cmd_obs_report)
     diff = obs_sub.add_parser(
         "diff", help="compare two snapshots against a perf budget"
@@ -944,21 +910,15 @@ def build_parser() -> argparse.ArgumentParser:
     diff.add_argument("--min-seconds", type=float, default=0.005,
                       help="ignore regressions smaller than this many "
                            "absolute seconds (default: 0.005)")
-    diff.add_argument("--json", action="store_true",
-                      help="machine-readable report on stdout "
-                           "(regressed paths, ratios, budget)")
     diff.set_defaults(handler=cmd_obs_diff)
     export = obs_sub.add_parser(
         "export",
-        help="export a snapshot's span timeline for Chrome/Perfetto",
+        help="export a snapshot's span timeline as Chrome trace-event "
+             "JSON, loadable in chrome://tracing and ui.perfetto.dev",
     )
     export.add_argument("snapshot", help="snapshot JSON file written by "
                                          "`repro bench --telemetry PATH "
                                          "--timeline`")
-    export.add_argument("--format", default="chrome", choices=["chrome"],
-                        help="output format (chrome trace-event JSON, "
-                             "loadable in chrome://tracing and "
-                             "ui.perfetto.dev)")
     export.add_argument("--out", metavar="PATH", default=None,
                         help="output file (default: snapshot path with "
                              ".trace.json suffix)")
@@ -1005,8 +965,6 @@ def build_parser() -> argparse.ArgumentParser:
     texplain.add_argument("--depth", type=int, default=0, metavar="N",
                           help="also chase N levels of upstream senders "
                                "through earlier rounds")
-    texplain.add_argument("--json", action="store_true",
-                          help="machine-readable report on stdout")
     texplain.set_defaults(handler=cmd_trace_explain)
     return parser
 

@@ -44,9 +44,8 @@ A kernel engages only when
 * kernels are enabled (the ``REPRO_NO_KERNELS`` environment variable
   or :func:`~repro.congest.algorithm.set_kernels_enabled` flip this
   off),
-* for a columnar kernel: NumPy is importable (``HAVE_NUMPY`` —
-  otherwise everything silently degrades to scalar) and the population
-  is at least ``kernel_threshold()`` vertices big,
+* for a columnar kernel: the population is at least
+  ``kernel_threshold()`` vertices big,
 * the population is uniform (every vertex runs the same registered
   algorithm class) and the kernel ``supports`` it,
 * the run has no fault plan: kernels reconstruct inbound traffic from
@@ -65,7 +64,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from .. import rng as _rng
+import numpy as np
+
 from ..errors import MessageTooLargeError, ProtocolError
 from .algorithm import kernel_class_for, kernel_threshold, kernels_enabled
 from .message import message_bits
@@ -91,8 +91,6 @@ def maybe_build_kernel(engine) -> Optional[object]:
     reason = None
     if not kernels_enabled():
         reason = "disabled"
-    elif columnar and not _rng.HAVE_NUMPY:
-        reason = "no-numpy"
     elif columnar and engine._n < kernel_threshold():
         reason = "below-threshold"
     elif any(type(a) is not cls for a in algorithms):
@@ -118,15 +116,10 @@ def maybe_build_kernel(engine) -> Optional[object]:
     return kernel
 
 
-def _np():
-    return _rng.np
-
-
 # -- CSR segment reductions --------------------------------------------------
 
 def seg_count(flags, indptr):
     """Per-row count of true flags over CSR edge data."""
-    np = _np()
     csum = np.concatenate(
         (np.zeros(1, np.int64), np.cumsum(flags, dtype=np.int64))
     )
@@ -145,7 +138,6 @@ def seg_max(vals, indptr, empty):
     element *at* the segment start); padding with a sentinel and
     overwriting empty rows afterwards restores exact semantics.
     """
-    np = _np()
     n_rows = indptr.shape[0] - 1
     if vals.shape[0] == 0:
         return np.full(n_rows, empty, dtype=vals.dtype)
@@ -167,7 +159,6 @@ def int_bit_lengths(vals):
     exact for ``|value| < 2**53`` — far beyond any vertex label or
     fixed-point shift the kernels ship.  Zero maps to 1, like scalar.
     """
-    np = _np()
     mags = np.abs(vals)
     if mags.size and int(mags.max()) >= 2**53:
         raise ValueError("int_bit_lengths requires |values| < 2**53")
@@ -229,7 +220,6 @@ class SendPlan:
         offending message, with the same text, as the scalar path.
         """
         kernel = self.kernel
-        np = kernel.np
         indptr = kernel.indptr
         nbr = kernel.nbr
         n = engine._n
@@ -485,8 +475,6 @@ class KernelBase:
         return True
 
     def __init__(self, engine) -> None:
-        np = _np()
-        self.np = np
         self.engine = engine
         self.n = n = engine._n
         self.contexts = engine._contexts
@@ -517,7 +505,6 @@ class KernelBase:
     # -- engine-facing entry points ------------------------------------
     def initialize(self, live: Sequence[int]) -> None:
         """Vectorized twin of the per-vertex ``initialize`` pass."""
-        np = self.np
         rows = np.fromiter(live, np.intp, count=len(live))
         self._state_dirty = True
         self._initialize_rows(rows)
@@ -560,7 +547,7 @@ class KernelBase:
         self._step_rows(rows, round_number)
         self._flush_plan()
         if halts:
-            self.live = rows[self.np.isin(rows, halts, invert=True)]
+            self.live = rows[np.isin(rows, halts, invert=True)]
         return rows, halts
 
     def _flush_plan(self) -> None:
@@ -577,7 +564,6 @@ class KernelBase:
         materialized per-vertex ``random.Random`` states — are exactly
         what the scalar path would have produced.  Idempotent.
         """
-        np = self.np
         for i in np.nonzero(self._rn_dirty)[0].tolist():
             self.contexts[i].round_number = int(self.last_step[i])
         self._rn_dirty[:] = False

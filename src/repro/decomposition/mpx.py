@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..congest import (
     CongestSimulator,
     SimulationResult,
@@ -112,7 +114,6 @@ class MPXKernel(KernelBase):
         )
 
     def _load_columns(self) -> None:
-        np = self.np
         n = self.n
         algo = self.algorithms[0]
         self.beta = algo.beta
@@ -184,7 +185,6 @@ class MPXKernel(KernelBase):
         self._broadcast(rows)
 
     def _step_rows(self, rows, round_number: int) -> None:
-        np = self.np
         if self.sent.any():
             # Once a round passes with no broadcast the wave has
             # settled: every candidate would be masked to _KEY_MIN, no

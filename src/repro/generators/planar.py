@@ -11,10 +11,7 @@ planarity test and networkx.
 
 from __future__ import annotations
 
-try:
-    from scipy.spatial import Delaunay
-except ImportError:  # pragma: no cover - the no-NumPy/SciPy CI leg
-    Delaunay = None
+from scipy.spatial import Delaunay
 
 from ..errors import GraphError
 from ..graph import Graph
@@ -45,12 +42,6 @@ def delaunay_planar_graph(n: int, seed: NumpySeedLike = None) -> Graph:
     """
     if n < 3:
         raise GraphError("a Delaunay triangulation needs at least 3 points")
-    if Delaunay is None:
-        raise GraphError(
-            "delaunay_planar_graph requires numpy and scipy; use a "
-            "deterministic planar family (grid_graph, "
-            "triangulated_grid_graph) instead"
-        )
     rng = ensure_numpy_rng(seed)
     points = rng.random((n, 2))
     tri = Delaunay(points)

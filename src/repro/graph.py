@@ -30,10 +30,7 @@ from typing import (
     Tuple,
 )
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - the no-NumPy CI leg
-    np = None
+import numpy as np
 
 from .errors import GraphError
 
@@ -542,8 +539,6 @@ class Graph:
         ``order`` fixes the row/column ordering; defaults to insertion
         order.
         """
-        if np is None:
-            raise GraphError("adjacency_matrix requires numpy")
         if order is None:
             order = self.vertices()
         index = {v: i for i, v in enumerate(order)}

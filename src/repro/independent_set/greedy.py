@@ -17,6 +17,8 @@ from __future__ import annotations
 import heapq
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from ..congest import (
     CongestSimulator,
     SimulationResult,
@@ -139,7 +141,6 @@ class LubyKernel(KernelBase):
     _STATES = ("undecided", "in", "out")
 
     def _load_columns(self) -> None:
-        np = self.np
         n = self.n
         self.max_phases = self.algorithms[0].max_phases
         # Both message shapes have value-independent sizes (a 3-char

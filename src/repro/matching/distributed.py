@@ -25,6 +25,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from ..congest import (
     CongestMetrics,
     CongestSimulator,
@@ -183,7 +185,6 @@ class ProposalMatchingKernel(KernelBase):
         return all(a.max_phases == first for a in engine._algorithms)
 
     def _load_columns(self) -> None:
-        np = self.np
         n = self.n
         self.max_phases = self.algorithms[0].max_phases
         self.matched = np.zeros(n, bool)
@@ -221,7 +222,6 @@ class ProposalMatchingKernel(KernelBase):
             }
 
     def _initialize_rows(self, rows) -> None:
-        np = self.np
         sel = np.zeros(self.n, bool)
         sel[rows] = True
         self.act_e[sel[self.edge_dst]] = True
@@ -236,7 +236,6 @@ class ProposalMatchingKernel(KernelBase):
             self._resolve(rows)
 
     def _propose(self, rows, r: int) -> None:
-        np = self.np
         indptr = self.indptr
         nbr = self.nbr
         # Retire neighbors that announced a match last resolve.
@@ -291,7 +290,6 @@ class ProposalMatchingKernel(KernelBase):
         self._emit_send(proposers, targets, ProposalMatching.PROPOSE)
 
     def _accept(self, rows) -> None:
-        np = self.np
         eligible = rows[~self.matched[rows] & (self.proposed[rows] < 0)]
         nbr = self.nbr
         prop_e = self.proposed[nbr] == self.edge_dst

@@ -1,8 +1,8 @@
-"""Unified telemetry: phase spans, counters, gauges, and histograms.
+"""Unified telemetry: phase spans, counters, and histograms.
 
 The paper's claims are resource claims — rounds, O(log n)-bit messages,
-inter-cluster edge budgets, routing congestion — and the ROADMAP's
-north star is throughput.  Both need *attribution*: which phase of the
+inter-cluster edge budgets, routing congestion — and checking them, or
+chasing a regression in them, needs *attribution*: which phase of the
 pipeline spent the time, how the per-edge congestion is distributed
 (not just its max), how message sizes spread below the budget, and
 whether a change regressed any of it.  ``repro.obs`` is that substrate:
@@ -10,21 +10,24 @@ whether a change regressed any of it.  ``repro.obs`` is that substrate:
 * :func:`span` — hierarchical phase spans with monotonic wall/CPU
   timing (``span("partition")`` / nested ``span("gather")`` yields the
   path ``partition/gather``);
-* :func:`count` / :func:`gauge` / :func:`observe` — counters, gauges,
-  and fixed-bucket histograms;
-* :class:`TelemetryRegistry` — the process-global store behind those
-  helpers, mergeable across process boundaries via the same
+* :func:`count` / :func:`observe` — counters and fixed-bucket
+  histograms;
+* :class:`TelemetryRegistry` — the store behind those helpers,
+  mergeable across process boundaries via the same
   ``to_dict``/``merge_dict`` pattern ``CongestMetrics`` uses;
-* sinks — JSONL event stream, Prometheus text exposition, and a
-  rendered terminal report (``repro obs report``);
+* :func:`render_report` — the terminal report (``repro obs report``);
 * baselines — schema-versioned perf snapshots (``repro bench
   --telemetry out.json``) diffed for regressions by
-  ``repro obs diff old.json new.json --budget 1.25``.
+  ``repro obs diff old.json new.json --budget 1.25``;
+* timelines — span begin/end events exported as a Chrome/Perfetto
+  trace (``repro obs export``), and round-trace diagnosis
+  (``repro trace diff`` / ``explain``).
 
-Telemetry is **off by default** and costs ~nothing when off: every
-helper starts with one module-flag check, and :func:`span` returns a
-shared no-op context manager.  Nothing in this package imports the
-rest of ``repro``, so any module may instrument itself freely.
+Telemetry records only inside :func:`telemetry_scope` and costs
+~nothing outside one: every helper starts with one module-flag check,
+and :func:`span` returns a shared no-op context manager.  Nothing in
+this package imports the rest of ``repro``, so any module may
+instrument itself freely.
 """
 
 from .histogram import DEFAULT_BOUNDS, FixedHistogram
@@ -33,16 +36,12 @@ from .registry import (
     TelemetryRegistry,
     count,
     current_registry,
-    disable,
-    enable,
     enabled,
-    gauge,
     observe,
-    reset,
     span,
     telemetry_scope,
 )
-from .sinks import JsonlSink, iter_events, prometheus_text, render_report
+from .report import render_report
 from .baseline import (
     SNAPSHOT_SCHEMA_VERSION,
     BaselineDiff,
@@ -63,7 +62,6 @@ from .timeline import (
     chrome_trace,
     timeline_from_snapshot,
     validate_chrome_trace,
-    write_chrome_trace,
 )
 
 __all__ = [
@@ -73,17 +71,10 @@ __all__ = [
     "TelemetryRegistry",
     "count",
     "current_registry",
-    "disable",
-    "enable",
     "enabled",
-    "gauge",
     "observe",
-    "reset",
     "span",
     "telemetry_scope",
-    "JsonlSink",
-    "iter_events",
-    "prometheus_text",
     "render_report",
     "SNAPSHOT_SCHEMA_VERSION",
     "BaselineDiff",
@@ -100,5 +91,4 @@ __all__ = [
     "chrome_trace",
     "timeline_from_snapshot",
     "validate_chrome_trace",
-    "write_chrome_trace",
 ]

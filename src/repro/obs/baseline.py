@@ -4,13 +4,16 @@
 run — per-cell wall clocks, per-suite walls, and the merged telemetry
 registry — and ``repro obs diff old.json new.json --budget 1.25``
 compares two snapshots, exiting nonzero when any timing regressed past
-the budget.  CI runs the diff as a soft gate against a committed seed
-baseline (a generous budget keeps it informative rather than flaky
-across runner hardware) and uploads every snapshot as a ``BENCH_*``
-artifact, so the repo finally accumulates a perf trajectory.
+the budget.  CI runs the diff as a soft gate against the committed
+seed baseline (``benchmarks/results/BENCH_seed_baseline.json``), with
+a generous budget because runner hardware varies.
 
 Snapshots carry ``schema`` so future layout changes can migrate or
-refuse old files explicitly instead of mis-reading them.
+refuse old files explicitly instead of mis-reading them, and
+:func:`load_snapshot` checks the type of every field ``repro obs
+report``, ``diff`` and ``export`` read, so a damaged file is refused in
+one line instead of ending in a traceback or a diff that reads a
+missing timing as zero.
 """
 
 from __future__ import annotations
@@ -20,7 +23,10 @@ import math
 import platform
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
+
+from .histogram import FixedHistogram
+from .timeline import timeline_from_snapshot
 
 SNAPSHOT_SCHEMA_VERSION = 1
 
@@ -68,20 +74,88 @@ def write_snapshot(path: str, snapshot: Dict[str, Any]) -> None:
 
 
 def load_snapshot(path: str) -> Dict[str, Any]:
-    """Read and validate a snapshot file."""
+    """Read and validate a snapshot file.
+
+    Raises :class:`ValueError` for a file that is not a snapshot, has
+    another schema, or carries a field of the wrong type or lacks one
+    that the report, the diff or the export reads.  Extra keys are
+    allowed: older snapshots carry ``gauges``, and cells that recorded
+    ``attempts``.
+    """
     with open(path) as handle:
         snapshot = json.load(handle)
     if not isinstance(snapshot, dict) or snapshot.get("kind") != (
         "repro-telemetry-snapshot"
     ):
-        raise ValueError(f"{path}: not a repro telemetry snapshot")
+        raise ValueError("not a repro telemetry snapshot")
     schema = snapshot.get("schema")
     if schema != SNAPSHOT_SCHEMA_VERSION:
         raise ValueError(
-            f"{path}: snapshot schema {schema!r} is not supported "
+            f"snapshot schema {schema!r} is not supported "
             f"(this build reads schema {SNAPSHOT_SCHEMA_VERSION})"
         )
+    _check_snapshot(snapshot)
     return snapshot
+
+
+def _is_number(value: Any) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond float range
+        return False
+
+
+def _object(value: Any, where: str) -> Dict[str, Any]:
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} is not an object")
+    return value
+
+
+def _check_numbers(record: Any, where: str, fields: Tuple[str, ...]) -> None:
+    record = _object(record, where)
+    for name in fields:
+        if not _is_number(record.get(name)):
+            raise ValueError(f"{where} has no numeric {name!r}")
+
+
+def _check_snapshot(snapshot: Dict[str, Any]) -> None:
+    suites = _object(snapshot.get("suites", {}), "suites")
+    for suite_name, suite in suites.items():
+        where = f"suite {suite_name!r}"
+        _check_numbers(suite, where, ("wall_seconds",))
+        cells = _object(suite.get("cells", {}), f"{where} cells")
+        for label, cell in cells.items():
+            _check_numbers(cell, f"cell {label!r}", ("elapsed",))
+    telemetry = _object(snapshot.get("telemetry", {}), "telemetry")
+    counters = _object(telemetry.get("counters", {}), "counters")
+    for name, value in counters.items():
+        if not _is_number(value):
+            raise ValueError(f"counter {name!r} is not a number")
+    histograms = _object(telemetry.get("histograms", {}), "histograms")
+    for name, payload in histograms.items():
+        try:
+            FixedHistogram.from_dict(payload).summary()
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"histogram {name!r} is malformed ({exc!r})")
+    spans = _object(telemetry.get("spans", {}), "spans")
+    for span_path, stats in spans.items():
+        _check_numbers(
+            stats, f"span {span_path!r}", ("count", "wall_ns", "cpu_ns")
+        )
+    events = timeline_from_snapshot(snapshot) or []
+    if not isinstance(events, list):
+        raise ValueError("timeline is not a list")
+    for i, event in enumerate(events):
+        where = f"timeline event {i}"
+        _check_numbers(event, where, ("ts_ns",))
+        for name in ("ph", "name"):
+            if not isinstance(event.get(name), str):
+                raise ValueError(f"{where} has no string {name!r}")
+        for name in ("pid", "tid"):
+            if name in event and not _is_number(event[name]):
+                raise ValueError(f"{where} has a non-numeric {name!r}")
 
 
 @dataclass
@@ -98,21 +172,6 @@ class BaselineDiff:
     @property
     def ok(self) -> bool:
         return not self.regressions
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Machine-readable form (``repro obs diff --json``): the full
-        regression/improvement entries with ratios, plus the budget and
-        verdict, so CI can annotate instead of grepping text."""
-        return {
-            "kind": "repro-obs-diff",
-            "ok": self.ok,
-            "budget": self.budget,
-            "regressions": [dict(e) for e in self.regressions],
-            "improvements": [dict(e) for e in self.improvements],
-            "unchanged": self.unchanged,
-            "missing": list(self.missing),
-            "added": list(self.added),
-        }
 
     def render(self) -> str:
         lines: List[str] = []
@@ -144,19 +203,19 @@ def _timing_series(snapshot: Dict[str, Any]) -> Dict[str, float]:
     """Flatten a snapshot into comparable ``metric -> seconds`` pairs.
 
     Besides suite and cell wall clocks, telemetry phase spans flatten
-    to ``span:<path>`` seconds, so the diff can budget engine-internal
-    phases (e.g. ``congest.collect``, the delivery-accounting phase the
-    batched send-plan path exists to shrink) and not just end-to-end
-    cells.
+    to ``span:<path>`` seconds, so the diff can budget pipeline phases
+    (e.g. ``decompose/certify``) and not just end-to-end cells.  A
+    missing timing raises ``KeyError`` rather than reading as 0 s, which
+    would show up as an improvement.
     """
     series: Dict[str, float] = {}
     for suite_name, suite in snapshot.get("suites", {}).items():
-        series[f"suite:{suite_name}"] = float(suite.get("wall_seconds", 0.0))
+        series[f"suite:{suite_name}"] = float(suite["wall_seconds"])
         for label, cell in suite.get("cells", {}).items():
-            series[f"cell:{label}"] = float(cell.get("elapsed", 0.0))
+            series[f"cell:{label}"] = float(cell["elapsed"])
     spans = snapshot.get("telemetry", {}).get("spans", {})
     for path, stats in spans.items():
-        series[f"span:{path}"] = float(stats.get("wall_ns", 0)) / 1e9
+        series[f"span:{path}"] = float(stats["wall_ns"]) / 1e9
     return series
 
 

@@ -1,12 +1,11 @@
 """The process-global telemetry registry and its module-level helpers.
 
-Everything funnels through one flag check: when telemetry is disabled
-(the default), :func:`count`, :func:`gauge`, and :func:`observe` return
-after a single boolean test and :func:`span` hands back a shared no-op
-context manager — the instrumented hot paths pay one attribute load
-and one branch, nothing else.  When enabled, observations land in the
-innermost :class:`TelemetryRegistry` on the scope stack, which is the
-process-global root unless a :func:`telemetry_scope` is active (the
+Everything funnels through one flag check: outside a
+:func:`telemetry_scope` (the default), :func:`count` and
+:func:`observe` return after a single boolean test and :func:`span`
+hands back a shared no-op context manager — the instrumented hot paths
+pay one attribute load and one branch, nothing else.  Inside a scope,
+observations land in that scope's :class:`TelemetryRegistry` (the
 runner opens one per experiment cell so per-cell telemetry can be
 shipped across the process boundary and merged in grid order).
 
@@ -25,7 +24,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional
 
 from .histogram import FixedHistogram
 
@@ -111,24 +110,15 @@ class _Span:
         stats.count += 1
         stats.wall_ns += wall_ns
         stats.cpu_ns += cpu_ns
-        for sink in registry.sinks:
-            sink.emit({
-                "event": "span",
-                "path": self._path,
-                "wall_ns": wall_ns,
-                "cpu_ns": cpu_ns,
-            })
 
 
 class TelemetryRegistry:
-    """Counters, gauges, histograms, and span aggregates for one scope."""
+    """Counters, histograms, and span aggregates for one scope."""
 
     def __init__(self) -> None:
         self.counters: Dict[str, float] = {}
-        self.gauges: Dict[str, float] = {}
         self.histograms: Dict[str, FixedHistogram] = {}
         self.spans: Dict[str, SpanStats] = {}
-        self.sinks: List[Any] = []
         self._span_stack: List[str] = []
         # Optional timeline mode: when enabled, every span additionally
         # appends raw begin/end events here (epoch-ns timestamps with
@@ -146,18 +136,10 @@ class TelemetryRegistry:
     def count(self, name: str, value: float = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + value
 
-    def gauge(self, name: str, value: float) -> None:
-        self.gauges[name] = value
-
-    def histogram(
-        self, name: str, bounds: Optional[Sequence[float]] = None
-    ) -> FixedHistogram:
+    def histogram(self, name: str) -> FixedHistogram:
         hist = self.histograms.get(name)
         if hist is None:
-            hist = self.histograms[name] = (
-                FixedHistogram(bounds) if bounds is not None
-                else FixedHistogram()
-            )
+            hist = self.histograms[name] = FixedHistogram()
         return hist
 
     def observe(self, name: str, value: float, times: int = 1) -> None:
@@ -166,16 +148,11 @@ class TelemetryRegistry:
     def span(self, name: str) -> _Span:
         return _Span(self, name)
 
-    def add_sink(self, sink: Any) -> None:
-        """Attach an event sink (anything with ``emit(dict)``)."""
-        self.sinks.append(sink)
-
     # -- cross-process merging -----------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         """Plain-data form that survives a process boundary."""
         data = {
             "counters": dict(self.counters),
-            "gauges": dict(self.gauges),
             "histograms": {
                 name: hist.to_dict()
                 for name, hist in self.histograms.items()
@@ -191,15 +168,13 @@ class TelemetryRegistry:
     def merge_dict(self, data: Dict[str, Any]) -> None:
         """Fold a :meth:`to_dict` payload into this registry.
 
-        Counters and span aggregates sum; gauges keep the last write;
-        histograms merge bucket-wise.  The fold is associative and
-        commutative in everything except gauges, so merging per-cell
-        payloads in grid order is deterministic.
+        Counters and span aggregates sum; histograms merge bucket-wise.
+        The fold is associative and commutative, so merging per-cell
+        payloads in grid order is deterministic.  Other keys (older
+        snapshots carry ``gauges``) are ignored.
         """
         for name, value in data.get("counters", {}).items():
             self.count(name, value)
-        for name, value in data.get("gauges", {}).items():
-            self.gauge(name, value)
         for name, payload in data.get("histograms", {}).items():
             incoming = FixedHistogram.from_dict(payload)
             existing = self.histograms.get(name)
@@ -235,12 +210,12 @@ class TelemetryRegistry:
         Span values reduce to their execution counts; wall/CPU fields
         are dropped.  ``congest.kernel.*`` and ``congest.delivery.*``
         counters are dropped too: they describe *how* the work was
-        executed (columnar kernel vs scalar loop, batched vs scalar
+        executed (kernel vs per-vertex loop, send-plan vs scalar
         delivery), not what was simulated, and those layers' contract
         is precisely that the executions are otherwise
         indistinguishable.  Two runs doing identical work — fast vs
-        reference engine, kernels on vs off, batched delivery on vs
-        off, serial vs sharded — produce equal comparable dicts.
+        reference engine, kernels on vs off, serial vs sharded —
+        produce equal comparable dicts.
         """
         data = self.to_dict()
         # Timeline events are raw timings — never comparable.
@@ -256,9 +231,7 @@ class TelemetryRegistry:
         return data
 
     def __bool__(self) -> bool:
-        return bool(
-            self.counters or self.gauges or self.histograms or self.spans
-        )
+        return bool(self.counters or self.histograms or self.spans)
 
 
 # ----------------------------------------------------------------------
@@ -270,20 +243,8 @@ _stack: List[TelemetryRegistry] = [TelemetryRegistry()]
 
 
 def enabled() -> bool:
-    """Is telemetry currently recording?"""
+    """Is telemetry currently recording (inside a :func:`telemetry_scope`)?"""
     return _enabled
-
-
-def enable() -> None:
-    """Turn telemetry on for the current scope (process-global root
-    unless a :func:`telemetry_scope` is active)."""
-    global _enabled
-    _enabled = True
-
-
-def disable() -> None:
-    global _enabled
-    _enabled = False
 
 
 def current_registry() -> TelemetryRegistry:
@@ -291,21 +252,10 @@ def current_registry() -> TelemetryRegistry:
     return _stack[-1]
 
 
-def reset() -> None:
-    """Replace the root registry with a fresh one (testing hook)."""
-    _stack[0] = TelemetryRegistry()
-
-
 def count(name: str, value: float = 1) -> None:
     """Increment a counter in the active registry (no-op when disabled)."""
     if _enabled:
         _stack[-1].count(name, value)
-
-
-def gauge(name: str, value: float) -> None:
-    """Set a gauge in the active registry (no-op when disabled)."""
-    if _enabled:
-        _stack[-1].gauge(name, value)
 
 
 def observe(name: str, value: float, times: int = 1) -> None:
@@ -326,9 +276,7 @@ def span(name: str):
 
 
 @contextmanager
-def telemetry_scope(
-    record: bool = True, timeline: bool = False
-) -> Iterator[TelemetryRegistry]:
+def telemetry_scope(timeline: bool = False) -> Iterator[TelemetryRegistry]:
     """Collect telemetry into a fresh registry for the enclosed block.
 
     Used by the runner to give each experiment cell its own registry
@@ -343,7 +291,7 @@ def telemetry_scope(
         registry.enable_timeline()
     _stack.append(registry)
     previous = _enabled
-    _enabled = record
+    _enabled = True
     try:
         yield registry
     finally:

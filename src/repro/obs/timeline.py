@@ -20,7 +20,6 @@ process boundaries.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List, Optional, Tuple
 
 #: ``displayTimeUnit`` accepted by the trace-event spec.
@@ -159,19 +158,6 @@ def validate_chrome_trace(data: Dict[str, Any]) -> List[str]:
                 f"({stack[-1]!r} innermost)"
             )
     return problems
-
-
-def write_chrome_trace(
-    timeline: List[Dict[str, Any]],
-    path: str,
-    process_label: str = "repro",
-) -> Dict[str, Any]:
-    """Convert and write a ``.trace.json`` file; returns the object."""
-    data = chrome_trace(timeline, process_label=process_label)
-    with open(path, "w") as handle:
-        json.dump(data, handle)
-        handle.write("\n")
-    return data
 
 
 def timeline_from_snapshot(data: Dict[str, Any]) -> Optional[List[Dict]]:

@@ -1,8 +1,8 @@
 """Trace-file divergence diagnosis and per-vertex provenance.
 
 The repo's bit-identity guarantee (outputs, metrics, traces equal
-across engines, kernel modes, batched delivery, checkpoints, and the
-adversity layer) used to be enforced by byte-diffing trace JSONL files
+across engines, kernels on and off, checkpoints, and the adversity
+layer) used to be enforced by byte-diffing trace JSONL files
 — a check that can only say *different*, never *where*.  This module
 turns two trace files into a structured answer: the first divergent
 round, the first divergent field within it, and — when the traces
@@ -331,17 +331,6 @@ class VertexRoundReport:
     inbound: List[Dict[str, Any]] = field(default_factory=list)
     outbound: List[Dict[str, Any]] = field(default_factory=list)
     upstream: List["VertexRoundReport"] = field(default_factory=list)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "vertex": self.vertex,
-            "round": self.round,
-            "sim": self.sim,
-            "found": self.found,
-            "inbound": list(self.inbound),
-            "outbound": list(self.outbound),
-            "upstream": [r.to_dict() for r in self.upstream],
-        }
 
     def render(self, indent: str = "") -> str:
         lines = [

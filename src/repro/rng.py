@@ -18,10 +18,6 @@ words drawn (:func:`reduce_seeded_random` /
 packed MT19937 words (:func:`reduce_random` / :func:`rebuild_random`,
 from schema 2 on).  Both rebuilders' names are frozen: saved
 checkpoints name them.
-
-NumPy is optional: when it is missing, ``HAVE_NUMPY`` is False and the
-columnar round kernels of :mod:`repro.congest.kernels` stay off, so
-every simulation steps its vertices one by one.
 """
 
 from __future__ import annotations
@@ -31,18 +27,10 @@ import sys
 from array import array
 from typing import Any, Dict, Union
 
-try:  # pragma: no cover - exercised via the no-numpy CI leg
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
-
-HAVE_NUMPY = np is not None
+import numpy as np
 
 SeedLike = Union[None, int, random.Random]
-if HAVE_NUMPY:
-    NumpySeedLike = Union[None, int, "np.random.Generator"]
-else:  # pragma: no cover - no-numpy degradation
-    NumpySeedLike = Union[None, int]
+NumpySeedLike = Union[None, int, np.random.Generator]
 
 
 def ensure_rng(seed: SeedLike = None) -> random.Random:
@@ -56,12 +44,8 @@ def ensure_rng(seed: SeedLike = None) -> random.Random:
     return random.Random(seed)
 
 
-def ensure_numpy_rng(seed: NumpySeedLike = None):
+def ensure_numpy_rng(seed: NumpySeedLike = None) -> np.random.Generator:
     """Return a :class:`numpy.random.Generator` for ``seed``."""
-    if np is None:  # pragma: no cover - no-numpy degradation
-        raise RuntimeError(
-            "numpy is unavailable; this code path requires it"
-        )
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)

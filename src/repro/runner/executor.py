@@ -86,9 +86,9 @@ class SuiteRun:
     def merged_telemetry(self) -> Dict[str, object]:
         """Fold every cell's telemetry payload, in grid order.
 
-        The fold is associative and commutative in everything except
-        gauges (see :meth:`TelemetryRegistry.merge_dict`), and grid
-        order pins the gauge tiebreak, so serial and sharded runs
+        The fold is associative and commutative (see
+        :meth:`TelemetryRegistry.merge_dict`), and grid order also pins
+        the order of the payload's keys, so serial and sharded runs
         merge to the same payload.
         """
         registry = TelemetryRegistry()

@@ -19,10 +19,8 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, List, Optional, Set, Tuple
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - the no-NumPy CI leg
-    np = None
+import numpy as np
+from scipy.linalg import eigh as _scipy_eigh
 
 from ..errors import GraphError, SolverError
 from ..graph import Graph
@@ -34,11 +32,6 @@ EXACT_CONDUCTANCE_LIMIT = 20
 #: (LAPACK ``syevr`` range selection) instead of the full spectrum.
 _PARTIAL_EIGH_MIN_N = 64
 
-try:
-    from scipy.linalg import eigh as _scipy_eigh
-except ImportError:  # pragma: no cover - scipy ships with the toolchain
-    _scipy_eigh = None
-
 
 def _smallest_two(lap: np.ndarray, vectors: bool):
     """Eigenvalues (and optionally vectors) for the two smallest pairs.
@@ -47,7 +40,7 @@ def _smallest_two(lap: np.ndarray, vectors: bool):
     restricting the solve to the bottom of the spectrum avoids the full
     O(n^3) dense eigendecomposition on big clusters.
     """
-    if _scipy_eigh is not None and lap.shape[0] >= _PARTIAL_EIGH_MIN_N:
+    if lap.shape[0] >= _PARTIAL_EIGH_MIN_N:
         return _scipy_eigh(
             lap, subset_by_index=[0, 1], eigvals_only=not vectors
         )
@@ -119,8 +112,6 @@ def exact_conductance(graph: Graph) -> Tuple[float, Set]:
 
 def normalized_laplacian(graph: Graph, order: Optional[List] = None) -> np.ndarray:
     """L = I - D^{-1/2} A D^{-1/2}; isolated vertices get L[i, i] = 0."""
-    if np is None:
-        raise SolverError("spectral routines require numpy")
     if order is None:
         order = graph.vertices()
     a = graph.adjacency_matrix(order)

@@ -11,10 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - the no-NumPy CI leg
-    np = None
+import numpy as np
 
 from ..errors import GraphError, SolverError
 from ..graph import Graph
@@ -30,8 +27,6 @@ def lazy_walk_matrix(graph: Graph, order: Optional[List] = None) -> np.ndarray:
     Row u of ``P @ p`` is exactly the paper's update
     ``p_i(u) = p_{i-1}(u)/2 + sum_w p_{i-1}(w) / (2 deg(w))``.
     """
-    if np is None:
-        raise SolverError("random-walk matrices require numpy")
     if order is None:
         order = graph.vertices()
     a = graph.adjacency_matrix(order)

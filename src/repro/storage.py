@@ -1,7 +1,7 @@
 """Crash-consistent storage primitives shared by every durability surface.
 
 Every artifact the reproduction persists — simulation checkpoints,
-trace and telemetry sinks, result tables — routes its bytes through
+trace and telemetry snapshots, result tables — routes its bytes through
 this module.  Centralizing the write path buys three guarantees that
 each consumer used to hand-roll (or lack):
 

@@ -24,21 +24,7 @@ def grid8():
 @pytest.fixture
 def small_planar():
     """A 60-vertex random planar triangulation."""
-    return delaunay_or_skip(60, seed=1234)
-
-
-def delaunay_or_skip(n, seed=None):
-    """A Delaunay triangulation, or a skip where scipy is missing.
-
-    The no-NumPy CI leg (``ci/no_numpy_stub``) runs the congest-core
-    suite without the scientific stack; random planar instances are
-    the only generator family that genuinely needs it.
-    """
-    from repro.generators import planar
-
-    if planar.Delaunay is None:
-        pytest.skip("delaunay generators require numpy/scipy")
-    return delaunay_planar_graph(n, seed=seed)
+    return delaunay_planar_graph(60, seed=1234)
 
 
 @pytest.fixture

@@ -183,10 +183,6 @@ def test_kernels_fall_back_under_adversity(kind):
 
 def test_kernel_engages_without_adversity():
     """The fallback above is the *plan's* doing, not an accident."""
-    from repro.rng import HAVE_NUMPY
-
-    if not HAVE_NUMPY:
-        pytest.skip("kernels require numpy")
     graph = _graph(3)
     set_kernels_enabled(True)
     pair = _run(graph, lambda v: LubyMIS(20), 3, None, "fast")
@@ -233,10 +229,6 @@ def test_halted_vertices_hold_no_inbox(engine):
 def test_kernel_captures_leave_halted_vertices_no_inbox():
     """A capture materializes a kernel's parked sends as inboxes; it
     builds none for a halted receiver, so none outlives the run."""
-    from repro.rng import HAVE_NUMPY
-
-    if not HAVE_NUMPY:
-        pytest.skip("kernels require numpy")
     set_kernels_enabled(True)
     sim = CongestSimulator(_graph(3), lambda v: LubyMIS(20), seed=3)
     captured = []

@@ -1,12 +1,20 @@
 """Tests for the command-line interface."""
 
 import dataclasses
+import errno
+import json
 import os
 
 import pytest
 
+from repro import storage
 from repro.cli import main
 from repro.runner import SUITES
+
+SEED_BASELINE = os.path.join(
+    os.path.dirname(__file__), os.pardir, "benchmarks", "results",
+    "BENCH_seed_baseline.json",
+)
 
 
 class TestCLI:
@@ -97,21 +105,6 @@ class TestCLI:
         captured = capsys.readouterr()
         assert "trace:" not in captured.err
         assert "independent set" in captured.out
-
-    def test_log_json_diagnostics(self, capsys, tmp_path):
-        import json
-
-        path = tmp_path / "trace.jsonl"
-        assert main(
-            ["--log-json", "maxis", "--n", "40", "--seed", "11",
-             "--trace", str(path)]
-        ) == 0
-        captured = capsys.readouterr()
-        events = [json.loads(line) for line in captured.err.splitlines()]
-        assert any(
-            e["level"] == "info" and e["message"].startswith("trace:")
-            for e in events
-        )
 
 
 class TestFaultsCommand:
@@ -300,6 +293,18 @@ def test_bench_unknown_suite_exits_2(capsys):
     assert "unknown suite(s) ['NOPE']" in capsys.readouterr().err
 
 
+def _refused_as_usage_error(capsys, tmp_path, monkeypatch, argv):
+    """``argv`` exits 2 in argparse: nothing printed, nothing written."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as refused:
+        main(argv)
+    assert refused.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -321,14 +326,28 @@ def test_resume_and_heartbeat_flags_are_gone(
     and every run computes every cell: the bench journal, resume,
     progress and artifact-cache flags and the trace ``tail`` command
     are refused as usage errors before anything runs."""
-    monkeypatch.chdir(tmp_path)
-    with pytest.raises(SystemExit) as refused:
-        main(argv)
-    assert refused.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "usage:" in captured.err
-    assert os.listdir(tmp_path) == []
+    _refused_as_usage_error(capsys, tmp_path, monkeypatch, argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--log-json"] + _MAXIS,
+        ["obs", "report", "snap.json", "--format", "prom"],
+        ["obs", "diff", "old.json", "new.json", "--json"],
+        ["obs", "export", "snap.json", "--format", "chrome"],
+        ["trace", "explain", "t.jsonl", "--vertex", "1", "--round", "1",
+         "--json"],
+    ],
+    ids=["log-json", "obs-report-format", "obs-diff-json",
+         "obs-export-format", "trace-explain-json"],
+)
+def test_output_format_flags_are_gone(capsys, tmp_path, monkeypatch, argv):
+    """Diagnostics are plain text and each telemetry and trace reader
+    prints one format: the JSON-log, Prometheus/JSONL report, JSON diff,
+    export-format and JSON explain flags are refused as usage errors
+    before anything runs."""
+    _refused_as_usage_error(capsys, tmp_path, monkeypatch, argv)
 
 
 @pytest.mark.parametrize("limit", ["0", "-2"])
@@ -533,3 +552,106 @@ class TestObsErrorPaths:
         assert main(["obs", "diff", str(bad), str(bad)]) == 2
         err = capsys.readouterr().err
         assert "kind.json" in err and "Traceback" not in err
+
+
+def _timed_seed_baseline():
+    """The committed seed baseline plus a two-event span timeline, so
+    that ``obs export`` has something to write."""
+    with open(SEED_BASELINE) as handle:
+        snapshot = json.load(handle)
+    snapshot["telemetry"]["timeline"] = [
+        {"ph": "B", "name": "cell", "ts_ns": 1000, "pid": 1, "tid": 1},
+        {"ph": "E", "name": "cell", "ts_ns": 5000, "pid": 1, "tid": 1},
+    ]
+    return snapshot
+
+
+def _telemetry_as_list(snapshot):
+    snapshot["telemetry"] = [snapshot["telemetry"]]
+
+
+def _empty_histogram(snapshot):
+    snapshot["telemetry"]["histograms"]["congest.message_bits"] = {}
+
+
+def _text_suite_wall(snapshot):
+    snapshot["suites"]["E10"]["wall_seconds"] = "x"
+
+
+def _event_without_ts(snapshot):
+    del snapshot["telemetry"]["timeline"][0]["ts_ns"]
+
+
+def _event_with_list_pid(snapshot):
+    snapshot["telemetry"]["timeline"][0]["pid"] = [1]
+
+
+def _timings_stripped(snapshot):
+    for suite in snapshot["suites"].values():
+        del suite["wall_seconds"]
+        for cell in suite["cells"].values():
+            del cell["elapsed"]
+    for stats in snapshot["telemetry"]["spans"].values():
+        del stats["wall_ns"]
+
+
+class TestDamagedSnapshots:
+    """Each of ``obs report``, ``diff`` and ``export`` refuses a damaged
+    snapshot in one line with exit 2.  It used to end in a traceback
+    (exit 1, the code of a failed perf gate), write a trace, or, with
+    its timings stripped, diff clean: a missing timing read as 0 s and
+    counted as an improvement."""
+
+    @pytest.mark.parametrize("command", ["report", "diff", "export"])
+    @pytest.mark.parametrize(
+        "damage",
+        [_telemetry_as_list, _empty_histogram, _text_suite_wall,
+         _event_without_ts, _event_with_list_pid, _timings_stripped],
+        ids=["telemetry-list", "empty-histogram", "text-suite-wall",
+             "event-without-ts", "event-with-list-pid", "timings-stripped"],
+    )
+    def test_damaged_snapshot_exits_2(
+        self, capsys, tmp_path, damage, command
+    ):
+        snapshot = _timed_seed_baseline()
+        damage(snapshot)
+        path = tmp_path / "damaged.json"
+        path.write_text(json.dumps(snapshot))
+        argv = {
+            "report": ["obs", "report", str(path)],
+            "diff": ["obs", "diff", SEED_BASELINE, str(path)],
+            "export": ["obs", "export", str(path)],
+        }[command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith(f"cannot load snapshot {path}: ")
+        assert "Traceback" not in captured.err
+        assert os.listdir(tmp_path) == ["damaged.json"]
+
+
+def test_export_on_a_full_disk_keeps_the_earlier_trace(
+    capsys, tmp_path, monkeypatch
+):
+    """``obs export`` writes atomically and fsyncs: on a disk that stays
+    full it exits 2 in one line and the trace already at ``--out`` keeps
+    its bytes.  It used to open ``--out`` for writing in place and
+    never fsync, so it exited 0."""
+    snap = tmp_path / "snap.json"
+    snap.write_text(json.dumps(_timed_seed_baseline()))
+    out = tmp_path / "earlier.trace.json"
+    out.write_text('{"traceEvents": []}\n')
+
+    def full(fd):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(storage.os, "fsync", full)
+    assert main(["obs", "export", str(snap), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "No space left on device" in lines[0], lines
+    assert out.read_text() == '{"traceEvents": []}\n'
+    assert sorted(os.listdir(tmp_path)) == ["earlier.trace.json", "snap.json"]

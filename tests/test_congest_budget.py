@@ -33,7 +33,12 @@ from repro.decomposition.low_diameter import theorem_1_5_ldd
 from repro.decomposition.mpx import mpx_ldd
 from repro.dominating_set.distributed import distributed_mds
 from repro.errors import MessageTooLargeError
-from repro.generators import cycle_graph, grid_graph, random_signs
+from repro.generators import (
+    cycle_graph,
+    delaunay_planar_graph,
+    grid_graph,
+    random_signs,
+)
 from repro.independent_set.distributed import distributed_maxis
 from repro.independent_set.greedy import luby_mis
 from repro.matching.distributed import (
@@ -47,7 +52,6 @@ from repro.routing.gather import gather_topology
 from repro.routing.leader import elect_leader
 from repro.routing.orientation import orient_low_out_degree
 from repro.subgraphs.triangles import distributed_triangle_listing
-from tests.conftest import delaunay_or_skip
 
 TRIALS = int(os.environ.get("REPRO_TORTURE_TRIALS") or 0)
 DEEP = TRIALS > 0
@@ -109,7 +113,7 @@ ENTRY_POINTS = {**PROTOCOLS, **PIPELINES}
 FAMILIES = {
     "cycle": (lambda n, s: cycle_graph(n), lambda n: n),
     "grid2xk": (lambda n, s: grid_graph(2, n // 2), lambda n: 2 * (n // 2)),
-    "delaunay": (lambda n, s: delaunay_or_skip(n, seed=s), lambda n: n),
+    "delaunay": (lambda n, s: delaunay_planar_graph(n, seed=s), lambda n: n),
 }
 
 if DEEP:

@@ -33,11 +33,11 @@ from repro.congest.faults import DELIVER, FaultInjector
 from repro.decomposition.mpx import mpx_ldd
 from repro.errors import CrashedVertexError, FaultError
 from repro.generators import (
+    delaunay_planar_graph,
     gnp_random_graph,
     grid_graph,
     path_graph,
 )
-from tests.conftest import delaunay_or_skip as delaunay_planar_graph
 from repro.independent_set.greedy import luby_mis
 from repro.routing.leader import elect_leader
 from repro.routing.walk_exchange import walk_exchange

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import graph as graph_mod
 from repro.congest import CongestSimulator, VertexAlgorithm
 from repro.congest.checkpoint import graph_fingerprint
 from repro.errors import GraphError
@@ -339,8 +338,6 @@ def expected_rows(g):
 
 def layout_fields(layout):
     fields = (layout.order, layout.index, layout.neighbors, layout.weights)
-    if graph_mod.np is None:
-        return fields
     return fields + tuple(a.tolist() for a in layout.csr())
 
 

@@ -10,13 +10,13 @@ from repro.errors import SolverError
 from repro.generators import (
     complete_graph,
     cycle_graph,
+    delaunay_planar_graph,
     gnp_random_graph,
     grid_graph,
     k_tree,
     random_tree,
     star_graph,
 )
-from tests.conftest import delaunay_or_skip as delaunay_planar_graph
 from repro.graph import Graph
 from repro.independent_set import (
     distributed_maxis,

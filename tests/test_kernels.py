@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import pickle
 
+import numpy as np
 import pytest
 
-from repro import rng as rng_mod
 from repro.congest import algorithm as algorithm_mod
 from repro.congest.algorithm import (
     VertexAlgorithm,
@@ -37,18 +37,18 @@ from repro.congest.network import CongestSimulator
 from repro.congest.trace import TraceRecorder
 from repro.errors import MessageTooLargeError, ProtocolError
 from repro.decomposition.mpx import MPXClustering, MPXKernel
-from repro.generators import gnp_random_graph, grid_graph, k_tree
+from repro.generators import (
+    delaunay_planar_graph,
+    gnp_random_graph,
+    grid_graph,
+    k_tree,
+)
 from repro.independent_set.greedy import LubyKernel, LubyMIS
 from repro.matching.distributed import (
     ProposalMatching,
     ProposalMatchingKernel,
 )
 from repro.obs.registry import telemetry_scope
-from repro.rng import HAVE_NUMPY
-
-pytestmark = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="kernel differential tests require numpy"
-)
 
 
 # ----------------------------------------------------------------------
@@ -77,7 +77,7 @@ class _Countdown(VertexAlgorithm):
 @register_kernel(_Countdown)
 class _CountdownKernel(KernelBase):
     def _load_columns(self):
-        self.deadline = self.np.array(self.verts, dtype=self.np.int64) % 4 + 1
+        self.deadline = np.array(self.verts, dtype=np.int64) % 4 + 1
 
     def _write_columns(self):
         pass
@@ -211,10 +211,8 @@ def test_kernel_matches_scalar(algo, family, seed, plan_kind, send_plans):
 
 
 def test_delaunay_family_matches_scalar():
-    """The matrix's random-planar column (skips without scipy)."""
-    from tests.conftest import delaunay_or_skip
-
-    graph = delaunay_or_skip(60, seed=5)
+    """The matrix's random-planar column."""
+    graph = delaunay_planar_graph(60, seed=5)
     for algo in sorted(ALGORITHMS):
         factory, rounds = ALGORITHMS[algo]
         pair_on = run_once(graph, factory, 13, True, None, rounds)
@@ -386,24 +384,6 @@ def test_register_kernel_refuses_idle_hints():
     assert kernel_class_for(_Sleepy) is None
 
 
-def test_missing_numpy_degrades_silently(monkeypatch):
-    """With NumPy stubbed out the engine runs scalar, bit-identically.
-
-    Batched delivery rides on the kernel layer, so the same stub also
-    silences it: no send plans are ever built, and the engine finishes
-    with no parked lazy plan."""
-    graph = GENERATORS["gnp"](3)
-    factory, rounds = ALGORITHMS["mpx"]
-    baseline = run_once(graph, factory, 3, False, rounds=rounds)
-    monkeypatch.setattr(rng_mod, "HAVE_NUMPY", False)
-    pair = run_once(graph, factory, 3, True, rounds=rounds)
-    assert pair[2]._engine._kernel is None
-    assert pair[2]._engine._send_plan is None
-    assert pair[2]._engine._lazy_plan is None
-    monkeypatch.undo()
-    assert_identical(pair, baseline)
-
-
 def test_reference_engine_never_kernelizes():
     graph = grid_graph(8, 8)
     sim = CongestSimulator(
@@ -496,7 +476,6 @@ class _DoubleSendKernel(KernelBase):
         pass
 
     def _step_rows(self, rows, round_number):
-        np = self.np
         if round_number == 1:
             i = self.engine._index[5]
             if (rows == i).any():

@@ -9,10 +9,10 @@ from repro.decomposition import mpx_ldd, verify_ldd
 from repro.errors import DecompositionError
 from repro.generators import (
     cycle_graph,
+    delaunay_planar_graph,
     grid_graph,
     random_tree,
 )
-from tests.conftest import delaunay_or_skip as delaunay_planar_graph
 from repro.graph import Graph
 
 

@@ -1,12 +1,11 @@
 """Tests for the ``repro.obs`` telemetry package and its integration.
 
 Three layers are covered here: the primitives (histograms, registry,
-sinks, baselines), the determinism contract (fast vs. reference engine
+terminal report, baselines), the determinism contract (fast vs. reference engine
 telemetry, serial vs. sharded runner telemetry), and the trace schema
 bump that rides along (v1 files must keep loading).
 """
 
-import io
 import json
 import os
 
@@ -23,14 +22,11 @@ from repro.generators import gnp_random_graph
 from repro.obs import (
     DEFAULT_BOUNDS,
     FixedHistogram,
-    JsonlSink,
     NO_SPAN,
     TelemetryRegistry,
     build_snapshot,
     diff_snapshots,
-    iter_events,
     load_snapshot,
-    prometheus_text,
     render_report,
     telemetry_scope,
     write_snapshot,
@@ -39,6 +35,10 @@ from repro.obs import registry as obs_registry
 from repro.runner import run_suite
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "data")
+SEED_BASELINE = os.path.join(
+    os.path.dirname(__file__), os.pardir, "benchmarks", "results",
+    "BENCH_seed_baseline.json",
+)
 
 
 # ----------------------------------------------------------------------
@@ -113,10 +113,8 @@ class TestFixedHistogram:
 
 class TestRegistry:
     def test_disabled_helpers_are_noops(self):
-        obs_registry.reset()
         assert not obs_registry.enabled()
         obs_registry.count("x")
-        obs_registry.gauge("g", 1.0)
         obs_registry.observe("h", 5)
         assert obs_registry.span("s") is NO_SPAN
         with obs_registry.span("s"):
@@ -124,7 +122,6 @@ class TestRegistry:
         assert not obs_registry.current_registry()
 
     def test_scope_records_and_restores(self):
-        obs_registry.reset()
         root = obs_registry.current_registry()
         with telemetry_scope() as registry:
             assert obs_registry.enabled()
@@ -153,13 +150,11 @@ class TestRegistry:
     def test_merge_dict_semantics(self):
         a = TelemetryRegistry()
         a.count("n", 1)
-        a.gauge("temp", 10)
         a.observe("h", 2)
         with a.span("phase"):
             pass
         b = TelemetryRegistry()
         b.count("n", 3)
-        b.gauge("temp", 20)
         b.observe("h", 5, times=2)
         with b.span("phase"):
             pass
@@ -168,7 +163,6 @@ class TestRegistry:
         merged.merge_dict(a.to_dict())
         merged.merge_dict(b.to_dict())
         assert merged.counters == {"n": 4}
-        assert merged.gauges == {"temp": 20}  # last write wins
         assert merged.histograms["h"].count == 3
         assert merged.spans["phase"].count == 2
 
@@ -184,56 +178,22 @@ class TestRegistry:
 
 
 # ----------------------------------------------------------------------
-# Sinks
+# Terminal report
 # ----------------------------------------------------------------------
 
 class TestSinks:
     def _payload(self):
         registry = TelemetryRegistry()
         registry.count("framework.runs", 2)
-        registry.gauge("load", 0.5)
         registry.observe("congest.message_bits", 33, times=4)
         with registry.span("decompose"):
             with registry.span("split"):
                 pass
         return registry.to_dict()
 
-    def test_jsonl_sink_streams_spans(self):
-        buffer = io.StringIO()
-        registry = TelemetryRegistry()
-        registry.add_sink(JsonlSink(buffer))
-        with registry.span("phase"):
-            pass
-        events = [json.loads(line) for line in buffer.getvalue().splitlines()]
-        assert events and events[0]["event"] == "span"
-        assert events[0]["path"] == "phase"
-
-    def test_jsonl_flush_registry(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        with JsonlSink(str(path)) as sink:
-            sink.flush_registry(self._payload())
-        events = [json.loads(l) for l in path.read_text().splitlines()]
-        kinds = {e["event"] for e in events}
-        assert kinds == {"counter", "gauge", "histogram", "span_total"}
-
-    def test_iter_events_sorted(self):
-        names = [e["name"] for e in iter_events(self._payload())
-                 if e["event"] == "counter"]
-        assert names == sorted(names)
-
-    def test_prometheus_text(self):
-        text = prometheus_text(self._payload())
-        assert "repro_framework_runs_total 2" in text
-        assert "repro_load 0.5" in text
-        # Cumulative buckets: 33 falls in the le=64 bucket.
-        assert 'repro_congest_message_bits_bucket{le="64"} 4' in text
-        assert 'repro_congest_message_bits_bucket{le="+Inf"} 4' in text
-        assert "repro_congest_message_bits_count 4" in text
-        assert 'repro_span_count_total{span="decompose/split"} 1' in text
-
     def test_render_report_sections(self):
         report = render_report(self._payload())
-        for needle in ("phase spans", "counters / gauges", "histograms",
+        for needle in ("phase spans", "counters", "histograms",
                        "decompose/split", "framework.runs"):
             assert needle in report
         assert render_report({}) == "telemetry: empty registry\n"
@@ -246,42 +206,11 @@ class TestSinks:
 
 
 class TestSinksEdgeCases:
-    """Empty registries and hostile metric names must not wedge the
-    sinks — CI scrapes them unconditionally."""
-
-    def test_iter_events_empty_registry(self):
-        assert list(iter_events(TelemetryRegistry().to_dict())) == []
-        assert list(iter_events({})) == []
-
-    def test_prometheus_text_empty_registry(self):
-        assert prometheus_text(TelemetryRegistry().to_dict()) == ""
-        assert prometheus_text({}) == ""
+    """An empty registry renders one line, not empty tables."""
 
     def test_render_report_empty_registry(self):
         report = render_report(TelemetryRegistry().to_dict())
         assert report == "telemetry: empty registry\n"
-
-    def test_prometheus_sanitizes_slash_and_dot(self):
-        registry = TelemetryRegistry()
-        registry.count("congest.collect/fast", 3)
-        with registry.span("suite/cell.label"):
-            pass
-        text = prometheus_text(registry.to_dict())
-        assert "repro_congest_collect_fast_total 3" in text
-        # Span paths land in label values, where "/" and "." are legal.
-        assert 'repro_span_count_total{span="suite/cell.label"} 1' in text
-        # No unsanitized metric name escapes.
-        for line in text.splitlines():
-            metric = line.split("{")[0].split(" ")[0]
-            if metric.startswith("#"):
-                metric = line.split(" ")[-2]
-            assert "/" not in metric and "." not in metric
-
-    def test_prometheus_name_cannot_start_with_digit(self):
-        registry = TelemetryRegistry()
-        registry.gauge("1weird", 7)
-        text = prometheus_text(registry.to_dict())
-        assert "repro__1weird 7" in text
 
 
 # ----------------------------------------------------------------------
@@ -454,7 +383,6 @@ class TestEngineTelemetryEquivalence:
         assert active.count == result.metrics.rounds
 
     def test_disabled_run_records_nothing(self):
-        obs_registry.reset()
         g = gnp_random_graph(20, 0.2, seed=3)
         sim = CongestSimulator(g, lambda v: _Flood(5), seed=3)
         sim.run(max_rounds=10)
@@ -553,24 +481,29 @@ class TestBaseline:
         assert diff.added == ["suite:E11"]
         assert diff_snapshots(new, old).missing == ["suite:E11"]
 
-    def test_snapshot_with_cell_attempts_still_diffs(self):
-        """Snapshots written while cells also recorded ``attempts`` and
-        ``meta`` recorded the artifact-cache switch (the committed seed
-        baseline among them) still load and diff, on ``elapsed``
-        alone."""
-        seed = load_snapshot(os.path.join(
-            os.path.dirname(__file__), os.pardir, "benchmarks", "results",
-            "BENCH_seed_baseline.json",
-        ))
+    def test_snapshot_with_cell_attempts_still_diffs(self, capsys):
+        """Snapshots written while cells also recorded ``attempts``,
+        ``meta`` recorded the artifact-cache switch and the registry
+        recorded ``gauges`` (the committed seed baseline among them)
+        still load, report and diff, on ``elapsed`` alone."""
+        from repro.cli import main
+
+        seed = load_snapshot(SEED_BASELINE)
         (label, cell), = seed["suites"]["E10"]["cells"].items()
         assert "attempts" in cell
         assert set(seed["meta"]) > set(build_snapshot(suites={})["meta"])
+        assert "gauges" in seed["telemetry"]
         slower = build_snapshot(suites={"E10": {
             "wall_seconds": seed["suites"]["E10"]["wall_seconds"],
             "cells": {label: {"elapsed": cell["elapsed"] * 10}},
         }})
         diff = diff_snapshots(seed, slower, budget=4.0)
         assert [e["metric"] for e in diff.regressions] == [f"cell:{label}"]
+        assert main(["obs", "report", SEED_BASELINE]) == 0
+        report = capsys.readouterr().out
+        assert "phase spans" in report and "cell timings" in report
+        assert main(["obs", "diff", SEED_BASELINE, SEED_BASELINE]) == 0
+        assert "0 regression(s), 0 improvement(s)" in capsys.readouterr().out
 
     def test_budget_must_be_positive(self):
         for budget in (0, -1, float("nan"), float("inf")):
@@ -604,13 +537,6 @@ class TestObsCli:
         assert main(["obs", "report", str(snap)]) == 0
         out = capsys.readouterr().out
         assert "phase spans" in out and "cell timings" in out
-
-        assert main(["obs", "report", str(snap), "--format", "prom"]) == 0
-        assert "_total" in capsys.readouterr().out
-
-        assert main(["obs", "report", str(snap), "--format", "jsonl"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert all(json.loads(line) for line in lines)
 
         # Self-diff passes; a doubled snapshot fails the gate.
         assert main(["obs", "diff", str(snap), str(snap)]) == 0

@@ -387,16 +387,6 @@ class TestTraceCli:
         assert "vertex 3" in out
         assert "inbound" in out
 
-    def test_explain_json(self, tmp_path, capsys):
-        a = self._dump(tmp_path, "a.jsonl", detail=True)
-        assert main(
-            ["trace", "explain", a, "--vertex", "3", "--round", "1",
-             "--json"]
-        ) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["vertex"] == "3"
-        assert report["found"] is True
-
     def test_explain_without_detail_exits_two(self, tmp_path, capsys):
         a = self._dump(tmp_path, "a.jsonl")
         assert main(
@@ -478,20 +468,3 @@ class TestBenchObservabilityPipeline:
         capsys.readouterr()
         assert main(["obs", "export", str(snapshot)]) == 2
         assert "no timeline events" in capsys.readouterr().err
-
-    def test_obs_diff_json(self, tmp_path, capsys):
-        snapshot = tmp_path / "snap.json"
-        code = main([
-            "bench", "--suite", "E11", "--limit", "1",
-            "--telemetry", str(snapshot),
-        ])
-        assert code == 0
-        capsys.readouterr()
-        assert main([
-            "obs", "diff", str(snapshot), str(snapshot), "--json",
-        ]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["kind"] == "repro-obs-diff"
-        assert report["ok"] is True
-        assert report["budget"] == 1.25
-        assert report["regressions"] == []

@@ -20,7 +20,6 @@ import pickle
 
 import pytest
 
-from repro import rng as rng_mod
 from repro.congest import CongestSimulator, TraceRecorder, use_engine
 from repro.congest.algorithm import (
     kernel_class_for,
@@ -33,11 +32,15 @@ from repro.congest.faults import FaultPlan
 from repro.congest.kernels import KernelBase
 from repro.congest.message import MessageBudget
 from repro.errors import MessageTooLargeError, ProtocolError, RoutingError
-from repro.generators import grid_graph, k_tree, path_graph
+from repro.generators import (
+    delaunay_planar_graph,
+    grid_graph,
+    k_tree,
+    path_graph,
+)
 from repro.graph import Graph
 from repro.obs.registry import telemetry_scope
 from repro.routing.walk_exchange import WalkExchange, WalkExchangeKernel
-from tests.conftest import delaunay_or_skip
 
 MODES = ("kernel", "scalar", "reference")
 
@@ -60,7 +63,7 @@ def _isolated_holder():
 
 
 GRAPHS = {
-    "delaunay": lambda seed: delaunay_or_skip(24, seed=seed),
+    "delaunay": lambda seed: delaunay_planar_graph(24, seed=seed),
     "grid": lambda seed: grid_graph(4, 5),
     "ktree": lambda seed: k_tree(18, 3, seed=seed),
     "isolated": lambda seed: _isolated_holder(),
@@ -268,7 +271,7 @@ def test_calibrated_framework_walk_matches():
     whose walks deliver every token."""
     from repro.routing.gather import _calibrated_walk_steps
 
-    graph = delaunay_or_skip(30, seed=4)
+    graph = delaunay_planar_graph(30, seed=4)
     requests = _requests(graph)
     leader = _leader(graph)
     steps = _calibrated_walk_steps(
@@ -534,15 +537,6 @@ def test_engages_on_small_clusters_by_default(monkeypatch):
     assert isinstance(sim._engine._kernel, WalkExchangeKernel)
     assert counters.get("congest.kernel.engaged") == 1
     assert "congest.kernel.fallback" not in counters
-
-
-def test_engages_without_numpy(monkeypatch):
-    """The walk kernel builds no NumPy columns, so a NumPy-less install
-    engages it too."""
-    monkeypatch.setattr(rng_mod, "HAVE_NUMPY", False)
-    sim = _simulator(*_case("grid", 1, 6)[:2], 1, "kernel")
-    sim.run(max_rounds=16)
-    assert isinstance(sim._engine._kernel, WalkExchangeKernel)
 
 
 def _falls_back(graph, factory, seed, rounds, detail=False, **kwargs):
