@@ -427,16 +427,14 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _faults_resume(args, g) -> int:
-    """Finish a ``repro faults`` run from a saved checkpoint.
-
-    The checkpoint's own fault plan, configuration, and graph
-    fingerprint are authoritative; any mismatch (or a corrupt file)
-    is an operator error.
-    """
+def _resume_checkpoint(args, plan):
+    """The checkpoint ``--resume-from`` names, to finish under its own
+    fault plan.  A corrupt file, and fault flags that describe another
+    plan than the checkpoint's, are operator errors; repeating the
+    capturing run's flags, or giving none, is not."""
+    from .congest import FaultPlan
     from .congest.checkpoint import SimulationCheckpoint
     from .errors import CheckpointError
-    from .resilience import graded_run
 
     if args.algorithm == "framework":
         raise _OperatorError(
@@ -445,13 +443,16 @@ def _faults_resume(args, g) -> int:
     try:
         checkpoint = SimulationCheckpoint.load(args.resume_from)
     except CheckpointError as exc:
-        raise _OperatorError(f"corrupt checkpoint: {exc}")
-    try:
-        metrics, verdict = graded_run(args.algorithm, g, resume=checkpoint)
-    except CheckpointError as exc:
-        raise _OperatorError(f"cannot resume from checkpoint: {exc}")
-    print(f"resumed: {args.resume_from} from round {checkpoint.round}")
-    return _print_graded(metrics, verdict)
+        raise _OperatorError(f"cannot load checkpoint: {exc}")
+    # A checkpoint records the plan its engine ran under: none at all
+    # for a plan that injects nothing.
+    flagged = None if plan.is_empty() else plan.to_dict()
+    if plan != FaultPlan() and flagged != checkpoint.fault_plan:
+        raise _OperatorError(
+            "fault flags describe another plan than the checkpoint's "
+            "own; repeat the capturing run's fault flags or give none"
+        )
+    return checkpoint
 
 
 def _print_graded(metrics, verdict) -> int:
@@ -466,14 +467,21 @@ def _print_graded(metrics, verdict) -> int:
 
 
 def cmd_faults(args) -> int:
-    """Run one algorithm under an explicit fault plan and grade it."""
+    """Run one algorithm under an explicit fault plan and grade it, or
+    finish such a run from a saved checkpoint (``--resume-from``).
+    Either run saves checkpoints the same way (``--save-checkpoint``)."""
     from .congest import EdgeWindow, FaultPlan, PartitionWindow
+    from .errors import CheckpointError
     from .resilience import graded_run
 
-    if args.checkpoint_every < 1:
+    if args.checkpoint_every is not None and args.save_checkpoint is None:
         raise _OperatorError(
-            f"--checkpoint-every must be at least 1, got "
-            f"{args.checkpoint_every}"
+            "--checkpoint-every requires --save-checkpoint PATH"
+        )
+    every = 8 if args.checkpoint_every is None else args.checkpoint_every
+    if every < 1:
+        raise _OperatorError(
+            f"--checkpoint-every must be at least 1, got {every}"
         )
 
     def vertex_round(spec):
@@ -538,8 +546,9 @@ def cmd_faults(args) -> int:
         # bug — report cleanly instead of dumping a traceback.
         raise _OperatorError(f"invalid fault plan: {exc}")
     g = _build_graph(args)
+    resume = None
     if args.resume_from is not None:
-        return _faults_resume(args, g)
+        resume = _resume_checkpoint(args, plan)
     checkpoint_kwargs = {}
     saved_checkpoints = []
     if args.save_checkpoint is not None:
@@ -561,21 +570,29 @@ def cmd_faults(args) -> int:
             saved_checkpoints.append(checkpoint.round)
 
         checkpoint_kwargs = {
-            "checkpoint_every": args.checkpoint_every,
+            "checkpoint_every": every,
             "on_checkpoint": _persist,
         }
-    metrics, verdict = graded_run(
-        args.algorithm, g, plan, seed=args.seed, epsilon=args.eps,
-        phi=args.phi, **checkpoint_kwargs,
-    )
-
-    print(f"plan: drop={plan.drop} duplicate={plan.duplicate} "
-          f"corrupt={plan.corrupt} crashes={len(plan.crashes)} "
-          f"rejoins={len(plan.rejoins)} "
-          f"churn={len(plan.edge_arrivals) + len(plan.edge_departures)}"
-          f"+{len(plan.edge_up_windows)}w "
-          f"partitions={len(plan.partitions)} delay={plan.delay} "
-          f"seed={plan.seed}")
+    if resume is not None:
+        try:
+            metrics, verdict = graded_run(
+                args.algorithm, g, resume=resume, **checkpoint_kwargs
+            )
+        except CheckpointError as exc:
+            raise _OperatorError(f"cannot resume from checkpoint: {exc}")
+        print(f"resumed: {args.resume_from} from round {resume.round}")
+    else:
+        metrics, verdict = graded_run(
+            args.algorithm, g, plan, seed=args.seed, epsilon=args.eps,
+            phi=args.phi, **checkpoint_kwargs,
+        )
+        print(f"plan: drop={plan.drop} duplicate={plan.duplicate} "
+              f"corrupt={plan.corrupt} crashes={len(plan.crashes)} "
+              f"rejoins={len(plan.rejoins)} "
+              f"churn={len(plan.edge_arrivals) + len(plan.edge_departures)}"
+              f"+{len(plan.edge_up_windows)}w "
+              f"partitions={len(plan.partitions)} delay={plan.delay} "
+              f"seed={plan.seed}")
     if args.save_checkpoint is not None:
         if saved_checkpoints:
             print(
@@ -584,9 +601,10 @@ def cmd_faults(args) -> int:
                 f"{saved_checkpoints[-1]})"
             )
         else:
+            start = resume.round if resume is not None else 0
             log.warning(
                 "no checkpoint captured: the run finished before round "
-                "%d; lower --checkpoint-every", args.checkpoint_every,
+                "%d; lower --checkpoint-every", (start // every + 1) * every,
             )
     return _print_graded(metrics, verdict)
 
@@ -873,7 +891,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "to PATH every --checkpoint-every rounds "
                              "(maxis/matching only; atomic, "
                              "checksummed — see docs/durability.md)")
-    faults.add_argument("--checkpoint-every", type=int, default=8,
+    faults.add_argument("--checkpoint-every", type=int, default=None,
                         metavar="ROUNDS",
                         help="checkpoint capture interval for "
                              "--save-checkpoint (default: 8)")
@@ -882,7 +900,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "checkpoint instead of starting one; the "
                              "checkpoint's own fault plan and graph "
                              "fingerprint are authoritative, and a "
-                             "corrupt or mismatched file exits 2")
+                             "corrupt or mismatched file, or fault "
+                             "flags naming another plan, exits 2")
     faults.set_defaults(handler=cmd_faults)
 
     obs = sub.add_parser(

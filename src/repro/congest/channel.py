@@ -170,8 +170,7 @@ class EngineCore:
             _NO_TRAFFIC
         )
         # Payloads the channel withheld, keyed by release round:
-        # release -> [(send round, sender, receiver, payload[, seq])],
-        # vertex-keyed so checkpoints stay engine-neutral.
+        # release -> [(send round, sender, receiver, payload[, seq])].
         self._delay_queue: Dict[int, List[Tuple]] = {}
         # Crash schedule per rank, or None when the plan has no crashes
         # so the hot path can skip the lookup entirely.

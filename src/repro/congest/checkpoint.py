@@ -23,26 +23,29 @@ fault-free and under every fault class — is that *resuming from a
 checkpoint is bit-identical to never having stopped*: outputs, metrics,
 and traces all match the uninterrupted run.  Both engines capture and
 restore through the one implementation here
-(:func:`capture_engine_state` / :func:`restore_engine_state`), and the
-state is keyed by vertex, not by rank, so a checkpoint captured on the
-fast engine resumes on the reference engine and vice versa.
+(:func:`capture_engine_state` / :func:`restore_engine_state`), which
+stores the state as the engines hold it, indexed by rank.  Both engines
+take their rank order from the graph's shared
+:class:`~repro.graph.SimulationLayout`, and the graph fingerprint every
+checkpoint binds digests the vertices in exactly that order, so a
+checkpoint captured on the fast engine resumes on the reference engine
+and vice versa.
 
-Wire format: a schema-versioned JSON envelope whose ``state`` field is
-a pickled (protocol-pinned) blob of the live vertex objects, base64
-encoded, and whose ``checksum`` field is verified before that blob is
-decoded.  The blob must be one pickle so that object identity between
-an algorithm and its context (a walker caches bound methods of its
-context's generator) is preserved across the round trip.
-Checkpointing therefore requires the vertex algorithms to be
-picklable — true for every algorithm in this library.
+Wire format: a JSON envelope of schema :data:`CHECKPOINT_SCHEMA_VERSION`
+whose ``state`` field is a pickled (protocol-pinned) blob of the live
+vertex objects, base64 encoded, and whose ``checksum`` field is
+verified before that blob is decoded.  The blob must be one pickle so
+that object identity between an algorithm and its context (a walker
+caches bound methods of its context's generator) is preserved across
+the round trip.  Checkpointing therefore requires the vertex
+algorithms to be picklable — true for every algorithm in this library.
 The blob is written by :func:`dump_state`.  A vertex's randomness is
 its seed and the number of words it has drawn, so a context's generator
 that is still within its first 624 words since seeding pickles as that
 seed and count (:func:`repro.rng.reduce_seeded_random`), a few bytes;
-every other exact ``random.Random`` pickles as its packed MT19937 words
-(:func:`repro.rng.reduce_random`) instead of 625 Python ints.  The
-crash-recovery snapshots of :mod:`repro.congest.channel` go through the
-same serializer.
+every other generator pickles the default way.  The crash-recovery
+snapshots of :mod:`repro.congest.channel` go through the same
+serializer.
 """
 
 from __future__ import annotations
@@ -60,33 +63,13 @@ from typing import Any, Dict, Iterable, List, Optional
 from .. import storage
 from ..errors import CheckpointError, StorageError
 from ..graph import Graph
-from ..rng import reduce_random, reduce_seeded_random
-from .faults import pad_fault_counts
+from ..rng import reduce_seeded_random
 from .metrics import CongestMetrics
 from .trace import RoundTrace
 
-#: Version stamped on every serialized checkpoint.  History:
-#:
-#: * 1 — initial layout (round, engine-neutral state blob, metrics,
-#:   optional trace prefix, fault plan + crash-recovery state); the
-#:   optional ``checksum`` covers the whole envelope's canonical JSON.
-#: * 2 — packed RNG states: the state blob pickles every exact
-#:   ``random.Random`` as packed MT19937 words
-#:   (:func:`repro.rng.rebuild_random`).  The ``checksum`` is mandatory
-#:   and covers the metadata's canonical JSON followed by the base64
-#:   ``state`` text, so the state is never re-encoded to verify it.
-#: * 3 — seeded RNG states: a vertex context's generator that is its
-#:   seed advanced by at most 624 words pickles as the seed and that
-#:   count (:func:`repro.rng.rebuild_seeded_random`); every other exact
-#:   ``random.Random`` keeps schema 2's packed words.  The checksum
-#:   rule is schema 2's.
-#:
-#: ``from_dict`` accepts any version up to the current one and fills
-#: absent newer fields with defaults, so pinned old fixtures keep
-#: loading (see ``tests/data/checkpoint_v1.json``,
-#: ``tests/data/checkpoint_v1_checksummed.json`` and
-#: ``tests/data/checkpoint_v2.json``).
-CHECKPOINT_SCHEMA_VERSION = 3
+#: The one envelope schema :meth:`SimulationCheckpoint.from_dict` reads;
+#: a file stamped with any other is refused before its state is decoded.
+CHECKPOINT_SCHEMA_VERSION = 4
 
 #: Pinned pickle protocol for the state blob, so identical state
 #: pickles to identical bytes and checkpoints stay readable across
@@ -95,11 +78,10 @@ PICKLE_PROTOCOL = 4
 
 
 class _StatePickler(pickle.Pickler):
-    """Default pickling, except exact ``random.Random`` objects: one
-    that is a context's generator pickles as seed and count when it
-    can (:func:`repro.rng.reduce_seeded_random`), any other as packed
-    words (:func:`repro.rng.reduce_random`).  ``seeds`` maps the
-    ``id`` of each context's generator to that context's seed.
+    """Default pickling, except that an exact ``random.Random`` that is
+    a context's generator pickles as seed and count when
+    :func:`repro.rng.reduce_seeded_random` can write it so.  ``seeds``
+    maps the ``id`` of each context's generator to that context's seed.
     """
 
     def __init__(self, file, seeds: Dict[int, Any], keys: Dict) -> None:
@@ -108,12 +90,13 @@ class _StatePickler(pickle.Pickler):
         self._keys = keys
 
     def reducer_override(self, obj):
-        if type(obj) is not random.Random:
-            return NotImplemented
-        seed = self._seeds.get(id(obj))
-        if seed is None:
-            return reduce_random(obj)
-        return reduce_seeded_random(obj, seed, self._keys)
+        if type(obj) is random.Random:
+            seed = self._seeds.get(id(obj))
+            if seed is not None:
+                reduced = reduce_seeded_random(obj, seed, self._keys)
+                if reduced is not None:
+                    return reduced
+        return NotImplemented
 
 
 def dump_state(obj: Any, contexts: Iterable = (),
@@ -141,32 +124,24 @@ def dump_state(obj: Any, contexts: Iterable = (),
 
 
 def _envelope_checksum(data: Dict[str, Any]) -> str:
-    """blake2b digest of an envelope, per its schema, sans checksum.
+    """blake2b digest of an envelope: the canonical JSON of every field
+    except ``checksum`` and ``state``, followed by the base64 ``state``
+    text as it stands, so the blob is hashed once and never JSON-encoded
+    again.
 
-    Schema 1 digests the whole envelope's canonical JSON.  Schemas 2
-    and 3 digest the canonical JSON of every field except ``state``,
-    followed by the base64 ``state`` text itself, so the blob is hashed
-    as it stands instead of being JSON-encoded again.
     Verified by :meth:`SimulationCheckpoint.from_dict` *before* the
-    state blob is base64-decoded or unpickled, so a truncated or
-    bit-flipped checkpoint raises :class:`CheckpointError` instead of
-    feeding garbage to pickle.  Schema-1 envelopes written before
-    checksums existed simply lack the field and stay loadable.
+    state blob is base64-decoded or unpickled, so a truncated,
+    bit-flipped or relabeled checkpoint raises :class:`CheckpointError`
+    instead of feeding garbage to pickle.
     """
-    if data.get("schema") == 1:
-        skip, tail = ("checksum",), b""
-    else:
-        state = data.get("state")
-        if not isinstance(state, str):
-            raise TypeError(
-                f"state is {type(state).__name__}, not base64 text"
-            )
-        skip, tail = ("checksum", "state"), state.encode("utf-8")
-    body = {k: v for k, v in data.items() if k not in skip}
+    state = data.get("state")
+    if not isinstance(state, str):
+        raise TypeError(f"state is {type(state).__name__}, not base64 text")
+    body = {k: v for k, v in data.items() if k not in ("checksum", "state")}
     digest = blake2b(
         storage.canonical_json(body).encode("utf-8"), digest_size=16
     )
-    digest.update(tail)
+    digest.update(state.encode("utf-8"))
     return digest.hexdigest()
 
 
@@ -192,8 +167,8 @@ class SimulationCheckpoint:
     #: ``round + 1`` (``run(max_rounds=...)`` stays an absolute bound).
     round: int
     n: int
-    #: Engine that captured the checkpoint (informational — resume may
-    #: use either engine; the state is vertex-keyed).
+    #: Engine that captured the checkpoint (informational: resume may
+    #: use either engine).
     engine: str
     #: :func:`graph_fingerprint` of the captured network.
     graph: str
@@ -205,23 +180,22 @@ class SimulationCheckpoint:
     fault_plan: Optional[Dict[str, Any]]
     #: ``CongestMetrics.to_dict(include_per_round=True)`` payload.
     metrics: Dict[str, Any]
-    #: The pickled engine-neutral state blob (see the module doc).
+    #: The pickled rank-indexed state blob (see the module doc).
     state: bytes
     #: Rounds recorded by the attached trace recorder up to capture, as
     #: ``RoundTrace.to_dict()`` payloads; ``None`` when untraced.
     trace_rounds: Optional[List[Dict[str, Any]]] = None
-    schema: int = CHECKPOINT_SCHEMA_VERSION
 
     # -- serialization ---------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe form (the state blob is base64-encoded).
 
-        The envelope carries a ``checksum`` (computed per
-        :attr:`schema`; see :func:`_envelope_checksum`) so torn writes
-        and bit-flips are caught at load time, never unpickled.
+        The envelope carries a ``checksum`` (see
+        :func:`_envelope_checksum`) so torn writes and bit-flips are
+        caught at load time, never unpickled.
         """
         data = {
-            "schema": self.schema,
+            "schema": CHECKPOINT_SCHEMA_VERSION,
             "round": self.round,
             "n": self.n,
             "engine": self.engine,
@@ -239,63 +213,56 @@ class SimulationCheckpoint:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "SimulationCheckpoint":
-        """Rebuild a checkpoint, tolerating *older* schemas forever.
+        """Rebuild a checkpoint from its envelope, verified first.
 
-        Unknown fields from future minor additions are ignored and
-        absent optional fields default, which is the forward-compat
-        contract the pinned v1 fixture test locks in.  A schema newer
-        than this code understands is refused rather than misread.
+        Only schema :data:`CHECKPOINT_SCHEMA_VERSION` is read, and only
+        once its checksum matches; any other schema marker, a missing or
+        stale checksum, and a missing field each raise
+        :class:`~repro.errors.CheckpointError`.  Unknown extra fields are
+        ignored.
         """
         if not isinstance(data, dict):
             raise CheckpointError(
                 f"checkpoint payload is {type(data).__name__}, not an object"
             )
-        # The schema picks the checksum rule, so it is read first; a
-        # forged schema marker fails the checksum it selects.
         schema = data.get("schema")
-        if not isinstance(schema, int) or schema < 1:
+        if type(schema) is not int or schema != CHECKPOINT_SCHEMA_VERSION:
             raise CheckpointError(
-                f"checkpoint carries invalid schema marker {schema!r}"
-            )
-        if schema > CHECKPOINT_SCHEMA_VERSION:
-            raise CheckpointError(
-                f"checkpoint schema {schema} is newer than the supported "
-                f"version {CHECKPOINT_SCHEMA_VERSION}"
+                f"checkpoint carries schema {schema!r}; this code reads "
+                f"schema {CHECKPOINT_SCHEMA_VERSION} only"
             )
         expected = data.get("checksum")
-        if expected is None and schema >= 2:
+        if expected is None:
             raise CheckpointError(
-                f"checkpoint schema {schema} envelope carries no checksum; "
-                "refusing to unpickle its state"
+                "checkpoint envelope carries no checksum; refusing to "
+                "unpickle its state"
             )
-        if expected is not None:
-            try:
-                actual = _envelope_checksum(data)
-            except (TypeError, ValueError) as exc:
-                raise CheckpointError(
-                    f"checkpoint envelope is not canonicalizable: {exc}"
-                ) from exc
-            if actual != expected:
-                raise CheckpointError(
-                    "checkpoint failed checksum verification "
-                    f"(expected {expected!r}, got {actual!r}) — torn "
-                    "write or bit-flip; refusing to unpickle its state"
-                )
         try:
-            budget = data.get("budget", {})
+            actual = _envelope_checksum(data)
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(
+                f"checkpoint envelope is not canonicalizable: {exc}"
+            ) from exc
+        if actual != expected:
+            raise CheckpointError(
+                "checkpoint failed checksum verification "
+                f"(expected {expected!r}, got {actual!r}) — torn "
+                "write or bit-flip; refusing to unpickle its state"
+            )
+        try:
+            budget = data["budget"]
             return cls(
-                schema=schema,
                 round=int(data["round"]),
                 n=int(data["n"]),
-                engine=str(data.get("engine", "")),
+                engine=str(data["engine"]),
                 graph=str(data["graph"]),
-                strict=bool(data.get("strict", False)),
-                capacity=int(data.get("capacity", 1)),
+                strict=bool(data["strict"]),
+                capacity=int(data["capacity"]),
                 budget_n=int(budget["n"]),
                 budget_words=int(budget["words"]),
-                fault_plan=data.get("fault_plan"),
+                fault_plan=data["fault_plan"],
                 metrics=dict(data["metrics"]),
-                trace_rounds=data.get("trace_rounds"),
+                trace_rounds=data["trace_rounds"],
                 state=base64.b64decode(data["state"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -382,78 +349,43 @@ def verify_restore_target(engine, checkpoint: SimulationCheckpoint,
 def capture_engine_state(engine) -> SimulationCheckpoint:
     """Freeze ``engine`` at the current round boundary.
 
-    Shared by both engines.  The state blob is keyed by vertex (never
-    by rank), normalized so it only holds logical state: inboxes,
-    wakeups, and runnable flags of halted vertices are dead weight and
-    are excluded.  In-flight traffic, withheld (delayed) payloads and
-    buffered detail events are serialized, so a checkpoint taken with
-    messages on the wire resumes bit-identically.
+    Shared by both engines.  The state blob holds the engine's own
+    rank-indexed state, normalized so it only holds logical state:
+    inboxes, wakeups, and runnable flags of halted vertices are dead
+    weight and are excluded.  In-flight traffic, withheld (delayed)
+    payloads and buffered detail events are serialized, so a checkpoint
+    taken with messages on the wire resumes bit-identically.
     """
     contexts = engine._contexts
-    verts = engine._verts
-    n = engine._n
-    per_edge, messages, bits, bits_hist, fcounts = engine._inflight
-    crash_rounds = engine._crash_rounds
     state = {
-        "contexts": dict(zip(verts, contexts)),
-        "algorithms": dict(zip(verts, engine._algorithms)),
+        "contexts": contexts,
+        "algorithms": engine._algorithms,
         "pending": {
-            verts[i]: box
+            i: box
             for i, box in enumerate(engine._pending)
             if box and not contexts[i]._halted
         },
-        "runnable": {
-            verts[i] for i in engine._runnable if not contexts[i]._halted
-        },
+        "runnable": {i for i in engine._runnable if not contexts[i]._halted},
         "wakeups": {
-            verts[i]: w
+            i: w
             for i, w in enumerate(engine._wake_round)
             if w is not None and not contexts[i]._halted
         },
-        "inflight": {
-            "per_edge": [
-                (verts[key // n], verts[key % n], count)
-                for key, count in per_edge.items()
-            ],
-            "messages": messages,
-            "bits": bits,
-            "bits_hist": dict(bits_hist),
-            "fcounts": tuple(fcounts),
-        },
-        # Withheld payloads flattened in release order; detail-mode
-        # entries carry a trailing sequence number.
-        "delayed": [
-            (release,) + tuple(entry)
-            for release in sorted(engine._delay_queue)
-            for entry in engine._delay_queue[release]
-        ],
-        # Detail events buffered for the next executed round (empty
-        # unless the trace recorder asked for detail).
-        "inflight_events": [dict(e) for e in engine._inflight_events],
-        "crashed": {verts[i] for i in engine._crashed_ids},
-        "crash_rounds": (
-            None
-            if crash_rounds is None
-            else {
-                verts[i]: cr
-                for i, cr in enumerate(crash_rounds)
-                if cr is not None
-            }
-        ),
-        "rejoin_queue": [(r, verts[i]) for r, i in engine._rejoin_queue],
-        "snapshots": {
-            verts[i]: blob for i, blob in engine._snapshots.items()
-        },
-        "snapshot_rounds": {
-            verts[i]: r for i, r in engine._snapshot_rounds.items()
-        },
+        "inflight": engine._inflight,
+        "delayed": engine._delay_queue,
+        "inflight_events": engine._inflight_events,
+        "crashed": engine._crashed_ids,
+        "crash_rounds": engine._crash_rounds,
+        "rejoin_queue": engine._rejoin_queue,
+        "snapshots": engine._snapshots,
+        "snapshot_rounds": engine._snapshot_rounds,
         "initialized": engine._initialized,
     }
     if engine._registry is not None:
         engine._registry.count("congest.checkpoints_captured")
     return SimulationCheckpoint(
         round=engine._round,
-        n=n,
+        n=engine._n,
         engine=engine.name,
         graph=graph_fingerprint(engine.graph),
         strict=engine.strict,
@@ -490,73 +422,43 @@ def restore_engine_state(engine, checkpoint: SimulationCheckpoint) -> None:
         raise CheckpointError(
             f"cannot unpickle checkpoint state: {exc}"
         ) from exc
-    index = engine._index
-    verts = engine._verts
     try:
-        contexts = state["contexts"]
         algorithms = state["algorithms"]
         # The engine was built through the caller's factory; resuming
         # another protocol's objects would run them to this one's round
         # bound and grade foreign state.
-        for v, built in zip(verts, engine._algorithms):
-            restored = algorithms[v]
+        for v, restored, built in zip(
+            engine._verts, algorithms, engine._algorithms
+        ):
             if type(restored) is not type(built):
                 raise CheckpointError(
                     f"checkpoint holds a {type(restored).__qualname__} at "
                     f"vertex {v!r}, but this simulation's factory builds "
                     f"{type(built).__qualname__}"
                 )
-        engine._contexts = [contexts[v] for v in verts]
-        engine._algorithms = [algorithms[v] for v in verts]
+        engine._contexts = state["contexts"]
+        engine._algorithms = algorithms
+        pending = state["pending"]
         engine._pending = [None] * n
-        engine._pending_ids = set()
-        for v, box in state["pending"].items():
-            engine._pending[index[v]] = box
-            engine._pending_ids.add(index[v])
-        engine._runnable = {index[v] for v in state["runnable"]}
+        for i, box in pending.items():
+            engine._pending[i] = box
+        engine._pending_ids = set(pending)
+        engine._runnable = state["runnable"]
         engine._wake_round = [None] * n
-        for v, w in state["wakeups"].items():
-            engine._wake_round[index[v]] = w
-        inflight = state["inflight"]
-        engine._inflight = (
-            {
-                index[u] * n + index[w]: count
-                for u, w, count in inflight["per_edge"]
-            },
-            inflight["messages"],
-            inflight["bits"],
-            dict(inflight["bits_hist"]),
-            pad_fault_counts(inflight["fcounts"]),
-        )
-        engine._delay_queue = {}
-        for entry in state.get("delayed", ()):
-            # entry = (release, send_round, sender, receiver,
-            # payload[, seq]); older checkpoints lack the trailing
-            # detail-mode sequence number.
-            engine._delay_queue.setdefault(entry[0], []).append(
-                tuple(entry[1:])
-            )
-        engine._inflight_events = [
-            dict(e) for e in state.get("inflight_events", ())
-        ]
-        engine._crashed_ids = {index[v] for v in state["crashed"]}
-        crash_rounds = state["crash_rounds"]
-        if crash_rounds is None:
-            engine._crash_rounds = None
-        else:
-            engine._crash_rounds = [None] * n
-            for v, cr in crash_rounds.items():
-                engine._crash_rounds[index[v]] = cr
-        engine._rejoin_queue = [
-            (r, index[v]) for r, v in state["rejoin_queue"]
-        ]
+        for i, w in state["wakeups"].items():
+            engine._wake_round[i] = w
+        engine._inflight = state["inflight"]
+        engine._delay_queue = state["delayed"]
+        engine._inflight_events = state["inflight_events"]
+        engine._crashed_ids = state["crashed"]
+        engine._crash_rounds = state["crash_rounds"]
+        engine._rejoin_queue = state["rejoin_queue"]
         engine._snapshot_targets = {i for _, i in engine._rejoin_queue}
-        engine._snapshots = {
-            index[v]: blob for v, blob in state["snapshots"].items()
-        }
-        engine._snapshot_rounds = {
-            index[v]: r for v, r in state["snapshot_rounds"].items()
-        }
+        engine._snapshots = state["snapshots"]
+        engine._snapshot_rounds = state["snapshot_rounds"]
+        # A pre-initialization checkpoint (captured before run()) holds
+        # False, so the resumed run still initializes normally.
+        engine._initialized = state["initialized"]
     except KeyError as exc:
         raise CheckpointError(
             f"checkpoint state is missing {exc}"
@@ -567,9 +469,6 @@ def restore_engine_state(engine, checkpoint: SimulationCheckpoint) -> None:
         engine.trace.rounds = [
             RoundTrace.from_dict(d) for d in checkpoint.trace_rounds
         ]
-    # A pre-initialization checkpoint (captured before run()) leaves
-    # this False, so the resumed run still initializes normally.
-    engine._initialized = bool(state.get("initialized", True))
     if engine._registry is not None:
         engine._registry.count("congest.checkpoints_restored")
 

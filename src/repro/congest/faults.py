@@ -71,16 +71,6 @@ CORRUPT = 3
 NO_FAULTS: Tuple[int, int, int, int, int, int] = (0, 0, 0, 0, 0, 0)
 
 
-def pad_fault_counts(counts) -> Tuple[int, ...]:
-    """Normalize a historical (dropped, duplicated, corrupted) triple
-    to the current six-counter layout (checkpoints written before the
-    adversity counters existed carry the short form)."""
-    padded = tuple(counts)
-    if len(padded) >= len(NO_FAULTS):
-        return padded
-    return padded + (0,) * (len(NO_FAULTS) - len(padded))
-
-
 class CorruptedPayload:
     """Deterministic stand-in delivered in place of a corrupted message.
 

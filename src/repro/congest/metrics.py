@@ -112,8 +112,7 @@ class CongestMetrics:
 
         ``faults`` is the optional (dropped, duplicated, corrupted,
         delayed, topology-lost, partitioned) counter tuple for the
-        traffic delivered into this round (historical 3-tuples are
-        still accepted).
+        traffic delivered into this round.
         """
         self.rounds += 1
         if per_edge_counts:
@@ -144,10 +143,9 @@ class CongestMetrics:
             self.messages_dropped += faults[0]
             self.messages_duplicated += faults[1]
             self.messages_corrupted += faults[2]
-            if len(faults) > 3:
-                self.messages_delayed += faults[3]
-                self.messages_lost_topology += faults[4]
-                self.messages_partitioned += faults[5]
+            self.messages_delayed += faults[3]
+            self.messages_lost_topology += faults[4]
+            self.messages_partitioned += faults[5]
 
     def record_crashed(self, count: int) -> None:
         """Account ``count`` vertices fail-stopped by a fault plan."""
@@ -165,10 +163,6 @@ class CongestMetrics:
             return
         self.rounds += rounds
         self.effective_rounds += rounds
-
-    def record_message(self, bits: int) -> None:
-        """Track the size of one message."""
-        self.max_message_bits = max(self.max_message_bits, bits)
 
     def merge(self, other: "CongestMetrics") -> "CongestMetrics":
         """Combine two executions run back to back (phases of one algorithm)."""

@@ -16,16 +16,17 @@ Tracing is opt-in and zero-cost when off.  Two ways to turn it on:
   which attaches a fresh recorder to every simulator constructed while
   the session is active.
 
-Records export to JSON dicts and JSONL files and round-trip back, so
-experiments can report congestion-over-time series instead of only
-end-of-run aggregates.
+Records export to JSON dicts and JSONL files, so experiments can report
+congestion-over-time series instead of only end-of-run aggregates;
+:func:`repro.obs.load_trace_jsonl` reads a file back into those dicts,
+and :meth:`RoundTrace.from_dict` rebuilds a record from one.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional
 
 #: Version stamped on every emitted record.  History:
 #:
@@ -351,25 +352,6 @@ class TraceRecorder:
             json.dumps(d, sort_keys=True) + "\n" for d in self.to_dicts()
         )
         storage.atomic_write_text(path, lines, verify=True)
-
-    @classmethod
-    def from_jsonl(cls, lines: Iterable[str], label: str = "") -> "TraceRecorder":
-        """Rebuild a recorder from JSONL lines (blank lines ignored)."""
-        rec = cls(label)
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            data = json.loads(line)
-            if not rec.label and "sim" in data:
-                rec.label = data["sim"]
-            rec.rounds.append(RoundTrace.from_dict(data))
-        return rec
-
-    @classmethod
-    def read_jsonl(cls, path: str) -> "TraceRecorder":
-        with open(path) as handle:
-            return cls.from_jsonl(handle)
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Seeded randomness helpers and the pickled forms of a generator.
+"""Seeded randomness helpers and the pickled form of a vertex generator.
 
 All randomized code in this library accepts a ``seed`` argument that may
 be ``None`` (fresh entropy), an ``int`` (deterministic), or an existing
@@ -10,20 +10,17 @@ Simulated vertices draw only through their own scalar
 ``random.Random`` (``VertexContext.rng``), so a run's outcome is fixed
 by its seeds and its draw order alone.
 
-The module also owns the two pickled forms of an exact
-``random.Random`` that checkpoints use.  A vertex generator still
-within its first 624 words since seeding is its seed and the number of
-words drawn (:func:`reduce_seeded_random` /
-:func:`rebuild_seeded_random`, from schema 3 on); any other is its
-packed MT19937 words (:func:`reduce_random` / :func:`rebuild_random`,
-from schema 2 on).  Both rebuilders' names are frozen: saved
-checkpoints name them.
+The module also owns the pickled form of a vertex generator that
+checkpoints use: a generator still within its first 624 words since
+seeding is its seed and the number of words drawn
+(:func:`reduce_seeded_random` / :func:`rebuild_seeded_random`); any
+other pickles the default way.  The rebuilder's name is frozen: saved
+checkpoints name it.
 """
 
 from __future__ import annotations
 
 import random
-import sys
 from array import array
 from typing import Any, Dict, Union
 
@@ -59,54 +56,9 @@ _STATE_VERSION = 3
 
 #: ``array`` typecode of one unsigned 32-bit MT19937 word on this
 #: platform; ``None`` on an ABI with no 4-byte typecode, where
-#: :func:`reduce_random` keeps default pickling.
+#: :func:`reduce_seeded_random` leaves every generator to default
+#: pickling.
 _WORD_CODE = next((code for code in "IL" if array(code).itemsize == 4), None)
-
-#: Packed words are little-endian on disk whatever the host's order.
-_SWAP_WORDS = sys.byteorder != "little"
-
-
-def reduce_random(rng: random.Random):
-    """Pickle reducer: an exact ``random.Random`` as packed MT19937 words.
-
-    ``Random.__reduce__`` pickles the state as a tuple of 625 Python
-    ints, so a checkpoint of a few thousand materialized vertex streams
-    is mostly integer opcodes.  This reducer writes the 624 key words
-    as 2496 little-endian bytes plus the position and ``gauss_next``;
-    :func:`rebuild_random` restores a generator whose ``getstate()``
-    equals the original's.  The checkpoint serializer
-    :func:`repro.congest.checkpoint.dump_state` applies it to every
-    exact ``random.Random`` (subclasses keep default pickling) that
-    :func:`reduce_seeded_random` cannot write as seed and count.
-
-    Both names are frozen.  Schema-2 state blobs name
-    ``repro.rng.rebuild_random`` for every generator and schema-3 blobs
-    for each one that is not written as seed and count, so renaming or
-    moving it breaks saved checkpoints; this reducer stays paired with
-    it.
-    """
-    version, internal, gauss = rng.getstate()
-    if (
-        _WORD_CODE is None
-        or version != _STATE_VERSION
-        or len(internal) != _N + 1
-    ):
-        return rng.__reduce__()
-    words = array(_WORD_CODE, internal)
-    pos = words.pop()  # internal is the 624 key words, then the position
-    if _SWAP_WORDS:
-        words.byteswap()
-    return rebuild_random, (words.tobytes(), pos, gauss)
-
-
-def rebuild_random(words: bytes, pos: int, gauss) -> random.Random:
-    """Unpickle what :func:`reduce_random` wrote (name frozen, see there)."""
-    key = array(_WORD_CODE)
-    key.frombytes(words)
-    if _SWAP_WORDS:
-        key.byteswap()
-    key.append(pos)
-    return fresh_random_from_state((_STATE_VERSION, tuple(key), gauss))
 
 
 def reduce_seeded_random(
@@ -114,13 +66,13 @@ def reduce_seeded_random(
 ):
     """Pickle reducer: ``rng`` as ``seed`` and the number of 32-bit
     words drawn since it was ``random.Random(seed)``, when that is at
-    most 624; else as packed words (:func:`reduce_random`).
+    most 624; else ``None``, and ``rng`` pickles the default way.
 
     A vertex's randomness is its seed and its draw count, so this form
-    costs a few bytes where the packed one costs 2,496.  The seed lives
-    in the vertex context, not in the generator, so the caller names
-    it: :func:`repro.congest.checkpoint.dump_state` passes each
-    context's seed for that context's generator.
+    costs a few bytes where the default one costs 625 Python ints.  The
+    seed lives in the vertex context, not in the generator, so the
+    caller names it: :func:`repro.congest.checkpoint.dump_state` passes
+    each context's seed for that context's generator.
 
     Exact, never a sample: a count is written only when
     ``rebuild_seeded_random(seed, count)`` has ``rng``'s very state —
@@ -132,8 +84,8 @@ def reduce_seeded_random(
     twisted key (2,496 bytes) across calls, so checking the same
     generators again reads only their live state.
 
-    :func:`rebuild_seeded_random`'s name is frozen: from checkpoint
-    schema 3 on, saved state blobs name it.
+    :func:`rebuild_seeded_random`'s name is frozen: saved state blobs
+    name it.
     """
     version, internal, gauss = rng.getstate()
     if (
@@ -142,7 +94,7 @@ def reduce_seeded_random(
         or len(internal) != _N + 1
         or gauss is not None
     ):
-        return reduce_random(rng)
+        return None
     words = array(_WORD_CODE, internal)
     pos = words.pop()
     twisted = keys.get(seed)
@@ -152,7 +104,7 @@ def reduce_seeded_random(
         return rebuild_seeded_random, (seed, pos)
     if pos == _N and words == _key_words(seed, 0):
         return rebuild_seeded_random, (seed, 0)
-    return reduce_random(rng)
+    return None
 
 
 def _key_words(seed: Any, drawn: int) -> array:
@@ -175,10 +127,3 @@ def rebuild_seeded_random(seed: Any, drawn: int) -> random.Random:
     rng.getrandbits(32 * drawn)
     return rng
 
-
-def fresh_random_from_state(state) -> random.Random:
-    """A ``random.Random`` carrying ``state`` without the cost (and the
-    entropy consumption) of default seeding."""
-    rng = random.Random.__new__(random.Random)
-    rng.setstate(state)
-    return rng

@@ -3,8 +3,7 @@
 Checkpoints pickle live algorithm objects, and pickle resolves classes
 by qualified module path — a class defined inside a test function
 cannot round-trip.  Keeping the workload here (``tests`` is an
-importable package) makes checkpoints of it serializable, and pins the
-class path the ``tests/data/checkpoint_v1.json`` fixture refers to.
+importable package) makes checkpoints of it serializable.
 """
 
 from repro.congest import CorruptedPayload, VertexAlgorithm

@@ -12,6 +12,7 @@ the same serializer as capture (:func:`dump_state`).
 """
 
 import dataclasses
+import io
 import json
 import os
 import pickle
@@ -40,15 +41,13 @@ from repro.errors import CheckpointError
 from repro.generators import gnp_random_graph
 from repro.graph import Graph
 from repro.independent_set.greedy import LubyMIS
-from repro.rng import rebuild_seeded_random, reduce_random
+from repro.rng import rebuild_seeded_random
 from repro.routing.walk_exchange import WalkExchange
 from repro.storage import canonical_json
 
 from tests import _checkpoint_fixture as checkpoint_fixture
 from tests._checkpoint_fixture import FixtureFlood, FixtureWalker
 from tests.test_adversity import _rng_states
-
-FIXTURES = os.path.join(os.path.dirname(__file__), "data")
 
 PLANS = {
     "none": FaultPlan(),
@@ -283,9 +282,8 @@ def test_checkpoint_serialization_round_trips():
     graph = _graph()
     checkpoint = _capture_first(graph, FixtureFlood, PLANS["churn"], "fast")
     data = json.loads(json.dumps(checkpoint.to_dict(), sort_keys=True))
-    back = SimulationCheckpoint.from_dict(data)
-    assert back == checkpoint
-    assert back.schema == CHECKPOINT_SCHEMA_VERSION
+    assert data["schema"] == CHECKPOINT_SCHEMA_VERSION == 4
+    assert SimulationCheckpoint.from_dict(data) == checkpoint
 
 
 def test_checkpoint_save_and_load(tmp_path):
@@ -307,6 +305,30 @@ def test_load_failures_raise_checkpoint_error(tmp_path):
         SimulationCheckpoint.load(str(bad))
 
 
+def _state_text_checksum(data):
+    """The one checksum rule: the canonical JSON of every field but
+    ``checksum`` and ``state``, then the base64 ``state`` text."""
+    meta = {k: v for k, v in data.items() if k not in ("checksum", "state")}
+    digest = blake2b(canonical_json(meta).encode("utf-8"), digest_size=16)
+    digest.update(data["state"].encode("ascii"))
+    return digest.hexdigest()
+
+
+def _relabeled(schema, checksum):
+    """An envelope stamped ``schema`` whose checksum is removed, kept
+    stale, or recomputed over the relabeled metadata."""
+
+    def mangle(data):
+        data = {**data, "schema": schema}
+        if checksum == "removed":
+            del data["checksum"]
+        elif checksum == "recomputed":
+            data["checksum"] = _state_text_checksum(data)
+        return data
+
+    return pytest.param(mangle, id=f"schema-{schema!r}-checksum-{checksum}")
+
+
 @pytest.mark.parametrize(
     "mangle",
     [
@@ -317,13 +339,26 @@ def test_load_failures_raise_checkpoint_error(tmp_path):
         lambda d: {k: v for k, v in d.items() if k != "state"},
         lambda d: {k: v for k, v in d.items() if k != "round"},
         lambda d: {**d, "budget": {}},
+    ] + [
+        _relabeled(schema, checksum)
+        for schema in (1, True, 2, 3, 5, "4", 4.0)
+        for checksum in ("removed", "stale", "recomputed")
     ],
 )
-def test_malformed_payloads_rejected(mangle):
+def test_malformed_payloads_rejected(monkeypatch, mangle):
+    """Refused before anything is unpickled: schema 4 is the one schema
+    read, and only once its checksum matches."""
     graph = _graph()
-    checkpoint = _capture_first(graph, FixtureFlood, FaultPlan(), "fast")
+    data = mangle(
+        _capture_first(graph, FixtureFlood, FaultPlan(), "fast").to_dict()
+    )
+    unpickled = []
+    monkeypatch.setattr(pickle, "loads", lambda *args: unpickled.append(1))
     with pytest.raises(CheckpointError):
-        SimulationCheckpoint.from_dict(mangle(checkpoint.to_dict()))
+        resume_simulation(
+            graph, FixtureFlood, SimulationCheckpoint.from_dict(data)
+        )
+    assert not unpickled
 
 
 def test_captures_and_resume_hash_the_graph_once(monkeypatch):
@@ -460,37 +495,16 @@ def test_bit_flipped_state_blob_refuses_before_unpickling(tmp_path):
         SimulationCheckpoint.load(path)
 
 
-def _assert_state_text_checksum(data):
+def test_checksum_covers_metadata_then_state_text():
     """The checksum is the metadata's canonical JSON followed by the
     base64 state text as it stands, and an envelope without one is
     refused before anything is decoded."""
-    meta = {k: v for k, v in data.items() if k not in ("checksum", "state")}
-    digest = blake2b(canonical_json(meta).encode("utf-8"), digest_size=16)
-    digest.update(data["state"].encode("ascii"))
-    assert data["checksum"] == digest.hexdigest()
-
+    checkpoint = _capture_first(_graph(), FixtureFlood, FaultPlan(), "fast")
+    data = checkpoint.to_dict()
+    assert data["checksum"] == _state_text_checksum(data)
     del data["checksum"]
     with pytest.raises(CheckpointError, match="carries no checksum"):
         SimulationCheckpoint.from_dict(data)
-
-
-def test_schema2_checksum_covers_metadata_then_state_text():
-    """Pinned on the committed schema-2 envelope."""
-    with open(os.path.join(FIXTURES, "checkpoint_v2.json")) as handle:
-        data = json.load(handle)
-    assert data["schema"] == 2
-    _assert_state_text_checksum(data)
-
-
-def test_schema3_checksum_covers_metadata_then_state_text():
-    """A fresh capture is schema 3, which keeps schema 2's checksum
-    rule; schema 4 is refused."""
-    checkpoint = _capture_first(_graph(), FixtureFlood, FaultPlan(), "fast")
-    data = checkpoint.to_dict()
-    assert data["schema"] == CHECKPOINT_SCHEMA_VERSION == 3
-    with pytest.raises(CheckpointError, match="schema 4 is newer"):
-        SimulationCheckpoint.from_dict({**data, "schema": 4})
-    _assert_state_text_checksum(data)
 
 
 def test_tampered_metadata_refuses_loudly(tmp_path):
@@ -527,116 +541,34 @@ def test_torn_checkpoint_save_is_caught_at_load(tmp_path, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# The pinned v1 fixture (forward compatibility)
+# The state serializer
 # ----------------------------------------------------------------------
 
 
-def test_v1_fixture_loads_and_resumes():
-    """A checkpoint file produced at schema 1 must keep loading (and
-    finishing) on every future version of this code."""
-    path = os.path.join(FIXTURES, "checkpoint_v1.json")
-    checkpoint = SimulationCheckpoint.load(path)
-    assert checkpoint.schema == 1
-    graph = _graph()  # the fixture was captured over this exact graph
-    assert checkpoint.graph == graph_fingerprint(graph)
+def _globals(blob):
+    """``(module, name)`` of every global the pickle ``blob`` names."""
+    named = set()
 
-    baseline = _run_uninterrupted(graph, FixtureFlood, FaultPlan(), "fast")
-    recorder = TraceRecorder("resumed")
-    sim = resume_simulation(graph, FixtureFlood, checkpoint, trace=recorder)
-    assert _fingerprint(sim.run(300), recorder) == baseline
+    class Recorder(pickle.Unpickler):
+        def find_class(self, module, name):
+            named.add((module, name))
+            return super().find_class(module, name)
+
+    Recorder(io.BytesIO(blob)).load()
+    return named
 
 
-def test_v1_checksummed_fixture_loads_and_resumes():
-    """A checksummed schema-1 checkpoint whose vertex RNGs are pickled
-    the default way (625 ints each) passes its whole-envelope checksum
-    and resumes bit-identically to the uninterrupted run."""
-    path = os.path.join(FIXTURES, "checkpoint_v1_checksummed.json")
-    with open(path) as handle:
-        data = json.load(handle)
-    checkpoint = SimulationCheckpoint.load(path)
-    assert checkpoint.schema == 1
-    # Re-serializing keeps the schema-1 checksum rule.
-    assert checkpoint.to_dict()["checksum"] == data["checksum"]
-    state = pickle.loads(checkpoint.state)
-    assert any(ctx._rng is not None for ctx in state["contexts"].values())
-    assert b"rebuild_random" not in checkpoint.state
-    graph = _graph()  # the fixture was captured over this exact graph
-    assert checkpoint.graph == graph_fingerprint(graph)
-
-    baseline = _run_uninterrupted(
-        graph, FixtureWalker, FaultPlan(), "fast", max_rounds=60
-    )
-    recorder = TraceRecorder("resumed")
-    sim = resume_simulation(graph, FixtureWalker, checkpoint, trace=recorder)
-    assert _fingerprint(sim.run(60), recorder) == baseline
-
-
-def test_v1_checksummed_fixture_refuses_an_edited_state():
-    path = os.path.join(FIXTURES, "checkpoint_v1_checksummed.json")
-    with open(path) as handle:
-        data = json.load(handle)
-    state = data["state"]
-    pos = len(state) // 2
-    data["state"] = (
-        state[:pos] + ("A" if state[pos] != "A" else "B") + state[pos + 1:]
-    )
-    with pytest.raises(CheckpointError, match="refusing to unpickle"):
-        SimulationCheckpoint.from_dict(data)
-
-
-@pytest.mark.parametrize("engine", ["fast", "reference"])
-def test_v2_fixture_loads_and_resumes(engine):
-    """A schema-2 checkpoint, whose vertex RNGs are all packed words,
-    passes its checksum and resumes bit-identically, RNG end-states
-    included, on either engine."""
-    path = os.path.join(FIXTURES, "checkpoint_v2.json")
-    with open(path) as handle:
-        data = json.load(handle)
-    checkpoint = SimulationCheckpoint.load(path)
-    assert checkpoint.schema == 2
-    assert checkpoint.to_dict()["checksum"] == data["checksum"]
-    state = pickle.loads(checkpoint.state)
-    assert any(ctx._rng is not None for ctx in state["contexts"].values())
-    assert b"rebuild_random" in checkpoint.state
-    assert b"rebuild_seeded_random" not in checkpoint.state
-    graph = _graph()  # the fixture was captured over this exact graph
-    assert checkpoint.graph == graph_fingerprint(graph)
-
-    recorder = TraceRecorder("baseline")
-    sim = CongestSimulator(
-        graph, FixtureWalker, seed=3, faults=FaultPlan(), trace=recorder,
-        engine=engine,
-    )
-    baseline = _fingerprint(sim.run(60), recorder), _rng_states(sim)
-    recorder = TraceRecorder("resumed")
-    sim = resume_simulation(
-        graph, FixtureWalker, checkpoint, engine=engine, trace=recorder
-    )
-    assert (_fingerprint(sim.run(60), recorder), _rng_states(sim)) == baseline
-
-
-def test_v2_fixture_refuses_an_edited_state():
-    with open(os.path.join(FIXTURES, "checkpoint_v2.json")) as handle:
-        data = json.load(handle)
-    state = data["state"]
-    pos = len(state) // 2
-    data["state"] = (
-        state[:pos] + ("A" if state[pos] != "A" else "B") + state[pos + 1:]
-    )
-    with pytest.raises(CheckpointError, match="refusing to unpickle"):
-        SimulationCheckpoint.from_dict(data)
-
-
-# ----------------------------------------------------------------------
-# The packed state serializer
-# ----------------------------------------------------------------------
+#: What a generator pickled as seed and count, and one pickled the
+#: default way, name.
+SEEDED = ("repro.rng", "rebuild_seeded_random")
+DEFAULT = ("random", "Random")
 
 
 class _SubRandom(random.Random):
     """A ``random.Random`` subclass: must keep default pickling."""
 
 
-def test_packed_random_keeps_state_and_identity():
+def test_dumped_random_keeps_state_and_identity():
     rng = random.Random(7)
     rng.gauss(0.0, 1.0)  # leaves a cached gauss_next behind
     rng.random()
@@ -650,11 +582,13 @@ def test_packed_random_keeps_state_and_identity():
 
 
 def test_random_subclasses_keep_default_pickling():
-    rng = _SubRandom(5)
-    blob = dump_state(rng)
-    assert b"rebuild_random" not in blob
-    back = pickle.loads(blob)
-    assert type(back) is _SubRandom and back.getstate() == rng.getstate()
+    """A subclass may hold more than its MT19937 state, so even as a
+    context's freshly seeded generator it pickles the default way."""
+    ctx = VertexContext(0, (1,), {1: 1.0}, 2, _SubRandom(SEED), SEED)
+    blob = dump_state(ctx, [ctx])
+    assert SEEDED not in _globals(blob)
+    back = pickle.loads(blob)._rng
+    assert type(back) is _SubRandom and back.getstate() == ctx.rng.getstate()
 
 
 SEED = 0x5EED_CAFE_F00D
@@ -681,40 +615,40 @@ def _assert_same_generator(back, rng):
 def test_context_generators_pickle_as_seed_and_count(drawn, seeded):
     """Within its first 624 words a context's generator pickles as its
     seed and count; from the 625th word on its key has twisted again,
-    so it keeps packed words.  Either way the state round-trips."""
+    so it pickles the default way.  Either way the state round-trips."""
     ctx = _seeded_context(drawn)
     blob = dump_state(ctx, [ctx])
-    assert (b"rebuild_seeded_random" in blob) is seeded
-    assert (b"rebuild_random" in blob) is not seeded
+    assert (SEEDED in _globals(blob)) is seeded
+    assert (DEFAULT in _globals(blob)) is not seeded
     _assert_same_generator(pickle.loads(blob)._rng, ctx._rng)
 
 
-def test_twisted_key_at_position_zero_keeps_packed_words():
+def test_twisted_key_at_position_zero_keeps_default_pickling():
     """The seed's twisted key at position 0 draws the same words as the
     fresh seed, yet no draw count reproduces that state."""
     ctx = _seeded_context(1)
     version, internal, gauss = ctx.rng.getstate()
     ctx.rng.setstate((version, internal[:-1] + (0,), gauss))
     blob = dump_state(ctx, [ctx])
-    assert b"rebuild_seeded_random" not in blob
+    assert SEEDED not in _globals(blob) and DEFAULT in _globals(blob)
     _assert_same_generator(pickle.loads(blob)._rng, ctx._rng)
 
 
-def test_cached_gauss_falls_back_to_packed_words():
+def test_cached_gauss_falls_back_to_default_pickling():
     ctx = _seeded_context(0)
     ctx.rng.gauss(0.0, 1.0)  # four words drawn, gauss_next cached
     blob = dump_state(ctx, [ctx])
-    assert b"rebuild_seeded_random" not in blob
+    assert SEEDED not in _globals(blob) and DEFAULT in _globals(blob)
     back = pickle.loads(blob)._rng
     assert back.getstate()[2] is not None
     _assert_same_generator(back, ctx._rng)
 
 
-def test_generators_no_context_owns_keep_packed_words():
+def test_generators_no_context_owns_keep_default_pickling():
     """The seed comes from the context holding the generator: a twin in
     the very same state that no given context holds, a generator whose
-    context is not given, and a context without a seed all keep packed
-    words."""
+    context is not given, and a context without a seed all pickle the
+    default way."""
     ctx = _seeded_context(5)
     twin = random.Random(SEED)
     twin.getrandbits(32 * 5)
@@ -727,8 +661,7 @@ def test_generators_no_context_owns_keep_packed_words():
         (unseeded, [unseeded], unseeded.rng),
     ):
         blob = dump_state(obj, contexts)
-        assert b"rebuild_seeded_random" not in blob
-        assert b"rebuild_random" in blob
+        assert SEEDED not in _globals(blob) and DEFAULT in _globals(blob)
         back = pickle.loads(blob)
         _assert_same_generator(getattr(back, "_rng", back), rng)
 
@@ -748,9 +681,9 @@ def test_faulted_luby_checkpoint_stores_seeds_and_counts():
         "fast", every=3,
     )
     state = pickle.loads(checkpoint.state)
-    assert all(ctx._rng is not None for ctx in state["contexts"].values())
-    assert b"rebuild_seeded_random" in checkpoint.state
-    assert b"rebuild_random" not in checkpoint.state
+    assert all(ctx._rng is not None for ctx in state["contexts"])
+    assert SEEDED in _globals(checkpoint.state)
+    assert DEFAULT not in _globals(checkpoint.state)
 
 
 class _Drawer(VertexAlgorithm):
@@ -770,8 +703,9 @@ class _Drawer(VertexAlgorithm):
 @pytest.mark.parametrize("engine", ["fast", "reference"])
 def test_snapshot_revival_restores_seeded_generators(engine, monkeypatch):
     """Vertex 2's last snapshot before its crash holds 450 drawn words
-    (seed and count), vertex 7's 750 (packed words).  Revived, both end
-    exactly as when every snapshot packs its words."""
+    (seed and count), vertex 7's 750 (default pickling).  Revived, both
+    end exactly as when every snapshot pickles its generator the default
+    way."""
     graph = _graph()
     plan = FaultPlan(
         seed=16,
@@ -800,15 +734,15 @@ def test_snapshot_revival_restores_seeded_generators(engine, monkeypatch):
         ), blobs
 
     seeded, blobs = run()
-    assert any(b"rebuild_seeded_random" in blob for blob in blobs)
-    assert any(b"rebuild_random" in blob for blob in blobs)
+    assert any(SEEDED in _globals(blob) for blob in blobs)
+    assert any(DEFAULT in _globals(blob) for blob in blobs)
     monkeypatch.setattr(
         checkpoint_module, "reduce_seeded_random",
-        lambda rng, seed, keys: reduce_random(rng),
+        lambda rng, seed, keys: None,
     )
-    packed, blobs = run()
-    assert not any(b"rebuild_seeded_random" in blob for blob in blobs)
-    assert seeded == packed
+    default, blobs = run()
+    assert not any(SEEDED in _globals(blob) for blob in blobs)
+    assert seeded == default
 
 
 def test_capture_packs_materialized_vertex_rngs():
@@ -816,7 +750,7 @@ def test_capture_packs_materialized_vertex_rngs():
         _graph(), FixtureWalker, FaultPlan(), "fast", every=7, max_rounds=60
     )
     state = pickle.loads(checkpoint.state)
-    assert any(ctx._rng is not None for ctx in state["contexts"].values())
+    assert any(ctx._rng is not None for ctx in state["contexts"])
     assert len(checkpoint.state) < len(pickle.dumps(state, protocol=4))
 
 
@@ -841,8 +775,8 @@ def _walk_factory(v):
 def test_walkers_resume_bound_to_their_generators(engine):
     """A walk exchange checkpointed mid-forward-phase resumes exactly,
     and its cached RNG methods point at the restored context's own
-    generator, whether that was pickled as seed and count or as packed
-    words."""
+    generator, whether that was pickled as seed and count or the
+    default way."""
     graph = _graph()
     max_rounds = 2 * WALK_STEPS + 4
     baseline = _run_uninterrupted(
@@ -853,8 +787,7 @@ def test_walkers_resume_bound_to_their_generators(engine):
         max_rounds=max_rounds,
     )
     assert checkpoint.round < WALK_STEPS
-    assert b"rebuild_seeded_random" in checkpoint.state
-    assert b"rebuild_random" in checkpoint.state
+    assert {SEEDED, DEFAULT} <= _globals(checkpoint.state)
     checkpoint = SimulationCheckpoint.from_dict(
         json.loads(json.dumps(checkpoint.to_dict()))
     )

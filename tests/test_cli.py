@@ -80,7 +80,8 @@ class TestCLI:
             main(["frobnicate"])
 
     def test_trace_flag_writes_jsonl(self, capsys, tmp_path):
-        from repro.congest import TraceRecorder
+        from repro.congest import RoundTrace
+        from repro.obs import load_trace_jsonl
 
         path = tmp_path / "trace.jsonl"
         assert main(
@@ -90,11 +91,12 @@ class TestCLI:
         captured = capsys.readouterr()
         assert "trace:" in captured.err and str(path) in captured.err
         assert "independent set" in captured.out
-        lines = path.read_text().splitlines()
-        assert lines  # at least one simulated round was recorded
-        back = TraceRecorder.from_jsonl(lines)
-        assert back.total_messages() > 0
-        assert all(r.round >= 1 for r in back.rounds)
+        rounds = [
+            RoundTrace.from_dict(d) for d in load_trace_jsonl(str(path))
+        ]
+        assert rounds  # at least one simulated round was recorded
+        assert sum(r.messages for r in rounds) > 0
+        assert all(r.round >= 1 for r in rounds)
 
     def test_quiet_suppresses_diagnostics(self, capsys, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -263,10 +265,12 @@ class TestProbeKeepsExistingOutputs:
             (["--drop", "2"], "invalid fault plan: drop rate 2.0"),
             (["--algorithm", "framework", "--save-checkpoint", "ck.json"],
              "--save-checkpoint supports --algorithm maxis or matching"),
-            (["--resume-from", "damaged.json"], "corrupt checkpoint"),
+            (["--resume-from", "damaged.json"], "cannot load checkpoint"),
+            (["--checkpoint-every", "3"],
+             "--checkpoint-every requires --save-checkpoint PATH"),
         ],
         ids=["n-2", "drop-2", "framework-save-checkpoint",
-             "damaged-resume-from"],
+             "damaged-resume-from", "lone-checkpoint-every"],
     )
     def test_refused_simulation_keeps_existing_trace(
         self, capsys, tmp_path, monkeypatch, flags, message
@@ -385,9 +389,17 @@ def test_bench_jobs_below_one_exits_2(capsys, tmp_path, monkeypatch, jobs):
     assert os.listdir(tmp_path) == []
 
 
+def _graded(out):
+    """The lines a graded run prints: metrics, faults and verdict."""
+    return [line for line in out.splitlines()
+            if line.startswith(("CONGEST:", "faults:", "verdict:"))]
+
+
 class TestFaultsCheckpointCLI:
     ARGS = ["faults", "--family", "delaunay", "--n", "40",
             "--algorithm", "maxis", "--seed", "3"]
+    MATCHING = ["faults", "--algorithm", "matching", "--n", "60",
+                "--seed", "1", "--drop", "0.1"]
 
     def test_save_then_resume_round_trips(self, capsys, tmp_path):
         ck = str(tmp_path / "ck.json")
@@ -408,11 +420,6 @@ class TestFaultsCheckpointCLI:
         ck = str(tmp_path / "ck.json")
         common = ["faults", "--algorithm", algorithm, "--n", "60",
                   "--seed", "1", "--drop", "0.1"]
-
-        def graded(out):
-            return [line for line in out.splitlines()
-                    if line.startswith(("CONGEST:", "faults:", "verdict:"))]
-
         code = main(common + ["--save-checkpoint", ck,
                               "--checkpoint-every", "3"])
         first = capsys.readouterr().out
@@ -420,8 +427,52 @@ class TestFaultsCheckpointCLI:
         assert main(common + ["--resume-from", ck]) == code
         second = capsys.readouterr().out
         assert "resumed:" in second
-        assert len(graded(first)) == 3
-        assert graded(second) == graded(first)
+        assert len(_graded(first)) == 3
+        assert _graded(second) == _graded(first)
+
+    def test_resumed_run_saves_checkpoints_like_a_fresh_one(
+        self, capsys, tmp_path
+    ):
+        """A resumed run given --save-checkpoint saves as a fresh run
+        does, and finishing from what it saved prints the same graded
+        lines again."""
+        ck, ck2 = str(tmp_path / "ck.json"), str(tmp_path / "ck2.json")
+        # The run lasts 145 rounds: resumed from round 100, it saves at
+        # rounds 120 and 140.
+        assert main(self.MATCHING + ["--save-checkpoint", ck,
+                                     "--checkpoint-every", "100"]) == 0
+        first = capsys.readouterr().out
+        assert main(self.MATCHING + ["--resume-from", ck,
+                                     "--save-checkpoint", ck2,
+                                     "--checkpoint-every", "20"]) == 0
+        second = capsys.readouterr().out
+        assert f"checkpoints: 2 saved to {ck2} (last at round 140)" in second
+        assert main(self.MATCHING + ["--resume-from", ck2]) == 0
+        third = capsys.readouterr().out
+        assert len(_graded(first)) == 3
+        assert _graded(third) == _graded(second) == _graded(first)
+
+    def test_resume_refuses_fault_flags_of_another_plan(
+        self, capsys, tmp_path
+    ):
+        """The checkpoint's own plan governs a resumed run: flags that
+        name another are refused before anything runs or is written."""
+        ck = str(tmp_path / "ck.json")
+        assert main(self.MATCHING + ["--save-checkpoint", ck,
+                                     "--checkpoint-every", "3"]) == 0
+        capsys.readouterr()
+        code = main(self.MATCHING + ["--resume-from", ck,
+                                     "--save-checkpoint",
+                                     str(tmp_path / "ck2.json"),
+                                     "--checkpoint-every", "2",
+                                     "--drop", "0.5"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, lines
+        assert "fault flags describe another plan" in lines[0]
+        assert os.listdir(tmp_path) == ["ck.json"]
 
     @pytest.mark.parametrize("every", ["0", "-1"])
     def test_checkpoint_every_below_one_exits_2(self, capsys, tmp_path, every):
@@ -449,7 +500,7 @@ class TestFaultsCheckpointCLI:
         ck.write_bytes(data[: len(data) // 2])
         assert main(self.ARGS + ["--resume-from", str(ck)]) == 2
         err = capsys.readouterr().err
-        assert "corrupt checkpoint" in err and "Traceback" not in err
+        assert "cannot load checkpoint" in err and "Traceback" not in err
 
     def test_missing_checkpoint_resume_exits_2(self, capsys, tmp_path):
         code = main(self.ARGS + ["--resume-from",

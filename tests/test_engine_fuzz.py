@@ -361,28 +361,29 @@ class Observation:
     outcome: tuple
     metrics: dict
     trace: list
-    end_states: dict
+    end_states: list
 
 
 def _end_states(sim):
     """Per-vertex RNG end-state, halt/output, clock and protocol log.
 
-    Read through a checkpoint: its state blob is vertex-keyed whichever
-    engine captured it.
+    Read through a checkpoint: both engines index its state blob by the
+    graph's one rank order, so the lists line up whichever engine
+    captured it.
     """
     state = pickle.loads(sim.checkpoint().state)
-    algorithms = state["algorithms"]
-    return {
-        v: (
+    return [
+        (
+            ctx.vertex,
             None if ctx._rng is None else ctx._rng.getstate(),
             ctx._halted,
             ctx._output,
             ctx.round_number,
-            algorithms[v].steps,
-            algorithms[v].digest,
+            algorithm.steps,
+            algorithm.digest,
         )
-        for v, ctx in state["contexts"].items()
-    }
+        for ctx, algorithm in zip(state["contexts"], state["algorithms"])
+    ]
 
 
 def _observe(sim, recorder, max_rounds, **run_kwargs):

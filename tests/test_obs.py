@@ -27,6 +27,7 @@ from repro.obs import (
     build_snapshot,
     diff_snapshots,
     load_snapshot,
+    load_trace_jsonl,
     render_report,
     telemetry_scope,
     write_snapshot,
@@ -300,10 +301,10 @@ class TestTraceSchema:
     def test_v1_fixture_round_trips(self):
         """A pre-bump JSONL trace (no ``schema`` field) must still load."""
         path = os.path.join(FIXTURES, "trace_v1.jsonl")
-        recorder = TraceRecorder.read_jsonl(path)
-        assert recorder.rounds
-        assert recorder.total_messages() > 0
-        assert all(r.message_bits_histogram == {} for r in recorder.rounds)
+        rounds = [RoundTrace.from_dict(d) for d in load_trace_jsonl(path)]
+        assert rounds
+        assert sum(r.messages for r in rounds) > 0
+        assert all(r.message_bits_histogram == {} for r in rounds)
         # First fixture line predates the schema field entirely.
         with open(path) as handle:
             first = json.loads(handle.readline())
@@ -311,19 +312,21 @@ class TestTraceSchema:
         assert "message_bits_histogram" not in first
         # Re-serialising upgrades every record to the base schema (v5
         # is only stamped when detail events are present).
-        upgraded = recorder.rounds[0].to_dict()
+        upgraded = rounds[0].to_dict()
         assert upgraded["schema"] == BASE_SCHEMA_VERSION
 
-    def test_recorder_records_message_bits(self):
+    def test_recorder_records_message_bits(self, tmp_path):
         recorder = TraceRecorder("sim")
         recorder.record_round(
             1, {("a", "b"): 2}, messages=2, bits=64, stepped=2, idle=0,
             halted=0, skipped_before=0, message_bits_histogram={32: 2},
         )
-        back = TraceRecorder.from_jsonl(recorder.dumps_jsonl().splitlines())
-        assert back.rounds[0].message_bits_histogram == {32: 2}
+        path = str(tmp_path / "trace.jsonl")
+        recorder.write_jsonl(path)
+        (back,) = [RoundTrace.from_dict(d) for d in load_trace_jsonl(path)]
+        assert back.message_bits_histogram == {32: 2}
         assert sum(s * t for s, t in
-                   back.rounds[0].message_bits_histogram.items()) == 64
+                   back.message_bits_histogram.items()) == 64
 
 
 # ----------------------------------------------------------------------

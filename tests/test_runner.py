@@ -95,7 +95,7 @@ def test_metrics_round_trip_dict():
     a = CongestMetrics()
     a.record_round({("u", "v"): 3}, 5, 80)
     a.record_round({("u", "w"): 1}, 3, 40)
-    a.record_message(17)
+    a.max_message_bits = 17
     b = CongestMetrics.from_dict(a.to_dict(include_per_round=True))
     assert b.summary() == a.summary()
     assert b.messages_per_round == a.messages_per_round

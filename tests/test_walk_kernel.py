@@ -466,15 +466,16 @@ def test_kernel_checkpoints_resume_on_both_engines(family, every):
         for key in ("runnable", "wakeups", "inflight"):
             assert state[key] == scalar_state[key], key
         assert _ordered(state["pending"]) == _ordered(scalar_state["pending"])
-        for v in graph.vertices():
-            ctx, scalar_ctx = state["contexts"][v], scalar_state["contexts"][v]
+        assert len(state["contexts"]) == len(scalar_state["contexts"])
+        for ctx, scalar_ctx, walker, scalar_walker in zip(
+            state["contexts"], scalar_state["contexts"],
+            state["algorithms"], scalar_state["algorithms"],
+        ):
             assert ctx.round_number == scalar_ctx.round_number
             assert (ctx._rng is None) == (scalar_ctx._rng is None)
             if ctx._rng is not None:
                 assert ctx._rng.getstate() == scalar_ctx._rng.getstate()
-            assert walker_state(state["algorithms"][v]) == walker_state(
-                scalar_state["algorithms"][v]
-            )
+            assert walker_state(walker) == walker_state(scalar_walker)
         for engine in ("fast", "reference"):
             recorder = TraceRecorder("resumed")
             resumed = resume_simulation(
