@@ -10,10 +10,9 @@ Experiments that have been converted to the cell model (E01, E03, E10)
 run through :mod:`repro.runner`: the suite definition enumerates the
 parameter grid, each cell executes independently, and the table here is
 assembled from the per-cell result objects, so every number printed is
-a recomputation.  ``REPRO_BENCH_JOBS`` sets the worker processes for
-converted suites (default 1: in-process, exactly the historical serial
-execution), so CI and local runs can exercise the parallel path
-without changing the tests.
+a recomputation.  Converted suites run in-process (``jobs=1``); the
+table's bytes do not depend on the job count, which
+``tests/test_runner.py`` checks.
 """
 
 from __future__ import annotations
@@ -52,21 +51,13 @@ def reset_result(filename: str) -> None:
         pass
 
 
-def bench_jobs() -> int:
-    """Worker count for converted suites (``REPRO_BENCH_JOBS``)."""
-    try:
-        return max(1, int(os.environ.get("REPRO_BENCH_JOBS", "1")))
-    except ValueError:
-        return 1
-
-
 def run_recorded_suite(name: str, filename: str, reset: bool = True) -> SuiteRun:
     """Execute a converted suite and record its assembled table.
 
     The table is built from the per-cell :class:`repro.runner.CellResult`
     objects in grid order, so its bytes do not depend on the job count.
     """
-    run = run_suite(name, jobs=bench_jobs())
+    run = run_suite(name, jobs=1)
     if reset:
         reset_result(filename)
     record_table(filename, run.table())

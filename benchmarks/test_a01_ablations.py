@@ -18,14 +18,11 @@ from repro.analysis import Table
 from repro.core.framework import partition_minor_free
 from repro.generators import delaunay_planar_graph, random_integer_weights
 from repro.matching import distributed_mwm, matching_weight, max_weight_matching
+from repro.resilience import degree_solver
 from repro.routing.gather import _calibrated_walk_steps, gather_topology
 from repro.routing.walk_exchange import default_walk_steps
 
 from _util import record_table, reset_result
-
-
-def degree_solver(sub, leader, notes):
-    return {v: sub.degree(v) for v in sub.vertices()}
 
 
 def test_a01_transport_ablation(benchmark):

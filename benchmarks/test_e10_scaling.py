@@ -18,12 +18,9 @@ from repro.congest import TraceSession
 from repro.congest.message import MessageBudget
 from repro.core.framework import partition_minor_free, run_framework
 from repro.generators import delaunay_planar_graph
+from repro.resilience import degree_solver
 
 from _util import RESULTS_DIR, record_table, run_recorded_suite
-
-
-def degree_solver(sub, leader, notes):
-    return {v: sub.degree(v) for v in sub.vertices()}
 
 
 def test_e10_scaling_sweep(benchmark):

@@ -15,12 +15,9 @@ from repro.congest.message import MessageBudget, message_bits
 from repro.core.framework import run_framework
 from repro.errors import MessageTooLargeError
 from repro.generators import delaunay_planar_graph
+from repro.resilience import degree_solver
 
 from _util import record_table, reset_result
-
-
-def degree_solver(sub, leader, notes):
-    return {v: sub.degree(v) for v in sub.vertices()}
 
 
 def local_style_payload(graph) -> tuple:

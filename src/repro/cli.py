@@ -340,8 +340,6 @@ def cmd_bench(args) -> int:
         raise _OperatorError(f"--jobs must be at least 1, got {args.jobs}")
     if args.limit is not None and args.limit < 1:
         raise _OperatorError(f"--limit must be at least 1, got {args.limit}")
-    if args.trace_detail and args.trace is None:
-        raise _OperatorError("--trace-detail requires --trace PATH")
     if args.timeline and args.telemetry is None:
         raise _OperatorError("--timeline requires --telemetry PATH")
     for label, path in (
@@ -1000,6 +998,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _dispatch(args) -> int:
+    detail = getattr(args, "trace_detail", False)
+    if detail and args.trace is None:
+        raise _OperatorError("--trace-detail requires --trace PATH")
     # `bench` manages tracing itself (per-cell sessions merged across
     # worker processes); the session wrapper below is for the
     # single-simulation commands.
@@ -1007,7 +1008,6 @@ def _dispatch(args) -> int:
         from .congest import TraceSession
 
         _probe_path(args.trace, "trace")
-        detail = getattr(args, "trace_detail", False)
         with TraceSession(detail=detail) as session:
             code = args.handler(args)
         session.write_jsonl(args.trace)

@@ -32,8 +32,6 @@ from .checkpoint import (
 from .network import (
     CongestSimulator,
     SimulationResult,
-    default_engine,
-    set_default_engine,
     use_engine,
 )
 
@@ -60,7 +58,5 @@ __all__ = [
     "SimulationCheckpoint",
     "graph_fingerprint",
     "resume_simulation",
-    "default_engine",
-    "set_default_engine",
     "use_engine",
 ]

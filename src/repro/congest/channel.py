@@ -102,16 +102,12 @@ class EngineCore:
         graph: Graph,
         algorithm_factory: Callable[[Any], VertexAlgorithm],
         budget: Optional[MessageBudget] = None,
-        strict: bool = False,
-        capacity: int = 1,
         seed=None,
         trace: Optional[TraceRecorder] = None,
         faults: Optional[FaultInjector] = None,
     ) -> None:
         self.graph = graph
         self.budget = budget if budget is not None else MessageBudget(graph.n)
-        self.strict = strict
-        self.capacity = capacity
         self.metrics = CongestMetrics()
         self.trace = trace
         self.faults = faults

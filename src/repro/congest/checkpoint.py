@@ -172,8 +172,6 @@ class SimulationCheckpoint:
     engine: str
     #: :func:`graph_fingerprint` of the captured network.
     graph: str
-    strict: bool
-    capacity: int
     budget_n: int
     budget_words: int
     #: ``FaultPlan.to_dict()`` payload, or ``None`` for fault-free runs.
@@ -200,8 +198,6 @@ class SimulationCheckpoint:
             "n": self.n,
             "engine": self.engine,
             "graph": self.graph,
-            "strict": self.strict,
-            "capacity": self.capacity,
             "budget": {"n": self.budget_n, "words": self.budget_words},
             "fault_plan": self.fault_plan,
             "metrics": self.metrics,
@@ -219,7 +215,9 @@ class SimulationCheckpoint:
         once its checksum matches; any other schema marker, a missing or
         stale checksum, and a missing field each raise
         :class:`~repro.errors.CheckpointError`.  Unknown extra fields are
-        ignored.
+        ignored once the checksum over them holds, so a file that still
+        carries the ``strict`` and ``capacity`` fields older code wrote
+        loads unchanged.
         """
         if not isinstance(data, dict):
             raise CheckpointError(
@@ -256,8 +254,6 @@ class SimulationCheckpoint:
                 n=int(data["n"]),
                 engine=str(data["engine"]),
                 graph=str(data["graph"]),
-                strict=bool(data["strict"]),
-                capacity=int(data["capacity"]),
                 budget_n=int(budget["n"]),
                 budget_words=int(budget["words"]),
                 fault_plan=data["fault_plan"],
@@ -311,10 +307,10 @@ def verify_restore_target(engine, checkpoint: SimulationCheckpoint,
     """Refuse to restore ``checkpoint`` into a mismatched simulation.
 
     Shared by both engines' ``restore_checkpoint``: the bit-identical
-    resume guarantee only holds when the graph, the CONGEST
-    configuration, and the fault plan all match the capturing run, so
-    any mismatch raises :class:`~repro.errors.CheckpointError` instead
-    of silently diverging.
+    resume guarantee only holds when the graph, the message budget,
+    and the fault plan all match the capturing run, so any mismatch
+    raises :class:`~repro.errors.CheckpointError` instead of silently
+    diverging.
     """
     if checkpoint.n != n:
         raise CheckpointError(
@@ -328,14 +324,11 @@ def verify_restore_target(engine, checkpoint: SimulationCheckpoint,
             f"(fingerprint {checkpoint.graph} != {fingerprint})"
         )
     if (
-        engine.strict != checkpoint.strict
-        or engine.capacity != checkpoint.capacity
-        or engine.budget.n != checkpoint.budget_n
+        engine.budget.n != checkpoint.budget_n
         or engine.budget.words != checkpoint.budget_words
     ):
         raise CheckpointError(
-            "checkpoint was captured under a different simulator "
-            "configuration (strict/capacity/budget mismatch)"
+            "checkpoint was captured under a different message budget"
         )
     plan = (
         engine.faults.plan.to_dict() if engine.faults is not None else None
@@ -388,8 +381,6 @@ def capture_engine_state(engine) -> SimulationCheckpoint:
         n=engine._n,
         engine=engine.name,
         graph=graph_fingerprint(engine.graph),
-        strict=engine.strict,
-        capacity=engine.capacity,
         budget_n=engine.budget.n,
         budget_words=engine.budget.words,
         fault_plan=(
@@ -409,8 +400,8 @@ def restore_engine_state(engine, checkpoint: SimulationCheckpoint) -> None:
     """Replace ``engine``'s state with a captured checkpoint.
 
     Shared by both engines; accepts checkpoints captured by either.
-    The engine must have been constructed over the same graph and
-    configuration the checkpoint came from (see
+    The engine must have been constructed over the same graph, budget
+    and fault plan the checkpoint came from (see
     :func:`verify_restore_target`); construction-time vertex state is
     discarded, and ``run()`` then continues from the checkpointed round.
     """
@@ -487,9 +478,9 @@ def resume_simulation(
     checkpoint's fingerprint; the factory is only consulted if a
     crash-recovery rejoin later re-initializes a vertex).  ``engine``
     may differ from the capturing engine — checkpoints are
-    engine-neutral.  The strict/capacity/budget configuration and the
-    fault plan are restored from the checkpoint itself, so the resumed
-    run is bit-identical to the uninterrupted one by construction.
+    engine-neutral.  The message budget and the fault plan are restored
+    from the checkpoint itself, so the resumed run is bit-identical to
+    the uninterrupted one by construction.
 
     Returns a ready :class:`~repro.congest.network.CongestSimulator`;
     call ``run(max_rounds)`` with the same *absolute* bound as the
@@ -511,8 +502,6 @@ def resume_simulation(
         graph,
         algorithm_factory,
         budget=MessageBudget(checkpoint.budget_n, checkpoint.budget_words),
-        strict=checkpoint.strict,
-        capacity=checkpoint.capacity,
         seed=0,  # construction-time streams are discarded by the restore
         engine=engine,
         trace=trace,

@@ -38,7 +38,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..errors import MessageTooLargeError, ProtocolError
+from ..errors import MessageTooLargeError
 from ..graph import Graph
 from .algorithm import VertexAlgorithm
 from .channel import _NO_TRAFFIC, EngineCore
@@ -79,15 +79,13 @@ class FastEngine(EngineCore):
         graph: Graph,
         algorithm_factory: Callable[[Any], VertexAlgorithm],
         budget: Optional[MessageBudget] = None,
-        strict: bool = False,
-        capacity: int = 1,
         seed=None,
         trace: Optional[TraceRecorder] = None,
         faults: Optional[FaultInjector] = None,
     ) -> None:
         super().__init__(
-            graph, algorithm_factory, budget=budget, strict=strict,
-            capacity=capacity, seed=seed, trace=trace, faults=faults,
+            graph, algorithm_factory, budget=budget, seed=seed, trace=trace,
+            faults=faults,
         )
         self._default_hints = [_never_idle(a) for a in self._algorithms]
         # Wakeup heap with lazy invalidation: an entry (w, i) is live
@@ -478,8 +476,6 @@ class FastEngine(EngineCore):
         sizeof = message_bits
         per_edge_get = per_edge.get
         budget_bits = self.budget.bits
-        strict = self.strict
-        capacity = self.capacity
         # A fault injector or detail tracing sends every charged
         # message through the shared channel; otherwise it is
         # delivered inline below.
@@ -544,11 +540,6 @@ class FastEngine(EngineCore):
                 ekey = base + j
                 count = per_edge_get(ekey, 0) + 1
                 per_edge[ekey] = count
-                if strict and count > capacity:
-                    raise ProtocolError(
-                        f"edge {(v, neighbor)!r} carried {count} messages "
-                        f"in one round (capacity {capacity})"
-                    )
                 messages += 1
                 bits += size
                 if want_hist:

@@ -31,9 +31,9 @@ Accounting semantics
 Fault decisions happen on the wire, *after* the sender has paid for the
 transmission: a dropped, duplicated, corrupted, delayed, or
 topology-lost message still counts once in ``total_messages`` /
-``total_bits`` / per-edge congestion (and once against strict-mode
-capacity — a duplicate is the network's fault, not the sender's
-protocol violation).  A *delayed* message is charged at its normal
+``total_bits`` / per-edge congestion, and so once in
+``effective_rounds`` — a duplicate is the network's fault, not a
+second send.  A *delayed* message is charged at its normal
 delivery slot; the channel merely withholds the payload for the extra
 rounds.  What the channel then did is tracked separately in the
 ``messages_dropped`` / ``messages_duplicated`` / ``messages_corrupted``

@@ -66,7 +66,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..errors import MessageTooLargeError, ProtocolError
+from ..errors import MessageTooLargeError
 from .algorithm import kernel_class_for, kernel_threshold, kernels_enabled
 from .message import message_bits
 
@@ -167,6 +167,16 @@ def int_bit_lengths(vals):
     ).astype(np.int64)
 
 
+def _too_large(verts, size: int, budget_bits: int, sender, receiver):
+    """The error the scalar drain raises for one over-budget send
+    between ranks ``sender`` and ``receiver``."""
+    return MessageTooLargeError(
+        size,
+        budget_bits,
+        detail=f"from {verts[int(sender)]!r} to {verts[int(receiver)]!r}",
+    )
+
+
 class SendPlan:
     """One round of kernel sends in columnar form.
 
@@ -191,9 +201,9 @@ class SendPlan:
 
     The engine charges the whole plan vectorized in :meth:`account` —
     per-edge congestion via ``bincount``-style unique/count reduction
-    over dense ``sender * n + receiver`` edge keys, budget and strict
-    checks as array comparisons that reproduce the scalar error text
-    and attribution exactly — and defers building per-receiver inbox
+    over dense ``sender * n + receiver`` edge keys, the budget check as
+    an array comparison that reproduces the scalar error text and
+    attribution exactly — and defers building per-receiver inbox
     dictionaries until a checkpoint capture needs object-level
     messages (:meth:`materialize`).
 
@@ -216,8 +226,8 @@ class SendPlan:
 
         Returns ``(per_edge, messages, bits, bits_hist, max_bits)``
         without touching any pending inbox; raises
-        ``MessageTooLargeError`` / ``ProtocolError`` for the same first
-        offending message, with the same text, as the scalar path.
+        ``MessageTooLargeError`` for the same first over-budget message,
+        with the same text, as the scalar path.
         """
         kernel = self.kernel
         indptr = kernel.indptr
@@ -231,12 +241,9 @@ class SendPlan:
         max_bits = 0
         bits_hist: dict = {}
         key_arrays = []
-        # Earliest over-budget message, as (flat position in plan
-        # order, measured bits, sender index, receiver index).  The
-        # scalar loop checks budget before strict capacity on each
-        # message, so ties at the same position resolve to budget.
-        first_budget = None
-        flat_base = 0
+        # Segments run in plan (= scalar drain) order, so the first
+        # over-budget message found is the one the scalar loop raises
+        # on; nothing is written before the raise.
         for kind, rows, targets, payloads, shared, size in self.segments:
             rows = rows.astype(np.int64, copy=False)
             if kind == "b":
@@ -265,9 +272,9 @@ class SendPlan:
                 # once, charge everywhere.
                 if size is None:
                     size = message_bits(shared)
-                if size > budget_bits and first_budget is None:
-                    first_budget = (
-                        flat_base, size, int(senders[0]), int(tgt[0])
+                if size > budget_bits:
+                    raise _too_large(
+                        verts, size, budget_bits, senders[0], tgt[0]
                     )
                 bits += size * total
                 if size > max_bits:
@@ -290,16 +297,13 @@ class SendPlan:
                 edge_sizes = (
                     np.repeat(row_sizes, deg) if deg is not None else row_sizes
                 )
-                if first_budget is None:
-                    over = edge_sizes > budget_bits
-                    if over.any():
-                        k = int(np.argmax(over))
-                        first_budget = (
-                            flat_base + k,
-                            int(edge_sizes[k]),
-                            int(senders[k]),
-                            int(tgt[k]),
-                        )
+                over = edge_sizes > budget_bits
+                if over.any():
+                    k = int(np.argmax(over))
+                    raise _too_large(
+                        verts, int(edge_sizes[k]), budget_bits, senders[k],
+                        tgt[k],
+                    )
                 bits += int(edge_sizes.sum())
                 if deg is not None:
                     charged = row_sizes[deg > 0]
@@ -324,7 +328,6 @@ class SendPlan:
                             bits_hist[s] = bits_hist.get(s, 0) + c
             key_arrays.append(senders * n + tgt)
             messages += total
-            flat_base += total
         if not key_arrays:
             return {}, 0, 0, {}, 0
         all_keys = (
@@ -333,45 +336,6 @@ class SendPlan:
             else np.concatenate(key_arrays)
         )
         uniq_keys, counts = np.unique(all_keys, return_counts=True)
-        first_strict = None
-        capacity = engine.capacity
-        if engine.strict and int(counts.max()) > capacity:
-            # Per-position occurrence rank of each edge key, in plan
-            # order: the first position whose edge already carried
-            # ``capacity`` messages is exactly where the scalar loop
-            # raises.
-            order = np.argsort(all_keys, kind="stable")
-            sorted_keys = all_keys[order]
-            new_group = np.empty(sorted_keys.shape[0], dtype=bool)
-            new_group[0] = True
-            np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new_group[1:])
-            group_start = np.nonzero(new_group)[0]
-            group_idx = np.cumsum(new_group) - 1
-            occurrence = np.empty(sorted_keys.shape[0], dtype=np.int64)
-            occurrence[order] = (
-                np.arange(sorted_keys.shape[0], dtype=np.int64)
-                - group_start[group_idx]
-            )
-            over = occurrence >= capacity
-            k = int(np.argmax(over))
-            first_strict = (k, int(all_keys[k]))
-        if first_budget is not None and (
-            first_strict is None or first_budget[0] <= first_strict[0]
-        ):
-            _, size, si, ti = first_budget
-            raise MessageTooLargeError(
-                size,
-                budget_bits,
-                detail=f"from {verts[si]!r} to {verts[ti]!r}",
-            )
-        if first_strict is not None:
-            _, key = first_strict
-            v = verts[key // n]
-            neighbor = verts[key % n]
-            raise ProtocolError(
-                f"edge {(v, neighbor)!r} carried {capacity + 1} messages "
-                f"in one round (capacity {capacity})"
-            )
         per_edge = dict(zip(uniq_keys.tolist(), counts.tolist()))
         return per_edge, messages, bits, bits_hist, max_bits
 

@@ -44,8 +44,8 @@ class CongestMetrics:
         directed edge carried in that round.  When an algorithm batches
         several unit messages onto one edge in one simulated round
         (which real CONGEST would serialize), this is the faithful
-        CONGEST round count.  For strict capacity-1 runs it equals
-        ``rounds``.
+        CONGEST round count.  When no edge carries more than one
+        message in any round it equals ``rounds``.
     ``total_messages`` / ``total_bits``
         Volume counters across the whole run.
     ``max_message_bits``

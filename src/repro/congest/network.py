@@ -71,33 +71,25 @@ _ENGINES = ("fast", "reference")
 _default_engine = "fast"
 
 
-def default_engine() -> str:
-    """Name of the engine used when ``CongestSimulator`` gets none."""
-    return _default_engine
-
-
-def set_default_engine(name: str) -> None:
-    """Set the process-wide default engine (``"fast"`` or ``"reference"``)."""
-    global _default_engine
-    if name not in _ENGINES:
-        raise ValueError(f"unknown engine {name!r}; expected one of {_ENGINES}")
-    _default_engine = name
-
-
 @contextmanager
 def use_engine(name: str):
-    """Run a block with a different default engine.
+    """Run a block with a different default engine (``"fast"`` or
+    ``"reference"``): the one a ``CongestSimulator`` built without
+    ``engine=`` uses.
 
     The differential test harness uses this to push whole high-level
     pipelines (framework runs, routing phases) through the reference
     engine without threading an argument through every call signature.
     """
+    global _default_engine
+    if name not in _ENGINES:
+        raise ValueError(f"unknown engine {name!r}; expected one of {_ENGINES}")
     previous = _default_engine
-    set_default_engine(name)
+    _default_engine = name
     try:
         yield
     finally:
-        set_default_engine(previous)
+        _default_engine = previous
 
 
 class CongestSimulator:
@@ -116,22 +108,19 @@ class CongestSimulator:
         designated vertices (e.g. a cluster leader).
     budget:
         Per-message bit budget; defaults to ``MessageBudget(graph.n)``.
-    strict:
-        When true, enforce the textbook model: at most ``capacity``
-        messages per directed edge per round (violations raise
-        :class:`ProtocolError`).  When false (the default), extra
-        messages are allowed but charged to ``effective_rounds`` so the
+        An oversized message raises :class:`MessageTooLargeError`.
+        Several messages on one directed edge in one round are allowed
+        and charged to ``effective_rounds`` (the round costs as many
+        CONGEST rounds as its busiest edge carried messages), so the
         reported complexity stays faithful.
-    capacity:
-        Directed per-edge message capacity per round in strict mode.
     seed:
         Root seed; each vertex receives an independent derived RNG
         (assigned in canonical vertex order), so runs are reproducible
         regardless of scheduling details — and identical across the two
         engines.
     engine:
-        ``"fast"`` or ``"reference"``; ``None`` uses
-        :func:`default_engine`.
+        ``"fast"`` or ``"reference"``; ``None`` uses the default,
+        ``"fast"`` unless a :func:`use_engine` block says otherwise.
     trace:
         Optional :class:`TraceRecorder` receiving one structured record
         per executed round.  When ``None`` and a
@@ -155,8 +144,6 @@ class CongestSimulator:
         graph: Graph,
         algorithm_factory: Callable[[Any], VertexAlgorithm],
         budget: Optional[MessageBudget] = None,
-        strict: bool = False,
-        capacity: int = 1,
         seed=None,
         engine: Optional[str] = None,
         trace: Optional[TraceRecorder] = None,
@@ -182,8 +169,6 @@ class CongestSimulator:
             graph,
             algorithm_factory,
             budget=budget,
-            strict=strict,
-            capacity=capacity,
             seed=seed,
             trace=trace,
             faults=injector,
@@ -197,14 +182,6 @@ class CongestSimulator:
     @property
     def budget(self) -> MessageBudget:
         return self._engine.budget
-
-    @property
-    def strict(self) -> bool:
-        return self._engine.strict
-
-    @property
-    def capacity(self) -> int:
-        return self._engine.capacity
 
     @property
     def metrics(self) -> CongestMetrics:

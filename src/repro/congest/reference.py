@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from ..errors import MessageTooLargeError, ProtocolError
+from ..errors import MessageTooLargeError
 from .channel import EngineCore
 from .faults import NO_FAULTS
 from .message import message_bits
@@ -186,11 +186,6 @@ class ReferenceEngine(EngineCore):
                 j = self._index[neighbor]
                 edge = i * self._n + j
                 per_edge[edge] = per_edge.get(edge, 0) + 1
-                if self.strict and per_edge[edge] > self.capacity:
-                    raise ProtocolError(
-                        f"edge {(v, neighbor)!r} carried {per_edge[edge]} "
-                        f"messages in one round (capacity {self.capacity})"
-                    )
                 messages += 1
                 bits += size
                 if self._want_bits_hist:

@@ -43,9 +43,9 @@ class MessageTooLargeError(ReproError):
 class ProtocolError(ReproError):
     """A vertex algorithm violated the simulator's contract.
 
-    Examples: sending to a non-neighbor, producing output before
-    halting, or sending more messages per edge than the configured
-    capacity in strict mode.
+    Examples: sending to a non-neighbor or sending after halting.
+    Several messages on one edge in one round are not a violation: the
+    simulator charges them to ``effective_rounds``.
     """
 
 

@@ -11,9 +11,12 @@ deg(v*) >= c * phi^2 * |E_i| can be verified in-network.
 with :func:`repro.core.failure.degree_condition_holds`, and only the
 tests drive :func:`tree_aggregate` and :func:`cluster_statistics`.
 
-Everything here is capacity-1 CONGEST: one O(log n)-bit message per
-edge per round, no batching (the simulator's strict mode would accept
-these algorithms unchanged).
+Every message is O(log n) bits, but the protocols are not capacity-1:
+a vertex that joins the tree sends its parent a child notice and, in
+the same round, the beacon it floods to every neighbor.  So a run's
+``max_edge_congestion`` is 2 and its ``effective_rounds`` exceeds its
+``rounds`` (83 against 64 for :func:`tree_aggregate` on a 20-vertex
+path).
 """
 
 from __future__ import annotations

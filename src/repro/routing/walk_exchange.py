@@ -41,12 +41,7 @@ from ..congest import (
 )
 from ..congest.algorithm import register_kernel
 from ..congest.message import message_bits
-from ..errors import (
-    GraphError,
-    MessageTooLargeError,
-    ProtocolError,
-    RoutingError,
-)
+from ..errors import GraphError, MessageTooLargeError, RoutingError
 from ..graph import Graph
 from ..rng import SeedLike
 
@@ -440,8 +435,6 @@ class WalkExchangeKernel:
         # reference counting when the simulation is dropped.
         self.engine = weakref.proxy(engine)
         self.budget_bits = engine.budget.bits
-        self.strict = engine.strict
-        self.capacity = engine.capacity
         self.walkers = engine._algorithms
         self.contexts = engine._contexts
         self.verts = engine._verts
@@ -466,7 +459,7 @@ class WalkExchangeKernel:
         self._forward_bits: Dict[TokenKey, int] = {}
         self._response_bits: Dict[TokenKey, int] = {}
         # The round's charge for account(): (per-edge counts, bits
-        # histogram, first budget or capacity violation).
+        # histogram, first over-budget send's error).
         self._charge = None
 
     # -- engine-facing entry points ------------------------------------
@@ -532,8 +525,7 @@ class WalkExchangeKernel:
 
     def account(self, engine):
         """The round's charge, as ``SendPlan.account`` returns one; raises
-        the first over-budget or over-capacity send, as ``_collect``
-        would."""
+        the first over-budget send, as ``_collect`` would."""
         per_edge, sizes, error = self._charge
         self._charge = None
         if error is not None:
@@ -691,8 +683,6 @@ class WalkExchangeKernel:
         index = self.index
         n = self.n
         budget_bits = self.budget_bits
-        strict = self.strict
-        capacity = self.capacity
         token_bits_get = token_bits.get
         out: Dict[int, list] = {}
         out_get = out.get
@@ -707,18 +697,17 @@ class WalkExchangeKernel:
             for u, key, payload in moves:
                 j = index[u]
                 edge = base + j
-                count = per_edge_get(edge, 0) + 1
-                per_edge[edge] = count
+                per_edge[edge] = per_edge_get(edge, 0) + 1
                 size = token_bits_get(key)
                 if size is None:
                     size = token_bits[key] = message_bits(
                         (tag, key[0], key[1], payload)
                     )
                     if size > budget_bits and error is None:
-                        error = self._violation(v, u, size, count)
+                        error = MessageTooLargeError(
+                            size, budget_bits, detail=f"from {v!r} to {u!r}"
+                        )
                 sizes[size] = sizes_get(size, 0) + 1
-                if strict and count > capacity and error is None:
-                    error = self._violation(v, u, size, count)
                 box = out_get(j)
                 if box is None:
                     out[j] = [(v, key, payload)]
@@ -728,18 +717,6 @@ class WalkExchangeKernel:
         if per_edge:
             self._charge = (per_edge, sizes, error)
             self.engine._send_plan = self
-
-    def _violation(self, v, u, size: int, count: int) -> Exception:
-        """The error ``_collect`` raises for the send from ``v`` to
-        ``u``: over budget first, else over capacity."""
-        if size > self.budget_bits:
-            return MessageTooLargeError(
-                size, self.budget_bits, detail=f"from {v!r} to {u!r}"
-            )
-        return ProtocolError(
-            f"edge {(v, u)!r} carried {count} messages in one round "
-            f"(capacity {self.capacity})"
-        )
 
 
 def walk_exchange(

@@ -37,10 +37,10 @@ class CellResult:
 
     ``rows`` hold *raw* values (not rendered strings); the suite's
     table assembly renders them, so serial and sharded runs format
-    identically.  ``metrics`` is a :meth:`CongestMetrics.to_dict`
-    payload when the cell ran a CONGEST simulation.  ``trace_lines``
-    are JSONL round records when tracing was requested, labeled by
-    cell so a merged sharded trace is unambiguous.  ``telemetry`` is a
+    identically.  ``extra`` holds the raw values a benchmark asserts on
+    (a graded cell's verdict, say).  ``trace_lines`` are JSONL round
+    records when tracing was requested, labeled by cell so a merged
+    sharded trace is unambiguous.  ``telemetry`` is a
     :meth:`TelemetryRegistry.to_dict` payload when the cell ran under
     ``--telemetry``; the executor merges the payloads in grid order, so
     serial and sharded runs agree on every deterministic metric.
@@ -50,7 +50,6 @@ class CellResult:
     index: int
     label: str
     rows: List[Tuple] = field(default_factory=list)
-    metrics: Optional[Dict[str, Any]] = None
     extra: Dict[str, Any] = field(default_factory=dict)
     trace_lines: List[str] = field(default_factory=list)
     elapsed: float = 0.0

@@ -35,7 +35,6 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..congest import CongestMetrics
 from ..obs import TelemetryRegistry
 from .cells import CellResult
 from .suites import SUITES, execute_cell
@@ -75,13 +74,6 @@ class SuiteRun:
 
     def render_table(self) -> str:
         return self.table().render()
-
-    def merged_metrics(self) -> CongestMetrics:
-        """Parallel-compose the CONGEST metrics of all simulated cells."""
-        return CongestMetrics.merge_parallel(
-            CongestMetrics.from_dict(r.metrics)
-            for r in self.results if r.metrics is not None
-        )
 
     def merged_telemetry(self) -> Dict[str, object]:
         """Fold every cell's telemetry payload, in grid order.

@@ -2,7 +2,8 @@
 
 Each suite declares (a) its cell list — the full parameter grid in a
 fixed order — and (b) a module-level cell function that turns one cell
-into rows + metrics.  Both benchmarks (``benchmarks/test_e*.py``) and
+into ``(rows, extra)``: table rows and the raw values the benchmarks
+assert on.  Both benchmarks (``benchmarks/test_e*.py``) and
 the ``repro bench`` CLI consume the same definitions, so the table a
 benchmark asserts over is the same table the CLI prints, cell for cell.
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from .. import generators
 from ..analysis import Table
@@ -62,7 +63,7 @@ class SuiteSpec:
     columns: Tuple[str, ...]
     description: str
     build_cells: Callable[[], List[ExperimentCell]]
-    cell_fn: Callable[[ExperimentCell], Tuple[List[Tuple], Optional[Dict], Dict]]
+    cell_fn: Callable[[ExperimentCell], Tuple[List[Tuple], Dict]]
 
     def cells(self) -> List[ExperimentCell]:
         return self.build_cells()
@@ -124,7 +125,7 @@ def _run_e01(cell: ExperimentCell):
     )
     extra = {"cut_fraction": report["cut_fraction"],
              "min_certificate": report["min_certificate"]}
-    return [row], None, extra
+    return [row], extra
 
 
 # ----------------------------------------------------------------------
@@ -189,7 +190,7 @@ def _run_e03(cell: ExperimentCell):
         "topology_complete": result.topology_complete(sub),
         "network_n": g.n,
     }
-    return [row], m.to_dict(), extra
+    return [row], extra
 
 
 # ----------------------------------------------------------------------
@@ -239,7 +240,7 @@ def _run_e10(cell: ExperimentCell):
         m.total_messages, m.max_message_bits, budget, m.max_edge_congestion,
     )
     extra = {"budget_bits": budget}
-    return [row], m.to_dict(), extra
+    return [row], extra
 
 
 # ----------------------------------------------------------------------
@@ -298,7 +299,7 @@ def _graded_cell(cell: ExperimentCell, g, plan, mode, counters):
         *counters(m.fault_summary()), verdict.label(),
     )
     extra = {"verdict": verdict.to_dict()}
-    return [row], metrics.to_dict() if metrics is not None else None, extra
+    return [row], extra
 
 
 def _run_e11(cell: ExperimentCell):
@@ -589,10 +590,10 @@ def execute_cell(
         # merged span tree.
         with telemetry_scope(timeline=timeline) as registry:
             with registry.span(f"cell:{cell.label}"):
-                rows, metrics, extra = run()
+                rows, extra = run()
         telemetry_data = registry.to_dict()
     else:
-        rows, metrics, extra = run()
+        rows, extra = run()
     elapsed = time.perf_counter() - start
 
     return CellResult(
@@ -600,7 +601,6 @@ def execute_cell(
         index=index,
         label=cell.label,
         rows=rows,
-        metrics=metrics,
         extra=extra,
         trace_lines=trace_lines,
         elapsed=elapsed,

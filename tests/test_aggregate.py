@@ -79,7 +79,8 @@ class TestTreeAggregate:
         g = path_graph(20)
         _, result = tree_aggregate(g, 0, {v: 1 for v in g.vertices()})
         assert result.metrics.rounds <= 3 * (g.diameter() + 1) + 8
-        # Capacity-1 protocol: strict CONGEST congestion.
+        # A joining vertex sends its parent a child notice and its
+        # beacon in the same round, and nothing more.
         assert result.metrics.max_edge_congestion <= 2
 
 

@@ -392,11 +392,9 @@ def test_restore_refuses_mismatched_target():
     with pytest.raises(CheckpointError):
         resume_simulation(other, FixtureFlood, checkpoint)
     # resume_simulation() rebuilds the simulator from the checkpoint's
-    # own configuration, so strict/budget/fault-plan mismatches can
-    # only arise on a direct engine restore — the guard refuses them
-    # there.
+    # own budget and fault plan, so mismatches of those can only arise
+    # on a direct engine restore — the guard refuses them there.
     for kwargs in (
-        {"strict": True},
         {"budget": MessageBudget(checkpoint.budget_n, 99)},
         {"faults": FaultPlan(seed=1, drop=0.5)},
     ):
@@ -505,6 +503,19 @@ def test_checksum_covers_metadata_then_state_text():
     del data["checksum"]
     with pytest.raises(CheckpointError, match="carries no checksum"):
         SimulationCheckpoint.from_dict(data)
+
+
+def test_envelope_without_capacity_fields_reads_older_files():
+    """The envelope carries no ``strict`` or ``capacity`` field.  An
+    envelope that still does, under a checksum covering them (as older
+    code wrote it), loads as the same checkpoint."""
+    checkpoint = _capture_first(_graph(), FixtureFlood, FaultPlan(), "fast")
+    data = checkpoint.to_dict()
+    assert "strict" not in data and "capacity" not in data
+    older = {**data, "strict": False, "capacity": 1}
+    older["checksum"] = _state_text_checksum(older)
+    loaded = SimulationCheckpoint.from_dict(json.loads(json.dumps(older)))
+    assert loaded == checkpoint
 
 
 def test_tampered_metadata_refuses_loudly(tmp_path):

@@ -297,6 +297,18 @@ def test_bench_unknown_suite_exits_2(capsys):
     assert "unknown suite(s) ['NOPE']" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [_MAXIS, _FAULTS], ids=["maxis", "faults"])
+def test_trace_detail_requires_trace(capsys, tmp_path, monkeypatch, argv):
+    """A single-simulation command refuses ``--trace-detail`` without
+    ``--trace`` as ``bench`` does: exit 2 before anything runs."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--trace-detail"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--trace-detail requires --trace PATH" in captured.err
+    assert os.listdir(tmp_path) == []
+
+
 def _refused_as_usage_error(capsys, tmp_path, monkeypatch, argv):
     """``argv`` exits 2 in argparse: nothing printed, nothing written."""
     monkeypatch.chdir(tmp_path)

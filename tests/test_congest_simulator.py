@@ -113,22 +113,6 @@ class TestAccounting:
         with pytest.raises(MessageTooLargeError):
             sim.run(2)
 
-    def test_strict_mode_rejects_double_send(self):
-        class DoubleSend(VertexAlgorithm):
-            def initialize(self, ctx):
-                for u in ctx.neighbors:
-                    ctx.send(u, 1)
-                    ctx.send(u, 2)
-
-            def step(self, ctx, inbox):
-                ctx.halt()
-
-        sim = CongestSimulator(
-            path_graph(2), lambda v: DoubleSend(), strict=True, seed=0
-        )
-        with pytest.raises(ProtocolError):
-            sim.run(2)
-
     def test_effective_rounds_charge_congestion(self):
         class Burst(VertexAlgorithm):
             def initialize(self, ctx):

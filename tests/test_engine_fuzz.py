@@ -6,15 +6,15 @@ draws the protocol itself: a scripted :class:`VertexAlgorithm` whose
 sends, broadcasts, payload shapes, idle / wakeup / halt schedule and
 ``ctx.rng`` draws all come from a generated :class:`Script`, crossed
 with a random :class:`FaultPlan` (message faults, link failures,
-churn, partitions, delay, crash + rejoin with local snapshots), random
-``strict`` / ``capacity`` settings, and an optional checkpoint/resume
-at a random round on a random pair of engines.
+churn, partitions, delay, crash + rejoin with local snapshots), a
+random budget width, and an optional checkpoint/resume at a random
+round on a random pair of engines.
 
 Both engines must agree on outputs, the full per-round metrics, the
 detail-mode trace, every vertex's RNG end-state and protocol log, and —
-when the protocol breaks the model (oversized payloads, strict-capacity
-violations) — the exception type and text.  A mismatch names the first
-divergence found by :func:`repro.obs.trace.diff_traces`.
+when the protocol breaks the model (oversized payloads) — the
+exception type and text.  A mismatch names the first divergence found
+by :func:`repro.obs.trace.diff_traces`.
 
 The tier-1 profile is small and derandomized; ``REPRO_TORTURE_TRIALS=k``
 multiplies its example count by ``k`` for a deep run.
@@ -176,7 +176,7 @@ class ScriptedBusy(VertexAlgorithm):
             ctx.send(ctx.rng.choice(neighbors), payload)
         elif kind == BURST:
             # Several messages on one edge in one round: congestion,
-            # per-edge sequence numbers and strict capacity.
+            # per-edge sequence numbers and the effective-rounds charge.
             for k in range(burst):
                 ctx.send(neighbors[0], _payload((which + k) % OVERSIZED, v, r))
         elif kind == ECHO:
@@ -218,8 +218,6 @@ class Case:
     seed: int
     #: Budget words: floats (66 bits) only fit the wider budget.
     words: int
-    strict: bool
-    capacity: int
     max_rounds: int
     #: Capture a checkpoint at this round (0 = no resume check) ...
     resume_at: int
@@ -345,8 +343,6 @@ def _cases(draw):
         plan=draw(_plans(graph)),
         seed=draw(st.integers(0, 999)),
         words=draw(st.sampled_from([16, 32, 32])),
-        strict=draw(st.booleans()),
-        capacity=draw(st.sampled_from([1, 1, 2, 3])),
         max_rounds=draw(st.integers(3, 24)),
         resume_at=draw(st.sampled_from([0, 0, 1, 2, 3, 5, 8])),
         capture_engine=draw(engines),
@@ -407,8 +403,6 @@ def _simulate(case, engine, **run_kwargs):
         case.factory(),
         budget=MessageBudget(case.n, case.words),
         seed=case.seed,
-        strict=case.strict,
-        capacity=case.capacity,
         engine=engine,
         trace=recorder,
         faults=case.plan,

@@ -7,11 +7,12 @@ forced on and forced off — and pins outputs, metrics, per-round
 message counts, structured traces, telemetry, and the per-vertex RNG
 streams to be exactly equal.  The kernelized side delivers through
 columnar send plans, so the batched accounting is held to the same
-bit-parity bar, including its error paths (oversized messages, strict
-capacity violations).  A second group covers the activation rules
-(thresholds, fault plans, missing NumPy, the ``REPRO_NO_KERNELS``
-switch, idle-hint algorithms) and checkpoint round-trips across kernel
-modes: a kernel run captures, and every resume finishes scalar.
+bit-parity bar, including its error path (oversized messages) and its
+per-edge charge when one edge carries two messages in a round.  A
+second group covers the activation rules (thresholds, fault plans,
+the ``REPRO_NO_KERNELS`` switch, idle-hint algorithms) and checkpoint
+round-trips across kernel modes: a kernel run captures, and every
+resume finishes scalar.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from repro.congest.faults import FaultPlan
 from repro.congest.kernels import KernelBase
 from repro.congest.network import CongestSimulator
 from repro.congest.trace import TraceRecorder
-from repro.errors import MessageTooLargeError, ProtocolError
+from repro.errors import MessageTooLargeError
 from repro.decomposition.mpx import MPXClustering, MPXKernel
 from repro.generators import (
     delaunay_planar_graph,
@@ -412,7 +413,7 @@ def test_non_uniform_parameters_fall_back():
 
 
 # ----------------------------------------------------------------------
-# Error-path parity: batched accounting raises exactly like scalar
+# Accounting parity: batched accounting raises and charges like scalar
 # ----------------------------------------------------------------------
 
 #: 8 * 12 + 2 = 98 bits — just over the 96-bit budget of a 42-vertex
@@ -492,10 +493,10 @@ class _DoubleSendKernel(KernelBase):
             self._halt(i, True)
 
 
-def _capture_error(graph, factory, exc_type, *, kernels, strict=False):
+def _capture_error(graph, factory, exc_type, *, kernels):
     set_kernels_enabled(kernels)
     try:
-        sim = CongestSimulator(graph, factory, seed=2, strict=strict)
+        sim = CongestSimulator(graph, factory, seed=2)
         with pytest.raises(exc_type) as info:
             sim.run(max_rounds=6)
         assert (sim._engine._kernel is not None) == kernels
@@ -505,22 +506,17 @@ def _capture_error(graph, factory, exc_type, *, kernels, strict=False):
 
 
 @pytest.mark.parametrize(
-    "factory,exc_type,strict",
-    [
-        (lambda v: _Oversize(), MessageTooLargeError, False),
-        (lambda v: _DoubleSend(), ProtocolError, True),
-    ],
-    ids=["oversized", "strict-capacity"],
+    "factory,exc_type",
+    [(lambda v: _Oversize(), MessageTooLargeError)],
+    ids=["oversized"],
 )
-def test_error_parity_batched_vs_scalar(factory, exc_type, strict):
-    """Budget and strict-capacity violations raise the same exception
-    type, text, and round number whether accounting runs columnar
-    (kernel send plan) or fully scalar."""
+def test_error_parity_batched_vs_scalar(factory, exc_type):
+    """A budget violation raises the same exception type, text, and
+    round number whether accounting runs columnar (kernel send plan)
+    or fully scalar."""
     graph = grid_graph(6, 7)
     outcomes = [
-        _capture_error(
-            graph, factory, exc_type, kernels=kernels, strict=strict
-        )
+        _capture_error(graph, factory, exc_type, kernels=kernels)
         for kernels in (True, False)
     ]
     texts = {str(err) for err, _round in outcomes}
@@ -528,6 +524,28 @@ def test_error_parity_batched_vs_scalar(factory, exc_type, strict):
     assert len(texts) == 1, texts
     assert len(rounds) == 1, rounds
     assert all(type(err) is exc_type for err, _round in outcomes)
+
+
+def test_double_send_charged_alike_batched_vs_scalar():
+    """Two messages on one edge in one round: the send plan charges
+    them to ``effective_rounds`` exactly as the scalar drain does."""
+    graph = grid_graph(6, 7)
+    runs = []
+    for kernels in (True, False):
+        set_kernels_enabled(kernels)
+        try:
+            sim = CongestSimulator(graph, lambda v: _DoubleSend(), seed=2)
+            result = sim.run(max_rounds=6)
+        finally:
+            set_kernels_enabled(True)
+        assert (sim._engine._kernel is not None) == kernels
+        runs.append(
+            (result.outputs, sim.metrics.to_dict(include_per_round=True))
+        )
+    assert runs[0] == runs[1]
+    m = sim.metrics
+    assert m.max_edge_congestion == 2
+    assert m.effective_rounds == m.rounds + 1
 
 
 # ----------------------------------------------------------------------

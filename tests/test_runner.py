@@ -82,15 +82,6 @@ def test_results_sorted_by_index_not_completion():
 # Metrics, traces, stats
 # ----------------------------------------------------------------------
 
-def test_merged_metrics_compose_parallel():
-    run = run_suite("E10", limit=2)
-    merged = run.merged_metrics()
-    parts = [CongestMetrics.from_dict(r.metrics) for r in run.results]
-    assert merged.rounds == max(p.rounds for p in parts)
-    assert merged.total_messages == sum(p.total_messages for p in parts)
-    assert run.compute_seconds() >= 0.0
-
-
 def test_metrics_round_trip_dict():
     a = CongestMetrics()
     a.record_round({("u", "v"): 3}, 5, 80)

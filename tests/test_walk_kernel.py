@@ -31,7 +31,7 @@ from repro.congest.engine import FastEngine
 from repro.congest.faults import FaultPlan
 from repro.congest.kernels import KernelBase
 from repro.congest.message import MessageBudget
-from repro.errors import MessageTooLargeError, ProtocolError, RoutingError
+from repro.errors import MessageTooLargeError, RoutingError
 from repro.generators import (
     delaunay_planar_graph,
     grid_graph,
@@ -114,14 +114,12 @@ def _case(family, seed, steps, responder="full"):
     ), steps
 
 
-def _simulator(graph, factory, seed, mode, trace=None, strict=False,
-               faults=None):
+def _simulator(graph, factory, seed, mode, trace=None, faults=None):
     set_kernels_enabled(mode == "kernel")
     return CongestSimulator(
         graph,
         factory,
         budget=MessageBudget(graph.n),
-        strict=strict,
         seed=seed,
         engine="reference" if mode == "reference" else "fast",
         trace=trace,
@@ -180,12 +178,12 @@ def sans_index(state):
     return {key: value for key, value in state.items() if key != "pending_ids"}
 
 
-def observe(case, seed, mode, max_rounds=None, strict=False):
+def observe(case, seed, mode, max_rounds=None):
     """Run ``case`` under ``mode`` and return everything observable."""
     graph, factory, steps = case
     recorder = TraceRecorder("walk")
     with telemetry_scope() as registry:
-        sim = _simulator(graph, factory, seed, mode, recorder, strict)
+        sim = _simulator(graph, factory, seed, mode, recorder)
         result = sim.run(
             max_rounds=2 * steps + 4 if max_rounds is None else max_rounds
         )
@@ -357,12 +355,12 @@ def test_cut_off_run_matches_and_continues(family, cut):
 # Errors
 # ----------------------------------------------------------------------
 
-def _error(case, seed, mode, exc_type, strict=False):
+def _error(case, seed, mode, exc_type):
     """The error text, and the round and vertex state it left.  A run
     that raised never reached the end of its round, so the scheduler's
     own bookkeeping (inboxes, runnable set, wakeups) is not compared."""
     graph, factory, steps = case
-    sim = _simulator(graph, factory, seed, mode, strict=strict)
+    sim = _simulator(graph, factory, seed, mode)
     with pytest.raises(exc_type) as info:
         sim.run(max_rounds=2 * steps + 4)
     state = engine_state(sim)
@@ -371,10 +369,8 @@ def _error(case, seed, mode, exc_type, strict=False):
     ]
 
 
-def _assert_same_error(case, seed, exc_type, strict=False):
-    outcomes = {
-        mode: _error(case, seed, mode, exc_type, strict) for mode in MODES
-    }
+def _assert_same_error(case, seed, exc_type):
+    outcomes = {mode: _error(case, seed, mode, exc_type) for mode in MODES}
     assert outcomes["kernel"] == outcomes["scalar"]
     assert outcomes["kernel"] == outcomes["reference"]
     return outcomes["kernel"][0]
@@ -409,16 +405,15 @@ def test_oversized_response_fails_alike():
     _assert_same_error((graph, factory, 12), 6, MessageTooLargeError)
 
 
-def test_strict_capacity_fails_alike():
-    """Two tokens crossing one edge in one round break strict
-    capacity 1 identically on every path."""
+def test_tokens_sharing_an_edge_are_charged_alike():
+    """Tokens crossing one edge in one round are charged to
+    ``effective_rounds`` identically on every path."""
     graph = path_graph(3)
     requests = {2: [("H", i) for i in range(8)]}
-    factory = _factory(0, 10, requests, None)
-    text = _assert_same_error(
-        (graph, factory, 10), 1, ProtocolError, strict=True
-    )
-    assert "(2, 1)" in text and "capacity 1" in text
+    run = assert_modes_agree((graph, _factory(0, 10, requests, None), 10), 1)
+    metrics = run["state"]["metrics"]
+    assert metrics["max_edge_congestion"] > 1
+    assert metrics["effective_rounds"] > metrics["rounds"]
 
 
 # ----------------------------------------------------------------------
