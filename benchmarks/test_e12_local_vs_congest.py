@@ -11,6 +11,7 @@ LOCAL-style gather would have needed — and verifies the simulator
 import pytest
 
 from repro.analysis import Table
+from repro.congest import CongestSimulator, VertexAlgorithm
 from repro.congest.message import MessageBudget, message_bits
 from repro.core.framework import run_framework
 from repro.errors import MessageTooLargeError
@@ -23,6 +24,19 @@ from _util import record_table, reset_result
 def local_style_payload(graph) -> tuple:
     """The whole topology as a single message (the LOCAL-model move)."""
     return tuple((u, v) for u, v in graph.edges())
+
+
+class LocalStyleGather(VertexAlgorithm):
+    """Every vertex sends its neighbors the whole topology at once."""
+
+    def __init__(self, payload):
+        self.payload = payload
+
+    def initialize(self, ctx):
+        ctx.broadcast(self.payload)
+
+    def step(self, ctx, inbox):
+        ctx.halt()
 
 
 def test_e12_message_size_gap(benchmark):
@@ -46,8 +60,12 @@ def test_e12_message_size_gap(benchmark):
         # Framework fits; the LOCAL-style single message does not.
         assert result.metrics.max_message_bits <= budget.bits
         assert local_bits > budget.bits
+        payload = local_style_payload(g)
+        simulator = CongestSimulator(
+            g, lambda v: LocalStyleGather(payload), budget=budget, seed=0
+        )
         with pytest.raises(MessageTooLargeError):
-            budget.check(local_style_payload(g))
+            simulator.run(max_rounds=1)
     record_table("E12.txt", table)
 
     g = delaunay_planar_graph(128, seed=121)

@@ -9,7 +9,6 @@ drives them in synchronized rounds.
 
 from __future__ import annotations
 
-import os
 import random
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -168,20 +167,15 @@ class VertexAlgorithm:
 
 #: Minimum vertex count at which a registered columnar kernel engages;
 #: below it the columnar setup costs more than it saves.  A pure
-#: performance knob (``tests/test_kernels.py`` monkeypatches it to 1 to
-#: vectorize tiny graphs).  The ``REPRO_KERNEL_THRESHOLD`` environment
-#: variable overrides it, e.g. for CI smoke runs through spawned
-#: workers.
+#: performance setting: :func:`~repro.congest.kernels.maybe_build_kernel`
+#: reads it at call time, so tests (and CI's kernel smoke) lower it on
+#: this module to vectorize tiny graphs.
 KERNEL_THRESHOLD = 64
 
 #: Algorithm class -> kernel class.
 _KERNEL_REGISTRY: Dict[type, type] = {}
 
-_kernels_enabled = os.environ.get("REPRO_NO_KERNELS", "").lower() not in (
-    "1",
-    "true",
-    "yes",
-)
+_kernels_enabled = True
 
 
 def register_kernel(target: type):
@@ -235,23 +229,7 @@ def kernels_enabled() -> bool:
 
 
 def set_kernels_enabled(flag: bool) -> None:
-    """Enable or disable kernels in this process.
-
-    The operator's switch is the ``REPRO_NO_KERNELS`` environment
-    variable, read at import, which spawned workers inherit like any
-    other; this setter does not touch the environment.
-    """
+    """Enable or disable kernels in this process (the differential
+    tests run every kernelized protocol both ways)."""
     global _kernels_enabled
     _kernels_enabled = bool(flag)
-
-
-def kernel_threshold() -> int:
-    """The active engagement threshold of columnar kernels (env
-    override, else the global)."""
-    env = os.environ.get("REPRO_KERNEL_THRESHOLD")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return KERNEL_THRESHOLD

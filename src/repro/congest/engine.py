@@ -17,9 +17,9 @@ scheduling and accounting:
   messages go straight into the inboxes; only a fault injector or
   detail tracing routes them through the shared channel.
 * **Kernel rounds** — a registered kernel engages only on a fresh,
-  fault-free run and then decides each round's due set itself
-  (:meth:`FastEngine._run_kernel`): a columnar kernel steps its live
-  ranks as one array every round and hands over a
+  fault-free run that captures no checkpoint, and then decides each
+  round's due set itself (:meth:`FastEngine._run_kernel`): a columnar
+  kernel steps its live ranks as one array every round and hands over a
   :class:`~repro.congest.kernels.SendPlan` charged as arrays; the walk
   exchange's kernel steps only the ranks that hold or receive a token
   and names the next round anyone is due, which the engine
@@ -93,14 +93,10 @@ class FastEngine(EngineCore):
         self._heap: List[Tuple[int, int]] = []
         # Number of vertices that have not halted.
         self._live = self._n
-        # Batched delivery (see repro.congest.kernels): a kernel parks
+        # Batched delivery (see repro.congest.kernels): a kernel leaves
         # the current round's sends as a plan in _send_plan for
-        # _collect to charge without per-message objects; the charged
-        # plan then waits in _lazy_plan, standing in for the pending
-        # inbox dictionaries until the next round consumes it — or
-        # until a checkpoint capture materializes it.
+        # _collect to charge without per-message objects.
         self._send_plan = None
-        self._lazy_plan = None
         # Round kernel, when the algorithm class registered one and
         # this run qualifies (see repro.congest.kernels): the first
         # run() of a fresh engine builds it and then takes the kernel's
@@ -120,14 +116,23 @@ class FastEngine(EngineCore):
         When both ``checkpoint_every`` and ``on_checkpoint`` are given,
         a :class:`~repro.congest.checkpoint.SimulationCheckpoint` is
         captured after every ``checkpoint_every``-th executed round and
-        passed to ``on_checkpoint``.  On a restored engine, execution
+        passed to ``on_checkpoint``.  Such a run builds no kernel, and
+        an engine whose first run engaged one refuses it with
+        ``ValueError`` before any round: a kernel run holds no inbox
+        for a checkpoint to store.  On a restored engine, execution
         continues from the checkpointed round; ``max_rounds`` stays an
         absolute bound on the round counter.
         """
+        capturing = checkpoint_every is not None and on_checkpoint is not None
+        if capturing and self._kernel is not None:
+            raise ValueError(
+                "cannot capture checkpoints: this simulation's first run "
+                "engaged a round kernel"
+            )
         if not self._initialized:
             self._initialized = True
             if not self._restored:
-                self._kernel = maybe_build_kernel(self)
+                self._kernel = maybe_build_kernel(self, capturing)
             cohort = self._initial_cohort()
             if self._kernel is not None:
                 self._kernel.initialize(cohort)
@@ -141,33 +146,27 @@ class FastEngine(EngineCore):
             self._live = len(self._runnable)
         kernel = self._kernel
         if kernel is not None:
-            self._run_kernel(max_rounds, checkpoint_every, on_checkpoint)
+            self._run_kernel(max_rounds)
             # Write the kernel's state (algorithm attributes, round
-            # numbers, advanced RNG streams, the scheduler's fields)
-            # back into the objects callers observe.
+            # numbers) back into the objects callers observe.
             kernel.sync()
         else:
             self._run_scheduled(max_rounds, checkpoint_every, on_checkpoint)
         return self._result()
 
-    def _run_kernel(
-        self,
-        max_rounds: int,
-        checkpoint_every: Optional[int],
-        on_checkpoint: Optional[Callable[..., None]],
-    ) -> None:
+    def _run_kernel(self, max_rounds: int) -> None:
         """The round loop of a kernel run.
 
         A kernel engages only without a fault plan (no crash, rejoin or
-        delayed message), so its own state says which vertices are due:
-        a columnar kernel steps every live vertex every round (its
-        algorithm keeps the default scheduling hints), and a kernel
-        that keeps its own schedule names the next round anyone is due
-        and who.  The engine fast-forwards to that round, so no round
+        delayed message) and without checkpoint capture, so its own
+        state says which vertices are due: a columnar kernel steps
+        every live vertex every round (its algorithm keeps the default
+        scheduling hints), and a kernel that keeps its own schedule
+        names the next round anyone is due and who.  The engine fast-forwards to that round, so no round
         sorts a heap-fed due set, reschedules vertex by vertex or scans
         outboxes.  Rounds open, drain and close exactly as in
-        :meth:`_run_scheduled`, so metrics, traces, telemetry and
-        checkpoints stay the scheduler's.
+        :meth:`_run_scheduled`, so metrics, traces and telemetry stay
+        the scheduler's.
         """
         kernel = self._kernel
         record_skipped = self.metrics.record_skipped
@@ -184,9 +183,6 @@ class FastEngine(EngineCore):
             delivered = self._open_round()
             live_before = self._live
             stepped, halted = kernel.step_round(target)
-            # Every receiver of the parked plan was due and has just
-            # consumed it.
-            self._lazy_plan = None
             # Kernels send only through their plans; no outbox holds a
             # message to scan for.
             self._drain(())
@@ -203,8 +199,8 @@ class FastEngine(EngineCore):
                 halted=self._n - self._live,
                 skipped=skipped,
                 rejoined=0,
-                checkpoint_every=checkpoint_every,
-                on_checkpoint=on_checkpoint,
+                checkpoint_every=None,
+                on_checkpoint=None,
             )
 
     def _run_scheduled(
@@ -328,20 +324,12 @@ class FastEngine(EngineCore):
     # -- checkpoint / restore -------------------------------------------
     def capture_checkpoint(self) -> SimulationCheckpoint:
         """Freeze the simulation at the current round boundary (see
-        :func:`~repro.congest.checkpoint.capture_engine_state`)."""
-        if self._kernel is not None:
-            # Kernel state becomes scalar truth before pickling, so the
-            # envelope stays engine- and kernel-neutral.
-            self._kernel.sync()
-        plan = self._lazy_plan
-        if plan is not None:
-            # Checkpoints serialize pending inboxes as real
-            # dictionaries; a lazily-delivered plan must become one
-            # first so restores stay bit-identical across modes.
-            self._lazy_plan = None
-            plan.materialize(self)
-            if self._registry is not None:
-                self._registry.count("congest.delivery.materialized")
+        :func:`~repro.congest.checkpoint.capture_engine_state`).  Only
+        a run without a kernel captures, so the scheduler's fields are
+        the whole state."""
+        # Defined here rather than only inherited: the benchmark's
+        # tracer (perfbench/tracer.py) wraps it through this class's
+        # own __dict__.
         return capture_engine_state(self)
 
     def restore_checkpoint(self, checkpoint: SimulationCheckpoint) -> None:
@@ -356,10 +344,6 @@ class FastEngine(EngineCore):
         ]
         heapify(self._heap)
         self._live = sum(1 for ctx in self._contexts if not ctx._halted)
-        # Restored pending state is always dictionary-shaped (capture
-        # materializes); discard any plan from the pre-restore life.
-        self._send_plan = None
-        self._lazy_plan = None
         # The previous round's sends exist only as the restored inbox
         # dictionaries, which the columns cannot read: step scalar, and
         # build no kernel at the first run() either.
@@ -573,22 +557,20 @@ class FastEngine(EngineCore):
         )
 
     def _collect_batched(self, plan) -> None:
-        """Charge a kernel's send plan without materializing inboxes.
+        """Charge a kernel's send plan without building inboxes.
 
         The plan's accounting (the vectorized one of a columnar
         :class:`~repro.congest.kernels.SendPlan`, or the walk kernel's
         per-token tally) reproduces the scalar path bit-for-bit (same
         per-edge counts, bits, histogram, errors).  A kernel's schedule
         steps every receiver in the next round, so no receiver needs
-        marking due; the inbox dictionaries stay unbuilt — the plan
-        itself is parked in ``_lazy_plan`` and reconstructed only if a
-        checkpoint capture needs object-level messages.  Kernels never
-        run under a fault plan, so the fault channel is skipped.
+        marking due, and the receiver rebuilds its inbound traffic from
+        the kernel's state, so no inbox is written.  Kernels never run
+        under a fault plan, so the fault channel is skipped.
         """
         per_edge, messages, bits, bits_hist, max_bits = plan.account(self)
         if max_bits > self.metrics.max_message_bits:
             self.metrics.max_message_bits = max_bits
-        self._lazy_plan = plan
         if self._registry is not None:
             self._registry.count("congest.delivery.batched")
         self._inflight = (

@@ -53,7 +53,7 @@ pass ``faults=FaultPlan(...)`` to ``CongestSimulator``, or open a
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from hashlib import blake2b
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 

@@ -30,28 +30,29 @@ the next round after ``r`` in which a live vertex is due, which the
 engine fast-forwards to; ``step_round(r)``, which steps that round's
 due vertices and returns ``(stepped, halted)`` as rank sequences; a
 plan left in ``engine._send_plan`` for the round's sends, whose
-``account(engine)`` charges them and whose ``materialize(engine)``
-writes them into the pending inboxes at a checkpoint capture; and
-``sync()``, which writes the kernel's state back into the scalar
-objects (and, for a kernel with its own schedule, the scheduler's
-fields and the pending inboxes, so its ``materialize`` has nothing
-left to do) at every observation point.
+``account(engine)`` charges them; and ``sync()``, which writes the
+kernel's state back into the scalar objects at the end of every
+``run()``.  A plan says who sends to whom at what size, never what:
+each receiver's next step rebuilds its inbound traffic from the
+kernel's own state, so no inbox is ever built.
 
 Activation (:func:`maybe_build_kernel`) runs once, at the first
 ``run()`` of a fresh fast engine, and is deliberately conservative.
 A kernel engages only when
 
-* kernels are enabled (the ``REPRO_NO_KERNELS`` environment variable
-  or :func:`~repro.congest.algorithm.set_kernels_enabled` flip this
-  off),
+* kernels are enabled (the in-process switch
+  :func:`~repro.congest.algorithm.set_kernels_enabled` turns them off),
 * for a columnar kernel: the population is at least
-  ``kernel_threshold()`` vertices big,
+  :data:`~repro.congest.algorithm.KERNEL_THRESHOLD` vertices big,
 * the population is uniform (every vertex runs the same registered
   algorithm class) and the kernel ``supports`` it,
 * the run has no fault plan: kernels reconstruct inbound traffic from
   their own record of the previous round's sends, which is only
   faithful on the model's lossless, static channel.  (An empty plan
   compiles to no plan at all.)
+* the run captures no checkpoint: a checkpoint stores pending inboxes,
+  which a kernel run never builds.  A capturing ``run()`` of an engine
+  whose first run engaged a kernel raises ``ValueError`` instead.
 
 A run restored from a checkpoint never builds a kernel (nor counts a
 ``congest.kernel.*`` activation): it finishes on the per-vertex path
@@ -67,17 +68,14 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..errors import MessageTooLargeError
-from .algorithm import kernel_class_for, kernel_threshold, kernels_enabled
-from .message import message_bits
-
-#: Private sentinel distinguishing "no shared payload" from a shared
-#: payload of ``None`` (a legal CONGEST signal).
-_NO_PAYLOAD = object()
+from . import algorithm
+from .algorithm import kernel_class_for, kernels_enabled
 
 
-def maybe_build_kernel(engine) -> Optional[object]:
+def maybe_build_kernel(engine, capturing: bool) -> Optional[object]:
     """Build the registered kernel for ``engine``, or ``None`` to run
-    scalar.  See the module docstring for the activation rules."""
+    scalar.  ``capturing`` says whether the run captures checkpoints.
+    See the module docstring for the activation rules."""
     algorithms = engine._algorithms
     if not algorithms:
         return None
@@ -91,16 +89,18 @@ def maybe_build_kernel(engine) -> Optional[object]:
     reason = None
     if not kernels_enabled():
         reason = "disabled"
-    elif columnar and engine._n < kernel_threshold():
+    elif columnar and engine._n < algorithm.KERNEL_THRESHOLD:
         reason = "below-threshold"
     elif any(type(a) is not cls for a in algorithms):
         reason = "mixed-population"
     elif getattr(engine, "_want_detail", False):
         # Per-message provenance tracing needs the scalar channel;
-        # kernels never materialize individual transmissions.
+        # kernels never hand over individual transmissions.
         reason = "trace-detail"
     elif engine.faults is not None:
         reason = "fault-plan"
+    elif capturing:
+        reason = "checkpointing"
     elif not kernel_cls.supports(engine):
         reason = "unsupported-population"
     registry = engine._registry
@@ -182,37 +182,30 @@ class SendPlan:
 
     A plan holds the segments a kernel emitted through
     :meth:`KernelBase._emit_broadcast` / :meth:`KernelBase._emit_send`
-    this round.  Each segment is ``(kind, rows, targets, payloads,
-    shared, size)``:
+    this round.  Each segment is ``(kind, rows, targets, size)``:
 
     * ``kind`` — ``"b"`` (broadcast to every CSR neighbor of each row)
       or ``"u"`` (one explicit target per row);
     * ``rows`` — ascending dense sender indices;
     * ``targets`` — dense receiver indices aligned with ``rows``
       (``kind == "u"`` only);
-    * ``payloads`` — a per-row payload column, a zero-argument
-      callable returning one (built only if the plan materializes, so
-      the hot path never constructs payload objects), or ``None`` when
-      every row sends the ``shared`` payload object;
-    * ``size`` — the ``message_bits`` of the payloads: a uniform int,
-      a per-row ``int64`` column aligned with ``rows`` (computed
-      vectorized by the kernel, e.g. via :func:`int_bit_lengths`), or
-      ``None`` to measure (once per distinct payload, not per edge).
+    * ``size`` — the ``message_bits`` of what each row sends: one int
+      for every row, or a per-row ``int64`` column aligned with
+      ``rows`` (computed vectorized by the kernel, e.g. via
+      :func:`int_bit_lengths`).
 
     The engine charges the whole plan vectorized in :meth:`account` —
     per-edge congestion via ``bincount``-style unique/count reduction
     over dense ``sender * n + receiver`` edge keys, the budget check as
     an array comparison that reproduces the scalar error text and
-    attribution exactly — and defers building per-receiver inbox
-    dictionaries until a checkpoint capture needs object-level
-    messages (:meth:`materialize`).
+    attribution exactly.  No payload object and no inbox is built: the
+    receivers' next step reads the kernel's columns.
 
     Faithfulness constraint (holds for every shipped kernel, asserted
     nowhere for speed): the flattened segment-major order of a plan
     must equal the order the scalar path would drain the same sends —
     i.e. a sender appears in at most one segment per round, or only
-    single-sender plans span segments.  Error attribution and
-    materialized inbox insertion order both rely on it.
+    single-sender plans span segments.  Error attribution relies on it.
     """
 
     __slots__ = ("kernel", "segments")
@@ -244,7 +237,7 @@ class SendPlan:
         # Segments run in plan (= scalar drain) order, so the first
         # over-budget message found is the one the scalar loop raises
         # on; nothing is written before the raise.
-        for kind, rows, targets, payloads, shared, size in self.segments:
+        for kind, rows, targets, size in self.segments:
             rows = rows.astype(np.int64, copy=False)
             if kind == "b":
                 deg = indptr[rows + 1] - indptr[rows]
@@ -265,13 +258,8 @@ class SendPlan:
                 deg = None
                 tgt = targets.astype(np.int64, copy=False)
                 senders = rows
-            if payloads is None or (
-                size is not None and not isinstance(size, np.ndarray)
-            ):
-                # One distinct payload (or one declared size): measure
-                # once, charge everywhere.
-                if size is None:
-                    size = message_bits(shared)
+            if not isinstance(size, np.ndarray):
+                # One size for every row: check once, charge everywhere.
                 if size > budget_bits:
                     raise _too_large(
                         verts, size, budget_bits, senders[0], tgt[0]
@@ -282,18 +270,7 @@ class SendPlan:
                 if want_hist:
                     bits_hist[size] = bits_hist.get(size, 0) + total
             else:
-                # Per-sender size column (vectorized by the kernel) or
-                # one measurement per payload (never per edge).
-                if size is not None:
-                    row_sizes = size.astype(np.int64, copy=False)
-                else:
-                    if callable(payloads):
-                        payloads = payloads()
-                    row_sizes = np.fromiter(
-                        (message_bits(p) for p in payloads),
-                        np.int64,
-                        count=len(payloads),
-                    )
+                row_sizes = size.astype(np.int64, copy=False)
                 edge_sizes = (
                     np.repeat(row_sizes, deg) if deg is not None else row_sizes
                 )
@@ -339,60 +316,6 @@ class SendPlan:
         per_edge = dict(zip(uniq_keys.tolist(), counts.tolist()))
         return per_edge, messages, bits, bits_hist, max_bits
 
-    def materialize(self, engine) -> None:
-        """Build the per-receiver inbox dictionaries this plan deferred.
-
-        Iterates the segments in plan (= scalar send) order and writes
-        dictionaries identical in structure — same payload objects, one
-        shared object per broadcast, insertion order matching the
-        scalar drain, and no inbox for a halted receiver — so a
-        checkpoint captures exactly the pending state the scalar path
-        would have built.
-        """
-        contexts = engine._contexts
-        pending = engine._pending
-        pending_ids_add = engine._pending_ids.add
-        verts = engine._verts
-        index = engine._index
-        for kind, rows, targets, payloads, shared, _size in self.segments:
-            if callable(payloads):
-                payloads = payloads()
-            row_list = rows.tolist()
-            if kind == "b":
-                for k, i in enumerate(row_list):
-                    payload = shared if payloads is None else payloads[k]
-                    v = verts[i]
-                    for neighbor in contexts[i].neighbors:
-                        j = index[neighbor]
-                        box = pending[j]
-                        if box is None:
-                            if not contexts[j]._halted:
-                                pending[j] = {v: [payload]}
-                                pending_ids_add(j)
-                        else:
-                            lst = box.get(v)
-                            if lst is None:
-                                box[v] = [payload]
-                            else:
-                                lst.append(payload)
-            else:
-                target_list = targets.tolist()
-                for k, i in enumerate(row_list):
-                    payload = shared if payloads is None else payloads[k]
-                    j = target_list[k]
-                    v = verts[i]
-                    box = pending[j]
-                    if box is None:
-                        if not contexts[j]._halted:
-                            pending[j] = {v: [payload]}
-                            pending_ids_add(j)
-                    else:
-                        lst = box.get(v)
-                        if lst is None:
-                            box[v] = [payload]
-                        else:
-                            lst.append(payload)
-
 
 class KernelBase:
     """A columnar (vectorized) round executor and its shared plumbing.
@@ -400,15 +323,16 @@ class KernelBase:
     One kernel instance drives *all* vertices of its algorithm class in
     a simulation; the engine calls it instead of the per-vertex
     ``initialize``/``step`` loop.  Implementations must preserve the
-    scalar path bit-for-bit: the same sends (same payload values, one
-    shared payload object per broadcast, neighbors in canonical order),
-    the same ``halt`` outputs, the same per-vertex RNG word
-    consumption.  See ``docs/kernels.md`` for the full contract.
+    scalar path bit-for-bit: the same sends (same senders, receivers
+    and message sizes, neighbors in canonical order), the same ``halt``
+    outputs, the same per-vertex RNG word consumption.  See
+    ``docs/kernels.md`` for the full contract.
 
-    A columnar kernel only ever drives a fresh, fault-free run in dense
-    rounds (see :func:`maybe_build_kernel`): every vertex initializes,
-    then every live vertex steps every round, and the previous round's
-    sends are always in the sender-side columns.
+    A columnar kernel only ever drives a fresh, fault-free run that
+    captures no checkpoint, in dense rounds (see
+    :func:`maybe_build_kernel`): every vertex initializes, then every
+    live vertex steps every round, and the previous round's sends are
+    always in the sender-side columns.
 
     Subclasses implement ``_load_columns`` (allocate the state columns
     and read the population's shared parameters, at construction),
@@ -487,26 +411,16 @@ class KernelBase:
     def step_round(self, round_number: int):
         """Vectorized twin of one round's per-vertex ``step`` loop.
 
-        Steps the live ranks (an ascending ``intp`` array), consuming
-        their pending inboxes, parks the round's sends on the engine as
-        a :class:`SendPlan`, sets ``_halted``/``_output`` for vertices
-        that halt, and returns ``(rows, halted)``: the stepped array and
-        the halted ranks, which leave the live array.
+        Steps the live ranks (an ascending ``intp`` array), hands the
+        round's sends to the engine as a :class:`SendPlan`, sets
+        ``_halted``/``_output`` for vertices that halt, and returns
+        ``(rows, halted)``: the stepped array and the halted ranks,
+        which leave the live array.
         """
-        engine = self.engine
         rows = self.live
         self.last_step[rows] = round_number
         self._rn_dirty[rows] = True
         self._state_dirty = True
-        # Inboxes exist only where a checkpoint capture materialized the
-        # parked plan; consume them exactly like the scalar loop.
-        pids = engine._pending_ids
-        if pids:
-            pending = engine._pending
-            consumed = pids.intersection(rows.tolist())
-            for i in consumed:
-                pending[i] = None
-            pids.difference_update(consumed)
         self._halts = halts = []
         self._step_rows(rows, round_number)
         self._flush_plan()
@@ -523,10 +437,9 @@ class KernelBase:
     def sync(self) -> None:
         """Write columnar state back into the scalar objects.
 
-        Called at observation points (checkpoint capture, end of run)
-        so that pickled algorithm/context objects — including
-        materialized per-vertex ``random.Random`` states — are exactly
-        what the scalar path would have produced.  Idempotent.
+        Called at the end of every ``run()``, so that the algorithm and
+        context objects callers observe are exactly what the scalar
+        path would have left.  Idempotent.
         """
         for i in np.nonzero(self._rn_dirty)[0].tolist():
             self.contexts[i].round_number = int(self.last_step[i])
@@ -542,28 +455,24 @@ class KernelBase:
         ctx._output = output
         self._halts.append(i)
 
-    def _emit_broadcast(self, rows, payloads=None, shared=_NO_PAYLOAD,
-                        size=None) -> None:
+    def _emit_broadcast(self, rows, size) -> None:
         """Queue a broadcast from each of ``rows`` to all its neighbors.
 
-        Pass either ``payloads`` (a list aligned with ``rows`` — or a
-        zero-argument callable building one, deferred until a
-        checkpoint capture materializes the plan; each row's object is
-        shared across its neighbors, as the scalar path does) or
-        ``shared`` (one object for every row).  ``size`` optionally
-        declares the ``message_bits`` of the payloads — a uniform int or
-        a per-row ``int64`` column — so accounting skips measuring them.
+        ``size`` is the ``message_bits`` of what each row sends: one int
+        for every row, or a per-row ``int64`` column aligned with
+        ``rows``.
         """
         if rows.shape[0] == 0:
             return
-        self._plan_segments.append(("b", rows, None, payloads, shared, size))
+        self._plan_segments.append(("b", rows, None, size))
 
-    def _emit_send(self, rows, targets, payload, size=None) -> None:
-        """Queue one ``payload`` from each of ``rows`` to the aligned
-        dense index in ``targets`` (a unicast column)."""
+    def _emit_send(self, rows, targets, size) -> None:
+        """Queue one message of ``size`` bits (an int or a per-row
+        ``int64`` column) from each of ``rows`` to the aligned dense
+        index in ``targets`` (a unicast column)."""
         if rows.shape[0] == 0:
             return
-        self._plan_segments.append(("u", rows, targets, None, payload, size))
+        self._plan_segments.append(("u", rows, targets, size))
 
     # -- subclass responsibilities -------------------------------------
     def _load_columns(self) -> None:

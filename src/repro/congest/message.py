@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-from ..errors import MessageTooLargeError
-
 #: Bits charged for a float payload field (an IEEE double).
 FLOAT_BITS = 64
 
@@ -149,13 +147,3 @@ class MessageBudget:
     def bits(self) -> int:
         """Total bits allowed per message."""
         return self.words * self.bits_per_word
-
-    def check(self, payload: Any, detail: str = "") -> int:
-        """Measure ``payload``; raise if it exceeds the budget.
-
-        Returns the measured size in bits so callers can aggregate.
-        """
-        bits = message_bits(payload)
-        if bits > self.bits:
-            raise MessageTooLargeError(bits, self.bits, detail=detail)
-        return bits

@@ -206,9 +206,9 @@ class CongestMetrics:
 
         Rounds compose as a maximum (all shards advance through the
         same global rounds), volumes as sums, congestion as a maximum.
-        This is the merge rule both for edge-disjoint clusters inside
-        one framework run and for experiment cells merged back from a
-        sharded :mod:`repro.runner` execution.
+        This is the merge rule for the edge-disjoint clusters of one
+        framework run (:func:`repro.core.framework.partition_minor_free`),
+        whose gathers run in parallel in the real network.
         """
         merged = cls()
         for m in items:
@@ -243,9 +243,11 @@ class CongestMetrics:
     def to_dict(self, include_per_round: bool = False) -> Dict:
         """Plain-data form that survives a process boundary.
 
-        ``repro.runner`` workers ship metrics back to the parent as
-        dicts; :meth:`from_dict` rebuilds an equivalent object so the
-        merge rules above apply identically in sharded and serial runs.
+        A checkpoint envelope stores the metrics of its run this way
+        (with ``include_per_round=True``), and :meth:`from_dict`
+        rebuilds an equivalent object when the run resumes; the
+        benchmark's adversity workload compares a resumed run's dict
+        with the uninterrupted run's.
         """
         data: Dict = {
             "rounds": self.rounds,

@@ -214,9 +214,12 @@ class CongestSimulator:
         captured after every ``checkpoint_every``-th executed round and
         passed to the callback (which may, e.g., ``save()`` it to disk).
         Resume one later with
-        :func:`~repro.congest.checkpoint.resume_simulation`.
+        :func:`~repro.congest.checkpoint.resume_simulation`.  A
+        capturing run takes the per-vertex scheduler, never a round
+        kernel, so it raises ``ValueError`` before any round if an
+        earlier ``run()`` of this simulator engaged one.
         ``checkpoint_every`` below 1 raises ``ValueError`` before any
-        round runs.
+        round runs too.
         """
         if checkpoint_every is not None and checkpoint_every < 1:
             raise ValueError(
@@ -228,12 +231,3 @@ class CongestSimulator:
             checkpoint_every=checkpoint_every,
             on_checkpoint=on_checkpoint,
         )
-
-    def checkpoint(self):
-        """Capture the simulation state at the current round boundary.
-
-        Valid before :meth:`run` (round 0), after it returns, and from
-        inside an ``on_checkpoint`` callback.  Returns a
-        :class:`~repro.congest.checkpoint.SimulationCheckpoint`.
-        """
-        return self._engine.capture_checkpoint()

@@ -11,7 +11,6 @@ from .framework import (
     ClusterRun,
     FrameworkResult,
     PartitionResult,
-    parallel_merge,
     partition_minor_free,
     run_framework,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "ClusterRun",
     "FrameworkResult",
     "PartitionResult",
-    "parallel_merge",
     "partition_minor_free",
     "run_framework",
     "degree_condition_holds",

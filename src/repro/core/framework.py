@@ -93,15 +93,6 @@ class FrameworkResult(PartitionResult):
     answers: Dict[Any, Any] = field(default_factory=dict)
 
 
-def parallel_merge(metrics_list: List[CongestMetrics]) -> CongestMetrics:
-    """Compose executions that run *in parallel* on edge-disjoint clusters.
-
-    Rounds compose as a maximum (all clusters advance in the same
-    global rounds), volumes as sums, and congestion as a maximum.
-    """
-    return CongestMetrics.merge_parallel(metrics_list)
-
-
 def density_bound(graph: Graph) -> float:
     """Measured stand-in for the Thomason bound t with |E| <= t |V|.
 
@@ -187,7 +178,7 @@ def partition_minor_free(
             )
             cluster_metrics.append(gather.metrics)
 
-    metrics = parallel_merge(cluster_metrics)
+    metrics = CongestMetrics.merge_parallel(cluster_metrics)
     _telemetry.count("framework.runs")
     _telemetry.count("framework.clusters", len(runs))
     _telemetry.count(

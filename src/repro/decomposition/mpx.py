@@ -138,29 +138,19 @@ class MPXKernel(KernelBase):
             algo.best = (scaled[i], verts[root[i]], dist[i])
 
     def _broadcast(self, rows) -> None:
-        verts = self.verts
-        scaled = self.best_scaled[rows]
         root = self.best_root[rows]
-        dist = self.best_dist[rows]
         self.sent[:] = False
         self.sent[rows] = True
-
-        def payloads():
-            s = scaled.tolist()
-            r = root.tolist()
-            d = dist.tolist()
-            return [(verts[r[k]], s[k], d[k]) for k in range(len(r))]
-
         # (label, scaled, dist) int triples: 2 bits of tuple framing
         # plus three (bit_length + 3)-bit fields, computed columnar so
-        # the hot path builds no payload objects.
+        # no payload object is built.
         sizes = (
             11
             + int_bit_lengths(self.labels[root])
-            + int_bit_lengths(scaled)
-            + int_bit_lengths(dist)
+            + int_bit_lengths(self.best_scaled[rows])
+            + int_bit_lengths(self.best_dist[rows])
         )
-        self._emit_broadcast(rows, payloads, size=sizes)
+        self._emit_broadcast(rows, sizes)
 
     def _initialize_rows(self, rows) -> None:
         # One scalar draw per vertex (the only draw of the protocol);

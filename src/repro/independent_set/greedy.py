@@ -175,13 +175,9 @@ class LubyKernel(KernelBase):
         self.sent_pri[:] = False
         self.sent_pri[rows] = True
         contexts = self.contexts
-        payloads = []
-        append = payloads.append
         for i in rows.tolist():
-            p = contexts[i].rng.random()
-            pri[i] = p
-            append(("PRI", p))
-        self._emit_broadcast(rows, payloads, size=self._pri_size)
+            pri[i] = contexts[i].rng.random()
+        self._emit_broadcast(rows, self._pri_size)
 
     def _initialize_rows(self, rows) -> None:
         self._draw_and_announce(rows)
@@ -204,11 +200,7 @@ class LubyKernel(KernelBase):
             self.sent_pri[:] = False
             self.sent_in[:] = False
             self.sent_in[winners] = True
-            self._emit_broadcast(
-                winners,
-                [("IN", 0.0) for _ in range(winners.shape[0])],
-                size=self._in_size,
-            )
+            self._emit_broadcast(winners, self._in_size)
         else:
             # Resolution round: losers of an IN neighbor leave.
             undecided = rows[status[rows] == 0]

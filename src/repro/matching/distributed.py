@@ -36,6 +36,7 @@ from ..congest import (
 )
 from ..congest.algorithm import register_kernel
 from ..congest.kernels import KernelBase, seg_count, seg_max
+from ..congest.message import message_bits
 from ..core.framework import FrameworkResult, run_framework
 from ..errors import SolverError
 from ..graph import Graph, edge_key
@@ -187,6 +188,11 @@ class ProposalMatchingKernel(KernelBase):
     def _load_columns(self) -> None:
         n = self.n
         self.max_phases = self.algorithms[0].max_phases
+        # Each message is one constant int: measure once, charge per
+        # send.
+        self._propose_size = message_bits(ProposalMatching.PROPOSE)
+        self._accept_size = message_bits(ProposalMatching.ACCEPT)
+        self._matched_size = message_bits(ProposalMatching.MATCHED)
         self.matched = np.zeros(n, bool)
         self.announced = np.zeros(n, bool)
         self.mate = np.full(n, -1, np.int64)
@@ -287,7 +293,7 @@ class ProposalMatchingKernel(KernelBase):
         )
         targets = nbr[edge]
         self.proposed[proposers] = targets
-        self._emit_send(proposers, targets, ProposalMatching.PROPOSE)
+        self._emit_send(proposers, targets, self._propose_size)
 
     def _accept(self, rows) -> None:
         eligible = rows[~self.matched[rows] & (self.proposed[rows] < 0)]
@@ -300,7 +306,7 @@ class ProposalMatchingKernel(KernelBase):
         acc_mate = mx[acc_rows]
         self.matched[acc_rows] = True
         self.mate[acc_rows] = acc_mate
-        self._emit_send(acc_rows, acc_mate, ProposalMatching.ACCEPT)
+        self._emit_send(acc_rows, acc_mate, self._accept_size)
 
     def _resolve(self, rows) -> None:
         prop_rows = rows[self.proposed[rows] >= 0]
@@ -316,7 +322,7 @@ class ProposalMatchingKernel(KernelBase):
             return
         self.announced[ann] = True
         self.sent_ann[ann] = True
-        self._emit_broadcast(ann, shared=ProposalMatching.MATCHED)
+        self._emit_broadcast(ann, self._matched_size)
         verts = self.verts
         for i, m in zip(ann.tolist(), self.mate[ann].tolist()):
             self._halt(i, verts[m])

@@ -21,7 +21,6 @@ path).
 
 from __future__ import annotations
 
-import math
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..congest import (

@@ -20,16 +20,17 @@ no response, so its origin *detects* the failure, which is precisely
 the failure-detection mechanism the paper's property tester relies on.
 
 :class:`WalkExchange` is the protocol, one object per vertex.  On a
-fresh, fault-free run the fast engine drives the walkers through
-:class:`WalkExchangeKernel` instead of its per-vertex scheduler, with
-bit-identical results; every other run steps them one by one.
+fresh, fault-free run that captures no checkpoint the fast engine
+drives the walkers through :class:`WalkExchangeKernel` instead of its
+per-vertex scheduler, with bit-identical results; every other run
+steps them one by one.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..congest import (
@@ -399,8 +400,8 @@ class WalkExchangeKernel:
 
     and every other round is fast-forwarded.  Tokens in flight wait in
     the kernel as ``(sender vertex, key, payload)`` per receiving rank,
-    in drain order; :meth:`sync` writes them, with the round numbers
-    and the scheduler's runnable set and wakeups, back into the engine.
+    in drain order, and never become inboxes: a kernel run captures no
+    checkpoint, so nothing reads the scheduler's fields while it runs.
     """
 
     algorithm_cls = WalkExchange
@@ -440,9 +441,6 @@ class WalkExchangeKernel:
         self.verts = engine._verts
         self.index = engine._index
         self.n = engine._n
-        # The engine's inboxes and their index, which sync() writes.
-        self.pending = engine._pending
-        self.pending_ids = engine._pending_ids
         first = self.walkers[0]
         self.steps = first.forward_steps
         self.halt_round = first._halt_round
@@ -489,14 +487,6 @@ class WalkExchangeKernel:
         t = round_number
         mail = self._mail
         self._mail = {}
-        pending_ids = self.pending_ids
-        if pending_ids:
-            # A sync wrote this mail into the inboxes of the ranks that
-            # take it now; they consume them, as on the scalar path.
-            pending = self.pending
-            for j in pending_ids:
-                pending[j] = None
-            pending_ids.clear()
         steps = self.steps
         if t >= self.halt_round:
             stepped = list(range(self.n))
@@ -542,49 +532,10 @@ class WalkExchangeKernel:
             max(sizes),
         )
 
-    def materialize(self, engine) -> None:
-        """Nothing to write: a capture runs :meth:`sync` first, which
-        wrote the tokens in flight into the pending inboxes."""
-
     def sync(self) -> None:
-        """Write back what the per-vertex scheduler would hold now: the
-        runnable set and wakeups ``_reschedule`` would have left, and
-        the tokens in flight as the scalar drain leaves them,
-        ``{sender: [token, ...]}`` per receiving rank in drain order.
-        Round numbers are set as ranks step."""
-        steps = self.steps
-        halt_round = self.halt_round
-        first_due: Dict[int, int] = {}
-        for r in sorted(self._due):
-            for i in self._due[r]:
-                first_due.setdefault(i, r)
-        runnable = set()
-        wake: List[Optional[int]] = [None] * self.n
-        for i, ctx in enumerate(self.contexts):
-            last = ctx.round_number
-            if ctx._halted:
-                continue
-            if last == 0:
-                runnable.add(i)
-            elif last > steps:
-                wake[i] = first_due.get(i, halt_round)
-            elif i == self.leader:
-                wake[i] = steps + 1
-            elif self.walkers[i].holding:
-                runnable.add(i)
-            else:
-                wake[i] = halt_round
-        self.engine._runnable = runnable
-        self.engine._wake_round = wake
-        tag = "F" if self.engine._round <= steps else "R"
-        for j, box in self._mail.items():
-            inbox: Dict[Any, List[Any]] = {}
-            for sender, key, payload in box:
-                inbox.setdefault(sender, []).append(
-                    (tag, key[0], key[1], payload)
-                )
-            self.pending[j] = inbox
-            self.pending_ids.add(j)
+        """Nothing to write back: the walker objects hold the walk's
+        state, and each rank's ``ctx.round_number`` is set as it
+        steps."""
 
     # -- the schedule --------------------------------------------------
     def _forward(self, t: int, stepped: List[int], mail) -> None:

@@ -33,6 +33,7 @@ from repro.congest import (
     resume_simulation,
     use_engine,
 )
+from repro.congest import algorithm as algorithm_mod
 from repro.congest.algorithm import set_kernels_enabled
 from repro.generators import gnp_random_graph, path_graph
 from repro.independent_set.greedy import LubyMIS
@@ -156,7 +157,7 @@ def test_adversity_bit_identical_across_engines(kind, seed):
 
 @pytest.fixture(autouse=True)
 def _kernels_restored(monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL_THRESHOLD", "1")
+    monkeypatch.setattr(algorithm_mod, "KERNEL_THRESHOLD", 1)
     yield
     set_kernels_enabled(True)
 
@@ -226,14 +227,15 @@ def test_halted_vertices_hold_no_inbox(engine):
     )
 
 
-def test_kernel_captures_leave_halted_vertices_no_inbox():
-    """A capture materializes a kernel's parked sends as inboxes; it
-    builds none for a halted receiver, so none outlives the run."""
+def test_capturing_runs_leave_halted_vertices_no_inbox():
+    """A fault-free run that captures checkpoints takes the fast
+    engine's inline delivery, not a kernel; like the channel above, it
+    builds no inbox for a halted receiver, so none outlives the run."""
     set_kernels_enabled(True)
     sim = CongestSimulator(_graph(3), lambda v: LubyMIS(20), seed=3)
     captured = []
     sim.run(40, checkpoint_every=1, on_checkpoint=captured.append)
-    assert sim._engine._kernel is not None and len(captured) > 2
+    assert sim._engine._kernel is None and len(captured) > 2
     assert _halted_with_inbox(sim) == []
 
 

@@ -34,7 +34,7 @@ from repro.congest import (
 from repro.congest import channel
 from repro.congest import checkpoint as checkpoint_module
 from repro.congest.algorithm import VertexAlgorithm, VertexContext
-from repro.congest.checkpoint import dump_state
+from repro.congest.checkpoint import capture_engine_state, dump_state
 from repro import graph as graph_module
 from repro import storage
 from repro.errors import CheckpointError
@@ -167,8 +167,10 @@ def test_checkpoint_before_run_resumes_from_round_zero(engine):
         graph, FixtureFlood, seed=3,
         trace=TraceRecorder("pre"), engine=engine,
     )
-    checkpoint = sim.checkpoint()  # before run(): round 0, uninitialized
+    # Before run(): round 0, not yet initialized.
+    checkpoint = capture_engine_state(sim._engine)
     assert checkpoint.round == 0
+    assert pickle.loads(checkpoint.state)["initialized"] is False
 
     recorder = TraceRecorder("resumed")
     resumed = resume_simulation(

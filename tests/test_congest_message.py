@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.congest import CongestSimulator, VertexAlgorithm
 from repro.congest.message import FLOAT_BITS, MessageBudget, message_bits
 from repro.errors import MessageTooLargeError
+from repro.generators import path_graph
 
 
 class TestMessageBits:
@@ -66,21 +68,25 @@ class TestMessageBudget:
         assert large.bits_per_word == 21
         assert large.bits == large.words * 21
 
-    def test_check_passes_small_payload(self):
-        budget = MessageBudget(1024)
-        assert budget.check(("F", 1000, 3)) > 0
-
-    def test_check_rejects_oversized_payload(self):
-        budget = MessageBudget(4, words=2)
-        with pytest.raises(MessageTooLargeError):
-            budget.check(tuple(range(50)))
-
     def test_error_carries_sizes(self):
+        """An engine refusing an over-budget send reports the measured
+        size and the budget it broke."""
+        payload = "a very long message " * 10
         budget = MessageBudget(4, words=2)
-        with pytest.raises(MessageTooLargeError) as excinfo:
-            budget.check("a very long message " * 10, detail="test")
-        assert excinfo.value.budget == budget.bits
-        assert excinfo.value.bits > budget.bits
+
+        class Shout(VertexAlgorithm):
+            def initialize(self, ctx):
+                ctx.broadcast(payload)
+
+        for engine in ("fast", "reference"):
+            sim = CongestSimulator(
+                path_graph(2), lambda v: Shout(), budget=budget, seed=0,
+                engine=engine,
+            )
+            with pytest.raises(MessageTooLargeError) as excinfo:
+                sim.run(max_rounds=1)
+            assert excinfo.value.budget == budget.bits
+            assert excinfo.value.bits == message_bits(payload) > budget.bits
 
     def test_budget_fits_vertex_id_tuples(self):
         # The invariant the routing layer relies on: a tag plus a few
@@ -88,4 +94,4 @@ class TestMessageBudget:
         for n in (2, 10, 100, 10_000, 1_000_000):
             budget = MessageBudget(n)
             payload = ("F", n - 1, 7, (n - 2, n // 2))
-            budget.check(payload)
+            assert message_bits(payload) <= budget.bits

@@ -2,15 +2,9 @@
 
 import pytest
 
-from repro.congest import (
-    CongestSimulator,
-    MessageBudget,
-    VertexAlgorithm,
-    VertexContext,
-)
+from repro.congest import CongestSimulator, MessageBudget, VertexAlgorithm
 from repro.errors import MessageTooLargeError, ProtocolError
 from repro.generators import cycle_graph, path_graph, star_graph
-from repro.graph import Graph
 
 
 class Flood(VertexAlgorithm):

@@ -43,6 +43,7 @@ from repro.congest import (
     VertexAlgorithm,
     resume_simulation,
 )
+from repro.congest.checkpoint import capture_engine_state
 from repro.errors import MessageTooLargeError, ProtocolError
 from repro.generators import gnp_random_graph
 from repro.obs.trace import diff_traces
@@ -367,7 +368,7 @@ def _end_states(sim):
     graph's one rank order, so the lists line up whichever engine
     captured it.
     """
-    state = pickle.loads(sim.checkpoint().state)
+    state = pickle.loads(capture_engine_state(sim._engine).state)
     return [
         (
             ctx.vertex,

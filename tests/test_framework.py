@@ -6,7 +6,6 @@ from repro.congest import CongestMetrics
 from repro.core import (
     degree_condition_holds,
     diameter_within,
-    parallel_merge,
     partition_minor_free,
     run_framework,
     singletonize_failed_clusters,
@@ -158,7 +157,7 @@ class TestFailureSemantics:
             max_message_bits=40,
             max_edge_congestion=2,
         )
-        merged = parallel_merge([a, b])
+        merged = CongestMetrics.merge_parallel([a, b])
         assert merged.rounds == 10
         assert merged.effective_rounds == 20
         assert merged.total_messages == 150

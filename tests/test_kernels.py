@@ -10,14 +10,12 @@ columnar send plans, so the batched accounting is held to the same
 bit-parity bar, including its error path (oversized messages) and its
 per-edge charge when one edge carries two messages in a round.  A
 second group covers the activation rules (thresholds, fault plans,
-the ``REPRO_NO_KERNELS`` switch, idle-hint algorithms) and checkpoint
-round-trips across kernel modes: a kernel run captures, and every
-resume finishes scalar.
+checkpoint capture, ``set_kernels_enabled``, idle-hint algorithms)
+and checkpoint round-trips: a capturing run takes the per-vertex
+scheduler yet equals the kernel run, and every resume finishes scalar.
 """
 
 from __future__ import annotations
-
-import pickle
 
 import numpy as np
 import pytest
@@ -30,10 +28,11 @@ from repro.congest.algorithm import (
     register_kernel,
     set_kernels_enabled,
 )
-from repro.congest.checkpoint import resume_simulation
+from repro.congest.checkpoint import capture_engine_state, resume_simulation
 from repro.congest.engine import FastEngine
 from repro.congest.faults import FaultPlan
 from repro.congest.kernels import KernelBase
+from repro.congest.message import message_bits
 from repro.congest.network import CongestSimulator
 from repro.congest.trace import TraceRecorder
 from repro.errors import MessageTooLargeError
@@ -75,6 +74,11 @@ class _Countdown(VertexAlgorithm):
         ctx.broadcast(left)
 
 
+def _int_sizes(values):
+    """The ``message_bits`` of each int in ``values``, as a size column."""
+    return np.array([message_bits(v) for v in values.tolist()], np.int64)
+
+
 @register_kernel(_Countdown)
 class _CountdownKernel(KernelBase):
     def _load_columns(self):
@@ -88,13 +92,13 @@ class _CountdownKernel(KernelBase):
         for i in rows[degree == 0].tolist():
             self._halt(i, "isolated")
         senders = rows[degree > 0]
-        self._emit_broadcast(senders, self.deadline[senders].tolist())
+        self._emit_broadcast(senders, _int_sizes(self.deadline[senders]))
 
     def _step_rows(self, rows, round_number):
         left = self.deadline[rows] - round_number
         for i in rows[left <= 0].tolist():
             self._halt(i, round_number)
-        self._emit_broadcast(rows[left > 0], left[left > 0].tolist())
+        self._emit_broadcast(rows[left > 0], _int_sizes(left[left > 0]))
 
 
 ALGORITHMS = {
@@ -141,7 +145,7 @@ def _plan(kind, graph):
 def _kernels_restored(monkeypatch):
     """Force threshold 1 (the graphs here are small) and always leave
     the process with kernels re-enabled."""
-    monkeypatch.setenv("REPRO_KERNEL_THRESHOLD", "1")
+    monkeypatch.setattr(algorithm_mod, "KERNEL_THRESHOLD", 1)
     yield
     set_kernels_enabled(True)
 
@@ -341,14 +345,14 @@ def test_threshold_gates_engagement(monkeypatch):
     # Matching, not Luby: Luby's priority payloads overrun the CONGEST
     # budget of a 25-vertex graph (see test_congest_budget.py).
     factory, rounds = ALGORITHMS["matching"]
-    monkeypatch.setenv("REPRO_KERNEL_THRESHOLD", "26")
+    monkeypatch.setattr(algorithm_mod, "KERNEL_THRESHOLD", 26)
     assert _ran(graph, factory, rounds)._engine._kernel is None
-    monkeypatch.setenv("REPRO_KERNEL_THRESHOLD", "25")
+    monkeypatch.setattr(algorithm_mod, "KERNEL_THRESHOLD", 25)
     assert _ran(graph, factory, rounds)._engine._kernel is not None
 
 
 def test_default_threshold_engages_at_64(monkeypatch):
-    monkeypatch.delenv("REPRO_KERNEL_THRESHOLD")
+    monkeypatch.undo()  # the module's own threshold, not the fixture's
     graph = grid_graph(8, 8)
     factory, rounds = ALGORITHMS["luby"]
     assert _ran(graph, factory, rounds)._engine._kernel is not None
@@ -356,15 +360,17 @@ def test_default_threshold_engages_at_64(monkeypatch):
     assert _ran(small, factory, rounds)._engine._kernel is None
 
 
-def test_env_variable_disables_kernels(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_KERNELS", "1")
-    # The module-level flag is read at import; the setter is the
-    # process-level control.
+def test_set_kernels_enabled_switches_kernels():
+    """The one switch: kernels are on unless this process turns them
+    off, and a disabled run counts its fallback."""
+    assert kernels_enabled()
     set_kernels_enabled(False)
     assert not kernels_enabled()
     graph = grid_graph(8, 8)
     factory, rounds = ALGORITHMS["luby"]
-    assert _ran(graph, factory, rounds)._engine._kernel is None
+    with telemetry_scope() as registry:
+        assert _ran(graph, factory, rounds)._engine._kernel is None
+    assert registry.to_dict()["counters"]["congest.kernel.fallback"] == 1
     set_kernels_enabled(True)
     assert _ran(graph, factory, rounds)._engine._kernel is not None
 
@@ -446,7 +452,7 @@ class _OversizeKernel(KernelBase):
     def _step_rows(self, rows, round_number):
         if round_number == 1:
             i = self.engine._index[5]
-            self._emit_broadcast(rows[rows == i], shared=_BIG)
+            self._emit_broadcast(rows[rows == i], message_bits(_BIG))
             return
         for i in rows.tolist():
             self._halt(i, True)
@@ -486,8 +492,8 @@ class _DoubleSendKernel(KernelBase):
                 )
                 # Two single-edge unicast segments: flattened
                 # segment-major order equals the scalar drain order.
-                self._emit_send(sender, target, 1)
-                self._emit_send(sender, target, 2)
+                self._emit_send(sender, target, message_bits(1))
+                self._emit_send(sender, target, message_bits(2))
             return
         for i in rows.tolist():
             self._halt(i, True)
@@ -549,8 +555,72 @@ def test_double_send_charged_alike_batched_vs_scalar():
 
 
 # ----------------------------------------------------------------------
-# Checkpoint round-trips across kernel modes
+# Checkpoints: a capturing run takes the per-vertex scheduler
 # ----------------------------------------------------------------------
+
+def _fingerprint(result, recorder, sim):
+    return (
+        result.outputs,
+        result.halted,
+        result.metrics.to_dict(include_per_round=True),
+        [r.to_dict() for r in recorder.rounds],
+        rng_states(sim),
+    )
+
+
+def _engaged(graph, factory, seed, rounds):
+    """The run with a kernel engaged, and its fingerprint."""
+    run = run_once(graph, factory, seed, True, rounds=rounds)
+    assert run[2]._engine._kernel is not None
+    return run, _fingerprint(*run)
+
+
+@pytest.mark.parametrize("algo", sorted(ALGORITHMS))
+def test_capturing_run_builds_no_kernel(algo):
+    """A fault-free run that captures checkpoints builds no kernel and
+    counts one fallback, and its outputs, per-round metrics, round
+    trace and RNG end states equal the same run's with a kernel."""
+    graph = GENERATORS["gnp"](3)
+    factory, rounds = ALGORITHMS[algo]
+    _, expected = _engaged(graph, factory, 3, rounds)
+    checkpoints = []
+    recorder = TraceRecorder("capture")
+    with telemetry_scope() as registry:
+        sim = CongestSimulator(graph, factory, seed=3, trace=recorder)
+        result = sim.run(
+            max_rounds=rounds, checkpoint_every=1,
+            on_checkpoint=checkpoints.append,
+        )
+    counters = registry.to_dict()["counters"]
+    assert sim._engine._kernel is None
+    assert counters.get("congest.kernel.fallback") == 1
+    assert "congest.kernel.engaged" not in counters
+    assert checkpoints
+    assert _fingerprint(result, recorder, sim) == expected
+
+
+@pytest.mark.parametrize("algo", sorted(ALGORITHMS))
+def test_capture_after_a_kernel_run_is_refused(algo):
+    """Once a kernel engaged, a capturing ``run()`` raises before any
+    round, and the run then finishes as if never interrupted."""
+    graph = GENERATORS["gnp"](3)
+    factory, rounds = ALGORITHMS[algo]
+    _, expected = _engaged(graph, factory, 3, rounds)
+    recorder = TraceRecorder("refused")
+    sim = CongestSimulator(graph, factory, seed=3, trace=recorder)
+    sim.run(max_rounds=2)
+    assert sim._engine._kernel is not None
+    checkpoints = []
+    with pytest.raises(ValueError, match="engaged a round kernel"):
+        sim.run(
+            max_rounds=rounds, checkpoint_every=1,
+            on_checkpoint=checkpoints.append,
+        )
+    assert sim.rounds_executed == 2
+    assert checkpoints == []
+    result = sim.run(max_rounds=rounds)
+    assert _fingerprint(result, recorder, sim) == expected
+
 
 @pytest.mark.parametrize("algo", sorted(ALGORITHMS))
 @pytest.mark.parametrize(
@@ -567,15 +637,14 @@ def test_double_send_charged_alike_batched_vs_scalar():
     ],
 )
 def test_checkpoint_crosses_kernel_modes(algo, capture_on, resume_on, every):
-    """A checkpoint captured in either mode resumes bit-identically on
-    the per-vertex path — the envelope stays engine- and
-    kernel-neutral.  Capturing with kernels on exercises the
-    materialize-before-capture path (a lazy send plan may be parked at
-    the checkpoint boundary).  ``resume_on`` enables kernels for the
-    resume, and the restored engine still builds none."""
+    """A checkpoint captured with kernels enabled or disabled resumes
+    bit-identically on the per-vertex path to the kernel run.  The
+    capturing run holds no kernel either way, and ``resume_on``
+    enables kernels for the resume, whose restored engine still builds
+    none."""
     graph = GENERATORS["gnp"](9)
     factory, rounds = ALGORITHMS[algo]
-    base, base_rec, _ = run_once(graph, factory, 21, True, rounds=rounds)
+    (base, _, _), _ = _engaged(graph, factory, 21, rounds)
 
     set_kernels_enabled(capture_on)
     checkpoints = []
@@ -584,7 +653,7 @@ def test_checkpoint_crosses_kernel_modes(algo, capture_on, resume_on, every):
         max_rounds=rounds, checkpoint_every=every,
         on_checkpoint=checkpoints.append,
     )
-    assert (sim._engine._kernel is not None) == capture_on
+    assert sim._engine._kernel is None
     assert checkpoints
     set_kernels_enabled(resume_on)
     resumed = resume_simulation(graph, factory, checkpoints[0])
@@ -607,7 +676,8 @@ def test_restored_engine_builds_no_kernel(algo, at):
     """A resumed fast engine finishes on the per-vertex path without
     ever building a kernel: it allocates none and counts no kernel
     activation, engaged or fallback.  This holds for a checkpoint taken
-    inside kernel rounds and for one taken before the first run."""
+    before the first run (round 0, not yet initialized) and for one a
+    capturing run took."""
     graph = GENERATORS["gnp"](9)
     factory, rounds = ALGORITHMS[algo]
     expected = CongestSimulator(graph, factory, seed=21).run(
@@ -615,14 +685,15 @@ def test_restored_engine_builds_no_kernel(algo, at):
     )
     sim = CongestSimulator(graph, factory, seed=21)
     if at == "before-run":
-        checkpoint = sim.checkpoint()
+        checkpoint = capture_engine_state(sim._engine)
+        assert checkpoint.round == 0
     else:
         checkpoints = []
         sim.run(
             max_rounds=rounds, checkpoint_every=2,
             on_checkpoint=checkpoints.append,
         )
-        assert sim._engine._kernel is not None
+        assert sim._engine._kernel is None
         checkpoint = checkpoints[0]
     with telemetry_scope() as registry:
         resumed = resume_simulation(graph, factory, checkpoint)
@@ -634,48 +705,27 @@ def test_restored_engine_builds_no_kernel(algo, at):
     assert result.metrics.summary() == expected.metrics.summary()
 
 
-def _fingerprint(result, recorder, sim):
-    return (
-        result.outputs,
-        result.halted,
-        result.metrics.to_dict(include_per_round=True),
-        [r.to_dict() for r in recorder.rounds],
-        rng_states(sim),
-    )
-
-
 @pytest.mark.parametrize("algo", sorted(ALGORITHMS))
 @pytest.mark.parametrize("every", [1, 2])
 def test_dense_run_checkpoints_resume_on_both_engines(algo, every):
-    """Every checkpoint a kernel run captures holds the scheduling
-    state a scalar run's holds, and resumes on the fast and the
-    reference engine to exactly the run that never stopped; capturing
-    leaves that run itself unchanged."""
+    """A run that captures every round or every other round holds no
+    kernel, equals the run that engaged one, and each of its
+    checkpoints resumes on the fast and the reference engine to
+    exactly that run."""
     graph = GENERATORS["isolated"](9)
     factory, rounds = ALGORITHMS[algo]
-    expected = _fingerprint(*run_once(graph, factory, 21, True, rounds=rounds))
-
-    def capture(enabled):
-        set_kernels_enabled(enabled)
-        checkpoints = []
-        recorder = TraceRecorder("capture")
-        sim = CongestSimulator(graph, factory, seed=21, trace=recorder)
-        result = sim.run(
-            max_rounds=rounds, checkpoint_every=every,
-            on_checkpoint=checkpoints.append,
-        )
-        set_kernels_enabled(True)
-        return _fingerprint(result, recorder, sim), checkpoints
-
-    captured, checkpoints = capture(True)
-    assert captured == expected
-    _, scalar_checkpoints = capture(False)
-    assert len(checkpoints) == len(scalar_checkpoints) >= 2
-    for checkpoint, scalar in zip(checkpoints, scalar_checkpoints):
-        state = pickle.loads(checkpoint.state)
-        scalar_state = pickle.loads(scalar.state)
-        for key in ("pending", "runnable", "wakeups"):
-            assert state[key] == scalar_state[key], key
+    _, expected = _engaged(graph, factory, 21, rounds)
+    checkpoints = []
+    recorder = TraceRecorder("capture")
+    sim = CongestSimulator(graph, factory, seed=21, trace=recorder)
+    result = sim.run(
+        max_rounds=rounds, checkpoint_every=every,
+        on_checkpoint=checkpoints.append,
+    )
+    assert sim._engine._kernel is None
+    assert _fingerprint(result, recorder, sim) == expected
+    assert len(checkpoints) >= 2
+    for checkpoint in checkpoints:
         for engine in ("fast", "reference"):
             recorder = TraceRecorder("resumed")
             resumed = resume_simulation(
@@ -705,21 +755,22 @@ def test_settled_mpx_rounds_match_scalar():
 
 
 def test_settled_mpx_checkpoint_resumes_on_both_engines():
-    """A checkpoint captured deep in the settled stretch resumes to the
-    uninterrupted run with kernels on or off, on either engine, and
-    never with a kernel."""
+    """A checkpoint captured deep in the settled stretch (by a run that
+    holds no kernel) resumes to the kernel run with kernels on or off,
+    on either engine, and never with a kernel."""
     graph = GENERATORS["grid"](0)
     factory, rounds = SETTLING_MPX
-    run = run_once(graph, factory, 5, True, rounds=rounds)
-    expected = _fingerprint(*run)
+    run, expected = _engaged(graph, factory, 5, rounds)
     per_round = run[0].metrics.messages_per_round
     checkpoints = []
-    CongestSimulator(
-        graph, factory, seed=5, trace=TraceRecorder("capture")
-    ).run(
+    recorder = TraceRecorder("capture")
+    sim = CongestSimulator(graph, factory, seed=5, trace=recorder)
+    result = sim.run(
         max_rounds=rounds, checkpoint_every=15,
         on_checkpoint=checkpoints.append,
     )
+    assert sim._engine._kernel is None
+    assert _fingerprint(result, recorder, sim) == expected
     checkpoint = checkpoints[0]
     assert checkpoint.round == 15 and not any(per_round[10:15])
     for engine, enabled in (

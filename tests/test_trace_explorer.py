@@ -17,6 +17,7 @@ import pytest
 
 from repro.cli import main
 from repro.congest import CongestSimulator, FaultPlan, TraceRecorder, VertexAlgorithm
+from repro.congest import algorithm as algorithm_mod
 from repro.congest.algorithm import set_kernels_enabled
 from repro.congest.trace import BASE_SCHEMA_VERSION, TRACE_SCHEMA_VERSION, RoundTrace
 from repro.generators import gnp_random_graph
@@ -192,7 +193,7 @@ class TestExecutionModePairsAreSilent:
 
     @pytest.fixture(autouse=True)
     def _restore_modes(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_THRESHOLD", "1")
+        monkeypatch.setattr(algorithm_mod, "KERNEL_THRESHOLD", 1)
         yield
         set_kernels_enabled(True)
 

@@ -7,20 +7,22 @@ Each test runs the same exchange three ways — with the kernel, on the
 fast engine's per-vertex scheduler (kernels off), and on the reference
 engine — and pins outputs, per-round metrics, round traces, comparable
 telemetry, per-vertex RNG end states, the walkers' own state (dict
-order included), the scheduler's fields (pending inboxes in drain
-order, runnable set, wakeups, round numbers) and error text to be
-equal.  The kernel draws no NumPy columns, so this module also runs
-in the no-NumPy CI leg (its delaunay cases skip there).
+order included), round numbers and error text to be equal.  A finished
+run leaves the scheduler's fields (pending inboxes, runnable set,
+wakeups) empty on every path, so those are compared too; a kernel run
+cut off by ``max_rounds`` does not keep them, because nothing reads
+them while a kernel holds the run.  A run that captures checkpoints
+builds no kernel and equals the kernel run.
 """
 
 from __future__ import annotations
 
 import hashlib
-import pickle
 
 import pytest
 
 from repro.congest import CongestSimulator, TraceRecorder, use_engine
+from repro.congest import algorithm as algorithm_mod
 from repro.congest.algorithm import (
     kernel_class_for,
     register_kernel,
@@ -178,6 +180,18 @@ def sans_index(state):
     return {key: value for key, value in state.items() if key != "pending_ids"}
 
 
+#: The per-vertex scheduler's own fields, which a kernel run does not
+#: keep; they are only compared once a run has finished.
+SCHEDULER_FIELDS = ("pending", "pending_ids", "runnable", "wakeups")
+
+
+def sans_scheduler(state):
+    return {
+        key: value for key, value in state.items()
+        if key not in SCHEDULER_FIELDS
+    }
+
+
 def observe(case, seed, mode, max_rounds=None):
     """Run ``case`` under ``mode`` and return everything observable."""
     graph, factory, steps = case
@@ -318,9 +332,9 @@ def test_isolated_holder_keeps_its_tokens():
 def test_cut_off_run_matches_and_continues(family, cut):
     """``max_rounds`` stops the kernel before round 1, in the forward
     phase, in the responder round (T+1 = 10), in the reverse phase,
-    just before the halt round (21) or not at all; the state left
-    behind is the scheduler's, and calling ``run()`` again finishes in
-    the state of the run that never stopped."""
+    just before the halt round (21) or not at all; the vertex state
+    left behind is the scheduler's, and calling ``run()`` again
+    finishes in the state of the run that never stopped."""
     steps = 9
     case = _case(family, 2, steps)
     graph, factory, _ = case
@@ -336,8 +350,10 @@ def test_cut_off_run_matches_and_continues(family, cut):
             engine_state(sim), result.outputs,
             [r.to_dict() for r in recorder.rounds],
         )
-    assert cut_states["kernel"] == cut_states["scalar"]
-    assert sans_index(cut_states["kernel"]) == sans_index(
+    assert sans_scheduler(cut_states["kernel"]) == sans_scheduler(
+        cut_states["scalar"]
+    )
+    assert sans_scheduler(cut_states["kernel"]) == sans_scheduler(
         cut_states["reference"]
     )
     assert finals["kernel"] == finals["scalar"]
@@ -424,53 +440,36 @@ def _capture(case, seed, mode, every):
     graph, factory, steps = case
     checkpoints = []
     recorder = TraceRecorder("capture")
-    sim = _simulator(graph, factory, seed, mode, recorder)
-    result = sim.run(
-        max_rounds=2 * steps + 4, checkpoint_every=every,
-        on_checkpoint=checkpoints.append,
-    )
+    with telemetry_scope() as registry:
+        sim = _simulator(graph, factory, seed, mode, recorder)
+        result = sim.run(
+            max_rounds=2 * steps + 4, checkpoint_every=every,
+            on_checkpoint=checkpoints.append,
+        )
+    assert getattr(sim._engine, "_kernel", None) is None
     return checkpoints, (
         engine_state(sim), result.outputs,
         [r.to_dict() for r in recorder.rounds],
-    )
+    ), registry.to_dict()["counters"]
 
 
 @pytest.mark.parametrize("family", ["delaunay", "grid", "isolated"])
 @pytest.mark.parametrize("every", [1, 2, 3, 5])
 def test_kernel_checkpoints_resume_on_both_engines(family, every):
-    """Checkpoints captured inside kernel rounds hold what the
-    scheduler's would (pending inboxes, runnable set, wakeups, round
-    numbers, walker and RNG state), capturing leaves the run unchanged,
-    and each resumes on the fast and the reference engine — without a
-    kernel — to the run that never stopped."""
+    """A run that captures checkpoints with kernels enabled holds no
+    kernel and equals the kernel run, and each of its checkpoints
+    resumes on the fast and the reference engine — without a kernel —
+    to the run that never stopped."""
     steps = 8
     case = _case(family, 5, steps)
     graph, factory, _ = case
-    expected = observe(case, 5, "scalar")
-    checkpoints, captured = _capture(case, 5, "kernel", every)
-    scalar_checkpoints, _ = _capture(case, 5, "scalar", every)
+    expected = observe(case, 5, "kernel")
+    checkpoints, captured, _ = _capture(case, 5, "kernel", every)
     assert captured[0] == expected["state"]
+    assert captured[1] == expected["result"][0]
     assert captured[2] == expected["trace"]
-    assert len(checkpoints) == len(scalar_checkpoints) >= 2
-    for checkpoint, scalar in zip(checkpoints, scalar_checkpoints):
-        assert checkpoint.round == scalar.round
-        assert checkpoint.metrics == scalar.metrics
-        assert checkpoint.trace_rounds == scalar.trace_rounds
-        state = pickle.loads(checkpoint.state)
-        scalar_state = pickle.loads(scalar.state)
-        for key in ("runnable", "wakeups", "inflight"):
-            assert state[key] == scalar_state[key], key
-        assert _ordered(state["pending"]) == _ordered(scalar_state["pending"])
-        assert len(state["contexts"]) == len(scalar_state["contexts"])
-        for ctx, scalar_ctx, walker, scalar_walker in zip(
-            state["contexts"], scalar_state["contexts"],
-            state["algorithms"], scalar_state["algorithms"],
-        ):
-            assert ctx.round_number == scalar_ctx.round_number
-            assert (ctx._rng is None) == (scalar_ctx._rng is None)
-            if ctx._rng is not None:
-                assert ctx._rng.getstate() == scalar_ctx._rng.getstate()
-            assert walker_state(walker) == walker_state(scalar_walker)
+    assert len(checkpoints) >= 2
+    for checkpoint in checkpoints:
         for engine in ("fast", "reference"):
             recorder = TraceRecorder("resumed")
             resumed = resume_simulation(
@@ -485,6 +484,42 @@ def test_kernel_checkpoints_resume_on_both_engines(family, every):
             assert [r.to_dict() for r in recorder.rounds] == expected["trace"]
 
 
+def test_capturing_run_builds_no_kernel():
+    """A fault-free walk exchange that captures checkpoints counts one
+    fallback, engages nothing, and equals the kernel run."""
+    case = _case("grid", 6, 9)
+    expected = observe(case, 6, "kernel")
+    checkpoints, captured, counters = _capture(case, 6, "kernel", 4)
+    assert checkpoints
+    assert counters.get("congest.kernel.fallback") == 1
+    assert "congest.kernel.engaged" not in counters
+    assert captured == (
+        expected["state"], expected["result"][0], expected["trace"]
+    )
+
+
+def test_capture_after_a_kernel_run_is_refused():
+    """Once the walk kernel engaged, a capturing ``run()`` raises
+    before any round, and the run then finishes as if never
+    interrupted."""
+    case = _case("grid", 6, 9)
+    graph, factory, steps = case
+    expected = observe(case, 6, "scalar")
+    sim = _simulator(graph, factory, 6, "kernel")
+    sim.run(max_rounds=12)
+    assert isinstance(sim._engine._kernel, WalkExchangeKernel)
+    checkpoints = []
+    with pytest.raises(ValueError, match="engaged a round kernel"):
+        sim.run(
+            max_rounds=2 * steps + 4, checkpoint_every=1,
+            on_checkpoint=checkpoints.append,
+        )
+    assert sim.rounds_executed == 12
+    assert checkpoints == []
+    sim.run(max_rounds=2 * steps + 4)
+    assert engine_state(sim) == expected["state"]
+
+
 # ----------------------------------------------------------------------
 # Scheduling and activation
 # ----------------------------------------------------------------------
@@ -494,9 +529,9 @@ def _refuse(*args, **kwargs):
 
 
 def test_kernel_runs_bypass_the_per_vertex_scheduler(monkeypatch):
-    """Kernel runs — a full one, a cut-off one and its continuation,
-    and one that captures checkpoints — never compute a due set,
-    reschedule, or ask a walker for its hints."""
+    """Kernel runs — a full one, and a cut-off one and its
+    continuation — never compute a due set, reschedule, or ask a
+    walker for its hints."""
     case = _case("grid", 8, 9)
     graph, factory, steps = case
     expected = observe(case, 8, "scalar")
@@ -507,24 +542,25 @@ def test_kernel_runs_bypass_the_per_vertex_scheduler(monkeypatch):
     monkeypatch.setattr(WalkExchange, "next_wakeup", _refuse)
     full = observe(case, 8, "kernel")
     partial = observe(case, 8, "kernel", max_rounds=12)
-    checkpoints, captured = _capture(case, 8, "kernel", 3)
     sim = _simulator(graph, factory, 8, "kernel")
     sim.run(max_rounds=12)
-    sim.checkpoint()
     sim.run(max_rounds=2 * steps + 4)
     continued = engine_state(sim)
     monkeypatch.undo()
     assert full == expected
+    assert sans_scheduler(partial.pop("state")) == sans_scheduler(
+        cut.pop("state")
+    )
     assert partial == cut
-    assert checkpoints and captured[0] == expected["state"]
     assert continued == expected["state"]
 
 
 def test_engages_on_small_clusters_by_default(monkeypatch):
     """The columnar threshold does not gate the walk kernel: an
-    8-vertex cluster engages it at the default threshold."""
-    monkeypatch.delenv("REPRO_KERNEL_THRESHOLD", raising=False)
+    8-vertex cluster engages it under any threshold above its size
+    (the default is 64)."""
     graph = grid_graph(2, 4)
+    monkeypatch.setattr(algorithm_mod, "KERNEL_THRESHOLD", graph.n + 1)
     factory = _factory(_leader(graph), 12, _requests(graph), None)
     with telemetry_scope() as registry:
         sim = _simulator(graph, factory, 1, "kernel")
