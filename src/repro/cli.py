@@ -440,12 +440,13 @@ def _resume_checkpoint(args, plan):
         )
     try:
         checkpoint = SimulationCheckpoint.load(args.resume_from)
+        recorded = checkpoint.plan()
     except CheckpointError as exc:
         raise _OperatorError(f"cannot load checkpoint: {exc}")
     # A checkpoint records the plan its engine ran under: none at all
     # for a plan that injects nothing.
-    flagged = None if plan.is_empty() else plan.to_dict()
-    if plan != FaultPlan() and flagged != checkpoint.fault_plan:
+    flagged = None if plan.is_empty() else plan
+    if plan != FaultPlan() and flagged != recorded:
         raise _OperatorError(
             "fault flags describe another plan than the checkpoint's "
             "own; repeat the capturing run's fault flags or give none"

@@ -17,7 +17,6 @@ from .faults import (
     EdgeWindow,
     FaultInjector,
     FaultPlan,
-    LinkFailure,
     PartitionWindow,
     active_fault_plan,
     use_faults,
@@ -50,7 +49,6 @@ __all__ = [
     "EdgeWindow",
     "FaultInjector",
     "FaultPlan",
-    "LinkFailure",
     "PartitionWindow",
     "active_fault_plan",
     "use_faults",

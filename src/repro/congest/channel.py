@@ -11,7 +11,7 @@ here, once, in :class:`EngineCore`:
   engines derive identical per-vertex RNG streams), with flat
   rank-indexed lists for contexts, algorithms, inboxes and wakeups;
 * the channel a charged transmission crosses (:meth:`EngineCore._transmit`):
-  topology → partition → link → classify → delay, with its detail-mode
+  topology → partition → classify → delay, with its detail-mode
   events and the six per-round fault counters;
 * the release of delayed payloads in canonical order;
 * the crash schedule, rejoins and local crash-recovery snapshots;
@@ -238,7 +238,7 @@ class EngineCore:
 
         The sender has paid; what follows is the channel.  Fault
         decisions key on the per-edge sequence number ``seq`` and run
-        in a fixed order — topology, partition, link, classify, delay —
+        in a fixed order — topology, partition, classify, delay —
         so the first loss wins and lands in exactly one slot of
         ``counts``.  A surviving payload (both copies of a duplicate)
         reaches the receiver's inbox now, or waits in the delay queue
@@ -259,8 +259,6 @@ class EngineCore:
                 v, neighbor, send_round
             ):
                 lost, slot = "partitioned", PARTITIONED
-            elif injector.link_down(v, neighbor, send_round):
-                lost, slot = "drop", DROPPED
             else:
                 action = injector.classify(send_round, v, neighbor, seq)
                 if action == DROP:

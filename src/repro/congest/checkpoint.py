@@ -61,9 +61,10 @@ from hashlib import blake2b
 from typing import Any, Dict, Iterable, List, Optional
 
 from .. import storage
-from ..errors import CheckpointError, StorageError
+from ..errors import CheckpointError, FaultError, StorageError
 from ..graph import Graph
 from ..rng import reduce_seeded_random
+from .faults import FaultPlan
 from .metrics import CongestMetrics
 from .trace import RoundTrace
 
@@ -176,13 +177,26 @@ class SimulationCheckpoint:
     budget_words: int
     #: ``FaultPlan.to_dict()`` payload, or ``None`` for fault-free runs.
     fault_plan: Optional[Dict[str, Any]]
-    #: ``CongestMetrics.to_dict(include_per_round=True)`` payload.
+    #: ``CongestMetrics.to_dict()`` payload.
     metrics: Dict[str, Any]
     #: The pickled rank-indexed state blob (see the module doc).
     state: bytes
     #: Rounds recorded by the attached trace recorder up to capture, as
     #: ``RoundTrace.to_dict()`` payloads; ``None`` when untraced.
     trace_rounds: Optional[List[Dict[str, Any]]] = None
+
+    def plan(self) -> Optional[FaultPlan]:
+        """The :class:`FaultPlan` the captured run ran under, or ``None``;
+        resume compares plans by this value, and an unreadable plan
+        raises :class:`~repro.errors.CheckpointError`."""
+        if self.fault_plan is None:
+            return None
+        try:
+            return FaultPlan.from_dict(self.fault_plan)
+        except (FaultError, TypeError, ValueError) as exc:
+            raise CheckpointError(
+                f"checkpoint carries an unusable fault plan: {exc}"
+            ) from exc
 
     # -- serialization ---------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
@@ -330,10 +344,8 @@ def verify_restore_target(engine, checkpoint: SimulationCheckpoint,
         raise CheckpointError(
             "checkpoint was captured under a different message budget"
         )
-    plan = (
-        engine.faults.plan.to_dict() if engine.faults is not None else None
-    )
-    if plan != checkpoint.fault_plan:
+    plan = engine.faults.plan if engine.faults is not None else None
+    if plan != checkpoint.plan():
         raise CheckpointError(
             "checkpoint was captured under a different fault plan"
         )
@@ -386,7 +398,7 @@ def capture_engine_state(engine) -> SimulationCheckpoint:
         fault_plan=(
             engine.faults.plan.to_dict() if engine.faults is not None else None
         ),
-        metrics=engine.metrics.to_dict(include_per_round=True),
+        metrics=engine.metrics.to_dict(),
         state=dump_state(state, contexts, engine._rng_keys),
         trace_rounds=(
             [r.to_dict() for r in engine.trace.rounds]
@@ -486,18 +498,13 @@ def resume_simulation(
     call ``run(max_rounds)`` with the same *absolute* bound as the
     original run to finish it.
     """
-    from .faults import FaultPlan
     from .message import MessageBudget
     from .network import CongestSimulator
 
     # An explicitly empty plan (rather than None) keeps an ambient
     # use_faults() region from leaking into the resumed run: the
     # checkpoint's own plan is the only fault source.
-    plan = (
-        FaultPlan.from_dict(checkpoint.fault_plan)
-        if checkpoint.fault_plan is not None
-        else FaultPlan()
-    )
+    plan = checkpoint.plan() or FaultPlan()
     sim = CongestSimulator(
         graph,
         algorithm_factory,

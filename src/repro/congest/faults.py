@@ -3,11 +3,12 @@
 The paper's round-complexity theorems assume a perfectly synchronous,
 lossless network.  This module lets experiments *remove* that
 assumption in a controlled way: a :class:`FaultPlan` declares message
-drop / duplicate / corrupt probabilities, scheduled link failures,
-vertex crash rounds, and — the network-level adversity layer — topology
-churn (edge arrivals / departures / up-windows), partition windows
-that split the vertex set into isolated blocks for a stretch of
-rounds, and a bounded deterministic per-message delay.  The plan
+drop / duplicate / corrupt probabilities, vertex crash rounds (at most
+one crash and one rejoin per vertex), and — the network-level adversity
+layer — topology churn (edge arrivals / departures / up-windows, the
+one way to take an edge down), partition windows that split the vertex
+set into isolated blocks for a stretch of rounds, and a bounded
+deterministic per-message delay.  The plan
 compiles into a :class:`FaultInjector` that the channel both engines
 share (:meth:`repro.congest.channel.EngineCore._transmit`) consults
 once per message at delivery time.
@@ -20,9 +21,9 @@ via a keyed hash — *not* a sequentially drawn RNG stream.  Iteration
 order therefore cannot influence any decision, which is what makes
 faulted runs bit-identical across the two engines and across repeated
 executions (``tests/test_faults.py`` pins both, and pins the channel's
-per-class semantics directly).  Schedules
-(links, churn, partitions, crashes) are pure functions of the round
-number alone; the per-message delay draws from the same keyed hash
+per-class semantics directly).  Schedules (churn, partitions,
+crashes) are pure functions of the round number alone; the
+per-message delay draws from the same keyed hash
 under a disjoint sequence-number domain, so delay decisions never
 correlate with drop/duplicate/corrupt decisions.
 
@@ -55,7 +56,7 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass
 from hashlib import blake2b
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from ..errors import FaultError
 from ..graph import edge_key
@@ -100,22 +101,6 @@ class CorruptedPayload:
 
     def __hash__(self) -> int:
         return hash(("CorruptedPayload", self.nonce))
-
-
-@dataclass(frozen=True)
-class LinkFailure:
-    """Undirected link ``{u, v}`` down for send rounds [start, end]."""
-
-    u: Any
-    v: Any
-    start: int
-    end: int
-
-    def __post_init__(self) -> None:
-        if self.start > self.end:
-            raise FaultError(
-                f"link failure window [{self.start}, {self.end}] is empty"
-            )
 
 
 @dataclass(frozen=True)
@@ -176,10 +161,12 @@ class FaultPlan:
 
     ``drop`` / ``duplicate`` / ``corrupt`` are independent per-message
     probabilities (their sum must stay <= 1; a single uniform draw per
-    message is partitioned between them).  ``link_failures`` silence an
-    undirected edge for a window of *send* rounds.  ``crashes`` maps a
-    vertex to the round at which it fail-stops: it never steps at or
-    after that round and its output is permanently ``None``.
+    message is partitioned between them).  ``crashes`` maps a vertex to
+    the round at which it fail-stops: it never steps at or after that
+    round and its output is permanently ``None``.  A vertex crashes at
+    most once and rejoins at most once: a second ``crashes`` or
+    ``rejoins`` entry for one vertex is a conflicting crash schedule
+    and raises :class:`~repro.errors.FaultError`.
 
     ``rejoins`` upgrades fail-stop to crash-*recovery*: it maps a
     crashed vertex to the deterministic round at which it comes back.
@@ -204,7 +191,8 @@ class FaultPlan:
         arrivals (or two departures) for the same edge.
     ``edge_up_windows``
         :class:`EdgeWindow` entries; an edge with at least one
-        up-window exists only during its up-windows.
+        up-window exists only during its up-windows, so an outage
+        ``[s, e]`` is the two up-windows around it.
     ``partitions``
         :class:`PartitionWindow` entries splitting the vertex set into
         isolated blocks for a round window; messages crossing blocks
@@ -223,7 +211,6 @@ class FaultPlan:
     drop: float = 0.0
     duplicate: float = 0.0
     corrupt: float = 0.0
-    link_failures: Tuple[LinkFailure, ...] = ()
     crashes: Tuple[Tuple[Any, int], ...] = ()
     rejoins: Tuple[Tuple[Any, int], ...] = ()
     checkpoint_interval: Optional[int] = None
@@ -245,14 +232,6 @@ class FaultPlan:
                 f"({self.drop} + {self.duplicate} + {self.corrupt})"
             )
         # Normalize mutable inputs so plans hash and compare by value.
-        object.__setattr__(
-            self,
-            "link_failures",
-            tuple(
-                f if isinstance(f, LinkFailure) else LinkFailure(*f)
-                for f in self.link_failures
-            ),
-        )
         object.__setattr__(
             self, "crashes", tuple((v, int(r)) for v, r in self.crashes)
         )
@@ -331,16 +310,22 @@ class FaultPlan:
                     f"at round {departure} but only arrives at round "
                     f"{arrival}"
                 )
-        # A rejoin only makes sense for a vertex that is scheduled to
-        # crash first; validate against the earliest crash round, which
-        # is the one the engines honor.
-        earliest_crash: Dict[Any, int] = {}
-        for vertex, round_number in self.crashes:
-            previous = earliest_crash.get(vertex)
-            if previous is None or round_number < previous:
-                earliest_crash[vertex] = round_number
+        # Crash schedules must be unambiguous too: one crash and at
+        # most one rejoin per vertex, and a rejoin only for a vertex
+        # that crashes strictly before it.
+        for name, schedule in (("crash", self.crashes),
+                               ("rejoin", self.rejoins)):
+            scheduled: Set[Any] = set()
+            for vertex, _ in schedule:
+                if vertex in scheduled:
+                    raise FaultError(
+                        f"conflicting crash schedule: vertex {vertex!r} "
+                        f"has two {name} rounds"
+                    )
+                scheduled.add(vertex)
+        crash_rounds = dict(self.crashes)
         for vertex, round_number in self.rejoins:
-            crash = earliest_crash.get(vertex)
+            crash = crash_rounds.get(vertex)
             if crash is None:
                 raise FaultError(
                     f"rejoin scheduled for {vertex!r} at round "
@@ -358,7 +343,6 @@ class FaultPlan:
             self.drop == 0.0
             and self.duplicate == 0.0
             and self.corrupt == 0.0
-            and not self.link_failures
             and not self.crashes
             and not self.edge_arrivals
             and not self.edge_departures
@@ -379,9 +363,6 @@ class FaultPlan:
             "drop": self.drop,
             "duplicate": self.duplicate,
             "corrupt": self.corrupt,
-            "link_failures": [
-                [f.u, f.v, f.start, f.end] for f in self.link_failures
-            ],
             "crashes": [[v, r] for v, r in self.crashes],
             "rejoins": [[v, r] for v, r in self.rejoins],
             "edge_arrivals": [[u, v, r] for u, v, r in self.edge_arrivals],
@@ -404,15 +385,18 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FaultPlan":
+        """Rebuild :meth:`to_dict` output.  Older code also wrote
+        ``link_failures``: an empty list reads as absent, others raise."""
+        if data.get("link_failures"):
+            raise FaultError(
+                "plan schedules link failures, which this code no longer "
+                "reads; express each outage as edge up-windows"
+            )
         return cls(
             seed=data.get("seed", 0),
             drop=data.get("drop", 0.0),
             duplicate=data.get("duplicate", 0.0),
             corrupt=data.get("corrupt", 0.0),
-            link_failures=tuple(
-                LinkFailure(u, v, start, end)
-                for u, v, start, end in data.get("link_failures", ())
-            ),
             crashes=tuple(
                 (v, r) for v, r in data.get("crashes", ())
             ),
@@ -459,22 +443,8 @@ class FaultInjector:
         self._duplicate_at = plan.drop + plan.duplicate
         self._corrupt_at = plan.drop + plan.duplicate + plan.corrupt
         self._has_message_faults = self._corrupt_at > 0.0
-        self._links: Dict[Tuple, List[Tuple[int, int]]] = {}
-        for failure in plan.link_failures:
-            key = edge_key(failure.u, failure.v)
-            self._links.setdefault(key, []).append(
-                (failure.start, failure.end)
-            )
-        self._crashes: Dict[Any, int] = {}
-        for vertex, round_number in plan.crashes:
-            previous = self._crashes.get(vertex)
-            if previous is None or round_number < previous:
-                self._crashes[vertex] = round_number
-        self._rejoins: Dict[Any, int] = {}
-        for vertex, round_number in plan.rejoins:
-            previous = self._rejoins.get(vertex)
-            if previous is None or round_number < previous:
-                self._rejoins[vertex] = round_number
+        self._crashes: Dict[Any, int] = dict(plan.crashes)
+        self._rejoins: Dict[Any, int] = dict(plan.rejoins)
         # Topology churn: per-edge arrival/departure rounds plus
         # up-window lists (plan validation already rejected ambiguous
         # schedules, so plain assignment is safe here).
@@ -521,15 +491,12 @@ class FaultInjector:
         """Rounds between local snapshots of rejoin-scheduled vertices."""
         return self.plan.checkpoint_interval
 
-    # -- link schedule --------------------------------------------------
     def link_down(self, u: Any, v: Any, send_round: int) -> bool:
-        """Is the undirected link {u, v} failed for this send round?"""
-        if not self._links:
-            return False
-        windows = self._links.get(edge_key(u, v))
-        if not windows:
-            return False
-        return any(start <= send_round <= end for start, end in windows)
+        """Always False: an edge goes down only through the churn
+        schedule (:meth:`topology_live`).  Nothing in the library calls
+        this; it stays defined for the benchmark's layer tracer, which
+        wraps it by name."""
+        return False
 
     # -- topology churn -------------------------------------------------
     def topology_live(self, u: Any, v: Any, send_round: int) -> bool:

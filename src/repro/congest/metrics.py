@@ -1,10 +1,14 @@
-"""Round, message, and congestion accounting for CONGEST runs."""
+"""Round, message, and congestion accounting for CONGEST runs.
+
+:class:`CongestMetrics` holds a run's totals; its per-round series is
+the round trace (:class:`~repro.congest.trace.RoundTrace`).
+"""
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List
+from typing import Dict, Iterable
 
 
 def _merge_histograms(a: Dict[int, int], b: Dict[int, int]) -> Dict[int, int]:
@@ -13,20 +17,6 @@ def _merge_histograms(a: Dict[int, int], b: Dict[int, int]) -> Dict[int, int]:
     for key, value in b.items():
         merged[key] = merged.get(key, 0) + value
     return merged
-
-
-def _histogram_percentile(histogram: Dict[int, int], q: float) -> int:
-    """Nearest-rank percentile of a sparse integer histogram."""
-    total = sum(histogram.values())
-    if total == 0:
-        return 0
-    rank = max(1, int(q * total + 0.5))
-    acc = 0
-    for key in sorted(histogram):
-        acc += histogram[key]
-        if acc >= rank:
-            return key
-    return max(histogram)
 
 
 @dataclass
@@ -58,8 +48,9 @@ class CongestMetrics:
         The full per-edge congestion *distribution*: maps message
         multiplicity to the number of (round, directed edge) pairs that
         carried exactly that many messages.  Idle edges are not
-        observed.  ``max_edge_congestion`` is its largest key;
-        :meth:`congestion_summary` reports p50/p95/max over it.
+        observed.  ``max_edge_congestion`` is its largest key; the
+        ``congest.edge_congestion`` telemetry histogram reports its
+        percentiles.
     ``messages_dropped`` / ``messages_duplicated`` / ``messages_corrupted``
         What the (injected-fault) channel did to transmissions that the
         volume counters above already charged to the sender: see
@@ -98,7 +89,6 @@ class CongestMetrics:
     messages_partitioned: int = 0
     vertices_crashed: int = 0
     vertices_rejoined: int = 0
-    messages_per_round: List[int] = field(default_factory=list)
     congestion_histogram: Dict[int, int] = field(default_factory=dict)
 
     def record_round(
@@ -138,7 +128,6 @@ class CongestMetrics:
         self.total_messages += messages
         self.total_bits += bits
         self.max_edge_congestion = max(self.max_edge_congestion, round_congestion)
-        self.messages_per_round.append(messages)
         if faults is not None:
             self.messages_dropped += faults[0]
             self.messages_duplicated += faults[1]
@@ -193,7 +182,6 @@ class CongestMetrics:
             vertices_rejoined=(
                 self.vertices_rejoined + other.vertices_rejoined
             ),
-            messages_per_round=self.messages_per_round + other.messages_per_round,
             congestion_histogram=_merge_histograms(
                 self.congestion_histogram, other.congestion_histogram
             ),
@@ -240,14 +228,13 @@ class CongestMetrics:
             )
         return merged
 
-    def to_dict(self, include_per_round: bool = False) -> Dict:
+    def to_dict(self) -> Dict:
         """Plain-data form that survives a process boundary.
 
-        A checkpoint envelope stores the metrics of its run this way
-        (with ``include_per_round=True``), and :meth:`from_dict`
-        rebuilds an equivalent object when the run resumes; the
-        benchmark's adversity workload compares a resumed run's dict
-        with the uninterrupted run's.
+        A checkpoint envelope stores the metrics of its run this way,
+        and :meth:`from_dict` rebuilds an equivalent object when the run
+        resumes; the benchmark's adversity workload compares a resumed
+        run's dict with the uninterrupted run's.
         """
         data: Dict = {
             "rounds": self.rounds,
@@ -270,12 +257,12 @@ class CongestMetrics:
                 str(k): v for k, v in sorted(self.congestion_histogram.items())
             },
         }
-        if include_per_round:
-            data["messages_per_round"] = list(self.messages_per_round)
         return data
 
     @classmethod
     def from_dict(cls, data: Dict) -> "CongestMetrics":
+        """Rebuild :meth:`to_dict` output.  Other keys, such as the
+        per-round message list older checkpoints carry, are ignored."""
         return cls(
             rounds=data.get("rounds", 0),
             effective_rounds=data.get("effective_rounds", 0),
@@ -291,28 +278,11 @@ class CongestMetrics:
             messages_partitioned=data.get("messages_partitioned", 0),
             vertices_crashed=data.get("vertices_crashed", 0),
             vertices_rejoined=data.get("vertices_rejoined", 0),
-            messages_per_round=list(data.get("messages_per_round", [])),
             congestion_histogram={
                 int(k): v
                 for k, v in data.get("congestion_histogram", {}).items()
             },
         )
-
-    def congestion_summary(self) -> Dict[str, Any]:
-        """The per-edge congestion distribution in reporting form.
-
-        ``observations`` counts (round, active directed edge) pairs;
-        the percentiles are nearest-rank over the exact histogram, so
-        ``max`` always equals ``max_edge_congestion``.
-        """
-        histogram = self.congestion_histogram
-        return {
-            "observations": sum(histogram.values()),
-            "p50": _histogram_percentile(histogram, 0.50),
-            "p95": _histogram_percentile(histogram, 0.95),
-            "max": max(histogram, default=0),
-            "histogram": {k: histogram[k] for k in sorted(histogram)},
-        }
 
     def publish_telemetry(self, registry) -> None:
         """Fold this execution into a telemetry registry.

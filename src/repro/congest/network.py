@@ -128,7 +128,7 @@ class CongestSimulator:
         recorder is attached automatically.
     faults:
         Optional :class:`~repro.congest.faults.FaultPlan` describing
-        injected message/link/vertex faults.  When ``None`` and a
+        injected message/edge/vertex faults.  When ``None`` and a
         :func:`~repro.congest.faults.use_faults` region is active, the
         region's plan applies.  Empty plans compile to nothing, so the
         fault-free hot path is untouched.

@@ -16,7 +16,8 @@ Tracing is opt-in and zero-cost when off.  Two ways to turn it on:
   which attaches a fresh recorder to every simulator constructed while
   the session is active.
 
-Records export to JSON dicts and JSONL files, so experiments can report
+Records export to JSON dicts and JSONL files (written by
+:meth:`TraceSession.write_jsonl`), so experiments can report
 congestion-over-time series instead of only end-of-run aggregates;
 :func:`repro.obs.load_trace_jsonl` reads a file back into those dicts,
 and :meth:`RoundTrace.from_dict` rebuilds a record from one.
@@ -289,45 +290,9 @@ class TraceRecorder:
             )
         )
 
-    # -- aggregation ----------------------------------------------------
-    def total_messages(self) -> int:
-        return sum(r.messages for r in self.rounds)
-
-    def total_bits(self) -> int:
-        return sum(r.bits for r in self.rounds)
-
     def total_rounds(self) -> int:
         """Executed plus fast-forwarded rounds covered by this trace."""
         return sum(1 + r.skipped_before for r in self.rounds)
-
-    def max_congestion(self) -> int:
-        return max((r.max_congestion for r in self.rounds), default=0)
-
-    def total_faults(self) -> Dict[str, int]:
-        """Summed per-round fault counters (all zero when fault-free)."""
-        return {
-            "dropped": sum(r.dropped for r in self.rounds),
-            "duplicated": sum(r.duplicated for r in self.rounds),
-            "corrupted": sum(r.corrupted for r in self.rounds),
-            "crashed": sum(r.crashed for r in self.rounds),
-            "rejoined": sum(r.rejoined for r in self.rounds),
-            "delayed": sum(r.delayed for r in self.rounds),
-            "topo_lost": sum(r.topo_lost for r in self.rounds),
-            "partitioned": sum(r.partitioned for r in self.rounds),
-        }
-
-    def summary(self) -> Dict[str, int]:
-        data = {
-            "recorded_rounds": len(self.rounds),
-            "total_rounds": self.total_rounds(),
-            "total_messages": self.total_messages(),
-            "total_bits": self.total_bits(),
-            "max_congestion": self.max_congestion(),
-        }
-        faults = self.total_faults()
-        if any(faults.values()):
-            data.update(faults)
-        return data
 
     # -- export / import ------------------------------------------------
     def to_dicts(self) -> List[Dict[str, Any]]:
@@ -341,17 +306,6 @@ class TraceRecorder:
 
     def dumps_jsonl(self) -> str:
         return "\n".join(json.dumps(d, sort_keys=True) for d in self.to_dicts())
-
-    def write_jsonl(self, path: str) -> None:
-        # Atomic write through repro.storage; the record bytes
-        # themselves are unchanged (trace byte-identity is pinned, so
-        # no per-record checksums here).
-        from .. import storage
-
-        lines = "".join(
-            json.dumps(d, sort_keys=True) + "\n" for d in self.to_dicts()
-        )
-        storage.atomic_write_text(path, lines, verify=True)
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,7 @@ is *detected*:
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterable, List, Set
+from typing import Iterable, List, Set
 
 from ..graph import Graph
 

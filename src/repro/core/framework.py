@@ -22,9 +22,8 @@ thin wrapper over this function.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set
 
 from ..congest import CongestMetrics
 from ..decomposition.expander import (
@@ -32,7 +31,7 @@ from ..decomposition.expander import (
     expander_decomposition,
     phi_for_epsilon,
 )
-from ..errors import DecompositionError, GraphError
+from ..errors import GraphError
 from ..graph import Graph
 from ..obs import registry as _telemetry
 from ..rng import SeedLike, ensure_rng

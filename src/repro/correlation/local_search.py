@@ -12,7 +12,7 @@ and dominates both trivial baselines.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Set, Tuple
 
 from ..graph import Graph, edge_key
 from ..generators.weights import SignMap

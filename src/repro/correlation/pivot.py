@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from ..errors import GraphError
 from ..graph import Graph, edge_key
 from ..generators.weights import SignMap
 from ..rng import SeedLike, ensure_rng

@@ -16,8 +16,8 @@ This module provides the sequential ingredients:
   graphs a constant number of chopping rounds yields D = O(1/epsilon).
 
 and the headline composition :func:`theorem_1_5_ldd`, which performs
-an expander decomposition and refines each cluster with a sequential
-LDD at parameter epsilon/2, exactly as Section 3.5 prescribes.
+an expander decomposition and refines each cluster with the chop at
+parameter epsilon/2, exactly as Section 3.5 prescribes.
 """
 
 from __future__ import annotations
@@ -199,33 +199,24 @@ def theorem_1_5_ldd(
     graph: Graph,
     epsilon: float,
     seed: SeedLike = None,
-    sequential: str = "chop",
 ) -> LowDiameterDecomposition:
     """The Section 3.5 composition: expander decomposition, then local LDD.
 
     Runs the Theorem 2.6 partition with parameter epsilon/2, then (as
     each leader would, on its gathered topology) refines every cluster
-    with a sequential LDD at parameter epsilon/2.  The total cut is at
-    most epsilon|E| and each final cluster has diameter O(1/epsilon).
-
-    ``sequential`` picks the local algorithm: "chop" (KPR-style,
-    O(1/epsilon) on minor-free inputs) or "ball" (region growing,
-    O(log m/epsilon) on anything).
+    with the KPR chop (:func:`chop_ldd`) at parameter epsilon/2.  The
+    total cut is at most epsilon|E| and each final cluster has diameter
+    O(1/epsilon) on minor-free inputs.
     """
     from ..core.framework import partition_minor_free
 
-    if sequential not in ("chop", "ball"):
-        raise DecompositionError("sequential must be 'chop' or 'ball'")
     rng = ensure_rng(seed)
     outer = partition_minor_free(graph, epsilon / 2.0, seed=rng)
 
     final_clusters: List[Set] = []
     for cluster in outer.decomposition.clusters:
         sub = graph.subgraph(cluster)
-        if sequential == "chop":
-            inner = chop_ldd(sub, epsilon / 2.0, seed=rng)
-        else:
-            inner = ball_carving_ldd(sub, epsilon / 2.0, seed=rng)
+        inner = chop_ldd(sub, epsilon / 2.0, seed=rng)
         final_clusters.extend(inner.clusters)
 
     result = LowDiameterDecomposition(

@@ -10,7 +10,7 @@ budget and a greedy fallback wrapper (:func:`solve_mds`).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, Set
 
 from ..errors import SolverError
 from ..graph import Graph

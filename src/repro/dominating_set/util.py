@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Set
+from typing import Iterable
 
 from ..graph import Graph
 

@@ -10,7 +10,7 @@ that motivates the problem's applications.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Tuple
 
 from ..errors import GraphError
 from ..graph import Graph, Vertex, edge_key

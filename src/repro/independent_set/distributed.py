@@ -12,8 +12,8 @@ epsilon * alpha(G).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Set
 
 from ..core.framework import FrameworkResult, density_bound, run_framework
 from ..errors import SolverError

@@ -12,7 +12,7 @@ and networkx on thousands of random instances.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List
 
 from ..graph import Graph, edge_key
 from .util import Matching

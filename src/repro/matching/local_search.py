@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import SolverError
 from ..graph import Graph, edge_key
-from .util import Matching, matching_weight
+from .util import Matching
 
 
 def _best_alternating_gain(

@@ -21,9 +21,9 @@ vertices.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Set, Tuple
 
-from ..graph import Graph, edge_key
+from ..graph import Graph
 
 
 def eliminate_stars(graph: Graph) -> Tuple[Graph, Set]:

@@ -16,8 +16,7 @@ pins it against brute force and networkx on thousands of instances.
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..errors import SolverError
 from ..graph import Graph, edge_key

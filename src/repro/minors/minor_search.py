@@ -16,7 +16,7 @@ and edge counts, degree sums, planarity shortcuts) are applied first.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from ..graph import Graph
 from .planarity import is_planar

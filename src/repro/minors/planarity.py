@@ -24,7 +24,6 @@ The algorithm, in two DFS phases:
 
 from __future__ import annotations
 
-import sys
 from typing import Dict, List, Optional, Tuple
 
 from ..graph import Graph

@@ -1,8 +1,9 @@
 """Fixed-bucket histograms for telemetry distributions.
 
-A :class:`FixedHistogram` folds a stream of non-negative numbers into a
-fixed set of upper-inclusive bucket bounds (power-of-two by default, so
-the buckets are stable across processes and merges never re-bucket).
+A :class:`FixedHistogram` folds a stream of non-negative numbers into
+one fixed set of upper-inclusive power-of-two bucket bounds
+(:data:`DEFAULT_BOUNDS`), so the buckets are stable across processes
+and merges never re-bucket.
 It keeps exact ``count`` / ``total`` / ``min`` / ``max`` alongside the
 bucketed distribution, supports nearest-rank percentile estimates, and
 merges associatively — the property the runner relies on when folding
@@ -12,7 +13,7 @@ per-cell telemetry back together in grid order.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 #: Default upper-inclusive bucket bounds: 1, 2, 4, ..., 2**30.  Values
 #: above the last bound land in the implicit overflow bucket.
@@ -22,12 +23,12 @@ DEFAULT_BOUNDS: Tuple[int, ...] = tuple(2 ** i for i in range(31))
 class FixedHistogram:
     """Counts of observations per fixed bucket; see the module docstring."""
 
-    __slots__ = ("bounds", "buckets", "count", "total", "min", "max")
+    __slots__ = ("buckets", "count", "total", "min", "max")
 
-    def __init__(self, bounds: Sequence[float] = DEFAULT_BOUNDS) -> None:
-        if not bounds or list(bounds) != sorted(bounds):
-            raise ValueError("histogram bounds must be non-empty and sorted")
-        self.bounds: Tuple[float, ...] = tuple(bounds)
+    #: Every histogram's bucket bounds.
+    bounds = DEFAULT_BOUNDS
+
+    def __init__(self) -> None:
         # One slot per bound plus the overflow bucket.
         self.buckets: List[int] = [0] * (len(self.bounds) + 1)
         self.count = 0
@@ -73,9 +74,7 @@ class FixedHistogram:
         return float(self.max)
 
     def merge(self, other: "FixedHistogram") -> None:
-        """Fold ``other`` into this histogram (bounds must match)."""
-        if self.bounds != other.bounds:
-            raise ValueError("cannot merge histograms with different bounds")
+        """Fold ``other`` into this histogram."""
         for i, bucket_count in enumerate(other.buckets):
             self.buckets[i] += bucket_count
         self.count += other.count
@@ -119,7 +118,14 @@ class FixedHistogram:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "FixedHistogram":
-        hist = cls(bounds=tuple(data["bounds"]))  # type: ignore[arg-type]
+        """Rebuild :meth:`to_dict` output; a payload stored with other
+        bounds than :data:`DEFAULT_BOUNDS` raises :class:`ValueError`."""
+        if tuple(data["bounds"]) != DEFAULT_BOUNDS:  # type: ignore[arg-type]
+            raise ValueError(
+                "histogram bounds differ from the power-of-two bounds "
+                "every histogram uses"
+            )
+        hist = cls()
         index_of = {repr(b): i for i, b in enumerate(hist.bounds)}
         index_of["+inf"] = len(hist.bounds)
         for key, bucket_count in dict(data["buckets"]).items():  # type: ignore[arg-type]

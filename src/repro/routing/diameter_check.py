@@ -19,7 +19,7 @@ resets its cluster to a singleton (Section 2.3).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..congest import (
     CongestMetrics,

@@ -19,8 +19,8 @@ topology, the per-vertex answers, and the Section 2.3 failure verdicts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional
 
 from ..congest import CongestMetrics
 from ..errors import GraphError

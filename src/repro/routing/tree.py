@@ -11,7 +11,6 @@ exactly the overhead the ``effective_rounds`` metric exposes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..congest import (

@@ -17,7 +17,7 @@ graphs and is what the test suite pins both bounds against.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 import numpy as np
 from scipy.linalg import eigh as _scipy_eigh

@@ -18,7 +18,7 @@ small instances.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Set, Tuple
 
 from ..errors import GraphError, SolverError
 from ..graph import Graph

@@ -9,7 +9,7 @@ at scale, and a message-free single-walk simulator used by tests.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 

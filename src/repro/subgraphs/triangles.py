@@ -19,12 +19,12 @@ networks never enter.
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, Optional, Set, Tuple
 
 from ..congest import CongestMetrics
 from ..core.framework import FrameworkResult, partition_minor_free
 from ..errors import SolverError
-from ..graph import Graph, edge_key
+from ..graph import Graph
 from ..minors import greedy_orientation
 from ..rng import SeedLike, ensure_rng
 

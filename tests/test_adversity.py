@@ -120,7 +120,6 @@ def _assert_identical(pair_a, pair_b):
     assert res_a.crashed == res_b.crashed
     assert res_a.metrics.summary() == res_b.metrics.summary()
     assert res_a.metrics.fault_summary() == res_b.metrics.fault_summary()
-    assert res_a.metrics.messages_per_round == res_b.metrics.messages_per_round
     assert len(rec_a.rounds) == len(rec_b.rounds)
     for a, b in zip(rec_a.rounds, rec_b.rounds):
         assert a == b
@@ -254,7 +253,7 @@ ENGINE_PAIRS = [
 def _fingerprint(result, recorder):
     return (
         result.outputs,
-        result.metrics.to_dict(include_per_round=True),
+        result.metrics.to_dict(),
         result.halted,
         set(result.crashed),
         [r.to_dict() for r in recorder.rounds],

@@ -84,7 +84,7 @@ def _graph(n=20, extra=14, seed=5):
 def _fingerprint(result, recorder):
     return (
         result.outputs,
-        result.metrics.to_dict(include_per_round=True),
+        result.metrics.to_dict(),
         result.halted,
         set(result.crashed),
         [r.to_dict() for r in recorder.rounds],
@@ -231,7 +231,7 @@ def test_rejoined_vertices_count_and_answer(engine):
     summary = result.metrics.fault_summary()
     assert summary["vertices_crashed"] == 2
     assert summary["vertices_rejoined"] == 2
-    assert recorder.total_faults()["rejoined"] == 2
+    assert sum(r.rejoined for r in recorder.rounds) == 2
     # Rejoined vertices are live again: not crashed, real outputs.
     assert not result.crashed
     assert result.outputs[2] is not None
@@ -520,6 +520,68 @@ def test_envelope_without_capacity_fields_reads_older_files():
     assert loaded == checkpoint
 
 
+#: A schema-4 checkpoint written by older code: ``repro faults
+#: --algorithm matching --n 60 --seed 1 --drop 0.1 --save-checkpoint
+#: PATH --checkpoint-every 100``, captured at round 100 of 145.  Its
+#: fault plan carries an empty ``link_failures`` list and its metrics a
+#: per-round message list; this code keeps neither.
+LEGACY_CHECKPOINT = os.path.join(
+    os.path.dirname(__file__), "data", "checkpoint_schema4_legacy_fields.json"
+)
+
+
+def legacy_checkpoint_with_link_failures():
+    """The legacy envelope with a link failure scheduled, re-sealed
+    under a valid checksum, so only the plan itself is wrong."""
+    with open(LEGACY_CHECKPOINT) as handle:
+        data = json.load(handle)
+    data["fault_plan"]["link_failures"] = [[1, 2, 0, 5]]
+    data["checksum"] = _state_text_checksum(data)
+    return data
+
+
+def _legacy_run():
+    from repro.generators import delaunay_planar_graph
+    from repro.matching.distributed import matching_protocol
+
+    graph = delaunay_planar_graph(60, seed=1)
+    factory, max_rounds = matching_protocol(graph.n)
+    return graph, factory, max_rounds
+
+
+@pytest.mark.parametrize("engine", ["fast", "reference"])
+def test_older_checkpoint_resumes_to_the_uninterrupted_run(engine):
+    checkpoint = SimulationCheckpoint.load(LEGACY_CHECKPOINT)
+    assert checkpoint.round == 100
+    assert checkpoint.fault_plan["link_failures"] == []
+    assert len(checkpoint.metrics["messages_per_round"]) == 100
+    assert checkpoint.plan() == FaultPlan(drop=0.1)
+    graph, factory, max_rounds = _legacy_run()
+    expected = CongestSimulator(
+        graph, factory, seed=1, faults=FaultPlan(drop=0.1), engine=engine
+    ).run(max_rounds)
+    resumed = resume_simulation(
+        graph, factory, checkpoint, engine=engine
+    ).run(max_rounds)
+    assert resumed.outputs == expected.outputs
+    assert resumed.metrics.to_dict() == expected.metrics.to_dict()
+    assert expected.metrics.rounds == 145
+    assert expected.metrics.messages_dropped > 0
+
+
+def test_checkpoint_scheduling_link_failures_is_refused():
+    """The envelope verifies, but its plan schedules an outage the way
+    this code no longer reads: refused, not run without the outage."""
+    checkpoint = SimulationCheckpoint.from_dict(
+        legacy_checkpoint_with_link_failures()
+    )
+    graph, factory, _ = _legacy_run()
+    with pytest.raises(CheckpointError, match="link failures"):
+        checkpoint.plan()
+    with pytest.raises(CheckpointError, match="link failures"):
+        resume_simulation(graph, factory, checkpoint)
+
+
 def test_tampered_metadata_refuses_loudly(tmp_path):
     path = _saved_checkpoint(tmp_path)
     with open(path) as handle:
@@ -742,7 +804,7 @@ def test_snapshot_revival_restores_seeded_generators(engine, monkeypatch):
         assert result.metrics.vertices_rejoined == 2
         return (
             result.outputs,
-            result.metrics.to_dict(include_per_round=True),
+            result.metrics.to_dict(),
             _rng_states(sim),
         ), blobs
 

@@ -152,6 +152,25 @@ class TestFaultsCommand:
         assert "invalid fault plan" in err
         assert "conflicting churn schedule" in err
 
+    @pytest.mark.parametrize("flags, schedule", [
+        (["--crash", "3:1", "--rejoin", "3:3", "--crash", "3:5"], "crash"),
+        (["--crash", "3:1", "--rejoin", "3:3", "--rejoin", "3:5"], "rejoin"),
+    ], ids=["crash", "rejoin"])
+    def test_second_crash_or_rejoin_is_a_clean_error(
+        self, capsys, flags, schedule
+    ):
+        # A second entry for one vertex is ambiguous: refused with one
+        # line, never run with only the earliest honoured.
+        code = main(["faults", "--algorithm", "matching", "--n", "60",
+                     "--seed", "1"] + flags)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "invalid fault plan: conflicting crash schedule: vertex 3 "
+            f"has two {schedule} rounds"
+        ]
+
     def test_bad_schedule_spec_is_a_clean_error(self, capsys):
         # Exit 1 means a failed verdict; a malformed flag value is an
         # operator error and exits 2 instead.
@@ -502,6 +521,45 @@ class TestFaultsCheckpointCLI:
             lines[0]
         )
         assert not ck.exists()
+
+    @pytest.mark.parametrize("flags", [[], ["--drop", "0.1"]],
+                             ids=["bare", "flags-repeated"])
+    def test_older_checkpoint_resumes_to_the_uninterrupted_result(
+        self, capsys, flags
+    ):
+        """A checkpoint older code wrote with MATCHING resumes to the
+        lines the uninterrupted run prints, whether the capturing run's
+        fault flags are repeated or not."""
+        from tests.test_checkpoint import LEGACY_CHECKPOINT
+
+        assert main(self.MATCHING) == 0
+        first = capsys.readouterr().out
+        resume = self.MATCHING[:-2] + flags
+        assert main(resume + ["--resume-from", LEGACY_CHECKPOINT]) == 0
+        second = capsys.readouterr().out
+        assert "resumed:" in second
+        assert len(_graded(first)) == 3
+        assert _graded(second) == _graded(first)
+
+    @pytest.mark.parametrize("flags", [[], ["--drop", "0.1"]],
+                             ids=["bare", "flags-repeated"])
+    def test_checkpoint_scheduling_link_failures_exits_2(
+        self, capsys, tmp_path, flags
+    ):
+        from tests.test_checkpoint import (
+            legacy_checkpoint_with_link_failures,
+        )
+
+        ck = tmp_path / "ck.json"
+        ck.write_text(json.dumps(legacy_checkpoint_with_link_failures()))
+        resume = self.MATCHING[:-2] + flags
+        assert main(resume + ["--resume-from", str(ck)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, lines
+        assert "cannot load checkpoint" in lines[0]
+        assert "link failures" in lines[0]
 
     def test_corrupt_checkpoint_resume_exits_2(self, capsys, tmp_path):
         ck = tmp_path / "ck.json"

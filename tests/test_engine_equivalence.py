@@ -3,8 +3,8 @@
 Every algorithm family that runs on the CONGEST simulator is executed
 twice — once on the fast engine, once on the naive reference engine —
 over seeded random graphs, and the two executions must agree
-*exactly*: same per-vertex outputs, same ``CongestMetrics.summary()``,
-same per-round message series, and same structured traces.  This is
+*exactly*: same per-vertex outputs, same ``CongestMetrics``, and same
+structured round traces.  This is
 the contract that lets the fast engine evolve aggressively without
 re-verifying every algorithm on top of it.  Both engines share one
 message channel (``repro.congest.channel``), so this harness pins
@@ -17,6 +17,7 @@ import pytest
 from repro.congest import (
     CongestSimulator,
     TraceRecorder,
+    TraceSession,
     VertexAlgorithm,
     use_engine,
 )
@@ -32,24 +33,30 @@ SEEDS = (11, 29, 47)
 
 
 def _metrics_fingerprint(metrics):
-    return (metrics.summary(), metrics.messages_per_round)
+    return metrics.to_dict()
 
 
 def _run_both(runner, seed, walk_kernel=False):
     """Run ``runner(seed)`` under each engine; return both results.
 
-    With ``walk_kernel``, the fast run must engage the walk-exchange
-    kernel: a silent fallback would turn the comparison into scalar
-    against scalar."""
-    with use_engine("reference"):
+    Each run records a trace session, and the two must agree round by
+    round for every simulation.  With ``walk_kernel``, the fast run
+    must engage the walk-exchange kernel: a silent fallback would turn
+    the comparison into scalar against scalar."""
+    with use_engine("reference"), TraceSession() as ref_session:
         ref = runner(seed)
-    if not walk_kernel:
-        with use_engine("fast"):
-            return ref, runner(seed)
-    with use_engine("fast"), telemetry_scope() as registry:
+    with use_engine("fast"), TraceSession() as fast_session, \
+            telemetry_scope() as registry:
         fast = runner(seed)
-    counters = registry.to_dict()["counters"]
-    assert counters.get("congest.kernel.engaged", 0) >= 1, counters
+    if walk_kernel:
+        counters = registry.to_dict()["counters"]
+        assert counters.get("congest.kernel.engaged", 0) >= 1, counters
+    # Recorder labels name the engine; the records themselves must not
+    # differ.
+    assert ref_session.recorders
+    assert [rec.rounds for rec in ref_session.recorders] == [
+        rec.rounds for rec in fast_session.recorders
+    ]
     return ref, fast
 
 

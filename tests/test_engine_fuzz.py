@@ -35,7 +35,6 @@ from repro.congest import (
     CongestSimulator,
     EdgeWindow,
     FaultPlan,
-    LinkFailure,
     MessageBudget,
     PartitionWindow,
     SimulationCheckpoint,
@@ -272,17 +271,6 @@ def _plans(draw, graph):
         kw["delay"] = draw(st.sampled_from([0.3, 1.0]))
         kw["max_delay"] = draw(st.integers(1, 3))
     if edges and draw(st.booleans()):
-        kw["link_failures"] = tuple(
-            LinkFailure(u, v, start, start + length)
-            for (u, v), start, length in draw(st.lists(
-                st.tuples(
-                    st.sampled_from(edges), st.integers(0, 8),
-                    st.integers(0, 5),
-                ),
-                max_size=2,
-            ))
-        )
-    if edges and draw(st.booleans()):
         churned = draw(st.lists(
             st.sampled_from(edges), unique=True, min_size=1, max_size=4
         ))
@@ -391,7 +379,7 @@ def _observe(sim, recorder, max_rounds, **run_kwargs):
         outcome = ("error", type(exc).__name__, str(exc))
     return Observation(
         outcome=outcome,
-        metrics=sim.metrics.to_dict(include_per_round=True),
+        metrics=sim.metrics.to_dict(),
         trace=recorder.to_dicts(),
         end_states=_end_states(sim),
     )

@@ -20,9 +20,9 @@ from repro.congest import (
     CorruptedPayload,
     EdgeWindow,
     FaultPlan,
-    LinkFailure,
     PartitionWindow,
     TraceRecorder,
+    TraceSession,
     VertexAlgorithm,
     active_fault_plan,
     message_bits,
@@ -49,11 +49,7 @@ MESSAGE_PLAN = FaultPlan(seed=7, drop=0.08, duplicate=0.05, corrupt=0.04)
 
 
 def _metrics_fingerprint(metrics):
-    return (
-        metrics.summary(),
-        metrics.fault_summary(),
-        metrics.messages_per_round,
-    )
+    return (metrics.to_dict(), metrics.fault_summary())
 
 
 class Flood(VertexAlgorithm):
@@ -108,19 +104,47 @@ def test_invalid_rates_rejected(kwargs):
         FaultPlan(**kwargs)
 
 
-def test_invalid_link_window_rejected():
-    with pytest.raises(FaultError):
-        LinkFailure(0, 1, start=5, end=2)
+@pytest.mark.parametrize(
+    "kwargs, schedule",
+    [
+        ({"crashes": ((3, 1), (3, 5))}, "two crash rounds"),
+        ({"crashes": ((3, 1), (3, 1))}, "two crash rounds"),
+        (
+            {"crashes": ((3, 1),), "rejoins": ((3, 3), (3, 7))},
+            "two rejoin rounds",
+        ),
+    ],
+)
+def test_second_crash_or_rejoin_of_a_vertex_rejected(kwargs, schedule):
+    """A vertex crashes at most once and rejoins at most once: a second
+    entry would be ambiguous, so the plan refuses it."""
+    with pytest.raises(
+        FaultError, match=f"conflicting crash schedule: vertex 3 has {schedule}"
+    ):
+        FaultPlan(**kwargs)
 
 
 def test_plan_roundtrips_through_dict():
     plan = FaultPlan(
         seed=3,
         drop=0.1,
-        link_failures=((0, 1, 2, 5),),
+        edge_up_windows=((0, 1, 2, 5),),
         crashes=((4, 7),),
     )
     assert FaultPlan.from_dict(plan.to_dict()) == plan
+
+
+def test_plan_reads_an_empty_link_failure_list_and_refuses_others():
+    """Older code wrote ``link_failures`` into every plan's dict.  An
+    empty list reads as the same plan; an outage scheduled that way is
+    refused, not silently dropped."""
+    data = FaultPlan(seed=3, drop=0.1).to_dict()
+    assert "link_failures" not in data
+    assert FaultPlan.from_dict({**data, "link_failures": []}) == (
+        FaultPlan(seed=3, drop=0.1)
+    )
+    with pytest.raises(FaultError, match="link failures"):
+        FaultPlan.from_dict({**data, "link_failures": [[0, 1, 2, 5]]})
 
 
 def _random_plan(rng):
@@ -129,13 +153,10 @@ def _random_plan(rng):
     for rate in ("drop", "duplicate", "corrupt"):
         if rng.random() < 0.6:
             rates[rate] = round(rng.uniform(0.0, 0.4), 3)
-    link_failures = tuple(
-        (rng.randrange(30), rng.randrange(30), start, start + rng.randrange(12))
-        for start in (rng.randrange(20) for _ in range(rng.randrange(4)))
-    )
+    # Distinct crash vertices: a vertex crashes at most once.
     crashes = tuple(
-        (rng.randrange(30), rng.randrange(1, 20))
-        for _ in range(rng.randrange(4))
+        (v, rng.randrange(1, 20))
+        for v in rng.sample(range(30), k=rng.randrange(4))
     )
     # Each rejoin targets a crashed vertex, strictly after its crash.
     rejoins = tuple(
@@ -175,7 +196,6 @@ def _random_plan(rng):
     delay = round(rng.uniform(0.0, 0.5), 3) if rng.random() < 0.6 else 0.0
     return FaultPlan(
         seed=rng.randrange(10_000),
-        link_failures=link_failures,
         crashes=crashes,
         rejoins=rejoins,
         checkpoint_interval=interval,
@@ -310,11 +330,20 @@ def test_corrupted_payload_is_deterministic_and_sized():
 
 
 def _run_both(runner, seed):
-    with use_engine("reference"):
+    """Run ``runner(seed)`` under each engine; return both results.
+    Their round traces must agree record for record."""
+    with use_engine("reference"), TraceSession() as ref_session:
         ref = runner(seed)
-    with use_engine("fast"):
+    with use_engine("fast"), TraceSession() as fast_session:
         fast = runner(seed)
+    assert ref_session.recorders
+    assert _session_records(ref_session) == _session_records(fast_session)
     return ref, fast
+
+
+def _session_records(session):
+    """Every recorded round, without the engine-named labels."""
+    return [rec.rounds for rec in session.recorders]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -448,7 +477,7 @@ def test_faulted_traces_equivalent(seed):
 
 
 # ----------------------------------------------------------------------
-# Loss, crashes and link failures
+# Loss, crashes and link failures (edges absent from the churned view)
 # ----------------------------------------------------------------------
 
 
@@ -497,15 +526,16 @@ def test_crash_of_max_id_changes_flood_answer(engine):
 
 @pytest.mark.parametrize("engine", ["fast", "reference"])
 def test_link_failure_partitions_a_path(engine):
-    """Severing the middle edge of a path splits the flood in two."""
+    """Severing the middle edge of a path (it arrives only after the
+    run) splits the flood in two."""
     g = path_graph(6)
-    plan = FaultPlan(link_failures=((2, 3, 0, 10_000),))
+    plan = FaultPlan(edge_arrivals=((2, 3, 10_000),))
     sim = CongestSimulator(
         g, lambda v: Flood(10), seed=0, engine=engine, faults=plan
     )
     result = sim.run(max_rounds=30)
     assert [result.output_of(v) for v in range(6)] == [2, 2, 2, 5, 5, 5]
-    assert result.metrics.messages_dropped > 0
+    assert result.metrics.messages_lost_topology > 0
 
 
 class PersistentFlood(Flood):
@@ -519,14 +549,16 @@ class PersistentFlood(Flood):
 
 @pytest.mark.parametrize("engine", ["fast", "reference"])
 def test_link_failure_window_expires(engine):
-    """Once the window closes the link carries traffic again."""
+    """Once the outage ends (the link is down for send rounds 0..3,
+    so it arrives at round 4) the link carries traffic again."""
     g = path_graph(4)
-    plan = FaultPlan(link_failures=(LinkFailure(1, 2, 0, 3),))
+    plan = FaultPlan(edge_arrivals=((1, 2, 4),))
     sim = CongestSimulator(
         g, lambda v: PersistentFlood(12), seed=0, engine=engine, faults=plan
     )
     result = sim.run(max_rounds=30)
     assert [result.output_of(v) for v in range(4)] == [3, 3, 3, 3]
+    assert result.metrics.messages_lost_topology > 0
 
 
 # ----------------------------------------------------------------------
@@ -645,6 +677,9 @@ ALL_SENDS = range(PROBE_SENDS)
 #: The window rounds 1..2 that the link / partition cases silence.
 WINDOW = (1, 2)
 OUTSIDE_WINDOW = (0, 3)
+#: The link {0, 1} down for send rounds WINDOW: the two up-windows
+#: around the outage.
+OUTAGE = (EdgeWindow(0, 1, 0, 0), EdgeWindow(0, 1, 3, 10_000))
 
 CHANNEL_CASES = {
     "clean": (FaultPlan(seed=3), {}, {}),
@@ -674,9 +709,9 @@ CHANNEL_CASES = {
         {"messages_delayed": 4},
     ),
     "link": (
-        FaultPlan(seed=3, link_failures=(LinkFailure(0, 1, *WINDOW),)),
+        FaultPlan(seed=3, edge_up_windows=OUTAGE),
         {"sends": OUTSIDE_WINDOW},
-        {"messages_dropped": 2},
+        {"messages_lost_topology": 2},
     ),
     "partition": (
         FaultPlan(seed=3, partitions=(PartitionWindow(((0,),), *WINDOW),)),
@@ -694,17 +729,19 @@ CHANNEL_CASES = {
         FaultPlan(
             seed=3,
             partitions=(PartitionWindow(((0,),), *WINDOW),),
-            link_failures=(LinkFailure(0, 1, *WINDOW),),
+            edge_up_windows=OUTAGE,
         ),
         {"sends": OUTSIDE_WINDOW},
-        {"messages_partitioned": 2},
+        {"messages_lost_topology": 2},
     ),
+    # Send 0 meets only the drop-everything link, send 1 the partition
+    # first, sends 2 and 3 the departure first.
     "departed_partitioned_down_link": (
         FaultPlan(
             seed=3,
+            drop=1.0,
             edge_departures=((0, 1, 2),),
             partitions=(PartitionWindow(((0,),), 1, 3),),
-            link_failures=(LinkFailure(0, 1, 0, 3),),
         ),
         None,
         {
@@ -714,11 +751,9 @@ CHANNEL_CASES = {
         },
     ),
     "down_link_never_duplicates": (
-        FaultPlan(
-            seed=3, duplicate=1.0, link_failures=(LinkFailure(0, 1, *WINDOW),)
-        ),
+        FaultPlan(seed=3, duplicate=1.0, edge_up_windows=OUTAGE),
         {"sends": OUTSIDE_WINDOW, "copies": 2},
-        {"messages_dropped": 2, "messages_duplicated": 2},
+        {"messages_lost_topology": 2, "messages_duplicated": 2},
     ),
     "dropped_never_delayed": (
         FaultPlan(seed=3, drop=1.0, delay=1.0),

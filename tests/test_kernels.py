@@ -176,10 +176,6 @@ def assert_identical(pair_on, pair_off):
     assert res_on.halted == res_off.halted
     assert res_on.crashed == res_off.crashed
     assert res_on.metrics.summary() == res_off.metrics.summary()
-    assert (
-        res_on.metrics.messages_per_round
-        == res_off.metrics.messages_per_round
-    )
     assert len(rec_on.rounds) == len(rec_off.rounds)
     for a, b in zip(rec_on.rounds, rec_off.rounds):
         assert a == b
@@ -313,9 +309,7 @@ def test_kernel_edge_runs_match_scalar(algo, case):
     pair_off, telemetry_off = _full_run(graph, factory, 5, False, rounds)
     assert pair_on[2]._engine._kernel is not None
     assert_identical(pair_on, pair_off)
-    assert pair_on[0].metrics.to_dict(
-        include_per_round=True
-    ) == pair_off[0].metrics.to_dict(include_per_round=True)
+    assert pair_on[0].metrics.to_dict() == pair_off[0].metrics.to_dict()
     assert telemetry_on == telemetry_off
     if case == "cut-off":
         assert not pair_on[0].halted
@@ -539,14 +533,17 @@ def test_double_send_charged_alike_batched_vs_scalar():
     runs = []
     for kernels in (True, False):
         set_kernels_enabled(kernels)
+        recorder = TraceRecorder("double-send")
         try:
-            sim = CongestSimulator(graph, lambda v: _DoubleSend(), seed=2)
+            sim = CongestSimulator(
+                graph, lambda v: _DoubleSend(), seed=2, trace=recorder
+            )
             result = sim.run(max_rounds=6)
         finally:
             set_kernels_enabled(True)
         assert (sim._engine._kernel is not None) == kernels
         runs.append(
-            (result.outputs, sim.metrics.to_dict(include_per_round=True))
+            (result.outputs, sim.metrics.to_dict(), recorder.to_dicts())
         )
     assert runs[0] == runs[1]
     m = sim.metrics
@@ -562,7 +559,7 @@ def _fingerprint(result, recorder, sim):
     return (
         result.outputs,
         result.halted,
-        result.metrics.to_dict(include_per_round=True),
+        result.metrics.to_dict(),
         [r.to_dict() for r in recorder.rounds],
         rng_states(sim),
     )
@@ -644,11 +641,13 @@ def test_checkpoint_crosses_kernel_modes(algo, capture_on, resume_on, every):
     none."""
     graph = GENERATORS["gnp"](9)
     factory, rounds = ALGORITHMS[algo]
-    (base, _, _), _ = _engaged(graph, factory, 21, rounds)
+    (base, base_trace, _), _ = _engaged(graph, factory, 21, rounds)
 
     set_kernels_enabled(capture_on)
     checkpoints = []
-    sim = CongestSimulator(graph, factory, seed=21)
+    sim = CongestSimulator(
+        graph, factory, seed=21, trace=TraceRecorder("capture")
+    )
     sim.run(
         max_rounds=rounds, checkpoint_every=every,
         on_checkpoint=checkpoints.append,
@@ -656,18 +655,18 @@ def test_checkpoint_crosses_kernel_modes(algo, capture_on, resume_on, every):
     assert sim._engine._kernel is None
     assert checkpoints
     set_kernels_enabled(resume_on)
-    resumed = resume_simulation(graph, factory, checkpoints[0])
+    recorder = TraceRecorder("resumed")
+    resumed = resume_simulation(
+        graph, factory, checkpoints[0], trace=recorder
+    )
     set_kernels_enabled(True)
     assert resumed._engine._kernel is None
     result = resumed.run(max_rounds=rounds)
 
     assert result.outputs == base.outputs
     assert result.halted == base.halted
-    assert (
-        result.metrics.messages_per_round
-        == base.metrics.messages_per_round
-    )
-    assert result.metrics.summary() == base.metrics.summary()
+    assert recorder.rounds == base_trace.rounds
+    assert result.metrics.to_dict() == base.metrics.to_dict()
 
 
 @pytest.mark.parametrize("algo", sorted(ALGORITHMS))
@@ -748,7 +747,7 @@ def test_settled_mpx_rounds_match_scalar():
     pair_on = run_once(graph, factory, 5, True, rounds=rounds)
     pair_off = run_once(graph, factory, 5, False, rounds=rounds)
     assert pair_on[2]._engine._kernel is not None
-    per_round = pair_on[0].metrics.messages_per_round
+    per_round = [r.messages for r in pair_on[1].rounds]
     assert len(per_round) == 30 and per_round[0] > 0
     assert not any(per_round[10:]), per_round
     assert_identical(pair_on, pair_off)
@@ -761,7 +760,7 @@ def test_settled_mpx_checkpoint_resumes_on_both_engines():
     graph = GENERATORS["grid"](0)
     factory, rounds = SETTLING_MPX
     run, expected = _engaged(graph, factory, 5, rounds)
-    per_round = run[0].metrics.messages_per_round
+    per_round = [r.messages for r in run[1].rounds]
     checkpoints = []
     recorder = TraceRecorder("capture")
     sim = CongestSimulator(graph, factory, seed=5, trace=recorder)

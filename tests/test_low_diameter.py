@@ -80,11 +80,10 @@ class TestChop:
 
 
 class TestTheorem15:
-    @pytest.mark.parametrize("sequential", ["chop", "ball"])
-    def test_pipeline_budget(self, sequential):
+    def test_pipeline_budget(self):
         g = delaunay_planar_graph(90, seed=7)
         epsilon = 0.4
-        ldd = theorem_1_5_ldd(g, epsilon, seed=0, sequential=sequential)
+        ldd = theorem_1_5_ldd(g, epsilon, seed=0)
         report = verify_ldd(ldd)
         assert report["cut_fraction"] <= epsilon
 
@@ -94,10 +93,6 @@ class TestTheorem15:
         ldd = theorem_1_5_ldd(g, epsilon, seed=0)
         # D = O(1/epsilon): constant 12 covers the chop constant stack.
         assert ldd.max_diameter() <= 24 / epsilon
-
-    def test_invalid_sequential(self):
-        with pytest.raises(DecompositionError):
-            theorem_1_5_ldd(grid_graph(3, 3), 0.3, sequential="nope")
 
     def test_verify_catches_bad_cut_fraction(self):
         g = cycle_graph(30)

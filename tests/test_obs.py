@@ -11,7 +11,12 @@ import os
 
 import pytest
 
-from repro.congest import CongestSimulator, TraceRecorder, VertexAlgorithm, use_engine
+from repro.congest import (
+    CongestSimulator,
+    TraceSession,
+    VertexAlgorithm,
+    use_engine,
+)
 from repro.congest.metrics import CongestMetrics
 from repro.congest.trace import (
     BASE_SCHEMA_VERSION,
@@ -48,18 +53,19 @@ SEED_BASELINE = os.path.join(
 
 class TestFixedHistogram:
     def test_upper_inclusive_buckets(self):
-        hist = FixedHistogram(bounds=(1, 2, 4))
+        hist = FixedHistogram()
         hist.observe(1)
         hist.observe(2)
         hist.observe(3)   # lands in the le=4 bucket
-        hist.observe(9)   # overflow
-        assert hist.buckets == [1, 1, 1, 1]
-        assert hist.count == 4
-        assert hist.total == 15
-        assert hist.min == 1 and hist.max == 9
+        hist.observe(9)   # lands in the le=16 bucket
+        hist.observe(2 ** 31)   # overflow
+        assert hist.buckets == [1, 1, 1, 0, 1] + [0] * 26 + [1]
+        assert hist.count == 5
+        assert hist.total == 15 + 2 ** 31
+        assert hist.min == 1 and hist.max == 2 ** 31
 
     def test_observe_times_and_nonpositive(self):
-        hist = FixedHistogram(bounds=(8,))
+        hist = FixedHistogram()
         hist.observe(5, times=3)
         hist.observe(5, times=0)
         hist.observe(5, times=-2)
@@ -80,28 +86,32 @@ class TestFixedHistogram:
             hist.percentile(1.5)
 
     def test_merge_and_bounds_mismatch(self):
-        a = FixedHistogram(bounds=(1, 2))
-        b = FixedHistogram(bounds=(1, 2))
+        a = FixedHistogram()
+        b = FixedHistogram()
         a.observe(1)
         b.observe(2, times=4)
         a.merge(b)
         assert a.count == 5 and a.max == 2
+        # Every histogram has the same bounds, so a payload stored with
+        # others is refused when read, before it can reach a merge.
+        foreign = {**b.to_dict(), "bounds": [1, 4]}
         with pytest.raises(ValueError):
-            a.merge(FixedHistogram(bounds=(1, 4)))
+            TelemetryRegistry().merge_dict({"histograms": {"h": foreign}})
 
     def test_dict_round_trip(self):
         hist = FixedHistogram()
         hist.observe(3, times=7)
         hist.observe(2 ** 40)  # overflow bucket
         data = json.loads(json.dumps(hist.to_dict()))
+        assert data["bounds"] == list(DEFAULT_BOUNDS)
         assert "+inf" in data["buckets"]
         assert FixedHistogram.from_dict(data) == hist
 
     def test_invalid_bounds(self):
-        with pytest.raises(ValueError):
-            FixedHistogram(bounds=())
-        with pytest.raises(ValueError):
-            FixedHistogram(bounds=(4, 2))
+        data = FixedHistogram().to_dict()
+        for bounds in ([], [4, 2], list(DEFAULT_BOUNDS[:-1])):
+            with pytest.raises(ValueError):
+                FixedHistogram.from_dict({**data, "bounds": bounds})
 
     def test_default_bounds_are_powers_of_two(self):
         assert DEFAULT_BOUNDS[0] == 1
@@ -234,19 +244,6 @@ class TestCongestionDistribution:
         assert metrics.congestion_histogram == {1: 1, 3: 2}
         assert metrics.max_edge_congestion == 3
 
-    def test_congestion_summary(self):
-        metrics = self._metrics([
-            {("e%d" % i, "x"): 1 for i in range(98)},
-        ])
-        metrics.record_round({("hot", "x"): 40, ("warm", "x"): 2}, 42, 42)
-        summary = metrics.congestion_summary()
-        assert summary["observations"] == 100
-        assert summary["p50"] == 1
-        assert summary["p95"] == 1
-        assert summary["max"] == 40
-        assert summary["max"] == metrics.max_edge_congestion
-        assert summary["histogram"] == {1: 98, 2: 1, 40: 1}
-
     def test_merge_sums_histograms(self):
         a = self._metrics([{("a", "b"): 2}])
         b = self._metrics([{("a", "b"): 2, ("b", "c"): 5}])
@@ -316,13 +313,14 @@ class TestTraceSchema:
         assert upgraded["schema"] == BASE_SCHEMA_VERSION
 
     def test_recorder_records_message_bits(self, tmp_path):
-        recorder = TraceRecorder("sim")
+        with TraceSession() as session:
+            recorder = session.new_recorder("sim")
         recorder.record_round(
             1, {("a", "b"): 2}, messages=2, bits=64, stepped=2, idle=0,
             halted=0, skipped_before=0, message_bits_histogram={32: 2},
         )
         path = str(tmp_path / "trace.jsonl")
-        recorder.write_jsonl(path)
+        session.write_jsonl(path)
         (back,) = [RoundTrace.from_dict(d) for d in load_trace_jsonl(path)]
         assert back.message_bits_histogram == {32: 2}
         assert sum(s * t for s, t in

@@ -172,7 +172,7 @@ def engine_state(sim):
         "pending_ids": sorted(engine._pending_ids),
         "runnable": sorted(engine._runnable),
         "wakeups": list(engine._wake_round),
-        "metrics": engine.metrics.to_dict(include_per_round=True),
+        "metrics": engine.metrics.to_dict(),
     }
 
 
@@ -252,12 +252,13 @@ def test_draw_order_is_pinned():
     counts and RNG end states pins it."""
     graph, factory, steps = _case("grid", 5, 12)
     for mode in MODES:
-        sim = _simulator(graph, factory, 5, mode)
+        recorder = TraceRecorder("pinned")
+        sim = _simulator(graph, factory, 5, mode, recorder)
         result = sim.run(max_rounds=2 * steps + 4)
         engine = sim._engine
         outcome = (
             [(v, result.outputs[v]) for v in sorted(result.outputs)],
-            engine.metrics.messages_per_round,
+            [r.messages for r in recorder.rounds],
             [
                 None if ctx._rng is None else ctx._rng.getstate()
                 for ctx in engine._contexts
